@@ -46,6 +46,8 @@ bench-diff:
 # ways keeps that claim continuously tested. (--force, because dune
 # would otherwise replay the cached first run.) The property suite
 # (test/test_prop.exe) draws its cases from a fixed seed by default;
+# the JSON parser differential (test/test_json.exe) runs once more on a
+# second fixed seed, like the oracle suite (test/test_diff.exe);
 # `make check PROP_SEED=1234` replays/explores a different case stream
 # (empty means the built-in seed).
 PROP_SEED ?=
@@ -58,6 +60,7 @@ check:
 	DIVREL_DOMAINS=2 PROP_SEED=$(PROP_SEED) dune runtest --force
 	DIVREL_DOMAINS=2 PROP_SEED=271828 dune exec test/test_diff.exe
 	DIVREL_DOMAINS=2 PROP_SEED=314159 dune exec test/test_diff.exe
+	DIVREL_DOMAINS=2 PROP_SEED=271828 dune exec test/test_json.exe
 	dune build @bench-smoke
 	dune build @evidence-smoke
 	dune build @adjudication-smoke
@@ -73,12 +76,13 @@ evidence:
 
 # Replay/explore the property suites on a chosen case stream:
 #   make prop PROP_SEED=1234
-# runs both Prop-based binaries (the harness properties and the
-# differential oracle suite) with that base seed; empty means the
-# built-in default (0x5eed_cafe).
+# runs the Prop-based binaries (the harness properties, the
+# differential oracle suite and the JSON parser differential) with that
+# base seed; empty means the built-in default (0x5eed_cafe).
 prop:
 	PROP_SEED=$(PROP_SEED) dune exec test/test_prop.exe
 	PROP_SEED=$(PROP_SEED) dune exec test/test_diff.exe
+	PROP_SEED=$(PROP_SEED) dune exec test/test_json.exe
 
 # Just the differential oracle suite (analytic formulas vs simulation),
 # same PROP_SEED replay contract as `make prop`.

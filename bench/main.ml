@@ -148,6 +148,37 @@ let tests ~smoke () =
                verb = Serve.Proto.Moments;
              }))
   in
+  (* JSON parse of the two untrusted-input shapes: a serve request (a
+     risk-ratio request over 128 faults, floats printed at %.17g as the
+     codec renders them) and a short run-log line (the runner.run shape
+     of the evidence-ingest log). *)
+  let json_serve_request =
+    let u = kernel_universe 128 in
+    Serve.Proto.render_request
+      {
+        Serve.Proto.id = "k0";
+        u = { Serve.Proto.ps = Core.Universe.ps u; qs = Core.Universe.qs u };
+        verb = Serve.Proto.Risk_ratio { channels = 2; required = 1 };
+      }
+  in
+  let json_runlog_line =
+    Obs.Json.render
+      (Obs.Json.Obj
+         [
+           ("event", Obs.Json.String "runner.run");
+           ("seq", Obs.Json.Int 1041);
+           ("demands", Obs.Json.Int 1000);
+           ("system_failures", Obs.Json.Int 3);
+           ("coincident_failures", Obs.Json.Int 0);
+           ("rng_draws", Obs.Json.Int 2000);
+           ( "demand_hist",
+             Obs.Json.List
+               [
+                 Obs.Json.List [ Obs.Json.Int 17; Obs.Json.Int 600 ];
+                 Obs.Json.List [ Obs.Json.Int 24; Obs.Json.Int 400 ];
+               ] );
+         ])
+  in
   let serve_client workers =
     lazy
       (let path = Filename.temp_file "divrel_bench_serve" ".sock" in
@@ -240,6 +271,10 @@ let tests ~smoke () =
     Test.make ~name:"el-difficulty-sweep/48x48"
       (Staged.stage (fun () ->
            ignore (Baselines.Eckhardt_lee.mean_pair space)));
+    Test.make ~name:"json-parse/serve-request"
+      (Staged.stage (fun () -> ignore (Obs.Json.parse json_serve_request)));
+    Test.make ~name:"json-parse/runlog-line"
+      (Staged.stage (fun () -> ignore (Obs.Json.parse json_runlog_line)));
     Test.make ~name:"mc-estimate-parallel/1dom"
       (Staged.stage
          (let r = Numerics.Rng.create ~seed:(seed + 4) in

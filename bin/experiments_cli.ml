@@ -247,17 +247,23 @@ let check_cmd =
 
 (* Declared-profile specs for the evidence verb: the drift detector
    needs the profile the operating evidence was supposedly collected
-   under, given on the command line as a constructor spec. *)
+   under, given on the command line as a constructor spec. SIZE is
+   capped at the demand ids a run log may carry: a run over a larger
+   space writes lines the schema counts as malformed. *)
+let max_profile_size = Evidence.Schema.max_demand_id + 1
+
 let parse_profile spec =
   let err () =
     Error
       (Printf.sprintf
          "bad --profile %S: expected uniform:SIZE, zipf:SIZE:EXPONENT, or \
-          peaked:SIZE:PEAK:MASS"
-         spec)
+          peaked:SIZE:PEAK:MASS with 0 < SIZE <= %d"
+         spec max_profile_size)
   in
   let size_of s =
-    match int_of_string_opt s with Some n when n > 0 -> Some n | _ -> None
+    match int_of_string_opt s with
+    | Some n when n > 0 && n <= max_profile_size -> Some n
+    | _ -> None
   in
   let build f = try Ok (Demandspace.Profile.probabilities (f ())) with
     | Invalid_argument msg -> Error ("bad --profile: " ^ msg)
@@ -391,23 +397,17 @@ let evidence_cmd =
               Fun.protect
                 ~finally:(fun () -> Evidence.Source.close src)
                 (fun () ->
-                  (* Single pass, bounded memory: at most one window (or one
-                     64k-line chunk) of the log is ever resident. *)
+                  (* Single pass, one line resident at a time. The chunk
+                     (one window, or 64k lines) is the unit the ingest
+                     rate is observed over and, with --window, the point
+                     an interim verdict is printed at. *)
                   let chunk = if window > 0 then window else 65536 in
                   let rec drain () =
-                    let lines = ref [] in
-                    let n = ref 0 in
-                    let eof = ref false in
-                    while !n < chunk && not !eof do
-                      match Evidence.Source.next_line src with
-                      | Some line ->
-                          lines := line :: !lines;
-                          incr n
-                      | None -> eof := true
-                    done;
-                    if !n > 0 then begin
-                      Evidence.Assessor.ingest_batch assessor
-                        (List.rev !lines);
+                    let n =
+                      Evidence.Assessor.ingest_source assessor src
+                        ~max_lines:chunk
+                    in
+                    if n > 0 then begin
                       if window > 0 && not json then begin
                         let v = Evidence.Verdict.of_assessor assessor in
                         let fleet = v.Evidence.Verdict.fleet in
@@ -422,7 +422,7 @@ let evidence_cmd =
                           v.Evidence.Verdict.fleet_posterior
                             .Evidence.Assessor.confidence_in_bound
                       end;
-                      if not !eof then drain ()
+                      if n = chunk then drain ()
                     end
                   in
                   drain ());

@@ -207,16 +207,26 @@ let ingest_json t json = ingest_parsed t (Schema.parse_json json)
 
 let ingest_runlog t log = List.iter (ingest_json t) (Obs.Runlog.events log)
 
-let ingest_batch t lines =
-  let count = List.length lines in
-  if count > 0 then begin
-    let (), dur_ns = Obs.Clock.timed (fun () -> List.iter (ingest_line t) lines) in
-    if Obs.Metrics.is_enabled () then begin
-      let seconds = Obs.Clock.ns_to_s dur_ns in
-      if seconds > 0.0 then
-        Obs.Metrics.observe h_ingest_rate (float_of_int count /. seconds)
-    end
-  end
+let ingest_source t src ~max_lines =
+  if max_lines < 0 then
+    invalid_arg "Evidence.Assessor.ingest_source: max_lines must be >= 0";
+  let since = Obs.Clock.now_ns () in
+  let rec go n =
+    if n = max_lines then n
+    else
+      match Source.next_line src with
+      | Some line ->
+          ingest_line t line;
+          go (n + 1)
+      | None -> n
+  in
+  let n = go 0 in
+  if n > 0 && Obs.Metrics.is_enabled () then begin
+    let seconds = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns ~since) in
+    if seconds > 0.0 then
+      Obs.Metrics.observe h_ingest_rate (float_of_int n /. seconds)
+  end;
+  n
 
 (* ------------------------------------------------------------------ *)
 (* Derived judgements (pure functions of the counters)                 *)

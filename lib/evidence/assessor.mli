@@ -58,10 +58,13 @@ val ingest_parsed : t -> Schema.parsed -> unit
 val ingest_runlog : t -> Obs.Runlog.t -> unit
 (** Ingest an in-memory run log in append order. *)
 
-val ingest_batch : t -> string list -> unit
-(** Ingest a batch of lines, timing the batch and feeding the
-    [evidence.ingest_rate] histogram (events/second) when metrics are
-    enabled. *)
+val ingest_source : t -> Source.t -> max_lines:int -> int
+(** Read and ingest up to [max_lines] lines from the cursor, each as it
+    is read (one line resident at a time), and return how many were
+    ingested: fewer than [max_lines] means the end of the file. The
+    chunk is timed as one batch, feeding the [evidence.ingest_rate]
+    histogram (events/second) when metrics are enabled. Raises
+    [Invalid_argument] if [max_lines < 0]. *)
 
 (** {1 Derived judgements}
 

@@ -55,6 +55,15 @@ type parsed =
       (** not JSON, not an object, or a consumed kind missing/ill-typing
           a required field; the payload is a diagnostic *)
 
+val max_demand_id : int
+(** Largest demand id a [demand_hist] entry may carry (2{^20} - 1, well
+    above the 65,536-demand spaces the serve protocol admits). An entry
+    above it makes the line {!Malformed}: the assessor sizes its
+    histogram by the largest id, so the bound caps that allocation.
+    A logged run over a space of more than [max_demand_id + 1] demands
+    therefore yields malformed lines; the [evidence] CLI refuses a
+    declared [--profile] of that size. *)
+
 val parse_json : Obs.Json.t -> parsed
 (** Classify one already-parsed run-log event. *)
 

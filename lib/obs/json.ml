@@ -3,8 +3,9 @@
    The telemetry layer (Metrics, Trace, Runlog) renders everything through
    this one module so that every artefact we emit — metrics snapshots,
    Chrome trace files, JSONL run logs, BENCH_kernels.json — is produced by
-   a single audited serializer, and the parser lets tests and the
-   benchcheck gate verify well-formedness without external dependencies. *)
+   a single audited serializer. The parser reads the serve wire protocol
+   and evidence run logs, and lets tests and the benchcheck gate verify
+   well-formedness without external dependencies. *)
 
 type t =
   | Null
@@ -81,7 +82,42 @@ let render v =
 (* Parsing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* One pass over a cursor, no per-byte allocation on the common path:
+   bytes are compared in place (no [option] per peek), a string without
+   escapes is a single [String.sub], and an integer of up to 18 digits
+   is accumulated where it stands. Anything rarer — escapes, floats,
+   long or odd numeric tokens — falls back to the general rule for that
+   token, so the tree and every error message (text and offset) are
+   those of the original byte-at-a-time parser, which the test suite
+   keeps as a differential oracle. *)
+
 exception Parse_failure of string
+
+type cursor = { s : string; len : int; mutable pos : int }
+
+let fail c msg =
+  raise (Parse_failure (Printf.sprintf "%s at offset %d" msg c.pos))
+
+let[@inline] at c ch = c.pos < c.len && String.unsafe_get c.s c.pos = ch
+
+let[@inline] is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
+let skip_ws c =
+  while c.pos < c.len && is_ws (String.unsafe_get c.s c.pos) do
+    c.pos <- c.pos + 1
+  done
+
+let[@inline] expect c ch =
+  if at c ch then c.pos <- c.pos + 1
+  else fail c (Printf.sprintf "expected %C" ch)
+
+let literal c word value =
+  let n = String.length word in
+  if c.pos + n <= c.len && String.sub c.s c.pos n = word then begin
+    c.pos <- c.pos + n;
+    value
+  end
+  else fail c (Printf.sprintf "expected %s" word)
 
 let utf8_encode buf cp =
   if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
@@ -95,173 +131,194 @@ let utf8_encode buf cp =
     Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
   end
 
-let parse s =
-  let len = String.length s in
-  let pos = ref 0 in
-  let fail msg =
-    raise (Parse_failure (Printf.sprintf "%s at offset %d" msg !pos))
-  in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < len
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let n = String.length word in
-    if !pos + n <= len && String.sub s !pos n = word then begin
-      pos := !pos + n;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let hex_digit c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> fail "invalid hex digit in \\u escape"
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> begin
-          if !pos >= len then fail "unterminated escape";
-          let e = s.[!pos] in
-          advance ();
-          (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-              if !pos + 4 > len then fail "truncated \\u escape";
-              let cp =
-                (hex_digit s.[!pos] lsl 12)
-                lor (hex_digit s.[!pos + 1] lsl 8)
-                lor (hex_digit s.[!pos + 2] lsl 4)
-                lor hex_digit s.[!pos + 3]
-              in
-              pos := !pos + 4;
-              utf8_encode buf cp
-          | _ -> fail "invalid escape");
-          go ()
-        end
-      | c when Char.code c < 0x20 -> fail "raw control character in string"
-      | c ->
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < len && is_num_char s.[!pos] do
-      incr pos
+let hex_digit c ch =
+  match ch with
+  | '0' .. '9' -> Char.code ch - Char.code '0'
+  | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
+  | _ -> fail c "invalid hex digit in \\u escape"
+
+(* The rest of a string from the first byte the fast scan could not
+   take (an escape, a raw control character, or the end of input), with
+   the already-scanned prefix in [buf]. *)
+let rec string_tail c buf =
+  if c.pos >= c.len then fail c "unterminated string";
+  let ch = c.s.[c.pos] in
+  c.pos <- c.pos + 1;
+  match ch with
+  | '"' -> Buffer.contents buf
+  | '\\' ->
+      if c.pos >= c.len then fail c "unterminated escape";
+      let e = c.s.[c.pos] in
+      c.pos <- c.pos + 1;
+      (match e with
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'u' ->
+          if c.pos + 4 > c.len then fail c "truncated \\u escape";
+          let s = c.s and p = c.pos in
+          let cp =
+            (hex_digit c s.[p] lsl 12)
+            lor (hex_digit c s.[p + 1] lsl 8)
+            lor (hex_digit c s.[p + 2] lsl 4)
+            lor hex_digit c s.[p + 3]
+          in
+          c.pos <- p + 4;
+          utf8_encode buf cp
+      | _ -> fail c "invalid escape");
+      string_tail c buf
+  | ch when Char.code ch < 0x20 -> fail c "raw control character in string"
+  | ch ->
+      Buffer.add_char buf ch;
+      string_tail c buf
+
+let parse_string c =
+  expect c '"';
+  let s = c.s and len = c.len and start = c.pos in
+  let p = ref start in
+  while
+    !p < len
+    &&
+    let ch = String.unsafe_get s !p in
+    ch <> '"' && ch <> '\\' && Char.code ch >= 0x20
+  do
+    incr p
+  done;
+  if !p < len && String.unsafe_get s !p = '"' then begin
+    c.pos <- !p + 1;
+    String.sub s start (!p - start)
+  end
+  else begin
+    let buf = Buffer.create (!p - start + 16) in
+    Buffer.add_substring buf s start (!p - start);
+    c.pos <- !p;
+    string_tail c buf
+  end
+
+let[@inline] is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+(* A number token is the maximal run of [is_num_char] bytes. An optional
+   '-' and 1..18 digits ending the token is an [Int] computed in place
+   (18 digits cannot overflow); any other token is read by the general
+   rule: with '.', 'e' or 'E' it must be a float, otherwise an int,
+   falling back to a float when it overflows [int]. *)
+let parse_number c =
+  let s = c.s and len = c.len and start = c.pos in
+  let neg = String.unsafe_get s start = '-' in
+  let first = if neg then start + 1 else start in
+  let p = ref first and acc = ref 0 in
+  while
+    !p < len
+    && match String.unsafe_get s !p with '0' .. '9' -> true | _ -> false
+  do
+    acc := (!acc * 10) + (Char.code (String.unsafe_get s !p) - 48);
+    incr p
+  done;
+  let digits = !p - first in
+  if
+    digits >= 1 && digits <= 18
+    && not (!p < len && is_num_char (String.unsafe_get s !p))
+  then begin
+    c.pos <- !p;
+    Int (if neg then - !acc else !acc)
+  end
+  else begin
+    (* The digits and sign scanned so far cannot make a float. *)
+    let looks_float = ref false in
+    while !p < len && is_num_char (String.unsafe_get s !p) do
+      (match String.unsafe_get s !p with
+      | '.' | 'e' | 'E' -> looks_float := true
+      | _ -> ());
+      incr p
     done;
-    let tok = String.sub s start (!pos - start) in
-    let looks_float =
-      String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok
-    in
-    if looks_float then
+    c.pos <- !p;
+    let tok = String.sub s start (!p - start) in
+    if !looks_float then
       match float_of_string_opt tok with
       | Some f -> Float f
-      | None -> fail (Printf.sprintf "invalid number %S" tok)
+      | None -> fail c (Printf.sprintf "invalid number %S" tok)
     else
       match int_of_string_opt tok with
       | Some i -> Int i
       | None -> (
           match float_of_string_opt tok with
           | Some f -> Float f
-          | None -> fail (Printf.sprintf "invalid number %S" tok))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (fields [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          List (items [])
-        end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
-  in
+          | None -> fail c (Printf.sprintf "invalid number %S" tok))
+  end
+
+let rec parse_value c =
+  skip_ws c;
+  if c.pos >= c.len then fail c "unexpected end of input";
+  match String.unsafe_get c.s c.pos with
+  | '{' ->
+      c.pos <- c.pos + 1;
+      skip_ws c;
+      if at c '}' then begin
+        c.pos <- c.pos + 1;
+        Obj []
+      end
+      else Obj (parse_fields c)
+  | '[' ->
+      c.pos <- c.pos + 1;
+      skip_ws c;
+      if at c ']' then begin
+        c.pos <- c.pos + 1;
+        List []
+      end
+      else List (parse_items c)
+  | '"' -> String (parse_string c)
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> fail c (Printf.sprintf "unexpected character %C" ch)
+
+(* Members and elements are consed in order ([@tail_mod_cons]): no
+   reversal, and constant stack however long the list. *)
+and[@tail_mod_cons] parse_fields c =
+  skip_ws c;
+  let key = parse_string c in
+  skip_ws c;
+  expect c ':';
+  let v = parse_value c in
+  skip_ws c;
+  if at c ',' then begin
+    c.pos <- c.pos + 1;
+    (key, v) :: parse_fields c
+  end
+  else begin
+    if not (at c '}') then fail c "expected ',' or '}'";
+    c.pos <- c.pos + 1;
+    [ (key, v) ]
+  end
+
+and[@tail_mod_cons] parse_items c =
+  let v = parse_value c in
+  skip_ws c;
+  if at c ',' then begin
+    c.pos <- c.pos + 1;
+    v :: parse_items c
+  end
+  else begin
+    if not (at c ']') then fail c "expected ',' or ']'";
+    c.pos <- c.pos + 1;
+    [ v ]
+  end
+
+let parse s =
+  let c = { s; len = String.length s; pos = 0 } in
   match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> len then fail "trailing content after JSON value";
+    let v = parse_value c in
+    skip_ws c;
+    if c.pos <> c.len then fail c "trailing content after JSON value";
     v
   with
   | v -> Ok v
@@ -271,9 +328,13 @@ let parse s =
 (* Accessors                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
+(* First binding of [key]. [String.equal] rather than [List.assoc_opt]'s
+   polymorphic compare: field lookup is on the run-log decode path. *)
+let rec assoc key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc key rest
+
+let member key = function Obj fields -> assoc key fields | _ -> None
 
 let to_list = function List items -> Some items | _ -> None
 let to_string = function String s -> Some s | _ -> None

@@ -403,6 +403,88 @@ let scenario ?max_channels ?max_faults ?replications () =
     ~pp:Check.Scenario.pp
     (fun rng -> Check.Scenario.generate ?max_channels ?max_faults ?replications rng)
 
+(* ---- byte-level mutation of text inputs ---- *)
+
+(* One edit of a byte string. Positions are reduced modulo the current
+   length (plus one for [Insert]), so every edit applies to any string
+   and a shrunk edit list stays meaningful. *)
+type edit =
+  | Replace of int * char
+  | Insert of int * char
+  | Delete of int
+  | Truncate of int
+
+type mutant = { source : int * int; edits : edit list }
+
+let apply_edit s edit =
+  let n = String.length s in
+  match edit with
+  | Replace (i, c) when n > 0 ->
+      let b = Bytes.of_string s in
+      Bytes.set b (i mod n) c;
+      Bytes.to_string b
+  | Insert (i, c) ->
+      let i = i mod (n + 1) in
+      String.concat "" [ String.sub s 0 i; String.make 1 c; String.sub s i (n - i) ]
+  | Delete i when n > 0 ->
+      let i = i mod n in
+      String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | Truncate i -> String.sub s 0 (i mod (n + 1))
+  | Replace _ | Delete _ -> s
+
+let mutate s edits = List.fold_left apply_edit s edits
+
+(* Bytes that steer a JSON parser into its interesting branches
+   (structure, escapes, number syntax, literals, whitespace, control
+   characters); a quarter of the draws take any byte at all. *)
+let json_bytes = "{}[]:,\"\\/ -+.eE0123456789tfnrulsabuxAF\t\n\r\000\031\127"
+
+let edit_gen rng =
+  let pos = Numerics.Rng.int rng 1_000_000 in
+  let byte () =
+    if Numerics.Rng.int rng 4 = 0 then Char.chr (Numerics.Rng.int rng 256)
+    else json_bytes.[Numerics.Rng.int rng (String.length json_bytes)]
+  in
+  match Numerics.Rng.int rng 8 with
+  | 0 | 1 | 2 -> Replace (pos, byte ())
+  | 3 | 4 -> Insert (pos, byte ())
+  | 5 | 6 -> Delete pos
+  | _ -> Truncate pos
+
+let pp_edit ppf = function
+  | Replace (i, c) -> Format.fprintf ppf "Replace (%d, %C)" i c
+  | Insert (i, c) -> Format.fprintf ppf "Insert (%d, %C)" i c
+  | Delete i -> Format.fprintf ppf "Delete %d" i
+  | Truncate i -> Format.fprintf ppf "Truncate %d" i
+
+(* Mutants of the lines in [corpus], an array of groups: a case picks a
+   group, then a line of it, then applies 1..4 edits. Picking
+   the group first keeps a few long lines from dominating the cost.
+   Shrinking drops one edit at a time, so a failure lands on the fewest
+   edits that still break the property; the printed counterexample is
+   the mutated line itself. *)
+let mutant_line corpus m =
+  let g, i = m.source in
+  mutate corpus.(g).(i) m.edits
+
+let mutant corpus =
+  if Array.length corpus = 0 || Array.exists (fun g -> Array.length g = 0) corpus
+  then invalid_arg "Prop.mutant: every corpus group must be non-empty";
+  make
+    ~shrink:(fun m ->
+      let n = List.length m.edits in
+      Seq.init n (fun k -> { m with edits = List.filteri (fun j _ -> j <> k) m.edits }))
+    ~pp:(fun ppf m ->
+      let g, i = m.source in
+      Format.fprintf ppf "@[<v>line %d of group %d, edits [@[%a@]]@,mutated: %S@]" i g
+        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_edit)
+        m.edits (mutant_line corpus m))
+    (fun rng ->
+      let g = Numerics.Rng.int rng (Array.length corpus) in
+      let i = Numerics.Rng.int rng (Array.length corpus.(g)) in
+      let k = 1 + Numerics.Rng.int rng 4 in
+      { source = (g, i); edits = List.init k (fun _ -> edit_gen rng) })
+
 (* ---- runner ---- *)
 
 let run_case f value =

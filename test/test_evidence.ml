@@ -89,6 +89,20 @@ let verdict_of_lines config lines =
   List.iter (Assessor.ingest_line a) lines;
   Verdict.render_json (Verdict.of_assessor a)
 
+let with_temp_file f =
+  let path = Filename.temp_file "evidence_test" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* Write [lines] to a run-log file and hand [f] a cursor over it: the
+   path the CLI ingests through. *)
+let with_source lines f =
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+      close_out oc;
+      let src = Source.open_file path in
+      Fun.protect ~finally:(fun () -> Source.close src) (fun () -> f src))
+
 (* ------------------------------------------------------------------ *)
 (* Windowed streaming == batch                                        *)
 (* ------------------------------------------------------------------ *)
@@ -101,18 +115,14 @@ let test_windowed_equals_batch () =
   let batch = verdict_of_lines config lines in
   let windowed w =
     let a = Assessor.create config in
-    let rec go = function
-      | [] -> ()
-      | rest ->
-          let take = min w (List.length rest) in
-          let window = List.filteri (fun i _ -> i < take) rest in
-          let rest = List.filteri (fun i _ -> i >= take) rest in
-          Assessor.ingest_batch a window;
+    with_source lines (fun src ->
+        let rec go () =
+          let read = Assessor.ingest_source a src ~max_lines:w in
           (* interim verdicts must not perturb the final one *)
           ignore (Verdict.of_assessor a);
-          go rest
-    in
-    go lines;
+          if read = w then go ()
+        in
+        go ());
     Verdict.render_json (Verdict.of_assessor a)
   in
   Prop.check ~cases:30 "windowed streaming == batch"
@@ -124,19 +134,19 @@ let test_windowed_equals_batch () =
 
 let test_random_split_points () =
   let log, _fleet = fleet_log ~seed:12 ~plants:5 ~demands_per_plant:250 in
-  let lines = Array.of_list (log_lines log) in
-  let n = Array.length lines in
+  let lines = log_lines log in
+  let n = List.length lines in
   let config = config_with_profile () in
-  let batch = verdict_of_lines config (Array.to_list lines) in
+  let batch = verdict_of_lines config lines in
   Prop.check ~cases:30 "any split points == batch"
     (Prop.pair (Prop.int_range 0 n) (Prop.int_range 0 n))
     (fun (i, j) ->
       let lo = min i j and hi = max i j in
-      let slice a b = Array.to_list (Array.sub lines a (b - a)) in
       let a = Assessor.create config in
-      Assessor.ingest_batch a (slice 0 lo);
-      Assessor.ingest_batch a (slice lo hi);
-      Assessor.ingest_batch a (slice hi n);
+      with_source lines (fun src ->
+          List.iter
+            (fun k -> ignore (Assessor.ingest_source a src ~max_lines:k))
+            [ lo; hi - lo; n - hi ]);
       let v = Verdict.render_json (Verdict.of_assessor a) in
       if v <> batch then
         Alcotest.failf "splits (%d, %d) diverge from the batch verdict" lo hi)
@@ -299,13 +309,80 @@ let test_schema_parse () =
   | Schema.Malformed _ -> ()
   | _ -> Alcotest.fail "non-string event should be Malformed"
 
+(* Every diagnostic the schema emits, pinned byte for byte: the verdict
+   reports these counts, and the text is what an operator greps for. *)
+let test_malformed_messages () =
+  let runner hist =
+    Printf.sprintf
+      "{\"event\":\"runner.run\",\"demands\":10,\"system_failures\":1,\"coincident_failures\":0,\"rng_draws\":20,\"demand_hist\":%s}"
+      hist
+  in
+  List.iter
+    (fun (line, expected) ->
+      match Schema.parse_line line with
+      | Schema.Malformed msg -> check_string line expected msg
+      | _ -> Alcotest.failf "not malformed: %s" line)
+    [
+      ("", "empty line");
+      ("{\"event\":", "invalid JSON: unexpected end of input at offset 9");
+      ("[1]", "line is not a JSON object");
+      ("{\"x\":1}", "object has no \"event\" field");
+      ("{\"event\":1}", "\"event\" field is not a string");
+      ( "{\"event\":\"run.start\",\"seed\":1,\"shards\":1}",
+        "event \"run.start\": missing field \"target\"" );
+      ( "{\"event\":\"run.start\",\"target\":\"t\",\"seed\":1.5,\"shards\":1}",
+        "event \"run.start\": field \"seed\" is not an integer" );
+      ( "{\"event\":\"run.start\",\"target\":7,\"seed\":1,\"shards\":1}",
+        "event \"run.start\": field \"target\" is not a string" );
+      ( "{\"event\":\"fleet.plant\",\"plant\":0,\"demands\":5,\"failures\":1,\"true_pfd\":\"x\"}",
+        "event \"fleet.plant\": field \"true_pfd\" is not a number" );
+      ( "{\"event\":\"fleet.plant\",\"plant\":-1,\"demands\":5,\"failures\":1,\"true_pfd\":0}",
+        "event \"fleet.plant\": field \"plant\" must be non-negative" );
+      ( "{\"event\":\"fleet.plant\",\"plant\":0,\"demands\":0,\"failures\":0,\"true_pfd\":0}",
+        "event \"fleet.plant\": field \"demands\" must be positive" );
+      ( "{\"event\":\"fleet.plant\",\"plant\":0,\"demands\":5,\"failures\":6,\"true_pfd\":0}",
+        "event \"fleet.plant\": field \"failures\" outside [0, demands]" );
+      ( "{\"event\":\"sprt.decision\",\"decision\":\"maybe\",\"demands\":5,\"failures\":0,\"log_lr\":1}",
+        "event \"sprt.decision\": unknown SPRT decision \"maybe\"" );
+      (runner "3", "event \"runner.run\": field \"demand_hist\" is not a list");
+      (runner "[[1]]", "event \"runner.run\": field \"demand_hist\" entry is not a pair");
+      ( runner "[[-1,2]]",
+        "event \"runner.run\": field \"demand_hist\" entry is not a non-negative \
+         [id, count] pair" );
+      ( runner "[[4611686018427387000,1]]",
+        "event \"runner.run\": field \"demand_hist\" id 4611686018427387000 \
+         exceeds max_demand_id 1048575" );
+      ( String.concat "" [ "{\"event\":\"runner.run\",\"demands\":0,"; "\"system_failures\":0,";
+          "\"coincident_failures\":0,\"rng_draws\":0}" ],
+        "event \"runner.run\": field \"demands\" must be positive" );
+      ( String.concat "" [ "{\"event\":\"runner.run\",\"demands\":1,"; "\"system_failures\":2,";
+          "\"coincident_failures\":0,\"rng_draws\":0}" ],
+        "event \"runner.run\": field \"system_failures\" outside [0, demands]" );
+    ]
+
+(* A demand id is bounded before it can size the assessor's histogram:
+   the largest admissible id is ingested, one past it is a damaged line
+   (counted, never fatal), as is the id that used to crash the CLI with
+   Invalid_argument "Array.make". *)
+let test_demand_id_bound () =
+  let runner id =
+    Printf.sprintf
+      "{\"event\":\"runner.run\",\"demands\":10,\"system_failures\":1,\"coincident_failures\":0,\"rng_draws\":20,\"demand_hist\":[[%d,1]]}"
+      id
+  in
+  let a = Assessor.create Assessor.default_config in
+  Assessor.ingest_line a (runner Schema.max_demand_id);
+  Assessor.ingest_line a (runner (Schema.max_demand_id + 1));
+  Assessor.ingest_line a (runner 4611686018427387000);
+  let e = Assessor.event_counts a in
+  check_int "the largest admissible id is ingested" 1 e.Assessor.e_accepted;
+  check_int "ids past the bound are malformed" 2 e.Assessor.e_malformed;
+  check_int "histogram sized by the admissible id" (Schema.max_demand_id + 1)
+    (Array.length (Assessor.demand_counts a))
+
 (* ------------------------------------------------------------------ *)
 (* File sources: streaming writer, cursor, resume                     *)
 (* ------------------------------------------------------------------ *)
-
-let with_temp_file f =
-  let path = Filename.temp_file "evidence_test" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 let test_streaming_writer () =
   with_temp_file (fun path ->
@@ -499,6 +576,69 @@ let test_cli_window_byte_identity () =
           check_bool "final text report rendered" true
             (contains text "proven-in-use verdict:")))
 
+(* One damaged line with a huge demand id, between two good ones: the
+   CLI counts it as malformed and exits 0, in batch and windowed mode. *)
+let test_cli_huge_demand_id () =
+  with_temp_file (fun log_path ->
+      let oc = open_out log_path in
+      List.iter
+        (fun l -> output_string oc (l ^ "\n"))
+        [
+          "{\"event\":\"fleet.plant\",\"plant\":0,\"demands\":100,\"failures\":1,\"true_pfd\":0.01}";
+          "{\"event\":\"runner.run\",\"demands\":1,\"system_failures\":0,\"coincident_failures\":0,\"rng_draws\":2,\"demand_hist\":[[4611686018427387000,1]]}";
+          "{\"event\":\"fleet.plant\",\"plant\":1,\"demands\":100,\"failures\":0,\"true_pfd\":0.01}";
+        ];
+      close_out oc;
+      List.iter
+        (fun window ->
+          with_temp_file (fun out_path ->
+              let status =
+                Sys.command
+                  (Filename.quote_command cli_exe
+                     [ "evidence"; log_path; "--json"; "--window"; string_of_int window ]
+                     ~stdout:out_path)
+              in
+              check_int (Printf.sprintf "--window %d exits 0" window) 0 status;
+              let out = read_file out_path in
+              let contains sub =
+                let n = String.length out and m = String.length sub in
+                let rec at i = i + m <= n && (String.sub out i m = sub || at (i + 1)) in
+                at 0
+              in
+              check_bool "damaged line counted as malformed" true
+                (contains "\"accepted\":2,\"skipped\":0,\"malformed\":1")))
+        [ 0; 1 ])
+
+(* The declared profile may not be larger than the demand ids a run log
+   can carry: SIZE = max_demand_id + 1 is accepted, one more is a
+   command-line error naming the bound, before any line is read. *)
+let test_cli_profile_size_bound () =
+  with_temp_file (fun log_path ->
+      let oc = open_out log_path in
+      output_string oc
+        "{\"event\":\"fleet.plant\",\"plant\":0,\"demands\":100,\"failures\":1,\"true_pfd\":0.01}\n";
+      close_out oc;
+      let status size =
+        with_temp_file (fun err_path ->
+            let st =
+              Sys.command
+                (Filename.quote_command cli_exe
+                   [ "evidence"; log_path; "--json"; "--profile";
+                     Printf.sprintf "uniform:%d" size ]
+                   ~stdout:Filename.null ~stderr:err_path)
+            in
+            (st, read_file err_path))
+      in
+      let bound = Schema.max_demand_id + 1 in
+      let ok, _ = status bound in
+      check_int "SIZE = max_demand_id + 1 is accepted" 0 ok;
+      let st, err = status (bound + 1) in
+      check_bool "SIZE past the bound is refused" true (st <> 0);
+      let needle = Printf.sprintf "SIZE <= %d" bound in
+      let n = String.length err and m = String.length needle in
+      let rec at i = i + m <= n && (String.sub err i m = needle || at (i + 1)) in
+      check_bool "the error names the bound" true (at 0))
+
 (* Regenerate the pin after an intentional verdict-schema change:
      EVIDENCE_PRINT_GOLDEN=1 ./test_evidence.exe > test/golden/evidence_seed42.json *)
 let () =
@@ -540,6 +680,9 @@ let () =
           Alcotest.test_case "malformed and unknown lines counted" `Quick
             test_malformed_and_skipped;
           Alcotest.test_case "event parsing" `Quick test_schema_parse;
+          Alcotest.test_case "malformed diagnostics pinned" `Quick
+            test_malformed_messages;
+          Alcotest.test_case "demand id bound" `Quick test_demand_id_bound;
         ] );
       ( "sources",
         [
@@ -561,5 +704,9 @@ let () =
         [
           Alcotest.test_case "--window byte-identity" `Quick
             test_cli_window_byte_identity;
+          Alcotest.test_case "huge demand id is malformed, exit 0" `Quick
+            test_cli_huge_demand_id;
+          Alcotest.test_case "--profile SIZE capped at the demand-id bound" `Quick
+            test_cli_profile_size_bound;
         ] );
     ]

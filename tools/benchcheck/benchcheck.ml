@@ -57,7 +57,8 @@ let check_kernel i k =
 
 (* Kernels whose presence the gate insists on: the determinism
    demonstrator pairs (same computation on 1 vs 4 domains), the
-   proven-in-use evidence ingest path, and the rewritten hot-path
+   proven-in-use evidence ingest path and its JSON parse of both
+   untrusted-input shapes, and the rewritten hot-path
    kernels (both the headline names and the explicit incremental/fast
    variants, so a regenerated artefact can never silently drop the
    perf-trajectory anchors). *)
@@ -68,6 +69,8 @@ let required_kernels =
     "fleet-observe-parallel/1dom";
     "fleet-observe-parallel/4dom";
     "evidence-ingest/1e6";
+    "json-parse/serve-request";
+    "json-parse/runlog-line";
     "sensitivity-gradient/n=1000";
     "sensitivity-gradient-incremental/n=1000";
     "exact-pfd-dist/n=16";
