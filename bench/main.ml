@@ -247,7 +247,7 @@ let tests ~smoke () =
            ignore (Core.Sensitivity.risk_ratio_gradient ps_big)));
     Test.make ~name:"sensitivity-gradient-incremental/n=1000"
       (Staged.stage (fun () ->
-           ignore (Core.Sensitivity.risk_ratio_gradient ~shards:1 ps_big)));
+           ignore (Core.Sensitivity.risk_ratio_gradient ps_big)));
     Test.make ~name:"sensitivity-gradient-naive/n=1000"
       (Staged.stage (fun () ->
            ignore (Core.Sensitivity.risk_ratio_gradient_naive ps_big)));
@@ -341,10 +341,8 @@ type kernel_row = {
 }
 
 (* Domains each kernel computed on, recorded per row in the JSON.
-   Sequential kernels run on the calling domain; the parallel-estimate
-   pair pins its pool size in the kernel name; the naive gradient
-   reference shards over the process default pool (sized by --domains /
-   DIVREL_DOMAINS). The incremental gradient never engages the pool. *)
+   Sequential kernels (every analytic one) run on the calling domain;
+   the parallel pairs pin their pool size in the kernel name. *)
 let kernel_domains name =
   match name with
   | "mc-estimate-parallel/1dom" | "fleet-observe-parallel/1dom"
@@ -353,7 +351,6 @@ let kernel_domains name =
   | "mc-estimate-parallel/4dom" | "fleet-observe-parallel/4dom"
   | "serve-throughput/4workers" ->
       4
-  | "sensitivity-gradient-naive/n=1000" -> Exec.Pool.size (Exec.Pool.default ())
   | _ -> 1
 
 (* Slow kernels complete few runs inside the standard half-second quota

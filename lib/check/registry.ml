@@ -461,15 +461,15 @@ let pfd_fast_vs_legacy =
     (fun s ->
       let u = Scenario.universe s in
       let probs = Core.Universe.ps u and values = Core.Universe.qs u in
-      let fast = Core.Pfd_dist.exact_of_vectors ~shards:1 ~probs ~values () in
+      let fast = Core.Pfd_dist.exact_of_vectors ~probs ~values () in
       let legacy = Core.Pfd_dist.exact_of_vectors_naive ~probs ~values () in
       let bins = 1024 in
-      let gfast = Core.Pfd_dist.grid_of_vectors ~shards:1 ~probs ~values ~bins () in
+      let gfast = Core.Pfd_dist.grid_of_vectors ~probs ~values ~bins () in
       let glegacy =
-        Core.Pfd_dist.grid_of_vectors_naive ~shards:1 ~probs ~values ~bins ()
+        Core.Pfd_dist.grid_of_vectors_naive ~probs ~values ~bins ()
       in
       [
-        (* The sequential exact path claims bit-identity: same float ops
+        (* The exact path claims bit-identity: same float ops
            in the same order, only the buffer management changed. *)
         mk ~oracle:id ~quantity:"exact mean"
           ~analytic:(Core.Pfd_dist.mean legacy)

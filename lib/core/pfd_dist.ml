@@ -132,41 +132,41 @@ let sample t rng =
 
 let max_exact_faults = 22
 
-(* Coalescing 2-way merge of sorted (value, mass) streams; masses of
-   equal support points add in encounter order, exactly as the doubling
-   convolution's push does. *)
-let merge_streams (xs1, ws1) (xs2, ws2) =
-  let m1 = Array.length xs1 and m2 = Array.length xs2 in
-  if m1 = 0 then (xs2, ws2)
-  else if m2 = 0 then (xs1, ws1)
-  else begin
-    let nxs = Array.make (m1 + m2) 0.0 and nws = Array.make (m1 + m2) 0.0 in
-    let a = ref 0 and b = ref 0 and out = ref 0 in
-    let push x w =
-      if !out > 0 && nxs.(!out - 1) = x then nws.(!out - 1) <- nws.(!out - 1) +. w
-      else begin
-        nxs.(!out) <- x;
-        nws.(!out) <- w;
-        incr out
-      end
-    in
-    while !a < m1 || !b < m2 do
-      let xa = if !a < m1 then xs1.(!a) else infinity in
-      let xb = if !b < m2 then xs2.(!b) else infinity in
-      if xa <= xb then begin
-        push xa ws1.(!a);
-        incr a
-      end
-      else begin
-        push xb ws2.(!b);
-        incr b
-      end
-    done;
-    (Array.sub nxs 0 !out, Array.sub nws 0 !out)
-  end
+(* Boundary policy shared by every convolver entry point: reject. The
+   kernels cannot report these inputs themselves: a NaN probability
+   drops its fault silently (every comparison against it is false), a
+   probability above 1 gives negative "keep" weights that normalisation
+   hides, and a negative value indexes the grid below 0. *)
+let validate_vectors ~what ~probs ~values =
+  if Array.length probs <> Array.length values then
+    invalid_arg (what ^ ": length mismatch");
+  Array.iteri
+    (fun i p ->
+      if not (p >= 0.0 && p <= 1.0) then
+        invalid_arg
+          (Printf.sprintf "%s: probs.(%d) = %g is not a probability in [0, 1]"
+             what i p))
+    probs;
+  Array.iteri
+    (fun i q ->
+      if not (Float.is_finite q && q >= 0.0) then
+        invalid_arg
+          (Printf.sprintf "%s: values.(%d) = %g is not finite and >= 0" what i
+             q))
+    values
 
-(* Breadth-first doubling over faults [lo, hi): dist held as the first
-   [len] entries of a ping-pong buffer pair. Each fault's fused merge of
+let validate_exact ~what ~probs ~values =
+  validate_vectors ~what ~probs ~values;
+  let n = Array.length probs in
+  if n > max_exact_faults then
+    invalid_arg
+      (Printf.sprintf
+         "%s: %d faults exceeds the exact-enumeration limit of %d; use \
+          grid_of_vectors"
+         what n max_exact_faults)
+
+(* Breadth-first doubling over all faults: dist held as the first [len]
+   entries of a ping-pong buffer pair. Each fault's fused merge of
    (old, weight (1-p)) with (old + q, weight p) writes the spare buffer
    and the roles swap — no Array.make / Array.sub per fault; the pair
    only reallocates on the O(log) occasions the support outgrows its
@@ -174,13 +174,13 @@ let merge_streams (xs1, ws1) (xs2, ws2) =
    allocating pass, so every produced (value, mass) is bit-identical to
    it (asserted by the fast-vs-legacy differential oracle). Returns
    (xs, ws, len); entries at [len] and beyond are garbage. *)
-let convolve_range ~probs ~values lo hi =
+let convolve ~probs ~values =
   let src_xs = ref (Array.make 16 0.0) and src_ws = ref (Array.make 16 0.0) in
   let dst_xs = ref [||] and dst_ws = ref [||] in
   !src_xs.(0) <- 0.0;
   !src_ws.(0) <- 1.0;
   let len = ref 1 in
-  for i = lo to hi - 1 do
+  for i = 0 to Array.length probs - 1 do
     let p = probs.(i) and q = values.(i) in
     if p > 0.0 then begin
       let m = !len in
@@ -225,9 +225,9 @@ let convolve_range ~probs ~values lo hi =
    reference side of the fast-vs-legacy differential oracle: a fresh
    2m-point buffer pair and two Array.sub per fault, finishing through
    the of_mass list pipeline. *)
-let convolve_range_naive ~probs ~values lo hi =
+let convolve_naive ~probs ~values =
   let xs = ref [| 0.0 |] and ws = ref [| 1.0 |] in
-  for i = lo to hi - 1 do
+  for i = 0 to Array.length probs - 1 do
     let p = probs.(i) and q = values.(i) in
     if p > 0.0 then begin
       let old_xs = !xs and old_ws = !ws in
@@ -262,129 +262,39 @@ let convolve_range_naive ~probs ~values lo hi =
   (!xs, !ws)
 
 (* Exact distribution of sum of independent {0, q_i} variables with
-   P(q_i) = probs.(i).
-
-   Sequential (shards = 1, the default): one doubling pass — bit-for-bit
-   the legacy kernel's values, now allocation-free (see convolve_range)
-   and finalised without the of_mass list round-trip and sort (the
-   doubling output is already sorted and coalesced). Sharded: split the
-   faults into a *head* of s = floor(log2 shards) faults and a tail;
-   each of the 2^s shards owns one head outcome (a subset of present
-   head faults), scales and shifts the shared tail distribution by that
-   outcome's mass and offset, and the 2^s streams reduce through a
-   balanced pairwise merge tree whose levels run on the pool. Given a
-   shard count the result is deterministic for any domain count; sharded
-   mass sums may associate differently from the sequential pass
-   (ulp-level), which is why the default stays 1. *)
-let exact_of_vectors ?pool ?(shards = 1) ~probs ~values () =
-  let n = Array.length probs in
-  if n <> Array.length values then
-    invalid_arg "Pfd_dist.exact_of_vectors: length mismatch";
-  if n > max_exact_faults then
-    invalid_arg
-      (Printf.sprintf
-         "Pfd_dist.exact_of_vectors: %d faults exceeds the exact-enumeration \
-          limit of %d; use grid_of_vectors"
-         n max_exact_faults);
-  if shards < 1 then invalid_arg "Pfd_dist.exact_of_vectors: shards must be >= 1";
-  let head_bits =
-    let rec log2_floor acc s = if s >= 2 then log2_floor (acc + 1) (s / 2) else acc in
-    min (log2_floor 0 shards) (max 0 (n - 1))
-  in
-  if head_bits = 0 then begin
-    let xs, ws, len = convolve_range ~probs ~values 0 n in
-    of_sorted_len ~what:"Pfd_dist.exact_of_vectors" xs ws len
-  end
-  else begin
-    let tail_xs, tail_ws, m = convolve_range ~probs ~values head_bits n in
-    let nstreams = 1 lsl head_bits in
-    let streams =
-      Exec.map_shards ?pool ~shards:nstreams
-        ~f:(fun k ->
-          (* Head outcome k: bit i of k decides whether head fault i is
-             present. *)
-          let mass = ref 1.0 in
-          let offset = Kahan.create () in
-          for i = 0 to head_bits - 1 do
-            if k land (1 lsl i) <> 0 then begin
-              mass := !mass *. probs.(i);
-              Kahan.add offset values.(i)
-            end
-            else mass := !mass *. (1.0 -. probs.(i))
-          done;
-          if !mass <= 0.0 then ([||], [||])
-          else begin
-            let off = Kahan.total offset in
-            let mass = !mass in
-            ( Array.init m (fun j -> tail_xs.(j) +. off),
-              Array.init m (fun j -> tail_ws.(j) *. mass) )
-          end)
-        ()
-    in
-    let rec reduce streams =
-      let len = Array.length streams in
-      if len = 1 then streams.(0)
-      else begin
-        let pairs = len / 2 in
-        let merged =
-          Exec.map_shards ?pool ~shards:pairs
-            ~f:(fun k -> merge_streams streams.(2 * k) streams.((2 * k) + 1))
-            ()
-        in
-        let next =
-          if len mod 2 = 0 then merged
-          else Array.append merged [| streams.(len - 1) |]
-        in
-        reduce next
-      end
-    in
-    let xs, ws = reduce streams in
-    of_sorted_len ~what:"Pfd_dist.exact_of_vectors" xs ws (Array.length xs)
-  end
+   P(q_i) = probs.(i): one doubling pass — bit-for-bit the legacy
+   kernel's values, allocation-free (see convolve) and finalised without
+   the of_mass list round-trip and sort (the doubling output is already
+   sorted and coalesced). *)
+let exact_of_vectors ~probs ~values () =
+  let what = "Pfd_dist.exact_of_vectors" in
+  validate_exact ~what ~probs ~values;
+  let xs, ws, len = convolve ~probs ~values in
+  of_sorted_len ~what xs ws len
 
 let exact_of_vectors_naive ~probs ~values () =
-  let n = Array.length probs in
-  if n <> Array.length values then
-    invalid_arg "Pfd_dist.exact_of_vectors_naive: length mismatch";
-  if n > max_exact_faults then
-    invalid_arg
-      (Printf.sprintf
-         "Pfd_dist.exact_of_vectors_naive: %d faults exceeds the \
-          exact-enumeration limit of %d; use grid_of_vectors"
-         n max_exact_faults);
-  let xs, ws = convolve_range_naive ~probs ~values 0 n in
+  validate_exact ~what:"Pfd_dist.exact_of_vectors_naive" ~probs ~values;
+  let xs, ws = convolve_naive ~probs ~values in
   let pairs = Array.to_list (Array.map2 (fun x w -> (x, w)) xs ws) in
   of_mass pairs
 
-let exact_single ?pool ?shards u =
-  exact_of_vectors ?pool ?shards ~probs:(Universe.ps u) ~values:(Universe.qs u) ()
+let exact_single u =
+  exact_of_vectors ~probs:(Universe.ps u) ~values:(Universe.qs u) ()
 
-let exact_pair ?pool ?shards u =
-  exact_of_vectors ?pool ?shards
+let exact_pair u =
+  exact_of_vectors
     ~probs:(Array.map (fun p -> p *. p) (Universe.ps u))
     ~values:(Universe.qs u) ()
 
-let exact_nk ?pool ?shards u ~channels =
+let exact_nk u ~channels =
   if channels < 1 then invalid_arg "Pfd_dist.exact_nk: channels < 1";
-  exact_of_vectors ?pool ?shards
+  exact_of_vectors
     ~probs:(Array.map (fun p -> p ** float_of_int channels) (Universe.ps u))
     ~values:(Universe.qs u) ()
 
-(* Below this many active bins a fault's update is a few microseconds of
-   arithmetic — cheaper than dispatching shard tasks — so the sharded
-   grid path only engages on large grids. Purely a scheduling threshold:
-   both paths compute bit-identical values. *)
-let grid_parallel_min_bins = 32768
-
-let grid_validate ~what ~probs ~values ~bins ~shards =
-  if Array.length probs <> Array.length values then
-    invalid_arg (what ^ ": length mismatch");
-  if bins < 2 then invalid_arg (what ^ ": need at least 2 bins");
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
-  if shards < 1 then invalid_arg (what ^ ": shards must be >= 1");
-  shards
+let grid_validate ~what ~probs ~values ~bins =
+  validate_vectors ~what ~probs ~values;
+  if bins < 2 then invalid_arg (what ^ ": need at least 2 bins")
 
 (* Rounding each q_i to the nearest grid multiple can round *up* by as
    much as half a step, so the all-faults subset can land up to n/2
@@ -422,30 +332,28 @@ let grid_finalise ~step ~dist ~top =
    float ref would box every store). *)
 type block_acc = { mutable acc : float }
 
-(* One binomial-block dense pass: writes dst.(j) for j in [lo, hi] from
-   the pre-update values of src, where the block is [counts] (length
-   k + 1) over multiples of [shift]. Taps accumulate in ascending m, the
-   same expression for every caller, so sequential in-place (src == dst,
-   descending — every tap reads j or lower, still unwritten) and sharded
-   src -> dst slices produce bit-identical values. The tap count is
+(* One binomial-block dense pass, in place over dist.(0 .. top), where
+   the block is [counts] (length k + 1) over multiples of [shift]. The
+   scan runs downward, so every tap j - m*shift reads a bin not yet
+   written this pass; taps accumulate in ascending m. The tap count is
    hoisted out of the branch: bins at or above k*shift take all k + 1
    taps unconditionally, lower bins take exactly j/shift. *)
-let block_pass ~counts ~k ~shift ~src ~dst ~lo ~hi =
+let block_pass ~counts ~k ~shift ~dist ~top =
   let a = { acc = 0.0 } in
   let full_lo = k * shift in
-  for j = hi downto max lo full_lo do
-    a.acc <- counts.(0) *. src.(j);
+  for j = top downto full_lo do
+    a.acc <- counts.(0) *. dist.(j);
     for m = 1 to k do
-      a.acc <- a.acc +. (counts.(m) *. src.(j - (m * shift)))
+      a.acc <- a.acc +. (counts.(m) *. dist.(j - (m * shift)))
     done;
-    dst.(j) <- a.acc
+    dist.(j) <- a.acc
   done;
-  for j = min hi (full_lo - 1) downto lo do
-    a.acc <- counts.(0) *. src.(j);
+  for j = full_lo - 1 downto 0 do
+    a.acc <- counts.(0) *. dist.(j);
     for m = 1 to j / shift do
-      a.acc <- a.acc +. (counts.(m) *. src.(j - (m * shift)))
+      a.acc <- a.acc +. (counts.(m) *. dist.(j - (m * shift)))
     done;
-    dst.(j) <- a.acc
+    dist.(j) <- a.acc
   done
 
 (* Grid approximation: round every q_i to a multiple of the grid step and
@@ -460,23 +368,15 @@ let block_pass ~counts ~k ~shift ~src ~dst ~lo ~hi =
    (thousands of faults, a few thousand bins) most faults share one of a
    few dozen shifts, so this removes almost all dense sweeps.
 
-   The sequential kernel updates in place, scanning j downward so every
-   tap j - m*shift is read pre-update. The sharded kernel writes the
-   same expression into a second buffer (reads all pre-update by
-   construction) over disjoint bin slices, then swaps buffers: every bin
-   gets the identical tap arithmetic in the identical order, so grid
-   results are bit-identical for any (shards, domains) combination.
    Versus the retained per-fault path (grid_of_vectors_naive) a block of
    k >= 2 faults associates the per-fault products differently, and the
    blocks run in ascending-shift order rather than index order, so the
    two paths agree to rounding, not bits; a block of one fault reduces
    to exactly the legacy keep/arrive expression, making the whole result
    bit-identical when every shift is unique and already ascending. *)
-let grid_of_vectors ?pool ?shards ~probs ~values ~bins () =
+let grid_of_vectors ~probs ~values ~bins () =
   let n = Array.length probs in
-  let shards =
-    grid_validate ~what:"Pfd_dist.grid_of_vectors" ~probs ~values ~bins ~shards
-  in
+  grid_validate ~what:"Pfd_dist.grid_of_vectors" ~probs ~values ~bins;
   let total = Kahan.sum_array values in
   let step = if total > 0.0 then total /. float_of_int (bins - 1) else 1.0 in
   let shifts = grid_shifts ~probs ~values ~step in
@@ -503,112 +403,56 @@ let grid_of_vectors ?pool ?shards ~probs ~values ~bins () =
     in
     group sorted
   in
-  let cur = ref (Array.make len 0.0) in
-  (* Spare buffer for the sharded path; stale entries are harmless: a
-     sharded round overwrites [0, new_top] entirely, and indices above
-     any round's new_top have never been written (tops only grow), so
-     they still hold the initial zeros the mass invariant requires. *)
-  let spare = ref (Array.make len 0.0) in
-  !cur.(0) <- 1.0;
+  let dist = Array.make len 0.0 in
+  dist.(0) <- 1.0;
   let top = ref 0 in
   List.iter
     (fun (shift, block_ps) ->
       let k = Array.length block_ps in
       let counts = Fault_count.poisson_binomial block_ps in
-      let new_top = !top + (k * shift) in
-      if shards > 1 && new_top + 1 >= grid_parallel_min_bins then begin
-        let src = !cur and dst = !spare in
-        let bounds = Exec.shard_bounds ~range:(new_top + 1) ~shards in
-        ignore
-          (Exec.map_shards ?pool ~shards
-             ~f:(fun sk ->
-               let lo, slice = bounds.(sk) in
-               if slice > 0 then
-                 block_pass ~counts ~k ~shift ~src ~dst ~lo
-                   ~hi:(lo + slice - 1))
-             ());
-        cur := dst;
-        spare := src
-      end
-      else begin
-        let dist = !cur in
-        block_pass ~counts ~k ~shift ~src:dist ~dst:dist ~lo:0 ~hi:new_top
-      end;
-      top := new_top)
+      top := !top + (k * shift);
+      block_pass ~counts ~k ~shift ~dist ~top:!top)
     blocks;
-  grid_finalise ~step ~dist:!cur ~top:!top
+  grid_finalise ~step ~dist ~top:!top
 
 (* The historical per-fault grid pass, retained as the reference side of
    the fast-vs-legacy differential oracle: one two-tap dense sweep per
    fault, in index order, finishing through the of_mass list pipeline. *)
-let grid_of_vectors_naive ?pool ?shards ~probs ~values ~bins () =
+let grid_of_vectors_naive ~probs ~values ~bins () =
   let n = Array.length probs in
-  let shards =
-    grid_validate ~what:"Pfd_dist.grid_of_vectors_naive" ~probs ~values ~bins
-      ~shards
-  in
+  grid_validate ~what:"Pfd_dist.grid_of_vectors_naive" ~probs ~values ~bins;
   let total = Kahan.sum_array values in
   let step = if total > 0.0 then total /. float_of_int (bins - 1) else 1.0 in
   let shifts = grid_shifts ~probs ~values ~step in
   let len = max bins (1 + Array.fold_left ( + ) 0 shifts) in
-  let cur = ref (Array.make len 0.0) in
-  let spare = ref (Array.make len 0.0) in
-  !cur.(0) <- 1.0;
+  let dist = Array.make len 0.0 in
+  dist.(0) <- 1.0;
   let top = ref 0 in
   for i = 0 to n - 1 do
-    let p = probs.(i) in
-    if p > 0.0 then begin
-      let shift = shifts.(i) in
-      if shift = 0 then begin
-        (* region too small for the grid: fold its mass into "no change";
-           the caller can check the induced mean error via [mean]. *)
-        ()
-      end
-      else begin
-        let new_top = !top + shift in
-        if shards > 1 && new_top + 1 >= grid_parallel_min_bins then begin
-          let src = !cur and dst = !spare in
-          let bounds = Exec.shard_bounds ~range:(new_top + 1) ~shards in
-          ignore
-            (Exec.map_shards ?pool ~shards
-               ~f:(fun k ->
-                 let lo, len = bounds.(k) in
-                 for j = lo to lo + len - 1 do
-                   let keep = src.(j) *. (1.0 -. p) in
-                   let arrive =
-                     if j >= shift then src.(j - shift) *. p else 0.0
-                   in
-                   dst.(j) <- keep +. arrive
-                 done)
-               ());
-          cur := dst;
-          spare := src
-        end
-        else begin
-          let dist = !cur in
-          for j = new_top downto 0 do
-            let keep = dist.(j) *. (1.0 -. p) in
-            let arrive = if j >= shift then dist.(j - shift) *. p else 0.0 in
-            dist.(j) <- keep +. arrive
-          done
-        end;
-        top := new_top
-      end
+    let p = probs.(i) and shift = shifts.(i) in
+    (* a zero shift is a region too small for the grid: its mass folds
+       into "no change"; the caller can check the induced mean error via
+       [mean]. *)
+    if p > 0.0 && shift > 0 then begin
+      top := !top + shift;
+      for j = !top downto 0 do
+        let keep = dist.(j) *. (1.0 -. p) in
+        let arrive = if j >= shift then dist.(j - shift) *. p else 0.0 in
+        dist.(j) <- keep +. arrive
+      done
     end
   done;
-  let dist = !cur in
   let pairs = ref [] in
   for j = !top downto 0 do
     if dist.(j) > 0.0 then pairs := (float_of_int j *. step, dist.(j)) :: !pairs
   done;
   of_mass !pairs
 
-let grid_single ?pool ?shards u ~bins =
-  grid_of_vectors ?pool ?shards ~probs:(Universe.ps u) ~values:(Universe.qs u)
-    ~bins ()
+let grid_single u ~bins =
+  grid_of_vectors ~probs:(Universe.ps u) ~values:(Universe.qs u) ~bins ()
 
-let grid_pair ?pool ?shards u ~bins =
-  grid_of_vectors ?pool ?shards
+let grid_pair u ~bins =
+  grid_of_vectors
     ~probs:(Array.map (fun p -> p *. p) (Universe.ps u))
     ~values:(Universe.qs u) ~bins ()
 

@@ -57,83 +57,62 @@ val max_exact_faults : int
 (** Largest universe size accepted by exact enumeration (22: 4M support
     points before merging). *)
 
-val exact_of_vectors :
-  ?pool:Exec.Pool.t ->
-  ?shards:int ->
-  probs:float array ->
-  values:float array ->
-  unit ->
-  t
+val exact_of_vectors : probs:float array -> values:float array -> unit -> t
 (** Exact distribution of a sum of independent two-point variables taking
     value [values.(i)] with probability [probs.(i)], else 0.
 
-    [shards = 1] (the default) is the sequential doubling pass —
-    bit-identical values to the legacy kernel, now with preallocated
-    ping-pong buffers (no per-fault allocation) and an
-    {!of_sorted_arrays}-style finalisation instead of the of_mass list
-    round-trip. With more shards, the outcomes of the first
-    floor(log2 shards) faults are enumerated as scaled, shifted copies
-    of the shared remaining-fault distribution and reduced through a
-    pairwise merge tree on the pool; the result is deterministic in
-    [shards] (domain count never matters) but its mass sums may differ
-    from the sequential pass at ulp level, hence the conservative
-    default. *)
+    One sequential doubling pass — bit-identical values to the legacy
+    kernel, with preallocated ping-pong buffers (no per-fault
+    allocation) and an {!of_sorted_arrays}-style finalisation instead of
+    the of_mass list round-trip.
+
+    Boundary policy (shared by every [*_of_vectors] entry point):
+    reject. Raises [Invalid_argument] naming the function and the index
+    when a [probs] entry is NaN or outside [0, 1], when a [values] entry
+    is not finite or is negative, on a length mismatch, and past
+    {!max_exact_faults} faults. *)
 
 val exact_of_vectors_naive : probs:float array -> values:float array -> unit -> t
 (** The historical allocating doubling pass (fresh buffers and two
     [Array.sub] per fault, of_mass finalisation), retained as the
-    reference side of the fast-vs-legacy differential oracle; sequential
-    only. Bit-identical to [exact_of_vectors ~shards:1]. *)
+    reference side of the fast-vs-legacy differential oracle.
+    Bit-identical to {!exact_of_vectors}, same input policy. *)
 
-val exact_single : ?pool:Exec.Pool.t -> ?shards:int -> Universe.t -> t
+val exact_single : Universe.t -> t
 (** Exact distribution of Theta_1. *)
 
-val exact_pair : ?pool:Exec.Pool.t -> ?shards:int -> Universe.t -> t
+val exact_pair : Universe.t -> t
 (** Exact distribution of Theta_2 (introduction probabilities p_i^2). *)
 
-val exact_nk : ?pool:Exec.Pool.t -> ?shards:int -> Universe.t -> channels:int -> t
+val exact_nk : Universe.t -> channels:int -> t
 (** Exact distribution of the PFD of a 1-out-of-N system. *)
 
 val grid_of_vectors :
-  ?pool:Exec.Pool.t ->
-  ?shards:int ->
-  probs:float array ->
-  values:float array ->
-  bins:int ->
-  unit ->
-  t
+  probs:float array -> values:float array -> bins:int -> unit -> t
 (** Grid convolution: every region measure is rounded to a multiple of
     total_q/(bins-1); the support displacement is at most n*step/2 (the
     support can therefore extend slightly beyond total_q — no mass is
-    ever clamped to the top bin). Handles thousands of faults.
+    ever clamped to the top bin). Handles thousands of faults. Same
+    input policy as {!exact_of_vectors}, plus [bins >= 2].
 
     Faults sharing a shift are coalesced into one binomial block via the
     Poisson-binomial count recurrence, so the dense sweep runs once per
-    distinct shift instead of once per fault. Large grids (>= 32768
-    active bins) shard each block's dense update across the pool;
-    sharded and sequential paths compute bit-identical values, so the
-    result never depends on shards or domain count. Versus
-    {!grid_of_vectors_naive} the block coalescing both associates
-    same-shift products differently and reorders the dense passes by
-    ascending shift: the two paths agree to rounding (see EXPERIMENTS.md
-    for the tolerance policy), exactly bit-identical only when every
-    shift is unique and the faults already appear in ascending-shift
-    order. *)
+    distinct shift instead of once per fault, in place over a single
+    array. Versus {!grid_of_vectors_naive} the block coalescing both
+    associates same-shift products differently and reorders the dense
+    passes by ascending shift: the two paths agree to rounding (see
+    EXPERIMENTS.md for the tolerance policy), exactly bit-identical only
+    when every shift is unique and the faults already appear in
+    ascending-shift order. *)
 
 val grid_of_vectors_naive :
-  ?pool:Exec.Pool.t ->
-  ?shards:int ->
-  probs:float array ->
-  values:float array ->
-  bins:int ->
-  unit ->
-  t
+  probs:float array -> values:float array -> bins:int -> unit -> t
 (** The historical one-dense-sweep-per-fault grid pass, retained as the
     reference side of the fast-vs-legacy differential oracle. Same
-    rounding, sizing and shard semantics as {!grid_of_vectors}. *)
+    rounding, sizing and input policy as {!grid_of_vectors}. *)
 
-val grid_single : ?pool:Exec.Pool.t -> ?shards:int -> Universe.t -> bins:int -> t
-val grid_pair : ?pool:Exec.Pool.t -> ?shards:int -> Universe.t -> bins:int -> t
+val grid_single : Universe.t -> bins:int -> t
+val grid_pair : Universe.t -> bins:int -> t
 
 val single : Universe.t -> t
 (** Exact when the universe is small enough, otherwise a 4096-bin grid. *)

@@ -66,46 +66,15 @@ let incremental_partials ps =
       ((ds2 *. s1) -. (s2 *. ds1)) /. (s1 *. s1)
   end
 
-let check_shards ~what shards =
-  match shards with
-  | Some s when s < 1 ->
-      invalid_arg (Printf.sprintf "Sensitivity.%s: shards must be >= 1" what)
-  | _ -> ()
-
-let risk_ratio_gradient ?pool:_ ?shards ps =
-  (* O(n) total: cheaper than dispatching even one shard task, so the
-     pool is accepted for API compatibility but never engaged. The
-     output never depended on pool or shard count before and still does
-     not. *)
-  check_shards ~what:"risk_ratio_gradient" shards;
+let risk_ratio_gradient ps =
   let partial = incremental_partials ps in
   Array.init (Array.length ps) partial
 
-let risk_ratio_gradient_naive ?pool ?shards ps =
-  (* Retained O(n^2) reference path: each partial is an independent O(n)
-     Kahan sum, sharded over index slices into a preallocated result
-     array. Every shard writes exactly what the sequential loop would —
-     no RNG, no merge — so the output is independent of both pool size
-     and shard count. Kept as the differential-oracle anchor for the
-     incremental path above. *)
-  let n = Array.length ps in
-  let shards =
-    let s = match shards with Some s -> s | None -> Exec.default_shards () in
-    if s < 1 then
-      invalid_arg "Sensitivity.risk_ratio_gradient_naive: shards must be >= 1";
-    min s (max 1 n)
-  in
-  let grad = Array.make n 0.0 in
-  let bounds = Exec.shard_bounds ~range:n ~shards in
-  ignore
-    (Exec.map_shards ?pool ~shards
-       ~f:(fun k ->
-         let lo, len = bounds.(k) in
-         for i = lo to lo + len - 1 do
-           grad.(i) <- risk_ratio_partial ps i
-         done)
-       ());
-  grad
+(* Retained O(n^2) reference path: each partial an independent O(n)
+   Kahan sum. The differential-oracle anchor for the incremental path
+   above. *)
+let risk_ratio_gradient_naive ps =
+  Array.init (Array.length ps) (risk_ratio_partial ps)
 
 let risk_ratio_k_derivative ~b ~k =
   (* Chain rule for p_i = k b_i: dR/dk = sum_i b_i dR/dp_i. Appendix B

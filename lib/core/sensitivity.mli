@@ -13,24 +13,19 @@ val risk_ratio_partial : float array -> int -> float
     p_i (closed form, cross-validated against numerical differentiation in
     the test suite). NaN when all probabilities are 0. *)
 
-val risk_ratio_gradient :
-  ?pool:Exec.Pool.t -> ?shards:int -> float array -> float array
+val risk_ratio_gradient : float array -> float array
 (** All partial derivatives, O(n): one pass builds compensated
     prefix/suffix log-products of (1 - p_j) and (1 - p_j^2) plus the two
     loop-invariant P(N>0) terms, making each partial O(1). Prefix +
     suffix (not global-product-divided-by-factor), so p_i = 1 stays
-    exact with no 0/0. [pool]/[shards] are accepted for API
-    compatibility; the O(n) pass is cheaper than dispatching a shard
-    task and the result never depends on either. Agrees with
-    {!risk_ratio_gradient_naive} to rounding (the incremental-vs-naive
-    differential oracle pins the tolerance). *)
+    exact with no 0/0. Agrees with {!risk_ratio_gradient_naive} to
+    rounding (the incremental-vs-naive differential oracle pins the
+    tolerance). *)
 
-val risk_ratio_gradient_naive :
-  ?pool:Exec.Pool.t -> ?shards:int -> float array -> float array
+val risk_ratio_gradient_naive : float array -> float array
 (** Retained O(n^2) reference: one independent {!risk_ratio_partial}
-    Kahan sum per coordinate, sharded over index slices across the pool;
-    identical to the sequential loop for any pool size or shard count.
-    The differential-oracle anchor for {!risk_ratio_gradient}. *)
+    Kahan sum per coordinate. The differential-oracle anchor for
+    {!risk_ratio_gradient}. *)
 
 val risk_ratio_k_derivative : b:float array -> k:float -> float
 (** Appendix B: with p_i = k * b_i, the derivative of the risk ratio with

@@ -1,12 +1,10 @@
 (* Batch dispatch onto an [Exec.Pool].
 
-   The dispatcher groups a drained batch by verb kind — "batches
-   compatible scenario evaluations" — so same-shaped work lands on the
-   pool contiguously, then runs every evaluation as one pool batch and
-   un-permutes the results back to the original slots. The grouping is
-   pure scheduling: [Engine.eval] is a pure function of (seed, request)
-   evaluated wholly on whichever domain hosts it, so batch composition,
-   grouping and worker count are invisible in the response bytes.
+   The dispatcher runs a drained batch, in arrival order, as one pool
+   batch; slot i of the result answers request i. [Engine.eval] is a
+   pure function of (seed, request) evaluated wholly on whichever domain
+   hosts it, so batch composition and worker count are invisible in the
+   response bytes.
 
    The global metrics flag is forced off for the duration of the pool
    batch: instruments inside the evaluated kernels would otherwise be
@@ -24,37 +22,14 @@ let create ~pool ~seed = { pool; seed }
 let seed t = t.seed
 let workers t = Exec.Pool.size t.pool
 
-let kind_rank (r : Proto.request) =
-  match r.Proto.verb with
-  | Proto.Moments -> 0
-  | Proto.Risk_ratio _ -> 1
-  | Proto.Pfd_dist _ -> 2
-  | Proto.Fleet_mission _ -> 3
-
 let run_batch t (requests : Proto.request array) =
-  let n = Array.length requests in
-  if n = 0 then [||]
-  else begin
-    (* Stable sort of the indices by verb kind: compatible evaluations
-       become contiguous, ties keep arrival order. *)
-    let order = Array.init n (fun i -> i) in
-    Array.stable_sort
-      (fun a b -> compare (kind_rank requests.(a)) (kind_rank requests.(b)))
-      order;
-    let was_enabled = Obs.Metrics.is_enabled () in
-    Obs.Metrics.set_enabled false;
-    let grouped =
-      Fun.protect
-        ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled)
-        (fun () ->
-          Exec.Pool.run t.pool ~n (fun slot ->
-              let req = requests.(order.(slot)) in
-              let line, elapsed_ns =
-                Obs.Clock.timed (fun () -> Engine.eval ~seed:t.seed req)
-              in
-              { line; elapsed_ns }))
-    in
-    let out = Array.make n grouped.(0) in
-    Array.iteri (fun slot i -> out.(i) <- grouped.(slot)) order;
-    out
-  end
+  let was_enabled = Obs.Metrics.is_enabled () in
+  Obs.Metrics.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled)
+    (fun () ->
+      Exec.Pool.run t.pool ~n:(Array.length requests) (fun i ->
+          let line, elapsed_ns =
+            Obs.Clock.timed (fun () -> Engine.eval ~seed:t.seed requests.(i))
+          in
+          { line; elapsed_ns }))

@@ -1,9 +1,7 @@
 (** Batch dispatch of admitted requests onto an {!Exec.Pool}.
 
-    A drained batch is grouped by verb kind (stable, arrival order
-    within a kind) so compatible scenario evaluations run contiguously,
-    evaluated as one pool batch, and un-permuted back to arrival slots.
-    Grouping and worker count are pure scheduling: every evaluation is
+    A drained batch is evaluated, in arrival order, as one pool batch.
+    Worker count is pure scheduling: every evaluation is
     {!Engine.eval}, a pure function of (seed, request), so the response
     bytes are identical for any pool size and any batch composition.
 

@@ -1,14 +1,15 @@
 (* Request evaluation. [eval ~seed request] is a pure function of its
    two arguments: all randomness comes from a generator seeded here
-   (salted per request for the fleet verb), every sharded computation
-   runs with the shard count carried in the request (never a server
-   default), and the whole evaluation happens inline on the calling
-   domain via a private size-1 pool. That last point is what makes the
-   service's byte-identity guarantee compositional — a dispatcher may
-   run evaluations on any worker domain in any order and the bytes
-   cannot change — and what makes the per-request draw meter exact:
-   the [Rng.local_draws] delta around an inline evaluation counts
-   precisely the draws this request consumed. *)
+   (salted per request for the fleet verb), and the whole evaluation
+   happens inline on the calling domain. The analytic verbs (moments,
+   risk-ratio, pfd-dist) are sequential kernels; the one sharded verb,
+   fleet-mission, runs with the shard count carried in the request
+   (never a server default) on a private size-1 pool. That is what
+   makes the service's byte-identity guarantee compositional — a
+   dispatcher may run evaluations on any worker domain in any order and
+   the bytes cannot change — and what makes the per-request draw meter
+   exact: the [Rng.local_draws] delta around an inline evaluation
+   counts precisely the draws this request consumed. *)
 
 let ( let* ) r f = Result.bind r f
 
@@ -55,7 +56,7 @@ let dist_summary ~kind dist =
       ("q99", jf (Core.Pfd_dist.quantile dist 0.99));
     ]
 
-let pfd_dist_body pool u ~channels ~required ~bins =
+let pfd_dist_body u ~channels ~required ~bins =
   let n = Core.Universe.size u in
   let arch = Core.Voting.create ~channels ~required in
   let probs = Core.Voting.system_fault_probs arch u in
@@ -69,11 +70,11 @@ let pfd_dist_body pool u ~channels ~required ~bins =
     else
       Ok
         (dist_summary ~kind:"exact"
-           (Core.Pfd_dist.exact_of_vectors ~pool ~shards:1 ~probs ~values ()))
+           (Core.Pfd_dist.exact_of_vectors ~probs ~values ()))
   else
     Ok
       (dist_summary ~kind:"grid"
-         (Core.Pfd_dist.grid_of_vectors ~pool ~shards:1 ~probs ~values ~bins ()))
+         (Core.Pfd_dist.grid_of_vectors ~probs ~values ~bins ()))
 
 (* Realise the parameter-only universe as a concrete demand space:
    uniform profile over [space] cells, fault i's failure region a
@@ -114,12 +115,21 @@ let space_of_universe (u : Proto.universe_spec) ~space =
          ~profile:(Demandspace.Profile.uniform ~size:space)
          ~faults)
 
-let fleet_mission_body pool ~seed u ~plants ~demands_per_plant ~mission_demands
+let fleet_mission_body ~seed u ~plants ~demands_per_plant ~mission_demands
     ~salt ~shards ~space =
   let* sp = space_of_universe u ~space in
   let rng = Numerics.Rng.split (Numerics.Rng.create ~seed) ~index:salt in
-  let systems = Simulator.Fleet.deploy_pairs ~pool ~shards rng sp ~plants in
-  let fleet = Simulator.Fleet.observe ~pool ~shards rng systems ~demands_per_plant in
+  (* Private inline pool: the sharded simulation never leaves this
+     domain, so the dispatcher can host it on any worker without nesting
+     pools, and the draw delta in [eval] is exact. *)
+  let pool = Exec.Pool.create ~domains:1 () in
+  let fleet =
+    Fun.protect
+      ~finally:(fun () -> Exec.Pool.shutdown pool)
+      (fun () ->
+        let systems = Simulator.Fleet.deploy_pairs ~pool ~shards rng sp ~plants in
+        Simulator.Fleet.observe ~pool ~shards rng systems ~demands_per_plant)
+  in
   let pooled = Simulator.Fleet.pooled_rate fleet in
   let disp = Simulator.Fleet.dispersion fleet in
   let est_mean, est_var = Simulator.Fleet.estimate_pfd_moments fleet in
@@ -143,10 +153,6 @@ let fleet_mission_body pool ~seed u ~plants ~demands_per_plant ~mission_demands
 
 let eval ~seed (r : Proto.request) =
   let draws0 = Numerics.Rng.local_draws () in
-  (* Private inline pool: evaluation never leaves this domain, so the
-     dispatcher can host it on any worker without nesting pools, and
-     the draw delta below is exact. *)
-  let pool = Exec.Pool.create ~domains:1 () in
   let body =
     try
       let u = Core.Universe.of_arrays ~p:r.Proto.u.Proto.ps ~q:r.Proto.u.Proto.qs in
@@ -155,16 +161,15 @@ let eval ~seed (r : Proto.request) =
       | Proto.Risk_ratio { channels; required } ->
           Ok (risk_ratio_body u ~channels ~required)
       | Proto.Pfd_dist { channels; required; bins } ->
-          pfd_dist_body pool u ~channels ~required ~bins
+          pfd_dist_body u ~channels ~required ~bins
       | Proto.Fleet_mission
           { plants; demands_per_plant; mission_demands; salt; shards; space } ->
-          fleet_mission_body pool ~seed r.Proto.u ~plants ~demands_per_plant
+          fleet_mission_body ~seed r.Proto.u ~plants ~demands_per_plant
             ~mission_demands ~salt ~shards ~space
     with
     | Invalid_argument msg -> Error msg
     | Failure msg -> Error msg
   in
-  Exec.Pool.shutdown pool;
   let draws = Numerics.Rng.local_draws () - draws0 in
   match body with
   | Ok body ->

@@ -3,9 +3,10 @@
     [eval ~seed request] is a pure function of its two arguments —
     every response line the daemon, the one-shot CLI and the oracles
     produce for a given (seed, request) pair is byte-identical. The
-    evaluation runs wholly inline on the calling domain (a private
-    size-1 pool; sharded kernels use the shard count carried in the
-    request, never a server default), so a dispatcher may host it on
+    evaluation runs wholly inline on the calling domain (the analytic
+    verbs are sequential; fleet-mission shards with the count carried
+    in the request, never a server default, on a private size-1 pool),
+    so a dispatcher may host it on
     any worker domain, in any batch, in any order, without perturbing
     a byte — and the per-request draw count reported in the response
     is the exact {!Numerics.Rng.local_draws} delta around the

@@ -149,6 +149,49 @@ let test_grid_dist_with_null_region () =
   check_close ~eps:1e-6 "grid handles zero-measure regions"
     (Core.Moments.mu1 u) (Core.Pfd_dist.mean g)
 
+(* Boundary policy of the Pfd_dist convolvers: reject. Every entry point
+   raises Invalid_argument naming itself and the first offending index,
+   and accepts the closed edges p in {0, 1}, q = 0 and subnormal q. *)
+let test_pfd_dist_rejects_out_of_range () =
+  let entry_points =
+    [
+      ( "exact_of_vectors",
+        fun probs values -> Core.Pfd_dist.exact_of_vectors ~probs ~values () );
+      ( "exact_of_vectors_naive",
+        fun probs values ->
+          Core.Pfd_dist.exact_of_vectors_naive ~probs ~values () );
+      ( "grid_of_vectors",
+        fun probs values ->
+          Core.Pfd_dist.grid_of_vectors ~probs ~values ~bins:64 () );
+      ( "grid_of_vectors_naive",
+        fun probs values ->
+          Core.Pfd_dist.grid_of_vectors_naive ~probs ~values ~bins:64 () );
+    ]
+  in
+  let rejected =
+    [
+      ([| nan; 0.5 |], [| 0.1; 0.2 |], "probs.(0) = nan is not a probability in [0, 1]");
+      ([| 0.5; 1.5 |], [| 0.1; 0.2 |], "probs.(1) = 1.5 is not a probability in [0, 1]");
+      ([| -0.1 |], [| 0.1 |], "probs.(0) = -0.1 is not a probability in [0, 1]");
+      ([| 0.5; 0.5 |], [| 0.1; -0.1 |], "values.(1) = -0.1 is not finite and >= 0");
+      ([| 0.5 |], [| nan |], "values.(0) = nan is not finite and >= 0");
+      ([| 0.5; 0.5 |], [| 0.1; infinity |], "values.(1) = inf is not finite and >= 0");
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      List.iter
+        (fun (probs, values, detail) ->
+          Alcotest.check_raises name
+            (Invalid_argument ("Pfd_dist." ^ name ^ ": " ^ detail))
+            (fun () -> ignore (f probs values)))
+        rejected;
+      let d = f [| 0.0; 1.0; 0.5 |] [| 0.3; 0.2; 5e-324 |] in
+      check_close (name ^ ": edges accepted, certain fault always present")
+        0.0
+        (Core.Pfd_dist.cdf d 0.1))
+    entry_points
+
 let test_sigma_ratio_extremes () =
   check_close "pmax 0" 0.0 (Core.Bounds.sigma_ratio_bound 0.0);
   check_close ~eps:1e-12 "pmax 1" (sqrt 2.0) (Core.Bounds.sigma_ratio_bound 1.0)
@@ -307,6 +350,8 @@ let () =
             test_poisson_binomial_with_certain_faults;
           Alcotest.test_case "grid with null region" `Quick
             test_grid_dist_with_null_region;
+          Alcotest.test_case "pfd_dist input policy" `Quick
+            test_pfd_dist_rejects_out_of_range;
           Alcotest.test_case "sigma ratio extremes" `Quick test_sigma_ratio_extremes;
           Alcotest.test_case "degenerate normal bound" `Quick
             test_degenerate_normal_bound;

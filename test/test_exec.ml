@@ -207,46 +207,6 @@ let test_empirical_pfd_identical () =
   check_float_bits "empirical system pfd" (run (Lazy.force pool1))
     (run (Lazy.force pool4))
 
-(* ---- Sensitivity gradient ---- *)
-
-let test_gradient_identical () =
-  let ps = Array.init 60 (fun i -> 0.01 +. (0.005 *. float_of_int i)) in
-  let seq = Core.Sensitivity.risk_ratio_gradient ~pool:(Lazy.force pool1) ~shards:1 ps in
-  let par = Core.Sensitivity.risk_ratio_gradient ~pool:(Lazy.force pool4) ~shards:5 ps in
-  check_bits "gradient" seq par
-
-(* ---- Pfd_dist ---- *)
-
-let test_grid_identical () =
-  (* Large enough that the sharded dense-update path actually engages
-     (>= 32768 active bins); both paths must be bit-identical. *)
-  let u = universe 60 in
-  let seq = Core.Pfd_dist.grid_single ~shards:1 u ~bins:40_000 in
-  let par =
-    Core.Pfd_dist.grid_single ~pool:(Lazy.force pool4) ~shards:4 u ~bins:40_000
-  in
-  check_bits "grid support" (Core.Pfd_dist.support seq) (Core.Pfd_dist.support par);
-  check_bits "grid masses" (Core.Pfd_dist.masses seq) (Core.Pfd_dist.masses par)
-
-let test_exact_sharded_close () =
-  (* The sharded exact tree reassociates mass sums, so equality is up to
-     ulp-level rounding, not byte identity — but it must not depend on
-     the pool size. *)
-  let u = universe 14 in
-  let seq = Core.Pfd_dist.exact_single ~shards:1 u in
-  let p1 = Core.Pfd_dist.exact_single ~pool:(Lazy.force pool1) ~shards:4 u in
-  let p4 = Core.Pfd_dist.exact_single ~pool:(Lazy.force pool4) ~shards:4 u in
-  check_bits "sharded exact: domain count irrelevant"
-    (Core.Pfd_dist.masses p1) (Core.Pfd_dist.masses p4);
-  check_int "same support size" (Core.Pfd_dist.size seq) (Core.Pfd_dist.size p1);
-  let close what a b =
-    check_bool what true (Float.abs (a -. b) <= 1e-12 *. (1.0 +. Float.abs a))
-  in
-  close "mean" (Core.Pfd_dist.mean seq) (Core.Pfd_dist.mean p1);
-  close "variance" (Core.Pfd_dist.variance seq) (Core.Pfd_dist.variance p1);
-  close "P(theta > 0)" (Core.Pfd_dist.prob_positive seq)
-    (Core.Pfd_dist.prob_positive p1)
-
 (* ---- trace spans from parallel regions ---- *)
 
 let test_trace_shards () =
@@ -287,10 +247,6 @@ let () =
           Alcotest.test_case "version population" `Quick test_population_identical;
           Alcotest.test_case "empirical system pfd" `Quick
             test_empirical_pfd_identical;
-          Alcotest.test_case "sensitivity gradient" `Quick test_gradient_identical;
-          Alcotest.test_case "grid pfd dist" `Quick test_grid_identical;
-          Alcotest.test_case "sharded exact pfd dist" `Quick
-            test_exact_sharded_close;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "trace shard lanes" `Quick test_trace_shards ] );

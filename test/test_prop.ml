@@ -375,33 +375,6 @@ let test_prop_campaign_invariance () =
       check_int "one shard account per shard" shards
         (Array.length a.Simulator.Campaign.shard_draws))
 
-(* Pfd_dist: the exact enumeration is deterministic in shards (pool
-   size never matters); the grid convolution is bit-identical even
-   across shard counts. *)
-let test_prop_pfd_dist_invariance () =
-  Prop.check ~cases:30 "Pfd_dist exact/grid are domain-count invariant"
-    (Prop.pair (Prop.universe ~max_faults:8 ()) (Prop.int_range 1 8))
-    (fun (universe, shards) ->
-      let check_dist name a b =
-        check_bits (name ^ ": support") (Core.Pfd_dist.support a)
-          (Core.Pfd_dist.support b);
-        check_bits (name ^ ": masses") (Core.Pfd_dist.masses a)
-          (Core.Pfd_dist.masses b)
-      in
-      let p1 = Lazy.force pool1 and p4 = Lazy.force pool4 in
-      check_dist "exact_single"
-        (Core.Pfd_dist.exact_single ~pool:p1 ~shards universe)
-        (Core.Pfd_dist.exact_single ~pool:p4 ~shards universe);
-      check_dist "exact_pair"
-        (Core.Pfd_dist.exact_pair ~pool:p1 ~shards universe)
-        (Core.Pfd_dist.exact_pair ~pool:p4 ~shards universe);
-      check_dist "grid_single across pools"
-        (Core.Pfd_dist.grid_single ~pool:p1 ~shards universe ~bins:256)
-        (Core.Pfd_dist.grid_single ~pool:p4 ~shards universe ~bins:256);
-      check_dist "grid_single across shard counts"
-        (Core.Pfd_dist.grid_single ~pool:p4 ~shards:1 universe ~bins:256)
-        (Core.Pfd_dist.grid_single ~pool:p4 ~shards universe ~bins:256))
-
 (* ---- incremental kernels vs their retained naive references ---- *)
 
 (* Tolerance for incremental-vs-naive gradient agreement (the
@@ -466,7 +439,7 @@ let test_prop_exact_fast_vs_legacy () =
     (fun u ->
       let values = Core.Universe.qs u in
       let check_for name probs =
-        let fast = Core.Pfd_dist.exact_of_vectors ~shards:1 ~probs ~values () in
+        let fast = Core.Pfd_dist.exact_of_vectors ~probs ~values () in
         let legacy = Core.Pfd_dist.exact_of_vectors_naive ~probs ~values () in
         check_bits (name ^ ": support") (Core.Pfd_dist.support legacy)
           (Core.Pfd_dist.support fast);
@@ -483,59 +456,64 @@ let test_prop_exact_fast_vs_legacy () =
    unique and already ascending in index order each block is a
    single-fault legacy pass in the legacy order, and the claim sharpens
    to bit-identity. *)
+let check_grid_fast_vs_legacy (u, bins) =
+  let probs = Core.Universe.ps u and values = Core.Universe.qs u in
+  let fast = Core.Pfd_dist.grid_of_vectors ~probs ~values ~bins () in
+  let legacy = Core.Pfd_dist.grid_of_vectors_naive ~probs ~values ~bins () in
+  (* replicate the kernel's shift rounding to decide which claim
+     applies to this case *)
+  let total = Kahan.sum_array values in
+  let step =
+    if total > 0.0 then total /. float_of_int (bins - 1) else 1.0
+  in
+  let active_shifts =
+    Array.to_list
+      (Array.mapi
+         (fun i q ->
+           if probs.(i) > 0.0 then
+             int_of_float (Float.round (q /. step))
+           else 0)
+         values)
+    |> List.filter (fun s -> s > 0)
+  in
+  let rec strictly_ascending = function
+    | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
+    | _ -> true
+  in
+  if strictly_ascending active_shifts then begin
+    check_bits "support (unique ascending shifts)"
+      (Core.Pfd_dist.support legacy)
+      (Core.Pfd_dist.support fast);
+    check_bits "masses (unique ascending shifts)"
+      (Core.Pfd_dist.masses legacy)
+      (Core.Pfd_dist.masses fast)
+  end
+  else begin
+    let close what a b =
+      check_bool
+        (Printf.sprintf "%s agrees to rounding (%.17g vs %.17g)" what a b)
+        true
+        (Stats.approx_eq ~abs:1e-12 a b)
+    in
+    close "mean" (Core.Pfd_dist.mean legacy) (Core.Pfd_dist.mean fast);
+    close "variance" (Core.Pfd_dist.variance legacy)
+      (Core.Pfd_dist.variance fast);
+    close "P(X > 0)"
+      (Core.Pfd_dist.prob_positive legacy)
+      (Core.Pfd_dist.prob_positive fast)
+  end
+
+(* Random small grids, plus one 40,000-bin sweep over 60 faults so the
+   comparison also covers grids past 32768 active bins. *)
 let test_prop_grid_fast_vs_legacy () =
   Prop.check ~cases:60 "grid convolution: blocks vs per-fault reference"
     (Prop.pair (Prop.universe ~max_faults:10 ()) (Prop.int_range 32 512))
-    (fun (u, bins) ->
-      let probs = Core.Universe.ps u and values = Core.Universe.qs u in
-      let fast =
-        Core.Pfd_dist.grid_of_vectors ~shards:1 ~probs ~values ~bins ()
-      in
-      let legacy =
-        Core.Pfd_dist.grid_of_vectors_naive ~shards:1 ~probs ~values ~bins ()
-      in
-      (* replicate the kernel's shift rounding to decide which claim
-         applies to this case *)
-      let total = Kahan.sum_array values in
-      let step =
-        if total > 0.0 then total /. float_of_int (bins - 1) else 1.0
-      in
-      let active_shifts =
-        Array.to_list
-          (Array.mapi
-             (fun i q ->
-               if probs.(i) > 0.0 then
-                 int_of_float (Float.round (q /. step))
-               else 0)
-             values)
-        |> List.filter (fun s -> s > 0)
-      in
-      let rec strictly_ascending = function
-        | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
-        | _ -> true
-      in
-      if strictly_ascending active_shifts then begin
-        check_bits "support (unique ascending shifts)"
-          (Core.Pfd_dist.support legacy)
-          (Core.Pfd_dist.support fast);
-        check_bits "masses (unique ascending shifts)"
-          (Core.Pfd_dist.masses legacy)
-          (Core.Pfd_dist.masses fast)
-      end
-      else begin
-        let close what a b =
-          check_bool
-            (Printf.sprintf "%s agrees to rounding (%.17g vs %.17g)" what a b)
-            true
-            (Stats.approx_eq ~abs:1e-12 a b)
-        in
-        close "mean" (Core.Pfd_dist.mean legacy) (Core.Pfd_dist.mean fast);
-        close "variance" (Core.Pfd_dist.variance legacy)
-          (Core.Pfd_dist.variance fast);
-        close "P(X > 0)"
-          (Core.Pfd_dist.prob_positive legacy)
-          (Core.Pfd_dist.prob_positive fast)
-      end)
+    check_grid_fast_vs_legacy;
+  let rng = Numerics.Rng.create ~seed:11 in
+  let u =
+    Core.Universe.uniform_random rng ~n:60 ~p_lo:0.01 ~p_hi:0.4 ~total_q:0.5
+  in
+  check_grid_fast_vs_legacy (u, 40_000)
 
 (* ---- the harness itself ---- *)
 
@@ -884,8 +862,6 @@ let () =
             test_prop_montecarlo_invariance;
           Alcotest.test_case "campaign invariance" `Quick
             test_prop_campaign_invariance;
-          Alcotest.test_case "pfd_dist invariance" `Quick
-            test_prop_pfd_dist_invariance;
           Alcotest.test_case "gradient incremental vs naive" `Quick
             test_prop_gradient_incremental_vs_naive;
           Alcotest.test_case "exact convolution fast vs legacy" `Quick

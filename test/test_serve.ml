@@ -230,10 +230,9 @@ let test_engine_unsupported_exact () =
 (* Dispatcher                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A deliberately shuffled batch — kinds interleaved so the verb-grouping
-   permutation actually permutes — must come back in arrival order with
-   bytes identical to direct evaluation, for a sequential and a parallel
-   pool alike. *)
+(* A mixed batch — verb kinds interleaved — must come back in arrival
+   order with bytes identical to direct evaluation, for a sequential and
+   a parallel pool alike. *)
 let test_dispatcher_byte_identity () =
   let reindex i (r : Proto.request) =
     { r with Proto.id = Printf.sprintf "b%d-%s" i r.Proto.id }
