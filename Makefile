@@ -64,6 +64,7 @@ check:
 	dune build @bench-smoke
 	dune build @evidence-smoke
 	dune build @adjudication-smoke
+	dune build @check-smoke
 	dune build @serve-smoke
 
 # Proven-in-use evidence pipeline, end to end: log a fleet campaign

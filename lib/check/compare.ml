@@ -1,6 +1,12 @@
 open Numerics
 
-type verdict = { pass : bool; comparator : string; detail : string }
+type verdict = {
+  pass : bool;
+  comparator : string;
+  detail : string;
+  analytic : float;
+  simulated : float;
+}
 
 (* The default z for the statistical comparators. Two-sided normal tail
    beyond 6 sigma is ~2e-9, so even a full `make check` sweep (hundreds
@@ -13,48 +19,62 @@ type verdict = { pass : bool; comparator : string; detail : string }
    scenarios use (see the mutation smoke in EXPERIMENTS.md). *)
 let default_z = 6.0
 
-let fail_nan which v =
-  {
-    pass = false;
-    comparator = "nan-guard";
-    detail = Printf.sprintf "%s value is not finite: %h" which v;
-  }
+(* Every verdict carries the pair its comparator tested, so an oracle
+   outcome built from a verdict cannot record different values from the
+   ones that were compared. *)
+let verdict ~analytic ~simulated (pass, comparator, detail) =
+  { pass; comparator; detail; analytic; simulated }
+
+let nan_guard which v =
+  (false, "nan-guard", Printf.sprintf "%s value is not finite: %h" which v)
 
 let guarded ~analytic ~simulated k =
-  if Float.is_nan analytic then fail_nan "analytic" analytic
-  else if Float.is_nan simulated then fail_nan "simulated" simulated
-  else k ()
+  verdict ~analytic ~simulated
+    (if Float.is_nan analytic then nan_guard "analytic" analytic
+     else if Float.is_nan simulated then nan_guard "simulated" simulated
+     else k ())
 
 let exact_bits a b =
   guarded ~analytic:a ~simulated:b (fun () ->
-      let pass = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-      {
-        pass;
-        comparator = "exact-bits";
-        detail = Printf.sprintf "%h vs %h" a b;
-      })
+      ( Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b),
+        "exact-bits",
+        Printf.sprintf "%h vs %h" a b ))
+
+let same_bytes expected actual =
+  exact_bits 1.0 (if String.equal expected actual then 1.0 else 0.0)
 
 let approx ?(rel = 1e-9) ?(abs = 1e-12) a b =
   guarded ~analytic:a ~simulated:b (fun () ->
-      {
-        pass = Stats.approx_eq ~rel ~abs a b;
-        comparator = Printf.sprintf "approx(rel=%.1e,abs=%.1e)" rel abs;
-        detail = Printf.sprintf "%.12g vs %.12g (delta %.3e)" a b (a -. b);
-      })
+      ( Stats.approx_eq ~rel ~abs a b,
+        Printf.sprintf "approx(rel=%.1e,abs=%.1e)" rel abs,
+        Printf.sprintf "%.12g vs %.12g (delta %.3e)" a b (a -. b) ))
+
+let lower_bound bound v =
+  guarded ~analytic:bound ~simulated:v (fun () ->
+      (* the same ulp slack the interval comparators give an endpoint *)
+      (v >= bound -. 1e-12, "lower-bound", Printf.sprintf "%.6g >= %g" v bound))
+
+let law holds =
+  let violations =
+    Array.fold_left (fun n ok -> if ok then n else n + 1) 0 holds
+  in
+  verdict ~analytic:0.0 ~simulated:(float_of_int violations)
+    ( violations = 0,
+      "exact",
+      Printf.sprintf "%d/%d randomized cases violate the law" violations
+        (Array.length holds) )
 
 let wilson ?(z = default_z) ~expected ~successes ~trials () =
   if trials <= 0 then invalid_arg "Compare.wilson: trials must be positive";
   if successes < 0 || successes > trials then
     invalid_arg "Compare.wilson: successes out of range";
-  guarded ~analytic:expected
-    ~simulated:(float_of_int successes /. float_of_int trials)
-    (fun () ->
+  let n = float_of_int trials in
+  let observed = float_of_int successes /. n in
+  guarded ~analytic:expected ~simulated:observed (fun () ->
       let lo, hi = Stats.proportion_ci ~z ~successes ~trials () in
       (* ulp slack so an expected value sitting exactly on an interval
          endpoint is never rejected for rounding reasons *)
       let eps = 1e-12 in
-      let n = float_of_int trials in
-      let observed = float_of_int successes /. n in
       (* Wilson's z-sigma coverage is a CLT statement and collapses when
          the expected proportion is within ~1/n of 0 or 1 (a single
          stray event then jumps the estimate outside the interval). The
@@ -66,28 +86,24 @@ let wilson ?(z = default_z) ~expected ~successes ~trials () =
       let bernstein =
         (z *. sqrt (expected *. (1.0 -. expected) /. n)) +. (z *. z /. (3.0 *. n))
       in
-      {
-        pass =
-          (expected >= lo -. eps && expected <= hi +. eps)
-          || abs_float (observed -. expected) <= bernstein;
-        comparator = Printf.sprintf "wilson+bernstein(z=%g)" z;
-        detail =
-          Printf.sprintf
-            "expected %.6g, observed %d/%d, wilson [%.6g, %.6g], bernstein \
-             half-width %.3e"
-            expected successes trials lo hi bernstein;
-      })
+      ( (expected >= lo -. eps && expected <= hi +. eps)
+        || abs_float (observed -. expected) <= bernstein,
+        Printf.sprintf "wilson+bernstein(z=%g)" z,
+        Printf.sprintf
+          "expected %.6g, observed %d/%d, wilson [%.6g, %.6g], bernstein \
+           half-width %.3e"
+          expected successes trials lo hi bernstein ))
 
 let mean_z ?(z = default_z) ?(bound = 0.0) ~expected ~sigma ~trials ~mean () =
   if trials <= 0 then invalid_arg "Compare.mean_z: trials must be positive";
   if sigma < 0.0 then invalid_arg "Compare.mean_z: sigma must be >= 0";
   if bound < 0.0 then invalid_arg "Compare.mean_z: bound must be >= 0";
-  guarded ~analytic:expected ~simulated:mean (fun () ->
-      if Stats.is_zero sigma && Stats.is_zero bound then
-        (* a zero-variance quantity admits no sampling error: degrade to
-           the floating-point comparator *)
-        approx expected mean
-      else
+  if Stats.is_zero sigma && Stats.is_zero bound then
+    (* a zero-variance quantity admits no sampling error: degrade to
+       the floating-point comparator *)
+    approx expected mean
+  else
+    guarded ~analytic:expected ~simulated:mean (fun () ->
         let n = float_of_int trials in
         (* z * standard error, plus a Bernstein term for bounded
            observations: with |X| <= bound, the tolerance
@@ -101,19 +117,15 @@ let mean_z ?(z = default_z) ?(bound = 0.0) ~expected ~sigma ~trials ~mean () =
         let half =
           (z *. sigma /. sqrt n) +. (z *. z *. bound /. (3.0 *. n))
         in
-        {
-          pass = abs_float (mean -. expected) <= half;
-          comparator =
-            (if bound > 0.0 then Printf.sprintf "z-bernstein(z=%g)" z
-             else Printf.sprintf "z-test(z=%g)" z);
-          detail =
-            Printf.sprintf
-              "expected %.6g, sample mean %.6g over %d, |delta| %.3e vs %.3e \
-               allowed"
-              expected mean trials
-              (abs_float (mean -. expected))
-              half;
-        })
+        ( abs_float (mean -. expected) <= half,
+          (if bound > 0.0 then Printf.sprintf "z-bernstein(z=%g)" z
+           else Printf.sprintf "z-test(z=%g)" z),
+          Printf.sprintf
+            "expected %.6g, sample mean %.6g over %d, |delta| %.3e vs %.3e \
+             allowed"
+            expected mean trials
+            (abs_float (mean -. expected))
+            half ))
 
 let ratio_wilson ?(z = default_z) ~expected ~num ~den ~trials () =
   if trials <= 0 then
@@ -123,40 +135,39 @@ let ratio_wilson ?(z = default_z) ~expected ~num ~den ~trials () =
   let observed =
     if den = 0 then nan else float_of_int num /. float_of_int den
   in
-  if Float.is_nan expected then fail_nan "analytic" expected
-  else
-    (* widen each component interval by the Bernstein z^2/(3n) term so
-       the containment stays a finite-sample statement when either
-       proportion sits within ~1/n of 0 or 1 (see {!wilson}) *)
-    let slack = z *. z /. (3.0 *. float_of_int trials) in
-    let widen (lo, hi) = (Float.max 0.0 (lo -. slack), Float.min 1.0 (hi +. slack)) in
-    let n_lo, n_hi = widen (Stats.proportion_ci ~z ~successes:num ~trials ()) in
-    let d_lo, d_hi = widen (Stats.proportion_ci ~z ~successes:den ~trials ()) in
-    if Stats.is_zero d_lo || d_lo < 0.0 then
-      (* the denominator interval touches zero: the sample cannot bound
-         the ratio, so the check is inconclusive rather than failed *)
-      {
-        pass = true;
-        comparator = Printf.sprintf "ratio-wilson(z=%g)" z;
-        detail =
-          Printf.sprintf
-            "inconclusive: denominator interval [%.3g, %.3g] touches 0 (%d/%d \
-             events)"
-            d_lo d_hi den trials;
-      }
-    else
-      let lo = n_lo /. d_hi and hi = n_hi /. d_lo in
-      let eps = 1e-12 in
-      {
-        pass = expected >= lo -. eps && expected <= hi +. eps;
-        comparator = Printf.sprintf "ratio-wilson(z=%g)" z;
-        detail =
-          Printf.sprintf
-            "expected %.6g, observed %.6g (%d/%d of %d), interval [%.6g, %.6g]"
-            expected observed num den trials lo hi;
-      }
-
-let all_pass verdicts = List.for_all (fun v -> v.pass) verdicts
+  let comparator = Printf.sprintf "ratio-wilson(z=%g)" z in
+  (* an empty denominator makes [observed] NaN legitimately (the
+     inconclusive branch below), so only the analytic side is guarded *)
+  verdict ~analytic:expected ~simulated:observed
+    (if Float.is_nan expected then nan_guard "analytic" expected
+     else
+       (* widen each component interval by the Bernstein z^2/(3n) term so
+          the containment stays a finite-sample statement when either
+          proportion sits within ~1/n of 0 or 1 (see {!wilson}) *)
+       let slack = z *. z /. (3.0 *. float_of_int trials) in
+       let widen (lo, hi) =
+         (Float.max 0.0 (lo -. slack), Float.min 1.0 (hi +. slack))
+       in
+       let n_lo, n_hi = widen (Stats.proportion_ci ~z ~successes:num ~trials ()) in
+       let d_lo, d_hi = widen (Stats.proportion_ci ~z ~successes:den ~trials ()) in
+       if Stats.is_zero d_lo || d_lo < 0.0 then
+         (* the denominator interval touches zero: the sample cannot bound
+            the ratio, so the check is inconclusive rather than failed *)
+         ( true,
+           comparator,
+           Printf.sprintf
+             "inconclusive: denominator interval [%.3g, %.3g] touches 0 \
+              (%d/%d events)"
+             d_lo d_hi den trials )
+       else
+         let lo = n_lo /. d_hi and hi = n_hi /. d_lo in
+         let eps = 1e-12 in
+         ( expected >= lo -. eps && expected <= hi +. eps,
+           comparator,
+           Printf.sprintf
+             "expected %.6g, observed %.6g (%d/%d of %d), interval [%.6g, \
+              %.6g]"
+             expected observed num den trials lo hi ))
 
 let pp ppf v =
   Fmt.pf ppf "%s %s: %s"

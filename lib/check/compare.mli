@@ -1,7 +1,7 @@
 (** Statistical comparators for the differential oracles.
 
-    Three strengths of agreement, matching how the two sides of each
-    oracle were computed:
+    Strengths of agreement, matching how the two sides of each oracle
+    were computed:
 
     - {!exact_bits} — two code paths that must produce the identical
       double (golden pins, degenerate algebraic reductions);
@@ -12,18 +12,43 @@
       the estimate. With the default z (6), verdicts on a fixed seed are
       deterministic and a fresh seed has a ~2e-9 per-check false-alarm
       probability, so the differential suites are seed-stable and never
-      flaky by construction. *)
+      flaky by construction;
+    - {!lower_bound} / {!law} — exact checks on what is not a float
+      pair: a one-sided inequality, a randomized law with no violation.
 
-type verdict = { pass : bool; comparator : string; detail : string }
+    Every verdict records the two values its comparator tested, so an
+    oracle returns verdicts and never restates what it compared. *)
 
-val default_z : float
-(** 6.0 — see the rationale above. *)
+type verdict = {
+  pass : bool;
+  comparator : string;
+  detail : string;
+  analytic : float;  (** the analytic side the comparator tested *)
+  simulated : float;
+      (** the independent side: a second derivation, or the sample
+          statistic the comparator computed (e.g. [successes/trials]) *)
+}
 
 val exact_bits : float -> float -> verdict
 (** Bit-identical doubles (NaN never passes). *)
 
+val same_bytes : string -> string -> verdict
+(** Byte identity of two renderings, as {!exact_bits} on [1.0] (analytic)
+    and [1.0]/[0.0] for identical/different (simulated). *)
+
 val approx : ?rel:float -> ?abs:float -> float -> float -> verdict
-(** {!Numerics.Stats.approx_eq} with the same defaults. *)
+(** {!Numerics.Stats.approx_eq} with the same defaults: NaN agrees with
+    nothing, an infinity only with the same-signed infinity, [+0] with
+    [-0]. *)
+
+val lower_bound : float -> float -> verdict
+(** [lower_bound bound v]: does [v >= bound] hold (up to 1e-12 slack)?
+    Records [bound] as the analytic side and [v] as the simulated one. *)
+
+val law : bool array -> verdict
+(** One entry per randomized case, [true] where the law held. Passes iff
+    no case violates it; records [0] as the analytic side and the
+    violation count as the simulated one. *)
 
 val wilson :
   ?z:float -> expected:float -> successes:int -> trials:int -> unit -> verdict
@@ -61,7 +86,7 @@ val ratio_wilson :
     the analytic ratio must lie in the interval spanned by the two
     Wilson intervals, each widened by the Bernstein [z^2/(3n)] term (see
     {!wilson}). Inconclusive (passes, with a detail note) when the
-    denominator interval touches zero. *)
+    denominator interval touches zero. The simulated side is [num/den]
+    (NaN when [den = 0]); only a NaN analytic side fails the guard. *)
 
-val all_pass : verdict list -> bool
 val pp : Format.formatter -> verdict -> unit

@@ -9,7 +9,7 @@ type outcome = {
 type t = {
   id : string;
   description : string;
-  run : Scenario.t -> outcome list;
+  run : Scenario.t -> (string * Compare.verdict) list;
 }
 
 let make ~id ~description run = { id; description; run }
@@ -27,7 +27,11 @@ let rng scenario ~salt =
     ~index:salt
 
 let run t scenario =
-  let outcomes = t.run scenario in
+  let outcome (quantity, (verdict : Compare.verdict)) =
+    let analytic = verdict.analytic and simulated = verdict.simulated in
+    { oracle = t.id; quantity; analytic; simulated; verdict }
+  in
+  let outcomes = List.map outcome (t.run scenario) in
   if Obs.Runlog.active () then
     List.iter
       (fun o ->

@@ -2,9 +2,11 @@
     independent estimator of the same quantity, plus the comparator that
     decides agreement.
 
-    Running an oracle on a {!Scenario.t} yields one {!outcome} per
-    checked quantity. For Monte-Carlo oracles the [simulated] side is a
-    sample statistic; for closed-form-vs-closed-form oracles (e.g. exact
+    An oracle's body returns one [(quantity, verdict)] pair per checked
+    quantity; {!run} turns each into an {!outcome}, taking [analytic]
+    and [simulated] from the values the comparator recorded in the
+    verdict. For Monte-Carlo oracles the [simulated] side is a sample
+    statistic; for closed-form-vs-closed-form oracles (e.g. exact
     enumeration against direct summation) it is the second derivation of
     the same value. *)
 
@@ -19,14 +21,19 @@ type outcome = {
 type t
 
 val make :
-  id:string -> description:string -> (Scenario.t -> outcome list) -> t
+  id:string ->
+  description:string ->
+  (Scenario.t -> (string * Compare.verdict) list) ->
+  t
 
 val id : t -> string
 val description : t -> string
 
 val run : t -> Scenario.t -> outcome list
-(** Evaluate both sides and compare. When a run log is active
-    (lib/obs), every outcome is recorded as a [check.oracle] event. *)
+(** Evaluate both sides and compare; each outcome carries the oracle id
+    and the verdict's recorded [analytic]/[simulated] pair. When a run
+    log is active (lib/obs), every outcome is recorded as a
+    [check.oracle] event. *)
 
 val passed : outcome -> bool
 

@@ -7,14 +7,10 @@ open Numerics
    and the comparator appropriate to how the two sides were computed.
    See DESIGN.md "Cross-check matrix" for the full table. *)
 
-let mk ~oracle ~quantity ~analytic ~simulated verdict =
-  { Oracle.oracle; quantity; analytic; simulated; verdict }
-
 (* ---- eqs. 1-3, 10 vs the sharded Monte Carlo harness ---- *)
 
 let moments_vs_montecarlo =
-  let id = "moments-vs-montecarlo" in
-  Oracle.make ~id
+  Oracle.make ~id:"moments-vs-montecarlo"
     ~description:
       "mu1/mu2 (eq. 1), P(N1>0)/P(N2>0) and the eq. 10 risk ratio vs \
        Simulator.Montecarlo.estimate"
@@ -27,33 +23,28 @@ let moments_vs_montecarlo =
       in
       let n1 = Sim.count_positive est.Simulator.Montecarlo.theta1_samples in
       let n2 = Sim.count_positive est.theta2_samples in
-      let mu1 = Core.Moments.mu1 u and mu2 = Core.Moments.mu2 u in
-      let p1 = Core.Fault_count.p_n1_pos u in
-      let p2 = Core.Fault_count.p_n2_pos u in
-      let rr = Core.Fault_count.risk_ratio u in
       [
-        mk ~oracle:id ~quantity:"mu1 (eq. 1)" ~analytic:mu1
-          ~simulated:est.theta1.mean
-          (Compare.mean_z ~bound ~expected:mu1 ~sigma:(Core.Moments.sigma1 u)
-             ~trials:r ~mean:est.theta1.mean ());
-        mk ~oracle:id ~quantity:"mu2 (eq. 1)" ~analytic:mu2
-          ~simulated:est.theta2.mean
-          (Compare.mean_z ~bound ~expected:mu2 ~sigma:(Core.Moments.sigma2 u)
-             ~trials:r ~mean:est.theta2.mean ());
-        mk ~oracle:id ~quantity:"P(N1>0)" ~analytic:p1 ~simulated:est.p_n1_pos
-          (Compare.wilson ~expected:p1 ~successes:n1 ~trials:r ());
-        mk ~oracle:id ~quantity:"P(N2>0)" ~analytic:p2 ~simulated:est.p_n2_pos
-          (Compare.wilson ~expected:p2 ~successes:n2 ~trials:r ());
-        mk ~oracle:id ~quantity:"risk ratio (eq. 10)" ~analytic:rr
-          ~simulated:est.risk_ratio
-          (Compare.ratio_wilson ~expected:rr ~num:n2 ~den:n1 ~trials:r ());
+        ( "mu1 (eq. 1)",
+          Compare.mean_z ~bound ~expected:(Core.Moments.mu1 u)
+            ~sigma:(Core.Moments.sigma1 u) ~trials:r ~mean:est.theta1.mean () );
+        ( "mu2 (eq. 1)",
+          Compare.mean_z ~bound ~expected:(Core.Moments.mu2 u)
+            ~sigma:(Core.Moments.sigma2 u) ~trials:r ~mean:est.theta2.mean () );
+        ( "P(N1>0)",
+          Compare.wilson ~expected:(Core.Fault_count.p_n1_pos u) ~successes:n1
+            ~trials:r () );
+        ( "P(N2>0)",
+          Compare.wilson ~expected:(Core.Fault_count.p_n2_pos u) ~successes:n2
+            ~trials:r () );
+        ( "risk ratio (eq. 10)",
+          Compare.ratio_wilson ~expected:(Core.Fault_count.risk_ratio u)
+            ~num:n2 ~den:n1 ~trials:r () );
       ])
 
 (* ---- Voting closed forms vs the abstract N-of-M sampler ---- *)
 
 let voting_mu_vs_sim =
-  let id = "voting-mu-vs-sim" in
-  Oracle.make ~id
+  Oracle.make ~id:"voting-mu-vs-sim"
     ~description:
       "Voting.mu (binomial defeat probabilities) vs abstract N-of-M \
        development sampling, z-tested against Voting.sigma"
@@ -61,20 +52,17 @@ let voting_mu_vs_sim =
       let u = Scenario.universe s and arch = Scenario.arch s in
       let r = Scenario.replications s in
       let run = Sim.voted (Oracle.rng s ~salt:2) u ~arch ~replications:r in
-      let mu = Core.Voting.mu arch u in
-      let mean = Stats.mean run.Sim.pfds in
       [
-        mk ~oracle:id ~quantity:"Voting.mu" ~analytic:mu ~simulated:mean
-          (Compare.mean_z
-             ~bound:(Core.Universe.total_q u)
-             ~expected:mu
-             ~sigma:(Core.Voting.sigma arch u)
-             ~trials:r ~mean ());
+        ( "Voting.mu",
+          Compare.mean_z
+            ~bound:(Core.Universe.total_q u)
+            ~expected:(Core.Voting.mu arch u)
+            ~sigma:(Core.Voting.sigma arch u)
+            ~trials:r ~mean:(Stats.mean run.Sim.pfds) () );
       ])
 
 let voting_events_vs_sim =
-  let id = "voting-events-vs-sim" in
-  Oracle.make ~id
+  Oracle.make ~id:"voting-events-vs-sim"
     ~description:
       "Voting.p_some_system_fault and risk_ratio_vs_single (eq. 10 \
        generalised) vs abstract N-of-M sampling"
@@ -82,53 +70,38 @@ let voting_events_vs_sim =
       let u = Scenario.universe s and arch = Scenario.arch s in
       let r = Scenario.replications s in
       let run = Sim.voted (Oracle.rng s ~salt:3) u ~arch ~replications:r in
-      let p_some = Core.Voting.p_some_system_fault arch u in
-      let rr = Core.Voting.risk_ratio_vs_single arch u in
-      let sim_p = float_of_int run.Sim.system_faulty /. float_of_int r in
-      let sim_rr =
-        if run.Sim.single_faulty = 0 then nan
-        else
-          float_of_int run.Sim.system_faulty
-          /. float_of_int run.Sim.single_faulty
-      in
       [
-        mk ~oracle:id ~quantity:"p_some_system_fault" ~analytic:p_some
-          ~simulated:sim_p
-          (Compare.wilson ~expected:p_some ~successes:run.Sim.system_faulty
-             ~trials:r ());
-        mk ~oracle:id ~quantity:"risk_ratio_vs_single" ~analytic:rr
-          ~simulated:sim_rr
-          (Compare.ratio_wilson ~expected:rr ~num:run.Sim.system_faulty
-             ~den:run.Sim.single_faulty ~trials:r ());
+        ( "p_some_system_fault",
+          Compare.wilson
+            ~expected:(Core.Voting.p_some_system_fault arch u)
+            ~successes:run.Sim.system_faulty ~trials:r () );
+        ( "risk_ratio_vs_single",
+          Compare.ratio_wilson
+            ~expected:(Core.Voting.risk_ratio_vs_single arch u)
+            ~num:run.Sim.system_faulty ~den:run.Sim.single_faulty ~trials:r () );
       ])
 
 let voting_dist_vs_closed_form =
-  let id = "voting-dist-vs-closed-form" in
-  Oracle.make ~id
+  Oracle.make ~id:"voting-dist-vs-closed-form"
     ~description:
       "Voting.pfd_dist exact enumeration vs the direct closed forms \
        (Voting.mu/var/p_some_system_fault)"
     (fun s ->
       let u = Scenario.universe s and arch = Scenario.arch s in
       let d = Core.Voting.pfd_dist arch u in
-      let mu = Core.Voting.mu arch u in
-      let var = Core.Voting.var arch u in
-      let p_some = Core.Voting.p_some_system_fault arch u in
       [
-        mk ~oracle:id ~quantity:"mean" ~analytic:mu
-          ~simulated:(Core.Pfd_dist.mean d)
-          (Compare.approx mu (Core.Pfd_dist.mean d));
-        mk ~oracle:id ~quantity:"variance" ~analytic:var
-          ~simulated:(Core.Pfd_dist.variance d)
-          (Compare.approx ~abs:1e-15 var (Core.Pfd_dist.variance d));
-        mk ~oracle:id ~quantity:"P(PFD > 0)" ~analytic:p_some
-          ~simulated:(Core.Pfd_dist.prob_positive d)
-          (Compare.approx p_some (Core.Pfd_dist.prob_positive d));
+        ("mean", Compare.approx (Core.Voting.mu arch u) (Core.Pfd_dist.mean d));
+        ( "variance",
+          Compare.approx ~abs:1e-15 (Core.Voting.var arch u)
+            (Core.Pfd_dist.variance d) );
+        ( "P(PFD > 0)",
+          Compare.approx
+            (Core.Voting.p_some_system_fault arch u)
+            (Core.Pfd_dist.prob_positive d) );
       ])
 
 let voting_vs_executable_adjudicator =
-  let id = "voting-vs-executable-adjudicator" in
-  Oracle.make ~id
+  Oracle.make ~id:"voting-vs-executable-adjudicator"
     ~description:
       "Voting.mu vs concretely developed versions behind the executable \
        Simulator.Adjudicator (full demand-space sweep per replication)"
@@ -139,28 +112,23 @@ let voting_vs_executable_adjudicator =
         Sim.concrete_voted_pfds (Oracle.rng s ~salt:5) (Scenario.space s)
           ~arch ~replications:r
       in
-      let mu = Core.Voting.mu arch u in
-      let mean = Stats.mean samples in
-      let positive = Sim.count_positive samples in
-      let p_some = Core.Voting.p_some_system_fault arch u in
       [
-        mk ~oracle:id ~quantity:"system PFD mean" ~analytic:mu ~simulated:mean
-          (Compare.mean_z
-             ~bound:(Core.Universe.total_q u)
-             ~expected:mu
-             ~sigma:(Core.Voting.sigma arch u)
-             ~trials:r ~mean ());
-        mk ~oracle:id ~quantity:"P(system has a defeating fault)"
-          ~analytic:p_some
-          ~simulated:(float_of_int positive /. float_of_int r)
-          (Compare.wilson ~expected:p_some ~successes:positive ~trials:r ());
+        ( "system PFD mean",
+          Compare.mean_z
+            ~bound:(Core.Universe.total_q u)
+            ~expected:(Core.Voting.mu arch u)
+            ~sigma:(Core.Voting.sigma arch u)
+            ~trials:r ~mean:(Stats.mean samples) () );
+        ( "P(system has a defeating fault)",
+          Compare.wilson
+            ~expected:(Core.Voting.p_some_system_fault arch u)
+            ~successes:(Sim.count_positive samples) ~trials:r () );
       ])
 
 (* ---- Pfd_dist: exact vs grid vs sampling ---- *)
 
 let pfd_exact_vs_grid =
-  let id = "pfd-exact-vs-grid" in
-  Oracle.make ~id
+  Oracle.make ~id:"pfd-exact-vs-grid"
     ~description:
       "Pfd_dist exact enumeration vs the grid convolution (support \
        displacement bounded by n*step/2)"
@@ -174,28 +142,18 @@ let pfd_exact_vs_grid =
       let grid1 = Core.Pfd_dist.grid_single u ~bins in
       let exact2 = Core.Pfd_dist.exact_pair u in
       let grid2 = Core.Pfd_dist.grid_pair u ~bins in
+      let mean = Core.Pfd_dist.mean in
       [
-        mk ~oracle:id ~quantity:"Theta_1 mean"
-          ~analytic:(Core.Pfd_dist.mean exact1)
-          ~simulated:(Core.Pfd_dist.mean grid1)
-          (Compare.approx ~abs:tol ~rel:0.0 (Core.Pfd_dist.mean exact1)
-             (Core.Pfd_dist.mean grid1));
-        mk ~oracle:id ~quantity:"Theta_2 mean"
-          ~analytic:(Core.Pfd_dist.mean exact2)
-          ~simulated:(Core.Pfd_dist.mean grid2)
-          (Compare.approx ~abs:tol ~rel:0.0 (Core.Pfd_dist.mean exact2)
-             (Core.Pfd_dist.mean grid2));
-        mk ~oracle:id ~quantity:"P(Theta_1 > 0)"
-          ~analytic:(Core.Pfd_dist.prob_positive exact1)
-          ~simulated:(Core.Pfd_dist.prob_positive grid1)
-          (Compare.approx
-             (Core.Pfd_dist.prob_positive exact1)
-             (Core.Pfd_dist.prob_positive grid1));
+        ("Theta_1 mean", Compare.approx ~abs:tol ~rel:0.0 (mean exact1) (mean grid1));
+        ("Theta_2 mean", Compare.approx ~abs:tol ~rel:0.0 (mean exact2) (mean grid2));
+        ( "P(Theta_1 > 0)",
+          Compare.approx
+            (Core.Pfd_dist.prob_positive exact1)
+            (Core.Pfd_dist.prob_positive grid1) );
       ])
 
 let pfd_exact_vs_sampling =
-  let id = "pfd-exact-vs-sampling" in
-  Oracle.make ~id
+  Oracle.make ~id:"pfd-exact-vs-sampling"
     ~description:
       "Pfd_dist exact CDF/quantile machinery vs inverse-transform sampling \
        from the same distribution"
@@ -205,101 +163,91 @@ let pfd_exact_vs_sampling =
       let d = Core.Pfd_dist.exact_single u in
       let rng = Oracle.rng s ~salt:7 in
       let samples = Array.init r (fun _ -> Core.Pfd_dist.sample d rng) in
-      let mean = Stats.mean samples in
-      let positive = Sim.count_positive samples in
-      let p_pos = Core.Pfd_dist.prob_positive d in
       [
-        mk ~oracle:id ~quantity:"mean" ~analytic:(Core.Pfd_dist.mean d)
-          ~simulated:mean
-          (Compare.mean_z
-             ~bound:(Core.Universe.total_q u)
-             ~expected:(Core.Pfd_dist.mean d)
-             ~sigma:(Core.Pfd_dist.std d) ~trials:r ~mean ());
-        mk ~oracle:id ~quantity:"P(X > 0)" ~analytic:p_pos
-          ~simulated:(float_of_int positive /. float_of_int r)
-          (Compare.wilson ~expected:p_pos ~successes:positive ~trials:r ());
+        ( "mean",
+          Compare.mean_z
+            ~bound:(Core.Universe.total_q u)
+            ~expected:(Core.Pfd_dist.mean d)
+            ~sigma:(Core.Pfd_dist.std d) ~trials:r ~mean:(Stats.mean samples)
+            () );
+        ( "P(X > 0)",
+          Compare.wilson
+            ~expected:(Core.Pfd_dist.prob_positive d)
+            ~successes:(Sim.count_positive samples) ~trials:r () );
       ])
 
 (* ---- baselines in their exact / degenerate regimes ---- *)
 
 let eckhardt_lee_identities =
-  let id = "eckhardt-lee-identities" in
-  Oracle.make ~id
+  Oracle.make ~id:"eckhardt-lee-identities"
     ~description:
       "Eckhardt-Lee difficulty-function means over the demand space vs the \
        universe closed forms (exact on disjoint regions), plus the EL \
        decomposition residual"
     (fun s ->
       let u = Scenario.universe s and sp = Scenario.space s in
-      let mu1 = Core.Moments.mu1 u and mu2 = Core.Moments.mu2 u in
-      let el1 = Baselines.Eckhardt_lee.mean_single sp in
-      let el2 = Baselines.Eckhardt_lee.mean_pair sp in
-      let gap = Baselines.Eckhardt_lee.el_identity_gap sp in
       [
-        mk ~oracle:id ~quantity:"E(Theta_1)" ~analytic:mu1 ~simulated:el1
-          (Compare.approx mu1 el1);
-        mk ~oracle:id ~quantity:"E(Theta_2)" ~analytic:mu2 ~simulated:el2
-          (Compare.approx mu2 el2);
-        mk ~oracle:id ~quantity:"EL decomposition residual" ~analytic:0.0
-          ~simulated:gap
-          (Compare.approx ~abs:1e-9 0.0 gap);
+        ( "E(Theta_1)",
+          Compare.approx (Core.Moments.mu1 u)
+            (Baselines.Eckhardt_lee.mean_single sp) );
+        ( "E(Theta_2)",
+          Compare.approx (Core.Moments.mu2 u)
+            (Baselines.Eckhardt_lee.mean_pair sp) );
+        ( "EL decomposition residual",
+          Compare.approx ~abs:1e-9 0.0 (Baselines.Eckhardt_lee.el_identity_gap sp)
+        );
       ])
 
 let eckhardt_lee_vs_concrete =
-  let id = "eckhardt-lee-vs-concrete" in
-  Oracle.make ~id
+  Oracle.make ~id:"eckhardt-lee-vs-concrete"
     ~description:
       "EL mean single/pair PFD vs concretely developed versions (true \
        set-intersection PFDs, no non-overlap shortcut on the simulation \
        side)"
     (fun s ->
-      let u = Scenario.universe s in
+      let u = Scenario.universe s and sp = Scenario.space s in
       let r = max 200 (Scenario.replications s / 3) in
       let singles, pairs =
-        Sim.concrete_pairs (Oracle.rng s ~salt:9) (Scenario.space s)
-          ~replications:r
+        Sim.concrete_pairs (Oracle.rng s ~salt:9) sp ~replications:r
       in
       let bound = Core.Universe.total_q u in
-      let el1 = Baselines.Eckhardt_lee.mean_single (Scenario.space s) in
-      let el2 = Baselines.Eckhardt_lee.mean_pair (Scenario.space s) in
-      let m1 = Stats.mean singles and m2 = Stats.mean pairs in
       [
-        mk ~oracle:id ~quantity:"mean single PFD" ~analytic:el1 ~simulated:m1
-          (Compare.mean_z ~bound ~expected:el1
-             ~sigma:(Core.Moments.sigma1 u) ~trials:r ~mean:m1 ());
-        mk ~oracle:id ~quantity:"mean pair PFD" ~analytic:el2 ~simulated:m2
-          (Compare.mean_z ~bound ~expected:el2
-             ~sigma:(Core.Moments.sigma2 u) ~trials:r ~mean:m2 ());
+        ( "mean single PFD",
+          Compare.mean_z ~bound
+            ~expected:(Baselines.Eckhardt_lee.mean_single sp)
+            ~sigma:(Core.Moments.sigma1 u) ~trials:r ~mean:(Stats.mean singles)
+            () );
+        ( "mean pair PFD",
+          Compare.mean_z ~bound
+            ~expected:(Baselines.Eckhardt_lee.mean_pair sp)
+            ~sigma:(Core.Moments.sigma2 u) ~trials:r ~mean:(Stats.mean pairs) ()
+        );
       ])
 
 let littlewood_miller_degenerate =
-  let id = "littlewood-miller-degenerate" in
-  Oracle.make ~id
+  Oracle.make ~id:"littlewood-miller-degenerate"
     ~description:
       "Littlewood-Miller with identical processes must reduce exactly to \
        Eckhardt-Lee (degenerate regime used as an algebraic oracle)"
     (fun s ->
       let sp = Scenario.space s in
       let lm = Baselines.Littlewood_miller.same_process sp in
-      let el2 = Baselines.Eckhardt_lee.mean_pair sp in
-      let lm2 = Baselines.Littlewood_miller.mean_pair lm in
-      let cov = Baselines.Littlewood_miller.difficulty_covariance lm in
-      let var = Baselines.Eckhardt_lee.difficulty_variance sp in
-      let gap = Baselines.Littlewood_miller.lm_identity_gap lm in
       [
-        mk ~oracle:id ~quantity:"E(Theta_2)" ~analytic:el2 ~simulated:lm2
-          (Compare.approx el2 lm2);
-        mk ~oracle:id ~quantity:"Cov(theta_A, theta_B) = Var(theta)"
-          ~analytic:var ~simulated:cov
-          (Compare.approx ~abs:1e-12 var cov);
-        mk ~oracle:id ~quantity:"LM decomposition residual" ~analytic:0.0
-          ~simulated:gap
-          (Compare.approx ~abs:1e-9 0.0 gap);
+        ( "E(Theta_2)",
+          Compare.approx
+            (Baselines.Eckhardt_lee.mean_pair sp)
+            (Baselines.Littlewood_miller.mean_pair lm) );
+        ( "Cov(theta_A, theta_B) = Var(theta)",
+          Compare.approx ~abs:1e-12
+            (Baselines.Eckhardt_lee.difficulty_variance sp)
+            (Baselines.Littlewood_miller.difficulty_covariance lm) );
+        ( "LM decomposition residual",
+          Compare.approx ~abs:1e-9 0.0
+            (Baselines.Littlewood_miller.lm_identity_gap lm) );
       ])
 
 let independence_degenerate =
-  let id = "independence-degenerate" in
-  Oracle.make ~id
+  Oracle.make ~id:"independence-degenerate"
     ~description:
       "Failure independence is exact iff the difficulty function is \
        constant: checked on a constant-difficulty space, plus the EL-style \
@@ -325,25 +273,18 @@ let independence_degenerate =
           ~faults
       in
       let el1 = Baselines.Eckhardt_lee.mean_single flat in
-      let el2 = Baselines.Eckhardt_lee.mean_pair flat in
-      let indep = Baselines.Independence.pair_pfd ~single_pfd:el1 in
-      let uf = Baselines.Independence.underestimation_factor u in
       [
-        mk ~oracle:id ~quantity:"constant difficulty: E(Theta_2) = E(Theta_1)^2"
-          ~analytic:indep ~simulated:el2
-          (Compare.approx indep el2);
-        mk ~oracle:id ~quantity:"mu2/mu1^2 >= 1 (EL penalty)" ~analytic:1.0
-          ~simulated:uf
-          {
-            Compare.pass = uf >= 1.0 -. 1e-12;
-            comparator = "lower-bound";
-            detail = Printf.sprintf "underestimation factor %.6g >= 1" uf;
-          };
+        ( "constant difficulty: E(Theta_2) = E(Theta_1)^2",
+          Compare.approx
+            (Baselines.Independence.pair_pfd ~single_pfd:el1)
+            (Baselines.Eckhardt_lee.mean_pair flat) );
+        ( "mu2/mu1^2 >= 1 (EL penalty)",
+          Compare.lower_bound 1.0
+            (Baselines.Independence.underestimation_factor u) );
       ])
 
 let correlated_degenerate =
-  let id = "correlated-degenerate" in
-  Oracle.make ~id
+  Oracle.make ~id:"correlated-degenerate"
     ~description:
       "Correlated fault introduction at lift 1 (zero shock effect) must \
        reproduce the independent closed forms exactly, and its pair sampler \
@@ -354,8 +295,7 @@ let correlated_degenerate =
         Extensions.Correlated.of_universe_with_shock u ~cluster_size:2
           ~shock_prob:0.3 ~lift:1.0
       in
-      let mu1 = Core.Moments.mu1 u and mu2 = Core.Moments.mu2 u in
-      let rr = Core.Fault_count.risk_ratio u in
+      let mu2 = Core.Moments.mu2 u in
       let r = max 300 (Scenario.replications s / 2) in
       let rng = Oracle.rng s ~salt:12 in
       let pair_samples =
@@ -363,67 +303,37 @@ let correlated_degenerate =
             let _, pair = Extensions.Correlated.sample_pair_pfd rng c in
             pair)
       in
-      let mean = Stats.mean pair_samples in
       [
-        mk ~oracle:id ~quantity:"mu1" ~analytic:mu1
-          ~simulated:(Extensions.Correlated.mu1 c)
-          (Compare.approx mu1 (Extensions.Correlated.mu1 c));
-        mk ~oracle:id ~quantity:"mu2" ~analytic:mu2
-          ~simulated:(Extensions.Correlated.mu2 c)
-          (Compare.approx mu2 (Extensions.Correlated.mu2 c));
-        mk ~oracle:id ~quantity:"risk ratio (eq. 10)" ~analytic:rr
-          ~simulated:(Extensions.Correlated.risk_ratio c)
-          (Compare.approx rr (Extensions.Correlated.risk_ratio c));
-        mk ~oracle:id ~quantity:"sampled pair PFD mean" ~analytic:mu2
-          ~simulated:mean
-          (Compare.mean_z
-             ~bound:(Core.Universe.total_q u)
-             ~expected:mu2
-             ~sigma:(Core.Moments.sigma2 u)
-             ~trials:r ~mean ());
+        ("mu1", Compare.approx (Core.Moments.mu1 u) (Extensions.Correlated.mu1 c));
+        ("mu2", Compare.approx mu2 (Extensions.Correlated.mu2 c));
+        ( "risk ratio (eq. 10)",
+          Compare.approx
+            (Core.Fault_count.risk_ratio u)
+            (Extensions.Correlated.risk_ratio c) );
+        ( "sampled pair PFD mean",
+          Compare.mean_z
+            ~bound:(Core.Universe.total_q u)
+            ~expected:mu2
+            ~sigma:(Core.Moments.sigma2 u)
+            ~trials:r ~mean:(Stats.mean pair_samples) () );
       ])
 
 (* ---- incremental rewrites vs the retained naive kernels ---- *)
 
-(* Tolerance for the incremental-vs-naive gradient agreement: the two
-   paths evaluate the same closed form but associate the compensated
-   log-sums differently (per-index Kahan sums vs shared prefix/suffix
-   arrays), so coordinates agree to rounding, not bitwise. The bound
-   1e-9 * (1 + ||grad_naive||_inf) absolute plus 1e-9 relative is ~7
-   orders of magnitude above the worst drift ever observed (~1e-14
-   relative) while still catching any real formula divergence — see
-   EXPERIMENTS.md "ulp-tolerance policy". *)
-let gradient_tol g =
-  Array.fold_left
-    (fun acc d -> if Float.is_nan d then acc else Float.max acc (Float.abs d))
-    0.0 g
-  |> fun inf_norm -> 1e-9 *. (1.0 +. inf_norm)
-
 let gradient_incremental_vs_naive =
-  let id = "gradient-incremental-vs-naive" in
-  Oracle.make ~id
+  Oracle.make ~id:"gradient-incremental-vs-naive"
     ~description:
       "O(n) prefix/suffix risk_ratio_gradient and risk_ratio_k_derivative \
        vs the retained O(n^2) per-partial references, including p_i in \
        {0, 1} boundary coordinates"
     (fun s ->
-      let u = Scenario.universe s in
-      let ps = Core.Universe.ps u in
-      let max_abs_diff ps =
-        let fast = Core.Sensitivity.risk_ratio_gradient ps in
+      let ps = Core.Universe.ps (Scenario.universe s) in
+      (* gap between the two gradients, against the EXPERIMENTS.md
+         ulp-policy bound (see {!Reference.gradient_tol}) *)
+      let gradient ps =
         let naive = Core.Sensitivity.risk_ratio_gradient_naive ps in
-        let d = ref 0.0 in
-        Array.iteri
-          (fun i f ->
-            (* both NaN (the all-zero universe, where the ratio is 0/0)
-               is agreement; NaN on one side only is divergence *)
-            let diff =
-              if Float.is_nan f && Float.is_nan naive.(i) then 0.0
-              else Float.abs (f -. naive.(i))
-            in
-            d := Float.max !d diff)
-          fast;
-        (!d, gradient_tol naive)
+        Compare.approx ~abs:(Reference.gradient_tol naive) ~rel:0.0 0.0
+          (Reference.gradient_gap (Core.Sensitivity.risk_ratio_gradient ps) naive)
       in
       let boundary =
         (* exercise the p_i = 0 and p_i = 1 edges the prefix/suffix
@@ -434,26 +344,18 @@ let gradient_incremental_vs_naive =
         if Array.length b > 1 then b.(1) <- 1.0;
         b
       in
-      let d_plain, tol_plain = max_abs_diff ps in
-      let d_bound, tol_bound = max_abs_diff boundary in
       let k = 0.5 in
-      let dk = Core.Sensitivity.risk_ratio_k_derivative ~b:ps ~k in
-      let dk_naive = Core.Sensitivity.risk_ratio_k_derivative_naive ~b:ps ~k in
       [
-        mk ~oracle:id ~quantity:"gradient max |fast - naive|" ~analytic:0.0
-          ~simulated:d_plain
-          (Compare.approx ~abs:tol_plain ~rel:0.0 0.0 d_plain);
-        mk ~oracle:id ~quantity:"gradient max |fast - naive| (p in {0,1})"
-          ~analytic:0.0 ~simulated:d_bound
-          (Compare.approx ~abs:tol_bound ~rel:0.0 0.0 d_bound);
-        mk ~oracle:id ~quantity:"dR/dk (Appendix B)" ~analytic:dk_naive
-          ~simulated:dk
-          (Compare.approx ~abs:1e-12 dk_naive dk);
+        ("gradient max |fast - naive|", gradient ps);
+        ("gradient max |fast - naive| (p in {0,1})", gradient boundary);
+        ( "dR/dk (Appendix B)",
+          Compare.approx ~abs:1e-12
+            (Core.Sensitivity.risk_ratio_k_derivative_naive ~b:ps ~k)
+            (Core.Sensitivity.risk_ratio_k_derivative ~b:ps ~k) );
       ])
 
 let pfd_fast_vs_legacy =
-  let id = "pfd-fast-vs-legacy" in
-  Oracle.make ~id
+  Oracle.make ~id:"pfd-fast-vs-legacy"
     ~description:
       "Preallocated ping-pong exact convolution vs the legacy allocating \
        pass (bit-identical), and binomial-block grid convolution vs the \
@@ -468,47 +370,26 @@ let pfd_fast_vs_legacy =
       let glegacy =
         Core.Pfd_dist.grid_of_vectors_naive ~probs ~values ~bins ()
       in
+      let open Core.Pfd_dist in
       [
         (* The exact path claims bit-identity: same float ops
            in the same order, only the buffer management changed. *)
-        mk ~oracle:id ~quantity:"exact mean"
-          ~analytic:(Core.Pfd_dist.mean legacy)
-          ~simulated:(Core.Pfd_dist.mean fast)
-          (Compare.exact_bits (Core.Pfd_dist.mean legacy)
-             (Core.Pfd_dist.mean fast));
-        mk ~oracle:id ~quantity:"exact variance"
-          ~analytic:(Core.Pfd_dist.variance legacy)
-          ~simulated:(Core.Pfd_dist.variance fast)
-          (Compare.exact_bits
-             (Core.Pfd_dist.variance legacy)
-             (Core.Pfd_dist.variance fast));
-        mk ~oracle:id ~quantity:"exact P(X > 0)"
-          ~analytic:(Core.Pfd_dist.prob_positive legacy)
-          ~simulated:(Core.Pfd_dist.prob_positive fast)
-          (Compare.exact_bits
-             (Core.Pfd_dist.prob_positive legacy)
-             (Core.Pfd_dist.prob_positive fast));
+        ("exact mean", Compare.exact_bits (mean legacy) (mean fast));
+        ("exact variance", Compare.exact_bits (variance legacy) (variance fast));
+        ( "exact P(X > 0)",
+          Compare.exact_bits (prob_positive legacy) (prob_positive fast) );
         (* The grid rewrite coalesces same-shift faults into binomial
            blocks, associating their products differently: rounding-level
            agreement only (see EXPERIMENTS.md for the policy). *)
-        mk ~oracle:id ~quantity:"grid mean"
-          ~analytic:(Core.Pfd_dist.mean glegacy)
-          ~simulated:(Core.Pfd_dist.mean gfast)
-          (Compare.approx (Core.Pfd_dist.mean glegacy)
-             (Core.Pfd_dist.mean gfast));
-        mk ~oracle:id ~quantity:"grid P(X > 0)"
-          ~analytic:(Core.Pfd_dist.prob_positive glegacy)
-          ~simulated:(Core.Pfd_dist.prob_positive gfast)
-          (Compare.approx
-             (Core.Pfd_dist.prob_positive glegacy)
-             (Core.Pfd_dist.prob_positive gfast));
+        ("grid mean", Compare.approx (mean glegacy) (mean gfast));
+        ( "grid P(X > 0)",
+          Compare.approx (prob_positive glegacy) (prob_positive gfast) );
       ])
 
 (* ---- the sharded fleet pipeline vs the moments ---- *)
 
 let fleet_vs_moments =
-  let id = "fleet-vs-moments" in
-  Oracle.make ~id
+  Oracle.make ~id:"fleet-vs-moments"
     ~description:
       "Sharded fleet pipeline: deployed 1oo2 systems' true PFDs vs mu2, and \
        observed field failure counts vs the deployed fleet's own true PFDs"
@@ -521,25 +402,20 @@ let fleet_vs_moments =
       in
       let fleet = Simulator.Fleet.observe rng systems ~demands_per_plant in
       let summary = Simulator.Fleet.true_pfd_summary fleet in
-      let mu2 = Core.Moments.mu2 u in
-      let pooled = Simulator.Fleet.pooled_rate fleet in
-      let trials = plants * demands_per_plant in
       [
-        mk ~oracle:id ~quantity:"deployed true-PFD mean vs mu2" ~analytic:mu2
-          ~simulated:summary.mean
-          (Compare.mean_z
-             ~bound:(Core.Universe.total_q u)
-             ~expected:mu2
-             ~sigma:(Core.Moments.sigma2 u)
-             ~trials:plants ~mean:summary.mean ());
+        ( "deployed true-PFD mean vs mu2",
+          Compare.mean_z
+            ~bound:(Core.Universe.total_q u)
+            ~expected:(Core.Moments.mu2 u)
+            ~sigma:(Core.Moments.sigma2 u)
+            ~trials:plants ~mean:summary.mean () );
         (* conditional on the deployed PFDs, per-demand failures are
            independent (heterogeneous) Bernoullis, for which the Wilson
            interval around the pooled count is conservative *)
-        mk ~oracle:id ~quantity:"observed failure rate vs deployed PFDs"
-          ~analytic:summary.mean ~simulated:pooled
-          (Compare.wilson ~expected:summary.mean
-             ~successes:(Simulator.Fleet.total_failures fleet)
-             ~trials ());
+        ( "observed failure rate vs deployed PFDs",
+          Compare.wilson ~expected:summary.mean
+            ~successes:(Simulator.Fleet.total_failures fleet)
+            ~trials:(plants * demands_per_plant) () );
       ])
 
 (* ---- the adjudication calculus: law oracles (DESIGN.md
@@ -581,172 +457,101 @@ let random_vector_for rng term ~abstaining =
   let n = Simulator.Adjudicator.min_channels term + Rng.int rng 5 in
   random_outputs rng ~n ~abstaining
 
-let shuffled rng l =
-  let a = Array.of_list l in
-  for i = Array.length a - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
-  Array.to_list a
-
-let law_outcome ~oracle ~quantity ~cases ~violations =
-  mk ~oracle ~quantity ~analytic:0.0 ~simulated:(float_of_int violations)
-    {
-      Compare.pass = violations = 0;
-      comparator = "exact";
-      detail =
-        Printf.sprintf "%d/%d randomized cases violate the law" violations
-          cases;
-    }
+(* The law oracles draw their cases with [Array.init], which evaluates
+   in index order, so each case consumes the salted stream in turn. *)
 
 let adjudication_unit_identity =
-  let id = "adjudication-unit-identity" in
-  Oracle.make ~id
+  Oracle.make ~id:"adjudication-unit-identity"
     ~description:
       "compose unit t, compose t unit and t decide identically on every \
        output vector (unit is a two-sided identity of compose)"
     (fun s ->
       let rng = Oracle.rng s ~salt:14 in
-      let cases = 200 in
-      let left = ref 0 and right = ref 0 in
-      for _ = 1 to cases do
-        let t = random_term rng ~depth:3 in
-        let outs = random_vector_for rng t ~abstaining:true in
-        let base = Simulator.Adjudicator.combine t outs in
-        let lu =
-          Simulator.Adjudicator.(combine (compose unit t)) outs
-        in
-        let ru =
-          Simulator.Adjudicator.(combine (compose t unit)) outs
-        in
-        if not (Simulator.Channel.equal lu base) then incr left;
-        if not (Simulator.Channel.equal ru base) then incr right
-      done;
+      let holds =
+        Array.init 200 (fun _ ->
+            let t = random_term rng ~depth:3 in
+            let outs = random_vector_for rng t ~abstaining:true in
+            let decides t' =
+              Simulator.Channel.equal
+                (Simulator.Adjudicator.combine t' outs)
+                (Simulator.Adjudicator.combine t outs)
+            in
+            Simulator.Adjudicator.
+              (decides (compose unit t), decides (compose t unit)))
+      in
       [
-        law_outcome ~oracle:id ~quantity:"compose unit t ≡ t" ~cases
-          ~violations:!left;
-        law_outcome ~oracle:id ~quantity:"compose t unit ≡ t" ~cases
-          ~violations:!right;
+        ("compose unit t ≡ t", Compare.law (Array.map fst holds));
+        ("compose t unit ≡ t", Compare.law (Array.map snd holds));
       ])
 
 let adjudication_vote_permutation =
-  let id = "adjudication-vote-permutation" in
-  Oracle.make ~id
+  Oracle.make ~id:"adjudication-vote-permutation"
     ~description:
       "every calculus term adjudicates counts, so combine is invariant \
        under permutation of the channel output vector"
     (fun s ->
       let rng = Oracle.rng s ~salt:15 in
-      let cases = 200 in
-      let violations = ref 0 in
-      for _ = 1 to cases do
-        let t = random_term rng ~depth:3 in
-        let outs = random_vector_for rng t ~abstaining:true in
-        let a = Simulator.Adjudicator.combine t outs in
-        let b = Simulator.Adjudicator.combine t (shuffled rng outs) in
-        if not (Simulator.Channel.equal a b) then incr violations
-      done;
-      [
-        law_outcome ~oracle:id ~quantity:"combine t (perm v) ≡ combine t v"
-          ~cases ~violations:!violations;
-      ])
+      let holds =
+        Array.init 200 (fun _ ->
+            let t = random_term rng ~depth:3 in
+            let outs = random_vector_for rng t ~abstaining:true in
+            let a = Simulator.Adjudicator.combine t outs in
+            Simulator.Channel.equal a
+              (Simulator.Adjudicator.combine t (Reference.shuffle rng outs)))
+      in
+      [ ("combine t (perm v) ≡ combine t v", Compare.law holds) ])
 
 let adjudication_fallback_idempotent =
-  let id = "adjudication-fallback-idempotent" in
-  Oracle.make ~id
+  Oracle.make ~id:"adjudication-fallback-idempotent"
     ~description:
       "fallback t t decides as t on abstain-free vectors (the backup \
        can only be reached when the primary abstains)"
     (fun s ->
       let rng = Oracle.rng s ~salt:16 in
-      let cases = 200 in
-      let violations = ref 0 in
-      for _ = 1 to cases do
-        let t = random_term rng ~depth:3 in
-        let outs = random_vector_for rng t ~abstaining:false in
-        let a = Simulator.Adjudicator.(combine (fallback t t)) outs in
-        let b = Simulator.Adjudicator.combine t outs in
-        if not (Simulator.Channel.equal a b) then incr violations
-      done;
-      [
-        law_outcome ~oracle:id ~quantity:"fallback t t ≡ t (abstain-free)"
-          ~cases ~violations:!violations;
-      ])
-
-(* The seed's adjudicator, reimplemented verbatim (polymorphic equality,
-   double traversal and all) as the reference the calculus must
-   bit-match on its legacy domain. *)
-let legacy_combine ~required outputs =
-  let shutdowns =
-    List.length
-      (List.filter (fun o -> o = Simulator.Channel.Shutdown) outputs)
-  in
-  if shutdowns >= required then Simulator.Channel.Shutdown
-  else Simulator.Channel.No_action
+      let holds =
+        Array.init 200 (fun _ ->
+            let t = random_term rng ~depth:3 in
+            let outs = random_vector_for rng t ~abstaining:false in
+            Simulator.Channel.equal
+              (Simulator.Adjudicator.(combine (fallback t t)) outs)
+              (Simulator.Adjudicator.combine t outs))
+      in
+      [ ("fallback t t ≡ t (abstain-free)", Compare.law holds) ])
 
 let adjudication_vote_vs_legacy =
-  let id = "adjudication-vote-vs-legacy" in
-  Oracle.make ~id
+  Oracle.make ~id:"adjudication-vote-vs-legacy"
     ~description:
       "vote ~required bit-matches the retained legacy M-out-of-N \
        adjudicator (and its system_fails predicate) on abstain-free \
        vectors, across every threshold the vector admits"
     (fun s ->
       let rng = Oracle.rng s ~salt:17 in
-      let cases = 200 in
-      let checked = ref 0 in
-      let decisions = ref 0 and fails = ref 0 in
-      for _ = 1 to cases do
-        let n = 1 + Rng.int rng 7 in
-        let outs = random_outputs rng ~n ~abstaining:false in
-        for required = 1 to n do
-          incr checked;
-          let t = Simulator.Adjudicator.m_out_of_n ~required in
-          let calculus = Simulator.Adjudicator.combine t outs in
-          let legacy = legacy_combine ~required outs in
-          if not (Simulator.Channel.equal calculus legacy) then
-            incr decisions;
-          if
-            Simulator.Adjudicator.system_fails t outs
-            <> not (Simulator.Channel.equal legacy Simulator.Channel.Shutdown)
-          then incr fails
-        done
-      done;
+      (* one case per (vector, threshold) pair *)
+      let holds =
+        Array.concat
+          (Array.to_list
+             (Array.init 200 (fun _ ->
+                  let n = 1 + Rng.int rng 7 in
+                  let outs = random_outputs rng ~n ~abstaining:false in
+                  Array.init n (fun i ->
+                      let required = i + 1 in
+                      let t = Simulator.Adjudicator.m_out_of_n ~required in
+                      let legacy = Reference.legacy_combine ~required outs in
+                      ( Simulator.Channel.equal
+                          (Simulator.Adjudicator.combine t outs)
+                          legacy,
+                        Simulator.Adjudicator.system_fails t outs
+                        = not
+                            (Simulator.Channel.equal legacy
+                               Simulator.Channel.Shutdown) )))))
+      in
       [
-        law_outcome ~oracle:id ~quantity:"combine ≡ legacy decision"
-          ~cases:!checked ~violations:!decisions;
-        law_outcome ~oracle:id ~quantity:"system_fails ≡ legacy predicate"
-          ~cases:!checked ~violations:!fails;
+        ("combine ≡ legacy decision", Compare.law (Array.map fst holds));
+        ("system_fails ≡ legacy predicate", Compare.law (Array.map snd holds));
       ])
 
-(* Independent evaluator of the graceful-degradation scenario — a 2-of-3
-   vote falling back to an OR when abstentions break the quorum —
-   written directly over the output list, with no reference to the
-   counts algebra. *)
-let reference_cascade outs =
-  let shut =
-    List.length
-      (List.filter
-         (fun o -> Simulator.Channel.equal o Simulator.Channel.Shutdown)
-         outs)
-  in
-  let active =
-    List.length
-      (List.filter
-         (fun o -> not (Simulator.Channel.equal o Simulator.Channel.Abstain))
-         outs)
-  in
-  if shut >= 2 then Simulator.Channel.Shutdown
-  else if active >= 2 then Simulator.Channel.No_action
-  else if shut >= 1 then Simulator.Channel.Shutdown
-  else if active >= 1 then Simulator.Channel.No_action
-  else Simulator.Channel.Abstain
-
 let adjudication_graceful_degradation =
-  let id = "adjudication-graceful-degradation" in
-  Oracle.make ~id
+  Oracle.make ~id:"adjudication-graceful-degradation"
     ~description:
       "fallback (vote 2) (vote 1) over 3 self-checking channels: exact \
        agreement with an independent list evaluator, and the \
@@ -759,17 +564,13 @@ let adjudication_graceful_degradation =
           fallback (vote ~required:2) (vote ~required:1))
       in
       let channels = 3 and detection = 0.35 in
-      let cases = 300 in
-      let violations = ref 0 in
-      for _ = 1 to cases do
-        let outs = random_outputs rng ~n:channels ~abstaining:true in
-        if
-          not
-            (Simulator.Channel.equal
-               (Simulator.Adjudicator.combine cascade outs)
-               (reference_cascade outs))
-        then incr violations
-      done;
+      let holds =
+        Array.init 300 (fun _ ->
+            let outs = random_outputs rng ~n:channels ~abstaining:true in
+            Simulator.Channel.equal
+              (Simulator.Adjudicator.combine cascade outs)
+              (Reference.reference_cascade outs))
+      in
       let u = Scenario.universe s in
       let policy = Simulator.Adjudicator.policy cascade in
       let mu = Core.Voting.policy_mu policy ~channels ~detection u in
@@ -785,24 +586,18 @@ let adjudication_graceful_degradation =
             Simulator.Devteam.adjudicated_system_pfd_from_universe ~detection
               rng u ~channels ~adjudicator:cascade)
       in
-      let list_mean = Stats.mean list_samples in
-      let counts_mean = Stats.mean counts_samples in
+      let sampler samples =
+        Compare.mean_z ~bound ~expected:mu ~sigma ~trials:r
+          ~mean:(Stats.mean samples) ()
+      in
       [
-        law_outcome ~oracle:id ~quantity:"combine ≡ independent evaluator"
-          ~cases ~violations:!violations;
-        mk ~oracle:id ~quantity:"policy_mu vs list-path sampler" ~analytic:mu
-          ~simulated:list_mean
-          (Compare.mean_z ~bound ~expected:mu ~sigma ~trials:r ~mean:list_mean
-             ());
-        mk ~oracle:id ~quantity:"policy_mu vs counts-path sampler"
-          ~analytic:mu ~simulated:counts_mean
-          (Compare.mean_z ~bound ~expected:mu ~sigma ~trials:r
-             ~mean:counts_mean ());
+        ("combine ≡ independent evaluator", Compare.law holds);
+        ("policy_mu vs list-path sampler", sampler list_samples);
+        ("policy_mu vs counts-path sampler", sampler counts_samples);
       ])
 
 let adjudication_policy_vs_binomial =
-  let id = "adjudication-policy-vs-binomial" in
-  Oracle.make ~id
+  Oracle.make ~id:"adjudication-policy-vs-binomial"
     ~description:
       "policy closed forms at detection 0 (binom_pmf double sum over \
        carriers and abstainers) vs the legacy Voting closed forms \
@@ -811,40 +606,29 @@ let adjudication_policy_vs_binomial =
       let u = Scenario.universe s and arch = Scenario.arch s in
       let channels = Core.Voting.channels arch in
       let policy = Core.Voting.arch_policy arch in
-      let mu = Core.Voting.mu arch u in
       let pmu = Core.Voting.policy_mu policy ~channels u in
-      let var = Core.Voting.var arch u in
-      let pvar = Core.Voting.policy_var policy ~channels u in
-      let p_some = Core.Voting.p_some_system_fault arch u in
-      let pp_some =
-        Core.Voting.policy_p_some_system_fault policy ~channels u
-      in
-      let rr = Core.Voting.risk_ratio_vs_single arch u in
-      let prr =
-        Core.Voting.policy_risk_ratio_vs_single policy ~channels u
-      in
       let dist = Core.Voting.policy_pfd_dist policy ~channels u in
       [
-        mk ~oracle:id ~quantity:"policy_mu vs Voting.mu" ~analytic:mu
-          ~simulated:pmu (Compare.approx mu pmu);
-        mk ~oracle:id ~quantity:"policy_var vs Voting.var" ~analytic:var
-          ~simulated:pvar
-          (Compare.approx ~abs:1e-15 var pvar);
-        mk ~oracle:id ~quantity:"policy_p_some vs Voting.p_some"
-          ~analytic:p_some ~simulated:pp_some (Compare.approx p_some pp_some);
-        mk ~oracle:id ~quantity:"policy risk ratio vs Voting risk ratio"
-          ~analytic:rr ~simulated:prr (Compare.approx rr prr);
-        mk ~oracle:id ~quantity:"policy_pfd_dist mean vs policy_mu"
-          ~analytic:pmu
-          ~simulated:(Core.Pfd_dist.mean dist)
-          (Compare.approx pmu (Core.Pfd_dist.mean dist));
+        ("policy_mu vs Voting.mu", Compare.approx (Core.Voting.mu arch u) pmu);
+        ( "policy_var vs Voting.var",
+          Compare.approx ~abs:1e-15 (Core.Voting.var arch u)
+            (Core.Voting.policy_var policy ~channels u) );
+        ( "policy_p_some vs Voting.p_some",
+          Compare.approx
+            (Core.Voting.p_some_system_fault arch u)
+            (Core.Voting.policy_p_some_system_fault policy ~channels u) );
+        ( "policy risk ratio vs Voting risk ratio",
+          Compare.approx
+            (Core.Voting.risk_ratio_vs_single arch u)
+            (Core.Voting.policy_risk_ratio_vs_single policy ~channels u) );
+        ( "policy_pfd_dist mean vs policy_mu",
+          Compare.approx pmu (Core.Pfd_dist.mean dist) );
       ])
 
 (* ---- the assessment service vs the one-shot evaluator ---- *)
 
 let serve_vs_cli =
-  let id = "serve-vs-cli" in
-  Oracle.make ~id
+  Oracle.make ~id:"serve-vs-cli"
     ~description:
       "Served responses (Serve.Dispatcher batch over the ambient pool, any \
        worker count) vs direct Serve.Engine.eval: byte identity per verb, \
@@ -865,33 +649,22 @@ let serve_vs_cli =
         if Core.Universe.size u <= Core.Pfd_dist.max_exact_faults then 0
         else 128 + Rng.int rng 128
       in
+      let request id verb = { Serve.Proto.id; u = spec; verb } in
       let requests =
         [|
-          { Serve.Proto.id = "o-moments"; u = spec; verb = Serve.Proto.Moments };
-          {
-            Serve.Proto.id = "o-risk";
-            u = spec;
-            verb = Serve.Proto.Risk_ratio { channels; required };
-          };
-          {
-            Serve.Proto.id = "o-dist";
-            u = spec;
-            verb = Serve.Proto.Pfd_dist { channels; required; bins };
-          };
-          {
-            Serve.Proto.id = "o-fleet";
-            u = spec;
-            verb =
-              Serve.Proto.Fleet_mission
-                {
-                  plants = 4 + Rng.int rng 5;
-                  demands_per_plant = 50 + Rng.int rng 100;
-                  mission_demands = 500;
-                  salt = Rng.int rng 1024;
-                  shards = 1 + Rng.int rng 8;
-                  space = 1024;
-                };
-          };
+          request "o-moments" Serve.Proto.Moments;
+          request "o-risk" (Serve.Proto.Risk_ratio { channels; required });
+          request "o-dist" (Serve.Proto.Pfd_dist { channels; required; bins });
+          request "o-fleet"
+            (Serve.Proto.Fleet_mission
+               {
+                 plants = 4 + Rng.int rng 5;
+                 demands_per_plant = 50 + Rng.int rng 100;
+                 mission_demands = 500;
+                 salt = Rng.int rng 1024;
+                 shards = 1 + Rng.int rng 8;
+                 space = 1024;
+               });
         |]
       in
       let seed = Scenario.sim_seed s in
@@ -901,33 +674,25 @@ let serve_vs_cli =
         Array.to_list
           (Array.mapi
              (fun i (res : Serve.Dispatcher.result) ->
-               let direct = Serve.Engine.eval ~seed requests.(i) in
-               let same = if String.equal res.Serve.Dispatcher.line direct then 1.0 else 0.0 in
-               mk ~oracle:id
-                 ~quantity:
-                   (Printf.sprintf "%s byte-identity"
-                      (Serve.Proto.verb_name requests.(i)))
-                 ~analytic:1.0 ~simulated:same (Compare.exact_bits 1.0 same))
+               ( Serve.Proto.verb_name requests.(i) ^ " byte-identity",
+                 Compare.same_bytes
+                   (Serve.Engine.eval ~seed requests.(i))
+                   res.Serve.Dispatcher.line ))
              served)
       in
       (* Cross-read: the served moments body must carry the closed forms
          bit-exactly (the JSON float codec round-trips exactly). *)
       let served_mu2 =
-        match Serve.Proto.parse_response (served.(0)).Serve.Dispatcher.line with
-        | Ok resp -> (
-            match
-              Option.bind resp.Serve.Proto.resp_body (fun b ->
-                  Option.bind (Obs.Json.member "mu2" b) Obs.Json.to_float)
-            with
-            | Some v -> v
-            | None -> nan)
-        | Error _ -> nan
+        match Serve.Proto.parse_response served.(0).Serve.Dispatcher.line with
+        | Ok { Serve.Proto.resp_body = Some b; _ } ->
+            Option.value ~default:nan
+              (Option.bind (Obs.Json.member "mu2" b) Obs.Json.to_float)
+        | Ok _ | Error _ -> nan
       in
-      let mu2 = Core.Moments.mu2 u in
       identity
       @ [
-          mk ~oracle:id ~quantity:"served mu2 field" ~analytic:mu2
-            ~simulated:served_mu2 (Compare.exact_bits mu2 served_mu2);
+          ( "served mu2 field",
+            Compare.exact_bits (Core.Moments.mu2 u) served_mu2 );
         ])
 
 let all =
@@ -985,39 +750,30 @@ let sweep ?max_channels ?max_faults ?replications ?only ~seed ~cases () =
   in
   if chosen = [] then
     invalid_arg "Registry.sweep: no registered oracle matches the prefix";
-  let chosen_ids = List.map Oracle.id chosen in
   let parent = Rng.create ~seed in
-  let tally = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.replace tally id (0, 0)) chosen_ids;
-  let checks = ref 0 in
+  let per_oracle = ref (List.map (fun o -> (Oracle.id o, 0, 0)) chosen) in
   let failed = ref [] in
   for case = 0 to cases - 1 do
     let scenario =
       Scenario.generate ?max_channels ?max_faults ?replications
         (Rng.split parent ~index:case)
     in
+    let runs = List.map (fun o -> Oracle.run o scenario) chosen in
+    per_oracle :=
+      List.map2
+        (fun (id, n, f) outcomes ->
+          (id, n + List.length outcomes, f + List.length (failures outcomes)))
+        !per_oracle runs;
     List.iter
-      (fun o ->
-        let n, f =
-          match Hashtbl.find_opt tally o.Oracle.oracle with
-          | Some t -> t
-          | None -> (0, 0)
-        in
-        let bad = if Oracle.passed o then 0 else 1 in
-        Hashtbl.replace tally o.Oracle.oracle (n + 1, f + bad);
-        incr checks;
-        if bad = 1 then failed := (case, scenario, o) :: !failed)
-      (List.concat_map (fun o -> Oracle.run o scenario) chosen)
+      (fun o -> failed := (case, scenario, o) :: !failed)
+      (failures (List.concat runs))
   done;
-  let per_oracle =
-    List.map
-      (fun id ->
-        match Hashtbl.find_opt tally id with
-        | Some (n, f) -> (id, n, f)
-        | None -> (id, 0, 0))
-      chosen_ids
-  in
-  { cases; checks = !checks; failed = List.rev !failed; per_oracle }
+  {
+    cases;
+    checks = List.fold_left (fun acc (_, n, _) -> acc + n) 0 !per_oracle;
+    failed = List.rev !failed;
+    per_oracle = !per_oracle;
+  }
 
 let passed sweep = sweep.failed = []
 

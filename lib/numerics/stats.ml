@@ -8,8 +8,13 @@ type summary = {
 }
 
 let approx_eq ?(rel = 1e-9) ?(abs = 1e-12) a b =
-  let diff = abs_float (a -. b) in
-  diff <= abs || diff <= rel *. Float.max (abs_float a) (abs_float b)
+  if Float.is_finite a && Float.is_finite b then
+    let diff = abs_float (a -. b) in
+    diff <= abs || diff <= rel *. Float.max (abs_float a) (abs_float b)
+  else
+    (* the tolerances are meaningless off the finite line: an infinity
+       matches only itself, and NaN matches nothing *)
+    a = b
 
 let is_zero ?(eps = Float.min_float) x = abs_float x <= eps
 

@@ -14,10 +14,14 @@ type summary = {
 }
 
 val approx_eq : ?rel:float -> ?abs:float -> float -> float -> bool
-(** Tolerant float equality: true when the operands differ by at most [abs]
-    (default 1e-12) absolutely or [rel] (default 1e-9) relatively. False
-    whenever either operand is NaN. This is the comparison divlint rule R1
-    points at in place of exact [=] on floats. *)
+(** Tolerant float equality: true when finite operands differ by at most
+    [abs] (default 1e-12) absolutely or [rel] (default 1e-9) relatively.
+    Off the finite line the tolerances do not apply: NaN equals nothing,
+    not even itself, and an infinity equals only the same-signed
+    infinity. [+0] equals [-0]. This is the comparison divlint rule R1
+    points at in place of exact [=] on floats, and the one float-agreement
+    policy of the repo: the oracle comparator [Check.Compare.approx] and
+    the test suites' [check_close] both delegate to it. *)
 
 val is_zero : ?eps:float -> float -> bool
 (** [is_zero x] is true when [|x| <= eps]. The default [eps] is the

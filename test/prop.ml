@@ -90,6 +90,24 @@ let quad a b c d =
       let w = d.gen rng in
       (x, y, z, w))
 
+(* Any finite double, one case in four drawn from the subnormal range
+   (zero exponent field, random sign and mantissa) so the edge of the
+   tolerance comparisons is exercised, not just reachable. *)
+let finite_float =
+  make
+    ~pp:(fun ppf x -> Format.fprintf ppf "%h" x)
+    (fun rng ->
+      let bits () = Numerics.Rng.next_int64 rng in
+      if Numerics.Rng.int rng 4 = 0 then
+        (* keep the sign bit and the 52 mantissa bits *)
+        Int64.float_of_bits (Int64.logand (bits ()) 0x800F_FFFF_FFFF_FFFFL)
+      else
+        let rec draw () =
+          let x = Int64.float_of_bits (bits ()) in
+          if Float.is_finite x then x else draw ()
+        in
+        draw ())
+
 (* ---- domain generators ---- *)
 
 (* RNG seeds: positive, wide enough to hit distinct splitmix streams,
@@ -534,3 +552,35 @@ let check ?cases name t f =
          counterexample (shrunk): %a@\n\
          %s"
         name case base_seed t.pp value err
+
+(* ---- float agreement ---- *)
+
+(* The SNIPPETS.md Snippet 1 edge matrix: (case, a, b, agree) rows that
+   hold under every tolerance, in both argument orders. *)
+let float_edges =
+  let tiny = 5e-324 (* the smallest subnormal *) in
+  [
+    ("nan vs itself", nan, nan, false);
+    ("nan vs a number", nan, 1.0, false);
+    ("nan vs infinity", nan, infinity, false);
+    ("+inf vs itself", infinity, infinity, true);
+    ("-inf vs itself", neg_infinity, neg_infinity, true);
+    ("+inf vs max_float", infinity, Float.max_float, false);
+    ("-inf vs -max_float", neg_infinity, -.Float.max_float, false);
+    ("+inf vs -inf", infinity, neg_infinity, false);
+    ("+0 vs -0", 0.0, -0.0, true);
+    ("smallest subnormal vs itself", tiny, tiny, true);
+    ("-max_float vs max_float", -.Float.max_float, Float.max_float, false);
+  ]
+
+(* The one float assertion of the test suites: [Stats.approx_eq] with
+   no relative slack, so NaN equals nothing (assert NaN with
+   [Float.is_nan]), an infinity equals only the same-signed infinity and
+   +0 equals -0 — the policy of the oracle comparator
+   [Check.Compare.approx] too. *)
+let check_close ?(eps = 1e-12) msg expected actual =
+  Alcotest.check
+    (Alcotest.testable
+       (fun ppf x -> Format.fprintf ppf "%.17g" x)
+       (Numerics.Stats.approx_eq ~rel:0.0 ~abs:eps))
+    msg expected actual

@@ -1,9 +1,6 @@
 (* Tests for the baseline models (independence, Eckhardt-Lee,
    Littlewood-Miller, Hatton). *)
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:777
 
 let disjoint_space () =
@@ -24,13 +21,15 @@ let overlapping_space () =
 
 let test_independence_formulas () =
   let u = Core.Universe.of_pairs [ (0.5, 0.1); (0.2, 0.3) ] in
-  check_close "pair pfd claim" 0.0004 (Baselines.Independence.pair_pfd ~single_pfd:0.02);
-  check_close "predicted mu2" (0.11 *. 0.11) (Baselines.Independence.predicted_mu2 u);
-  check_close ~eps:1e-12 "underestimation" (0.037 /. 0.0121)
+  Prop.check_close "pair pfd claim" 0.0004
+    (Baselines.Independence.pair_pfd ~single_pfd:0.02);
+  Prop.check_close "predicted mu2" (0.11 *. 0.11)
+    (Baselines.Independence.predicted_mu2 u);
+  Prop.check_close ~eps:1e-12 "underestimation" (0.037 /. 0.0121)
     (Baselines.Independence.underestimation_factor u);
-  check_close ~eps:1e-12 "model gain" (0.11 /. 0.037)
+  Prop.check_close ~eps:1e-12 "model gain" (0.11 /. 0.037)
     (Baselines.Independence.model_gain u);
-  check_close ~eps:1e-12 "independence gain" (1.0 /. 0.11)
+  Prop.check_close ~eps:1e-12 "independence gain" (1.0 /. 0.11)
     (Baselines.Independence.independence_gain u)
 
 let test_independence_always_optimistic () =
@@ -50,24 +49,24 @@ let test_independence_always_optimistic () =
 let test_el_difficulty_disjoint () =
   let s = disjoint_space () in
   (* inside region 0, theta = p0; outside all regions, theta = 0 *)
-  check_close ~eps:1e-12 "difficulty inside region 0" 0.4
+  Prop.check_close ~eps:1e-12 "difficulty inside region 0" 0.4
     (Baselines.Eckhardt_lee.difficulty s 5);
-  check_close ~eps:1e-12 "difficulty inside region 1" 0.2
+  Prop.check_close ~eps:1e-12 "difficulty inside region 1" 0.2
     (Baselines.Eckhardt_lee.difficulty s 25);
-  check_close "difficulty outside" 0.0 (Baselines.Eckhardt_lee.difficulty s 50)
+  Prop.check_close "difficulty outside" 0.0 (Baselines.Eckhardt_lee.difficulty s 50)
 
 let test_el_difficulty_overlap () =
   let s = overlapping_space () in
   (* on the overlap, theta = 1 - (1-0.4)(1-0.2) = 0.52 *)
-  check_close ~eps:1e-12 "difficulty on overlap" 0.52
+  Prop.check_close ~eps:1e-12 "difficulty on overlap" 0.52
     (Baselines.Eckhardt_lee.difficulty s 7)
 
 let test_el_means_match_core_when_disjoint () =
   let s = disjoint_space () in
   let u = Demandspace.Space.to_universe s in
-  check_close ~eps:1e-12 "EL mean single = mu1" (Core.Moments.mu1 u)
+  Prop.check_close ~eps:1e-12 "EL mean single = mu1" (Core.Moments.mu1 u)
     (Baselines.Eckhardt_lee.mean_single s);
-  check_close ~eps:1e-12 "EL mean pair = mu2" (Core.Moments.mu2 u)
+  Prop.check_close ~eps:1e-12 "EL mean pair = mu2" (Core.Moments.mu2 u)
     (Baselines.Eckhardt_lee.mean_pair s)
 
 let test_el_identity () =
@@ -105,13 +104,13 @@ let test_el_pair_ge_independence () =
 let test_lm_same_process_reduces_to_el () =
   let s = disjoint_space () in
   let lm = Baselines.Littlewood_miller.same_process s in
-  check_close ~eps:1e-12 "LM mean A = EL single"
+  Prop.check_close ~eps:1e-12 "LM mean A = EL single"
     (Baselines.Eckhardt_lee.mean_single s)
     (Baselines.Littlewood_miller.mean_single_a lm);
-  check_close ~eps:1e-12 "LM pair = EL pair"
+  Prop.check_close ~eps:1e-12 "LM pair = EL pair"
     (Baselines.Eckhardt_lee.mean_pair s)
     (Baselines.Littlewood_miller.mean_pair lm);
-  check_close ~eps:1e-12 "LM covariance = EL variance"
+  Prop.check_close ~eps:1e-12 "LM covariance = EL variance"
     (Baselines.Eckhardt_lee.difficulty_variance s)
     (Baselines.Littlewood_miller.difficulty_covariance lm)
 
@@ -121,7 +120,7 @@ let test_lm_identity () =
     Baselines.Littlewood_miller.create s ~probs_a:[| 0.4; 0.1 |]
       ~probs_b:[| 0.05; 0.5 |]
   in
-  check_close ~eps:1e-15 "LM decomposition holds" 0.0
+  Prop.check_close ~eps:1e-15 "LM decomposition holds" 0.0
     (Baselines.Littlewood_miller.lm_identity_gap lm)
 
 let test_lm_negative_covariance () =
@@ -151,7 +150,7 @@ let test_lm_validation () =
 
 let test_hatton_break_even () =
   let u = Core.Universe.of_pairs [ (0.5, 0.1); (0.2, 0.3) ] in
-  check_close ~eps:1e-12 "break even = mu2/mu1" (0.037 /. 0.11)
+  Prop.check_close ~eps:1e-12 "break even = mu2/mu1" (0.037 /. 0.11)
     (Baselines.Hatton.break_even_factor u);
   Alcotest.(check bool) "break even below pmax" true
     (Baselines.Hatton.break_even_factor u <= Core.Universe.pmax u)

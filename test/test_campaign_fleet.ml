@@ -1,8 +1,5 @@
 (* Tests for the operational campaign and fleet modules. *)
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:20240
 
 let make_space () =
@@ -43,23 +40,23 @@ let test_mttf_geometric () =
   in
   Alcotest.(check int) "no censoring with short MTTF" 0
     est.Simulator.Campaign.censored;
-  check_close ~eps:0.5 "MTTF ~ 1/pfd" 10.0
+  Prop.check_close ~eps:0.5 "MTTF ~ 1/pfd" 10.0
     est.Simulator.Campaign.mean_time_to_failure;
-  check_close ~eps:0.005 "failure rate ~ pfd" 0.1
+  Prop.check_close ~eps:0.005 "failure rate ~ pfd" 0.1
     est.Simulator.Campaign.failure_rate
 
 let test_mttf_theory () =
-  check_close "theoretical MTTF" 1000.0
+  Prop.check_close "theoretical MTTF" 1000.0
     (Simulator.Campaign.theoretical_mttf ~pfd:1e-3);
   Alcotest.(check bool) "perfect system: infinite" true
     (Simulator.Campaign.theoretical_mttf ~pfd:0.0 = infinity)
 
 let test_mission_survival_formula () =
-  check_close ~eps:1e-12 "survival closed form"
+  Prop.check_close ~eps:1e-12 "survival closed form"
     (0.999 ** 500.0)
     (Simulator.Campaign.mission_survival_probability ~pfd:1e-3
        ~mission_demands:500);
-  check_close "zero-length mission" 1.0
+  Prop.check_close "zero-length mission" 1.0
     (Simulator.Campaign.mission_survival_probability ~pfd:0.5 ~mission_demands:0)
 
 let test_mission_survival_simulated () =
@@ -70,7 +67,7 @@ let test_mission_survival_simulated () =
     Simulator.Campaign.simulate_mission_survival rng ~system
       ~mission_demands:10 ~missions:20_000
   in
-  check_close ~eps:0.01 "simulated survival matches geometric law"
+  Prop.check_close ~eps:0.01 "simulated survival matches geometric law"
     (Simulator.Campaign.mission_survival_probability ~pfd ~mission_demands:10)
     simulated
 
@@ -113,7 +110,7 @@ let test_fleet_pooled_rate_matches_mu () =
   let u = Demandspace.Space.to_universe space in
   let systems = Simulator.Fleet.deploy_pairs rng space ~plants:300 in
   let fleet = Simulator.Fleet.observe rng systems ~demands_per_plant:5_000 in
-  check_close ~eps:0.005 "pooled rate ~ mu2" (Core.Moments.mu2 u)
+  Prop.check_close ~eps:0.005 "pooled rate ~ mu2" (Core.Moments.mu2 u)
     (Simulator.Fleet.pooled_rate fleet)
 
 let test_fleet_moment_recovery () =
@@ -123,8 +120,8 @@ let test_fleet_moment_recovery () =
   let systems = Simulator.Fleet.deploy_singles rng space ~plants:500 in
   let fleet = Simulator.Fleet.observe rng systems ~demands_per_plant:20_000 in
   let mu_hat, var_hat = Simulator.Fleet.estimate_pfd_moments fleet in
-  check_close ~eps:0.005 "MoM mean" (Core.Moments.mu1 u) mu_hat;
-  check_close ~eps:0.01 "MoM sigma" (Core.Moments.sigma1 u) (sqrt var_hat)
+  Prop.check_close ~eps:0.005 "MoM mean" (Core.Moments.mu1 u) mu_hat;
+  Prop.check_close ~eps:0.01 "MoM sigma" (Core.Moments.sigma1 u) (sqrt var_hat)
 
 let test_fleet_homogeneous_not_overdispersed () =
   (* Every plant gets the SAME system: counts are plain binomial, so the

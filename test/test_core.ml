@@ -1,8 +1,5 @@
 (* Unit and property tests for the core fault-creation model. *)
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:2024
 
 (* A small universe whose moments are computable by hand:
@@ -22,8 +19,8 @@ let random_universe ?(n = 12) ?(p_hi = 0.6) rng =
 
 let test_fault_make () =
   let f = Core.Fault.make ~p:0.3 ~q:0.2 in
-  check_close "p" 0.3 (Core.Fault.p f);
-  check_close "q" 0.2 (Core.Fault.q f);
+  Prop.check_close "p" 0.3 (Core.Fault.p f);
+  Prop.check_close "q" 0.2 (Core.Fault.q f);
   Alcotest.check_raises "p out of range"
     (Invalid_argument "Fault.make: p must lie in [0, 1]") (fun () ->
       ignore (Core.Fault.make ~p:1.2 ~q:0.1));
@@ -33,14 +30,14 @@ let test_fault_make () =
 
 let test_fault_contributions () =
   let f = Core.Fault.make ~p:0.5 ~q:0.1 in
-  check_close "mean" 0.05 (Core.Fault.mean_contribution f);
-  check_close "variance" 0.0025 (Core.Fault.variance_contribution f);
-  check_close "common mean" 0.025 (Core.Fault.common_mean_contribution f);
-  check_close "common variance" 0.001875 (Core.Fault.common_variance_contribution f)
+  Prop.check_close "mean" 0.05 (Core.Fault.mean_contribution f);
+  Prop.check_close "variance" 0.0025 (Core.Fault.variance_contribution f);
+  Prop.check_close "common mean" 0.025 (Core.Fault.common_mean_contribution f);
+  Prop.check_close "common variance" 0.001875 (Core.Fault.common_variance_contribution f)
 
 let test_fault_scale () =
   let f = Core.Fault.make ~p:0.4 ~q:0.1 in
-  check_close "scaled" 0.2 (Core.Fault.p (Core.Fault.scale_p f 0.5));
+  Prop.check_close "scaled" 0.2 (Core.Fault.p (Core.Fault.scale_p f 0.5));
   Alcotest.check_raises "scale out of range"
     (Invalid_argument "Fault.scale_p: scaled probability leaves [0, 1]")
     (fun () -> ignore (Core.Fault.scale_p f 3.0))
@@ -52,9 +49,9 @@ let test_fault_scale () =
 let test_universe_accessors () =
   let u = tiny () in
   Alcotest.(check int) "size" 2 (Core.Universe.size u);
-  check_close "pmax" 0.5 (Core.Universe.pmax u);
-  check_close "qmax" 0.3 (Core.Universe.qmax u);
-  check_close "total_q" 0.4 (Core.Universe.total_q u);
+  Prop.check_close "pmax" 0.5 (Core.Universe.pmax u);
+  Prop.check_close "qmax" 0.3 (Core.Universe.qmax u);
+  Prop.check_close "total_q" 0.4 (Core.Universe.total_q u);
   Alcotest.(check bool) "disjoint valid" true (Core.Universe.validate_disjoint u)
 
 let test_universe_empty () =
@@ -63,29 +60,29 @@ let test_universe_empty () =
 
 let test_universe_scale () =
   let u = Core.Universe.scale_all_p (tiny ()) 0.5 in
-  check_close "scaled p0" 0.25 (Core.Universe.ps u).(0);
-  check_close "scaled p1" 0.1 (Core.Universe.ps u).(1);
-  check_close "q unchanged" 0.1 (Core.Universe.qs u).(0)
+  Prop.check_close "scaled p0" 0.25 (Core.Universe.ps u).(0);
+  Prop.check_close "scaled p1" 0.1 (Core.Universe.ps u).(1);
+  Prop.check_close "q unchanged" 0.1 (Core.Universe.qs u).(0)
 
 let test_universe_set_p () =
   let u = Core.Universe.set_p (tiny ()) 1 0.9 in
-  check_close "set p" 0.9 (Core.Universe.ps u).(1);
-  check_close "other p untouched" 0.5 (Core.Universe.ps u).(0)
+  Prop.check_close "set p" 0.9 (Core.Universe.ps u).(1);
+  Prop.check_close "other p untouched" 0.5 (Core.Universe.ps u).(0)
 
 let test_universe_generators () =
   let rng = rng0 () in
   let u = Core.Universe.uniform_random rng ~n:30 ~p_lo:0.1 ~p_hi:0.4 ~total_q:0.6 in
   Alcotest.(check int) "size" 30 (Core.Universe.size u);
-  check_close ~eps:1e-9 "total_q as requested" 0.6 (Core.Universe.total_q u);
+  Prop.check_close ~eps:1e-9 "total_q as requested" 0.6 (Core.Universe.total_q u);
   Array.iter
     (fun p ->
       if p < 0.1 || p > 0.4 then Alcotest.fail "p outside requested range")
     (Core.Universe.ps u);
   let hq = Core.Universe.high_quality rng ~n:40 ~expected_faults:0.5 ~total_q:0.2 in
-  check_close ~eps:1e-9 "expected fault count" 0.5
+  Prop.check_close ~eps:1e-9 "expected fault count" 0.5
     (Core.Moments.expected_fault_count hq);
   let dr = Core.Universe.dirichlet_random rng ~n:25 ~p_lo:0.0 ~p_hi:0.3 ~alpha:0.5 ~total_q:0.5 in
-  check_close ~eps:1e-9 "dirichlet total q" 0.5 (Core.Universe.total_q dr)
+  Prop.check_close ~eps:1e-9 "dirichlet total q" 0.5 (Core.Universe.total_q dr)
 
 (* ------------------------------------------------------------------ *)
 (* Moments                                                             *)
@@ -93,30 +90,30 @@ let test_universe_generators () =
 
 let test_moments_hand_computed () =
   let u = tiny () in
-  check_close "mu1" 0.11 (Core.Moments.mu1 u);
-  check_close "mu2" 0.037 (Core.Moments.mu2 u);
-  check_close "var1" 0.0169 (Core.Moments.var1 u);
-  check_close "var2" 0.005331 (Core.Moments.var2 u);
-  check_close "sigma1" (sqrt 0.0169) (Core.Moments.sigma1 u);
-  check_close "expected faults" 0.7 (Core.Moments.expected_fault_count u);
-  check_close "expected common" 0.29 (Core.Moments.expected_common_fault_count u)
+  Prop.check_close "mu1" 0.11 (Core.Moments.mu1 u);
+  Prop.check_close "mu2" 0.037 (Core.Moments.mu2 u);
+  Prop.check_close "var1" 0.0169 (Core.Moments.var1 u);
+  Prop.check_close "var2" 0.005331 (Core.Moments.var2 u);
+  Prop.check_close "sigma1" (sqrt 0.0169) (Core.Moments.sigma1 u);
+  Prop.check_close "expected faults" 0.7 (Core.Moments.expected_fault_count u);
+  Prop.check_close "expected common" 0.29 (Core.Moments.expected_common_fault_count u)
 
 let test_moments_channels () =
   let u = tiny () in
-  check_close "mu_n 1 = mu1" (Core.Moments.mu1 u) (Core.Moments.mu_n u ~channels:1);
-  check_close "mu_n 2 = mu2" (Core.Moments.mu2 u) (Core.Moments.mu_n u ~channels:2);
-  check_close "mu_n 3" ((0.125 *. 0.1) +. (0.008 *. 0.3))
+  Prop.check_close "mu_n 1 = mu1" (Core.Moments.mu1 u) (Core.Moments.mu_n u ~channels:1);
+  Prop.check_close "mu_n 2 = mu2" (Core.Moments.mu2 u) (Core.Moments.mu_n u ~channels:2);
+  Prop.check_close "mu_n 3" ((0.125 *. 0.1) +. (0.008 *. 0.3))
     (Core.Moments.mu_n u ~channels:3);
-  check_close "var_n 2 = var2" (Core.Moments.var2 u)
+  Prop.check_close "var_n 2 = var2" (Core.Moments.var2 u)
     (Core.Moments.var_n u ~channels:2)
 
 let test_moments_record () =
   let m = Core.Moments.compute (tiny ()) in
-  check_close "record mu1" 0.11 m.Core.Moments.mu1;
-  check_close "record sigma2" (sqrt 0.005331) m.Core.Moments.sigma2
+  Prop.check_close "record mu1" 0.11 m.Core.Moments.mu1;
+  Prop.check_close "record sigma2" (sqrt 0.005331) m.Core.Moments.sigma2
 
 let test_mean_gain () =
-  check_close ~eps:1e-12 "gain" (0.11 /. 0.037) (Core.Moments.mean_gain (tiny ()))
+  Prop.check_close ~eps:1e-12 "gain" (0.11 /. 0.037) (Core.Moments.mean_gain (tiny ()))
 
 (* ------------------------------------------------------------------ *)
 (* Bounds                                                              *)
@@ -124,32 +121,32 @@ let test_mean_gain () =
 
 let test_golden_threshold () =
   (* the paper prints the truncated value 0.618033987 *)
-  check_close ~eps:1e-8 "threshold value" 0.618033987 Core.Bounds.golden_threshold;
+  Prop.check_close ~eps:1e-8 "threshold value" 0.618033987 Core.Bounds.golden_threshold;
   Alcotest.(check bool) "below threshold shrinks" true
     (Core.Bounds.variance_term_shrinks 0.6);
   Alcotest.(check bool) "above threshold grows" false
     (Core.Bounds.variance_term_shrinks 0.63)
 
 let test_sigma_ratio_paper_values () =
-  check_close ~eps:5e-4 "pmax 0.5" 0.866 (Core.Bounds.sigma_ratio_bound 0.5);
-  check_close ~eps:5e-4 "pmax 0.1" 0.332 (Core.Bounds.sigma_ratio_bound 0.1);
-  check_close ~eps:5e-4 "pmax 0.01" 0.100 (Core.Bounds.sigma_ratio_bound 0.01)
+  Prop.check_close ~eps:5e-4 "pmax 0.5" 0.866 (Core.Bounds.sigma_ratio_bound 0.5);
+  Prop.check_close ~eps:5e-4 "pmax 0.1" 0.332 (Core.Bounds.sigma_ratio_bound 0.1);
+  Prop.check_close ~eps:5e-4 "pmax 0.01" 0.100 (Core.Bounds.sigma_ratio_bound 0.01)
 
 let test_paper_table () =
   let table = Core.Bounds.paper_table () in
   Alcotest.(check int) "three rows" 3 (Array.length table);
-  check_close "first pmax" 0.5 (fst table.(0))
+  Prop.check_close "first pmax" 0.5 (fst table.(0))
 
 let test_eq4_eq9_on_tiny () =
   let u = tiny () in
-  check_close "eq4 bound" (0.5 *. 0.11) (Core.Bounds.mu2_upper u);
+  Prop.check_close "eq4 bound" (0.5 *. 0.11) (Core.Bounds.mu2_upper u);
   Alcotest.(check bool) "eq4 holds" true
     (Core.Moments.mu2 u <= Core.Bounds.mu2_upper u);
   Alcotest.(check bool) "eq9 holds" true
     (Core.Moments.sigma2 u <= Core.Bounds.sigma2_upper u)
 
 let test_eq12 () =
-  check_close ~eps:1e-9 "eq12 arithmetic"
+  Prop.check_close ~eps:1e-9 "eq12 arithmetic"
     (Core.Bounds.sigma_ratio_bound 0.1 *. 0.011)
     (Core.Bounds.pair_bound_from_bound ~single_bound:0.011 ~pmax:0.1)
 
@@ -159,32 +156,32 @@ let test_eq12 () =
 
 let test_prob_none_some () =
   let ps = [| 0.5; 0.2 |] in
-  check_close "prob none" 0.4 (Core.Fault_count.prob_none ps);
-  check_close "prob some" 0.6 (Core.Fault_count.prob_some ps)
+  Prop.check_close "prob none" 0.4 (Core.Fault_count.prob_none ps);
+  Prop.check_close "prob some" 0.6 (Core.Fault_count.prob_some ps)
 
 let test_prob_some_tiny_p () =
   (* 1 - (1-1e-12)^3 = 3e-12 to first order; naive float arithmetic would
      return garbage near machine epsilon. *)
   let ps = [| 1e-12; 1e-12; 1e-12 |] in
   (* exact value is 3e-12 - 3e-24 + 1e-36 *)
-  check_close ~eps:5e-24 "cancellation-free small probabilities" 3e-12
+  Prop.check_close ~eps:5e-24 "cancellation-free small probabilities" 3e-12
     (Core.Fault_count.prob_some ps)
 
 let test_n_probabilities () =
   let u = tiny () in
-  check_close "P(N1=0)" (0.5 *. 0.8) (Core.Fault_count.p_n1_zero u);
-  check_close "P(N2=0)" (0.75 *. 0.96) (Core.Fault_count.p_n2_zero u);
-  check_close "risk ratio" ((1.0 -. 0.72) /. (1.0 -. 0.4))
+  Prop.check_close "P(N1=0)" (0.5 *. 0.8) (Core.Fault_count.p_n1_zero u);
+  Prop.check_close "P(N2=0)" (0.75 *. 0.96) (Core.Fault_count.p_n2_zero u);
+  Prop.check_close "risk ratio" ((1.0 -. 0.72) /. (1.0 -. 0.4))
     (Core.Fault_count.risk_ratio u);
-  check_close ~eps:1e-12 "success ratio = prod(1+p)" (1.5 *. 1.2)
+  Prop.check_close ~eps:1e-12 "success ratio = prod(1+p)" (1.5 *. 1.2)
     (Core.Fault_count.success_ratio u)
 
 let test_poisson_binomial_small () =
   let dist = Core.Fault_count.poisson_binomial [| 0.5; 0.2 |] in
-  check_close "P(0)" 0.4 dist.(0);
-  check_close "P(1)" ((0.5 *. 0.8) +. (0.5 *. 0.2)) dist.(1);
-  check_close "P(2)" 0.1 dist.(2);
-  check_close "normalised" 1.0 (Numerics.Kahan.sum_array dist)
+  Prop.check_close "P(0)" 0.4 dist.(0);
+  Prop.check_close "P(1)" ((0.5 *. 0.8) +. (0.5 *. 0.2)) dist.(1);
+  Prop.check_close "P(2)" 0.1 dist.(2);
+  Prop.check_close "normalised" 1.0 (Numerics.Kahan.sum_array dist)
 
 let test_poisson_binomial_binomial_case () =
   (* Homogeneous probabilities reduce to the binomial distribution. *)
@@ -197,25 +194,25 @@ let test_poisson_binomial_binomial_case () =
         +. (float_of_int k *. log p)
         +. (float_of_int (n - k) *. log (1.0 -. p)))
     in
-    check_close ~eps:1e-12 (Printf.sprintf "binomial P(%d)" k) expected dist.(k)
+    Prop.check_close ~eps:1e-12 (Printf.sprintf "binomial P(%d)" k) expected dist.(k)
   done
 
 let test_poisson_binomial_moments () =
   let ps = [| 0.1; 0.4; 0.7; 0.05 |] in
   let dist = Core.Fault_count.poisson_binomial ps in
-  check_close ~eps:1e-12 "mean = sum p" 1.25
+  Prop.check_close ~eps:1e-12 "mean = sum p" 1.25
     (Core.Fault_count.mean_of_distribution dist);
-  check_close ~eps:1e-12 "variance = sum p(1-p)"
+  Prop.check_close ~eps:1e-12 "variance = sum p(1-p)"
     ((0.1 *. 0.9) +. (0.4 *. 0.6) +. (0.7 *. 0.3) +. (0.05 *. 0.95))
     (Core.Fault_count.variance_of_distribution dist)
 
 let test_nk_consistency () =
   let u = tiny () in
-  check_close "N1 dist head = p_n1_zero" (Core.Fault_count.p_n1_zero u)
+  Prop.check_close "N1 dist head = p_n1_zero" (Core.Fault_count.p_n1_zero u)
     (Core.Fault_count.n1_distribution u).(0);
-  check_close "N2 dist head = p_n2_zero" (Core.Fault_count.p_n2_zero u)
+  Prop.check_close "N2 dist head = p_n2_zero" (Core.Fault_count.p_n2_zero u)
     (Core.Fault_count.n2_distribution u).(0);
-  check_close "channels=2 matches n2" (Core.Fault_count.p_n2_pos u)
+  Prop.check_close "channels=2 matches n2" (Core.Fault_count.p_n2_pos u)
     (Core.Fault_count.p_nk_pos u ~channels:2)
 
 (* ------------------------------------------------------------------ *)
@@ -248,7 +245,7 @@ let test_stationary_p1_closed_form () =
     (fun p2 ->
       let p1z = Core.Sensitivity.stationary_p1 ~p2 in
       let d = Core.Sensitivity.risk_ratio_partial [| p1z; p2 |] 0 in
-      check_close ~eps:1e-10 (Printf.sprintf "derivative zero at p1z (p2=%g)" p2)
+      Prop.check_close ~eps:1e-10 (Printf.sprintf "derivative zero at p1z (p2=%g)" p2)
         0.0 d;
       Alcotest.(check bool) "p1z in (0,1)" true (p1z > 0.0 && p1z < 1.0))
     [ 0.05; 0.1; 0.3; 0.5; 0.7; 0.9 ]
@@ -266,7 +263,7 @@ let test_stationary_numeric_search () =
   match Core.Sensitivity.stationary_point ps 0 ~lo:0.001 ~hi:0.9 with
   | None -> Alcotest.fail "stationary point not found"
   | Some x ->
-      check_close ~eps:1e-6 "matches closed form"
+      Prop.check_close ~eps:1e-6 "matches closed form"
         (Core.Sensitivity.stationary_p1 ~p2:0.3)
         x
 
@@ -293,7 +290,7 @@ let test_classify () =
 
 let test_risk_ratio_two_consistent () =
   let p1 = 0.23 and p2 = 0.41 in
-  check_close ~eps:1e-12 "closed n=2 form matches generic"
+  Prop.check_close ~eps:1e-12 "closed n=2 form matches generic"
     (Core.Fault_count.risk_ratio_of_ps [| p1; p2 |])
     (Core.Sensitivity.risk_ratio_two ~p1 ~p2)
 
@@ -304,19 +301,19 @@ let test_risk_ratio_two_consistent () =
 let test_improvement_steps () =
   let u = tiny () in
   let p' = Core.Universe.ps (Core.Improvement.apply_step u (Core.Improvement.Proportional 0.5)) in
-  check_close "proportional" 0.25 p'.(0);
+  Prop.check_close "proportional" 0.25 p'.(0);
   let p'' =
     Core.Universe.ps
       (Core.Improvement.apply_step u
          (Core.Improvement.Single { index = 1; factor = 0.1 }))
   in
-  check_close "single leaves others" 0.5 p''.(0);
-  check_close "single scales target" 0.02 p''.(1);
+  Prop.check_close "single leaves others" 0.5 p''.(0);
+  Prop.check_close "single scales target" 0.02 p''.(1);
   let p3 =
     Core.Universe.ps
       (Core.Improvement.apply_step u (Core.Improvement.Per_fault [| 0.5; 2.0 |]))
   in
-  check_close "per fault" 0.4 p3.(1)
+  Prop.check_close "per fault" 0.4 p3.(1)
 
 let test_improvement_errors () =
   let u = tiny () in
@@ -355,7 +352,7 @@ let test_trajectory () =
       (traj.(i).Core.Improvement.risk_ratio
       <= traj.(i + 1).Core.Improvement.risk_ratio +. 1e-12)
   done;
-  check_close ~eps:1e-12 "factor 1 recovers the universe"
+  Prop.check_close ~eps:1e-12 "factor 1 recovers the universe"
     (Core.Fault_count.risk_ratio u)
     traj.(4).Core.Improvement.risk_ratio
 
@@ -371,25 +368,25 @@ let test_exact_tiny () =
      P(0.3) = 0.5*0.2 = 0.1   (fault 2 only)
      P(0.4) = 0.5*0.2 = 0.1   (both) *)
   Alcotest.(check int) "support size" 4 (Core.Pfd_dist.size dist);
-  check_close "P(X<=0)" 0.4 (Core.Pfd_dist.cdf dist 0.0);
-  check_close "P(X<=0.1)" 0.8 (Core.Pfd_dist.cdf dist 0.1);
-  check_close "P(X<=0.3)" 0.9 (Core.Pfd_dist.cdf dist 0.3);
-  check_close "P(X<=0.4)" 1.0 (Core.Pfd_dist.cdf dist 0.4);
-  check_close "P(X>0)" 0.6 (Core.Pfd_dist.prob_positive dist)
+  Prop.check_close "P(X<=0)" 0.4 (Core.Pfd_dist.cdf dist 0.0);
+  Prop.check_close "P(X<=0.1)" 0.8 (Core.Pfd_dist.cdf dist 0.1);
+  Prop.check_close "P(X<=0.3)" 0.9 (Core.Pfd_dist.cdf dist 0.3);
+  Prop.check_close "P(X<=0.4)" 1.0 (Core.Pfd_dist.cdf dist 0.4);
+  Prop.check_close "P(X>0)" 0.6 (Core.Pfd_dist.prob_positive dist)
 
 let test_exact_moments_match_closed_form () =
   let rng = rng0 () in
   for _ = 1 to 20 do
     let u = random_universe ~n:10 rng in
     let dist = Core.Pfd_dist.exact_single u in
-    check_close ~eps:1e-10 "dist mean = mu1" (Core.Moments.mu1 u)
+    Prop.check_close ~eps:1e-10 "dist mean = mu1" (Core.Moments.mu1 u)
       (Core.Pfd_dist.mean dist);
-    check_close ~eps:1e-10 "dist variance = var1" (Core.Moments.var1 u)
+    Prop.check_close ~eps:1e-10 "dist variance = var1" (Core.Moments.var1 u)
       (Core.Pfd_dist.variance dist);
     let pair = Core.Pfd_dist.exact_pair u in
-    check_close ~eps:1e-10 "pair mean = mu2" (Core.Moments.mu2 u)
+    Prop.check_close ~eps:1e-10 "pair mean = mu2" (Core.Moments.mu2 u)
       (Core.Pfd_dist.mean pair);
-    check_close ~eps:1e-10 "pair variance = var2" (Core.Moments.var2 u)
+    Prop.check_close ~eps:1e-10 "pair variance = var2" (Core.Moments.var2 u)
       (Core.Pfd_dist.variance pair)
   done
 
@@ -397,14 +394,14 @@ let test_prob_positive_matches_n1 () =
   let rng = rng0 () in
   let u = random_universe ~n:8 rng in
   (* all q_i > 0 in this generator, so Theta > 0 iff N > 0 *)
-  check_close ~eps:1e-12 "P(Theta1>0) = P(N1>0)" (Core.Fault_count.p_n1_pos u)
+  Prop.check_close ~eps:1e-12 "P(Theta1>0) = P(N1>0)" (Core.Fault_count.p_n1_pos u)
     (Core.Pfd_dist.prob_positive (Core.Pfd_dist.exact_single u))
 
 let test_quantile_properties () =
   let dist = Core.Pfd_dist.exact_single (tiny ()) in
-  check_close "q at 0.3 -> 0" 0.0 (Core.Pfd_dist.quantile dist 0.3);
-  check_close "q at 0.5 -> 0.1" 0.1 (Core.Pfd_dist.quantile dist 0.5);
-  check_close "q at 1.0 -> max" 0.4 (Core.Pfd_dist.quantile dist 1.0);
+  Prop.check_close "q at 0.3 -> 0" 0.0 (Core.Pfd_dist.quantile dist 0.3);
+  Prop.check_close "q at 0.5 -> 0.1" 0.1 (Core.Pfd_dist.quantile dist 0.5);
+  Prop.check_close "q at 1.0 -> max" 0.4 (Core.Pfd_dist.quantile dist 1.0);
   Alcotest.check_raises "alpha out of range"
     (Invalid_argument "Pfd_dist.quantile: alpha outside [0, 1]") (fun () ->
       ignore (Core.Pfd_dist.quantile dist 1.5))
@@ -414,9 +411,9 @@ let test_grid_approximates_exact () =
   let u = random_universe ~n:14 rng in
   let exact = Core.Pfd_dist.exact_single u in
   let grid = Core.Pfd_dist.grid_single u ~bins:4096 in
-  check_close ~eps:2e-4 "grid mean close" (Core.Pfd_dist.mean exact)
+  Prop.check_close ~eps:2e-4 "grid mean close" (Core.Pfd_dist.mean exact)
     (Core.Pfd_dist.mean grid);
-  check_close ~eps:0.02 "grid q95 close"
+  Prop.check_close ~eps:0.02 "grid q95 close"
     (Core.Pfd_dist.quantile exact 0.95)
     (Core.Pfd_dist.quantile grid 0.95)
 
@@ -429,7 +426,7 @@ let test_exact_limit () =
      with Invalid_argument _ -> true);
   (* the dispatcher falls back to the grid instead *)
   let d = Core.Pfd_dist.single u in
-  check_close ~eps:1e-3 "dispatcher grid mean" (Core.Moments.mu1 u)
+  Prop.check_close ~eps:1e-3 "dispatcher grid mean" (Core.Moments.mu1 u)
     (Core.Pfd_dist.mean d)
 
 let test_sampling_from_dist () =
@@ -440,13 +437,13 @@ let test_sampling_from_dist () =
   for _ = 1 to n do
     Numerics.Kahan.add acc (Core.Pfd_dist.sample dist rng)
   done;
-  check_close ~eps:2e-3 "sample mean matches" 0.11
+  Prop.check_close ~eps:2e-3 "sample mean matches" 0.11
     (Numerics.Kahan.total acc /. float_of_int n)
 
 let test_of_mass_merging () =
   let d = Core.Pfd_dist.of_mass [ (0.1, 0.3); (0.1, 0.2); (0.0, 0.5) ] in
   Alcotest.(check int) "merged duplicates" 2 (Core.Pfd_dist.size d);
-  check_close "cdf mid" 0.5 (Core.Pfd_dist.cdf d 0.05)
+  Prop.check_close "cdf mid" 0.5 (Core.Pfd_dist.cdf d 0.05)
 
 let test_of_mass_rejects_nan () =
   Alcotest.check_raises "NaN support point"
@@ -506,9 +503,9 @@ let test_of_sorted_arrays () =
 
 let test_worked_example_values () =
   let ex = Core.Normal_approx.worked_example () in
-  check_close "single" 0.011 ex.Core.Normal_approx.single_bound;
-  check_close ~eps:1e-6 "eq11" 0.0013316624 ex.Core.Normal_approx.pair_bound_eq11;
-  check_close ~eps:1e-6 "eq12" 0.0036482872 ex.Core.Normal_approx.pair_bound_eq12
+  Prop.check_close "single" 0.011 ex.Core.Normal_approx.single_bound;
+  Prop.check_close ~eps:1e-6 "eq11" 0.0013316624 ex.Core.Normal_approx.pair_bound_eq11;
+  Prop.check_close ~eps:1e-6 "eq12" 0.0036482872 ex.Core.Normal_approx.pair_bound_eq12
 
 let test_bound_ratio_under_eq12 () =
   let rng = rng0 () in
@@ -526,14 +523,14 @@ let test_bound_ratio_under_eq12 () =
 let test_bound_at_confidence () =
   let u = tiny () in
   let b = Core.Normal_approx.bound_at_confidence u ~confidence:0.99 in
-  check_close ~eps:1e-9 "k at 99%" 2.3263478740408408 b.Core.Normal_approx.k;
+  Prop.check_close ~eps:1e-9 "k at 99%" 2.3263478740408408 b.Core.Normal_approx.k;
   Alcotest.(check bool) "pair below single" true
     (b.Core.Normal_approx.pair < b.Core.Normal_approx.single)
 
 let test_normal_cdf_quantile_roundtrip () =
   let u = tiny () in
   let x = Core.Normal_approx.single_quantile u ~confidence:0.9 in
-  check_close ~eps:1e-9 "roundtrip" 0.9 (Core.Normal_approx.single_cdf u x)
+  Prop.check_close ~eps:1e-9 "roundtrip" 0.9 (Core.Normal_approx.single_cdf u x)
 
 let test_sil () =
   Alcotest.(check string) "SIL2" "SIL2"
@@ -542,7 +539,7 @@ let test_sil () =
     (Core.Assessment.sil_to_string (Core.Assessment.sil_of_pfd 5e-5));
   Alcotest.(check string) "below SIL1" "below SIL1"
     (Core.Assessment.sil_to_string (Core.Assessment.sil_of_pfd 0.5));
-  check_close "ceiling SIL3" 1e-3
+  Prop.check_close "ceiling SIL3" 1e-3
     (Core.Assessment.pfd_ceiling_of_sil Core.Assessment.SIL3)
 
 let test_assess () =
@@ -566,13 +563,13 @@ let test_required_pmax () =
     Core.Assessment.required_pmax_for_bound ~single_bound ~required_bound:target
   with
   | None -> Alcotest.fail "expected a pmax"
-  | Some p -> check_close ~eps:1e-9 "inverse of eq.(12)" pmax p
+  | Some p -> Prop.check_close ~eps:1e-9 "inverse of eq.(12)" pmax p
 
 let test_required_pmax_trivial () =
   match
     Core.Assessment.required_pmax_for_bound ~single_bound:0.01 ~required_bound:0.02
   with
-  | Some p -> check_close "no diversity needed" 1.0 p
+  | Some p -> Prop.check_close "no diversity needed" 1.0 p
   | None -> Alcotest.fail "expected Some 1.0"
 
 (* ------------------------------------------------------------------ *)

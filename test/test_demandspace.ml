@@ -2,9 +2,6 @@
 
 open Demandspace
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:99
 
 (* ------------------------------------------------------------------ *)
@@ -33,22 +30,22 @@ let test_demand_coords () =
 let test_profile_uniform () =
   let p = Profile.uniform ~size:10 in
   Alcotest.(check int) "size" 10 (Profile.size p);
-  check_close "each demand 1/10" 0.1 (Profile.probability p (Demand.of_int 3));
+  Prop.check_close "each demand 1/10" 0.1 (Profile.probability p (Demand.of_int 3));
   let full = Numerics.Bitset.of_list 10 (List.init 10 Fun.id) in
-  check_close ~eps:1e-12 "measure of everything" 1.0 (Profile.measure p full)
+  Prop.check_close ~eps:1e-12 "measure of everything" 1.0 (Profile.measure p full)
 
 let test_profile_zipf () =
   let p = Profile.zipf ~size:3 ~exponent:1.0 in
   let z = 1.0 +. 0.5 +. (1.0 /. 3.0) in
-  check_close ~eps:1e-12 "zipf head" (1.0 /. z)
+  Prop.check_close ~eps:1e-12 "zipf head" (1.0 /. z)
     (Profile.probability p (Demand.of_int 0));
-  check_close ~eps:1e-12 "zipf tail" (1.0 /. 3.0 /. z)
+  Prop.check_close ~eps:1e-12 "zipf tail" (1.0 /. 3.0 /. z)
     (Profile.probability p (Demand.of_int 2))
 
 let test_profile_peaked () =
   let p = Profile.peaked ~size:5 ~peak:2 ~mass:0.6 in
-  check_close "peak mass" 0.6 (Profile.probability p (Demand.of_int 2));
-  check_close "others share" 0.1 (Profile.probability p (Demand.of_int 0))
+  Prop.check_close "peak mass" 0.6 (Profile.probability p (Demand.of_int 2));
+  Prop.check_close "others share" 0.1 (Profile.probability p (Demand.of_int 0))
 
 let test_profile_sampling () =
   let p = Profile.peaked ~size:4 ~peak:1 ~mass:0.7 in
@@ -58,13 +55,13 @@ let test_profile_sampling () =
   for _ = 1 to n do
     if Demand.to_int (Profile.sample p rng) = 1 then incr hits
   done;
-  check_close ~eps:0.01 "peak sampled at its mass" 0.7
+  Prop.check_close ~eps:0.01 "peak sampled at its mass" 0.7
     (float_of_int !hits /. float_of_int n)
 
 let test_profile_measure_subset () =
   let p = Profile.uniform ~size:100 in
   let set = Numerics.Bitset.of_list 100 [ 0; 1; 2; 3; 4 ] in
-  check_close ~eps:1e-12 "measure of 5 points" 0.05 (Profile.measure p set)
+  Prop.check_close ~eps:1e-12 "measure of 5 points" 0.05 (Profile.measure p set)
 
 (* ------------------------------------------------------------------ *)
 (* Region                                                              *)
@@ -111,7 +108,7 @@ let test_region_scatter () =
 let test_region_measure () =
   let p = Profile.uniform ~size:100 in
   let r = Region.interval ~space_size:100 ~lo:0 ~hi:24 in
-  check_close ~eps:1e-12 "measure = cardinality/size" 0.25 (Region.measure r p)
+  Prop.check_close ~eps:1e-12 "measure = cardinality/size" 0.25 (Region.measure r p)
 
 let test_region_disjoint_union () =
   let a = Region.interval ~space_size:30 ~lo:0 ~hi:9 in
@@ -140,15 +137,16 @@ let test_space_basic () =
   Alcotest.(check (list (pair int int))) "no overlap pairs" []
     (Space.overlap_pairs s);
   let q = Space.region_measures s in
-  check_close "q1" 0.1 q.(0);
-  check_close "q2" 0.05 q.(1);
-  check_close "q3" 0.03 q.(2)
+  Prop.check_close "q1" 0.1 q.(0);
+  Prop.check_close "q2" 0.05 q.(1);
+  Prop.check_close "q3" 0.03 q.(2)
 
 let test_space_to_universe () =
   let s = make_space () in
   let u = Space.to_universe s in
   Alcotest.(check int) "universe size" 3 (Core.Universe.size u);
-  check_close ~eps:1e-12 "mu1 from space" ((0.5 *. 0.1) +. (0.2 *. 0.05) +. (0.1 *. 0.03))
+  Prop.check_close ~eps:1e-12 "mu1 from space"
+    ((0.5 *. 0.1) +. (0.2 *. 0.05) +. (0.1 *. 0.03))
     (Core.Moments.mu1 u)
 
 let test_space_overlap_detection () =
@@ -166,8 +164,8 @@ let test_version_basic () =
   Alcotest.(check (list int)) "present" [ 0; 2 ] (Version.present_faults v);
   Alcotest.(check bool) "has fault 0" true (Version.has_fault v 0);
   Alcotest.(check bool) "lacks fault 1" false (Version.has_fault v 1);
-  check_close ~eps:1e-12 "pfd = union measure" 0.13 (Version.pfd v);
-  check_close ~eps:1e-12 "additive equals pfd when disjoint" (Version.pfd v)
+  Prop.check_close ~eps:1e-12 "pfd = union measure" 0.13 (Version.pfd v);
+  Prop.check_close ~eps:1e-12 "additive equals pfd when disjoint" (Version.pfd v)
     (Version.additive_pfd v);
   Alcotest.(check bool) "fails inside region" true
     (Version.fails_on v (Demand.of_int 5));
@@ -177,7 +175,7 @@ let test_version_basic () =
 let test_version_perfect () =
   let s = make_space () in
   let v = Version.perfect s in
-  check_close "perfect has pfd 0" 0.0 (Version.pfd v);
+  Prop.check_close "perfect has pfd 0" 0.0 (Version.pfd v);
   Alcotest.(check bool) "never fails" false (Version.fails_on v (Demand.of_int 5))
 
 let test_version_pair () =
@@ -185,9 +183,9 @@ let test_version_pair () =
   let a = Version.create s [ 0; 1 ] in
   let b = Version.create s [ 1; 2 ] in
   Alcotest.(check (list int)) "common faults" [ 1 ] (Version.common_faults a b);
-  check_close ~eps:1e-12 "pair pfd = common region measure" 0.05
+  Prop.check_close ~eps:1e-12 "pair pfd = common region measure" 0.05
     (Version.pair_pfd a b);
-  check_close ~eps:1e-12 "pair pfd symmetric" (Version.pair_pfd a b)
+  Prop.check_close ~eps:1e-12 "pair pfd symmetric" (Version.pair_pfd a b)
     (Version.pair_pfd b a)
 
 let test_version_pair_overlap () =
@@ -198,7 +196,7 @@ let test_version_pair_overlap () =
   let s = Space.create ~profile ~faults:[| (r1, 0.5); (r2, 0.5) |] in
   let a = Version.create s [ 0 ] in
   let b = Version.create s [ 1 ] in
-  check_close ~eps:1e-12 "pair fails on the overlap" (3.0 /. 50.0)
+  Prop.check_close ~eps:1e-12 "pair fails on the overlap" (3.0 /. 50.0)
     (Version.pair_pfd a b)
 
 (* ------------------------------------------------------------------ *)

@@ -8,7 +8,6 @@
    function of PROP_SEED (default 0x5eed_cafe): any reported failure is
    replayable bit-for-bit with `make prop PROP_SEED=<seed>`. *)
 
-let check_float = Alcotest.(check (float 1e-12))
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -148,7 +147,56 @@ let test_comparators () =
       .Check.Compare.pass;
   check_bool "ratio_wilson rejects a far-off ratio" false
     (Check.Compare.ratio_wilson ~expected:5.0 ~num:100 ~den:200 ~trials:400 ())
-      .Check.Compare.pass
+      .Check.Compare.pass;
+  (* approx follows Stats.approx_eq on the float edge matrix *)
+  List.iter
+    (fun (what, a, b, expected) ->
+      let agree x y = (Check.Compare.approx x y).Check.Compare.pass in
+      check_bool ("approx " ^ what) expected (agree a b);
+      check_bool ("approx " ^ what ^ ", swapped") expected (agree b a))
+    Prop.float_edges;
+  let tiny = 5e-324 in
+  Alcotest.(check string) "approx nan fails the nan guard" "nan-guard"
+    (Check.Compare.approx nan 1.0).Check.Compare.comparator;
+  check_bool "approx subnormals within abs" true
+    (Check.Compare.approx ~rel:0.0 ~abs:1e-310 tiny 1e-310).Check.Compare.pass;
+  check_bool "approx subnormals outside abs" false
+    (Check.Compare.approx ~rel:0.0 ~abs:1e-320 tiny 1e-310).Check.Compare.pass;
+  check_bool "exact_bits +inf vs +inf" true
+    (Check.Compare.exact_bits infinity infinity).Check.Compare.pass
+
+(* Every comparator records the two values it tested: the analytic side
+   as given, the simulated side as the statistic it compared. *)
+let test_verdict_records_values () =
+  List.iter
+    (fun (what, (v : Check.Compare.verdict), analytic, simulated, pass) ->
+      check_bits (what ^ ": analytic") (Int64.bits_of_float analytic) v.analytic;
+      check_bits (what ^ ": simulated") (Int64.bits_of_float simulated)
+        v.simulated;
+      check_bool (what ^ ": pass") pass v.pass)
+    Check.Compare.
+      [
+        ("exact_bits", exact_bits 0.25 0.5, 0.25, 0.5, false);
+        ("approx", approx 0.1 0.2, 0.1, 0.2, false);
+        ("nan guard", approx 1.0 nan, 1.0, nan, false);
+        ("wilson", wilson ~expected:0.5 ~successes:3 ~trials:8 (), 0.5, 0.375, true);
+        ( "mean_z",
+          mean_z ~expected:1.0 ~sigma:0.5 ~trials:100 ~mean:1.1 (),
+          1.0, 1.1, true );
+        ( "ratio_wilson",
+          ratio_wilson ~expected:0.5 ~num:100 ~den:200 ~trials:400 (),
+          0.5, 0.5, true );
+        ( "ratio_wilson, empty denominator",
+          ratio_wilson ~expected:0.5 ~num:3 ~den:0 ~trials:50 (),
+          0.5, nan, true );
+        ("lower_bound holds", lower_bound 1.0 1.5, 1.0, 1.5, true);
+        ("lower_bound slack", lower_bound 1.0 (1.0 -. 1e-13), 1.0, 1.0 -. 1e-13, true);
+        ("lower_bound violated", lower_bound 1.0 0.5, 1.0, 0.5, false);
+        ("law holds", law [| true; true |], 0.0, 0.0, true);
+        ("law violated", law [| true; false; true; false |], 0.0, 2.0, false);
+        ("same_bytes identical", same_bytes "a" "a", 1.0, 1.0, true);
+        ("same_bytes different", same_bytes "a" "b", 1.0, 0.0, false);
+      ]
 
 let test_scenario_validation () =
   (* overlapping regions: the universe abstraction would be the Section
@@ -230,7 +278,7 @@ let test_degenerate_universes () =
   let run =
     Check.Sim.voted (Numerics.Rng.create ~seed:5) u ~arch ~replications:200
   in
-  check_float "mu = 0" 0.0 (Core.Voting.mu arch u);
+  Prop.check_close "mu = 0" 0.0 (Core.Voting.mu arch u);
   check_int "no system faults ever" 0 run.Check.Sim.system_faulty;
   check_int "no single faults ever" 0 run.Check.Sim.single_faulty;
   check_bool "all sampled PFDs zero" true
@@ -241,7 +289,7 @@ let test_degenerate_universes () =
   let run1 =
     Check.Sim.voted (Numerics.Rng.create ~seed:6) u1 ~arch ~replications:50
   in
-  check_float "mu = total_q" (Core.Universe.total_q u1)
+  Prop.check_close "mu = total_q" (Core.Universe.total_q u1)
     (Core.Voting.mu arch u1);
   check_int "every replication system-faulty" 50 run1.Check.Sim.system_faulty;
   check_bool "every sampled PFD = total_q" true
@@ -387,6 +435,8 @@ let () =
       ( "comparators",
         [
           Alcotest.test_case "verdicts" `Quick test_comparators;
+          Alcotest.test_case "verdicts record values" `Quick
+            test_verdict_records_values;
           Alcotest.test_case "scenario validation" `Quick
             test_scenario_validation;
         ] );

@@ -3,9 +3,6 @@
    impossible faults, algorithm switch points, size-1 and word-boundary
    structures). *)
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:31415
 
 (* ------------------------------------------------------------------ *)
@@ -29,7 +26,7 @@ let test_normal_ppf_deep_tails () =
     (fun p ->
       let x = Numerics.Normal_dist.ppf p in
       Alcotest.(check bool) "finite deep-tail quantile" true (Float.is_finite x);
-      check_close ~eps:(1e-4 *. p) "tail roundtrip" p (Numerics.Normal_dist.cdf x))
+      Prop.check_close ~eps:(1e-4 *. p) "tail roundtrip" p (Numerics.Normal_dist.cdf x))
     [ 1e-10; 1e-14 ]
 
 let test_rng_int_bound_one () =
@@ -61,11 +58,11 @@ let test_alias_extreme_weights () =
   Alcotest.(check int) "dominant outcome always drawn" 10_000 !ones
 
 let test_kahan_catastrophic_cancellation () =
-  check_close ~eps:1e-6 "large-small-large" 1.0
+  Prop.check_close ~eps:1e-6 "large-small-large" 1.0
     (Numerics.Kahan.sum_array [| 1e16; 1.0; -1e16 |])
 
 let test_logsumexp_with_neg_infinity () =
-  check_close ~eps:1e-12 "ignores impossible terms" 2.0
+  Prop.check_close ~eps:1e-12 "ignores impossible terms" 2.0
     (Numerics.Special.logsumexp [| neg_infinity; 2.0; neg_infinity |])
 
 let test_poisson_extremes () =
@@ -75,7 +72,7 @@ let test_poisson_extremes () =
     Array.init 20_000 (fun _ ->
         float_of_int (Numerics.Sampler.poisson rng ~lambda:50.0))
   in
-  check_close ~eps:0.5 "large-lambda splitting path" 50.0 (Numerics.Stats.mean big)
+  Prop.check_close ~eps:0.5 "large-lambda splitting path" 50.0 (Numerics.Stats.mean big)
 
 let test_histogram_single_bin () =
   let h = Numerics.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:1 in
@@ -85,7 +82,7 @@ let test_histogram_single_bin () =
 let test_grid_arange () =
   let a = Numerics.Grid.arange ~lo:0.0 ~hi:1.0 ~step:0.25 in
   Alcotest.(check int) "4 points strictly below hi" 4 (Array.length a);
-  check_close "last point" 0.75 a.(3)
+  Prop.check_close "last point" 0.75 a.(3)
 
 (* ------------------------------------------------------------------ *)
 (* core boundaries                                                     *)
@@ -95,19 +92,19 @@ let test_certain_fault () =
   (* p = 1: every version contains the fault; diversity buys nothing for
      it (common with probability 1). *)
   let u = Core.Universe.of_pairs [ (1.0, 0.1); (0.2, 0.05) ] in
-  check_close "P(N1=0) = 0" 0.0 (Core.Fault_count.p_n1_zero u);
-  check_close "P(N2=0) = 0" 0.0 (Core.Fault_count.p_n2_zero u);
-  check_close "risk ratio 1" 1.0 (Core.Fault_count.risk_ratio u);
-  check_close "mu2 includes the certain fault"
+  Prop.check_close "P(N1=0) = 0" 0.0 (Core.Fault_count.p_n1_zero u);
+  Prop.check_close "P(N2=0) = 0" 0.0 (Core.Fault_count.p_n2_zero u);
+  Prop.check_close "risk ratio 1" 1.0 (Core.Fault_count.risk_ratio u);
+  Prop.check_close "mu2 includes the certain fault"
     (0.1 +. (0.04 *. 0.05))
     (Core.Moments.mu2 u);
   let dist = Core.Pfd_dist.exact_single u in
-  check_close "PFD never below q of the certain fault" 0.1
+  Prop.check_close "PFD never below q of the certain fault" 0.1
     (Core.Pfd_dist.quantile dist 0.0)
 
 let test_impossible_fault () =
   let u = Core.Universe.of_pairs [ (0.0, 0.3); (0.2, 0.05) ] in
-  check_close "impossible fault contributes nothing" (0.2 *. 0.05)
+  Prop.check_close "impossible fault contributes nothing" (0.2 *. 0.05)
     (Core.Moments.mu1 u);
   let dist = Core.Pfd_dist.exact_single u in
   Alcotest.(check int) "support excludes the impossible fault" 2
@@ -120,33 +117,33 @@ let test_zero_measure_fault () =
   Alcotest.(check bool) "P(N1>0) > P(Theta1>0)" true
     (Core.Fault_count.p_n1_pos u
     > Core.Pfd_dist.prob_positive (Core.Pfd_dist.exact_single u));
-  check_close "mu1 ignores the null region" 0.02 (Core.Moments.mu1 u)
+  Prop.check_close "mu1 ignores the null region" 0.02 (Core.Moments.mu1 u)
 
 let test_all_faults_impossible () =
   let u = Core.Universe.of_pairs [ (0.0, 0.1); (0.0, 0.2) ] in
   let dist = Core.Pfd_dist.exact_single u in
   Alcotest.(check int) "point mass at zero" 1 (Core.Pfd_dist.size dist);
-  check_close "mean 0" 0.0 (Core.Pfd_dist.mean dist);
+  Prop.check_close "mean 0" 0.0 (Core.Pfd_dist.mean dist);
   Alcotest.(check bool) "risk ratio undefined" true
     (Float.is_nan (Core.Fault_count.risk_ratio u))
 
 let test_improvement_factor_zero () =
   let u = Core.Universe.of_pairs [ (0.5, 0.1); (0.2, 0.3) ] in
   let perfect = Core.Improvement.apply_step u (Core.Improvement.Proportional 0.0) in
-  check_close "perfect process: mu1 = 0" 0.0 (Core.Moments.mu1 perfect);
-  check_close "P(N1=0) = 1" 1.0 (Core.Fault_count.p_n1_zero perfect)
+  Prop.check_close "perfect process: mu1 = 0" 0.0 (Core.Moments.mu1 perfect);
+  Prop.check_close "P(N1=0) = 1" 1.0 (Core.Fault_count.p_n1_zero perfect)
 
 let test_poisson_binomial_with_certain_faults () =
   let dist = Core.Fault_count.poisson_binomial [| 1.0; 1.0; 0.5 |] in
-  check_close "P(0) = 0" 0.0 dist.(0);
-  check_close "P(1) = 0" 0.0 dist.(1);
-  check_close "P(2) = 0.5" 0.5 dist.(2);
-  check_close "P(3) = 0.5" 0.5 dist.(3)
+  Prop.check_close "P(0) = 0" 0.0 dist.(0);
+  Prop.check_close "P(1) = 0" 0.0 dist.(1);
+  Prop.check_close "P(2) = 0.5" 0.5 dist.(2);
+  Prop.check_close "P(3) = 0.5" 0.5 dist.(3)
 
 let test_grid_dist_with_null_region () =
   let u = Core.Universe.of_pairs [ (0.5, 0.0); (0.3, 0.2) ] in
   let g = Core.Pfd_dist.grid_single u ~bins:64 in
-  check_close ~eps:1e-6 "grid handles zero-measure regions"
+  Prop.check_close ~eps:1e-6 "grid handles zero-measure regions"
     (Core.Moments.mu1 u) (Core.Pfd_dist.mean g)
 
 (* Boundary policy of the Pfd_dist convolvers: reject. Every entry point
@@ -187,36 +184,36 @@ let test_pfd_dist_rejects_out_of_range () =
             (fun () -> ignore (f probs values)))
         rejected;
       let d = f [| 0.0; 1.0; 0.5 |] [| 0.3; 0.2; 5e-324 |] in
-      check_close (name ^ ": edges accepted, certain fault always present")
+      Prop.check_close (name ^ ": edges accepted, certain fault always present")
         0.0
         (Core.Pfd_dist.cdf d 0.1))
     entry_points
 
 let test_sigma_ratio_extremes () =
-  check_close "pmax 0" 0.0 (Core.Bounds.sigma_ratio_bound 0.0);
-  check_close ~eps:1e-12 "pmax 1" (sqrt 2.0) (Core.Bounds.sigma_ratio_bound 1.0)
+  Prop.check_close "pmax 0" 0.0 (Core.Bounds.sigma_ratio_bound 0.0);
+  Prop.check_close ~eps:1e-12 "pmax 1" (sqrt 2.0) (Core.Bounds.sigma_ratio_bound 1.0)
 
 let test_degenerate_normal_bound () =
   (* all p = 1: sigma = 0, so mu + k sigma = mu without touching the CDF. *)
   let u = Core.Universe.homogeneous ~n:3 ~p:1.0 ~q:0.1 in
-  check_close "bound collapses to the mean" 0.3
+  Prop.check_close "bound collapses to the mean" 0.3
     (Core.Normal_approx.single_bound u ~k:2.33)
 
 let test_voting_single_channel () =
   let u = Core.Universe.of_pairs [ (0.5, 0.1) ] in
   let v = Core.Voting.create ~channels:1 ~required:1 in
-  check_close "1oo1 defeat probability is p" 0.5
+  Prop.check_close "1oo1 defeat probability is p" 0.5
     (Core.Voting.fault_defeats_system v ~p:0.5);
-  check_close "1oo1 mean is mu1" (Core.Moments.mu1 u) (Core.Voting.mu v u)
+  Prop.check_close "1oo1 mean is mu1" (Core.Moments.mu1 u) (Core.Voting.mu v u)
 
 let test_estimator_fault_never_seen () =
   let obs = Core.Estimator.observe ~n_faults:3 [| [ 0 ]; [ 0 ] |] in
   let p = Core.Estimator.p_hat obs in
-  check_close "unseen fault estimated 0" 0.0 p.(2);
+  Prop.check_close "unseen fault estimated 0" 0.0 p.(2);
   (* plug-in universe accepts the zero and the never-seen fault simply
      drops out of the predictions *)
   let u = Core.Estimator.plug_in_universe obs ~qs:[| 0.1; 0.1; 0.1 |] in
-  check_close "plug-in mu1" 0.1 (Core.Moments.mu1 u)
+  Prop.check_close "plug-in mu1" 0.1 (Core.Moments.mu1 u)
 
 (* ------------------------------------------------------------------ *)
 (* demandspace / simulator boundaries                                  *)
@@ -229,7 +226,7 @@ let test_version_duplicate_faults () =
   let v = Demandspace.Version.create space [ 0; 0; 0 ] in
   Alcotest.(check (list int)) "duplicates collapse" [ 0 ]
     (Demandspace.Version.present_faults v);
-  check_close "pfd counted once" 0.1 (Demandspace.Version.pfd v)
+  Prop.check_close "pfd counted once" 0.1 (Demandspace.Version.pfd v)
 
 let test_certain_process_space () =
   let rng = rng0 () in
@@ -268,9 +265,9 @@ let test_transform_size_one () =
 let test_bayes_point_prior () =
   let t = Extensions.Bayes.of_mass [ (0.0, 1.0) ] in
   let post = Extensions.Bayes.observe_failure_free t ~demands:1_000_000 in
-  check_close "perfect prior survives any failure-free run" 1.0
+  Prop.check_close "perfect prior survives any failure-free run" 1.0
     (Extensions.Bayes.prob_at_most post 0.0);
-  check_close "mean stays 0" 0.0 (Extensions.Bayes.mean post)
+  Prop.check_close "mean stays 0" 0.0 (Extensions.Bayes.mean post)
 
 let test_correlated_cluster_bigger_than_universe () =
   let u = Core.Universe.of_pairs [ (0.3, 0.1); (0.2, 0.2) ] in
@@ -281,16 +278,16 @@ let test_correlated_cluster_bigger_than_universe () =
   in
   Alcotest.(check int) "all faults in one cluster" 2
     (Extensions.Correlated.fault_count m);
-  check_close ~eps:1e-12 "marginals preserved" (Core.Moments.mu1 u)
+  Prop.check_close ~eps:1e-12 "marginals preserved" (Core.Moments.mu1 u)
     (Extensions.Correlated.mu1 m)
 
 let test_forced_extreme_processes () =
   let f =
     Extensions.Forced.create ~qs:[| 0.2 |] ~pa:[| 1.0 |] ~pb:[| 0.0 |]
   in
-  check_close "a certain and an impossible process never share" 0.0
+  Prop.check_close "a certain and an impossible process never share" 0.0
     (Extensions.Forced.mu_pair f);
-  check_close "no common fault, certainly" 1.0
+  Prop.check_close "no common fault, certainly" 1.0
     (Extensions.Forced.p_no_common_fault f)
 
 let test_testing_huge_campaign () =

@@ -1,9 +1,6 @@
 (* Tests for the model extensions (forced diversity, correlated faults,
    overlap, Bayesian assessment). *)
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:31337
 
 let base_universe () =
@@ -16,34 +13,34 @@ let base_universe () =
 let test_forced_of_universe_matches_core () =
   let u = base_universe () in
   let f = Extensions.Forced.of_universe u in
-  check_close "mu_a = mu1" (Core.Moments.mu1 u) (Extensions.Forced.mu_a f);
-  check_close "mu pair = mu2" (Core.Moments.mu2 u) (Extensions.Forced.mu_pair f);
-  check_close "var pair = var2" (Core.Moments.var2 u) (Extensions.Forced.var_pair f);
-  check_close "no common fault" (Core.Fault_count.p_n2_zero u)
+  Prop.check_close "mu_a = mu1" (Core.Moments.mu1 u) (Extensions.Forced.mu_a f);
+  Prop.check_close "mu pair = mu2" (Core.Moments.mu2 u) (Extensions.Forced.mu_pair f);
+  Prop.check_close "var pair = var2" (Core.Moments.var2 u) (Extensions.Forced.var_pair f);
+  Prop.check_close "no common fault" (Core.Fault_count.p_n2_zero u)
     (Extensions.Forced.p_no_common_fault f);
-  check_close "risk ratio" (Core.Fault_count.risk_ratio u)
+  Prop.check_close "risk ratio" (Core.Fault_count.risk_ratio u)
     (Extensions.Forced.risk_ratio_vs_a f);
-  check_close "gain of unforced is 1" 1.0 (Extensions.Forced.divergence_gain f)
+  Prop.check_close "gain of unforced is 1" 1.0 (Extensions.Forced.divergence_gain f)
 
 let test_forced_hand_example () =
   let f =
     Extensions.Forced.create ~qs:[| 0.1; 0.2 |] ~pa:[| 0.5; 0.1 |]
       ~pb:[| 0.1; 0.5 |]
   in
-  check_close "mu_a" ((0.5 *. 0.1) +. (0.1 *. 0.2)) (Extensions.Forced.mu_a f);
-  check_close "mu_b" ((0.1 *. 0.1) +. (0.5 *. 0.2)) (Extensions.Forced.mu_b f);
-  check_close "mu pair" ((0.05 *. 0.1) +. (0.05 *. 0.2))
+  Prop.check_close "mu_a" ((0.5 *. 0.1) +. (0.1 *. 0.2)) (Extensions.Forced.mu_a f);
+  Prop.check_close "mu_b" ((0.1 *. 0.1) +. (0.5 *. 0.2)) (Extensions.Forced.mu_b f);
+  Prop.check_close "mu pair" ((0.05 *. 0.1) +. (0.05 *. 0.2))
     (Extensions.Forced.mu_pair f);
-  check_close "no common" (0.95 *. 0.95) (Extensions.Forced.p_no_common_fault f)
+  Prop.check_close "no common" (0.95 *. 0.95) (Extensions.Forced.p_no_common_fault f)
 
 let test_forced_complementary_preserves_a () =
   let rng = rng0 () in
   let u = base_universe () in
   let f = Extensions.Forced.complementary rng u ~strength:0.7 in
-  check_close "channel A unchanged" (Core.Moments.mu1 u) (Extensions.Forced.mu_a f);
+  Prop.check_close "channel A unchanged" (Core.Moments.mu1 u) (Extensions.Forced.mu_a f);
   (* strength 0 keeps B = A exactly *)
   let f0 = Extensions.Forced.complementary rng u ~strength:0.0 in
-  check_close "strength 0: B = A" (Extensions.Forced.mu_a f0)
+  Prop.check_close "strength 0: B = A" (Extensions.Forced.mu_a f0)
     (Extensions.Forced.mu_b f0)
 
 let test_forced_validation () =
@@ -66,23 +63,23 @@ let test_correlated_marginals_preserved () =
   let m = shock_model () in
   let u = Extensions.Correlated.marginal_universe m in
   let base = base_universe () in
-  check_close ~eps:1e-12 "mu1 preserved" (Core.Moments.mu1 base)
+  Prop.check_close ~eps:1e-12 "mu1 preserved" (Core.Moments.mu1 base)
     (Core.Moments.mu1 u);
-  check_close ~eps:1e-12 "exact mu1 equals marginal mu1" (Core.Moments.mu1 base)
+  Prop.check_close ~eps:1e-12 "exact mu1 equals marginal mu1" (Core.Moments.mu1 base)
     (Extensions.Correlated.mu1 m);
-  check_close ~eps:1e-12 "mu2 preserved" (Core.Moments.mu2 base)
+  Prop.check_close ~eps:1e-12 "mu2 preserved" (Core.Moments.mu2 base)
     (Extensions.Correlated.mu2 m)
 
 let test_correlated_zero_shock_is_independent () =
   let m = shock_model ~shock_prob:0.0 () in
   let base = base_universe () in
-  check_close ~eps:1e-12 "var1" (Core.Moments.var1 base)
+  Prop.check_close ~eps:1e-12 "var1" (Core.Moments.var1 base)
     (Extensions.Correlated.var1 m);
-  check_close ~eps:1e-12 "P(N1=0)" (Core.Fault_count.p_n1_zero base)
+  Prop.check_close ~eps:1e-12 "P(N1=0)" (Core.Fault_count.p_n1_zero base)
     (Extensions.Correlated.p_n1_zero m);
-  check_close ~eps:1e-12 "P(N2=0)" (Core.Fault_count.p_n2_zero base)
+  Prop.check_close ~eps:1e-12 "P(N2=0)" (Core.Fault_count.p_n2_zero base)
     (Extensions.Correlated.p_n2_zero m);
-  check_close ~eps:1e-12 "risk ratio" (Core.Fault_count.risk_ratio base)
+  Prop.check_close ~eps:1e-12 "risk ratio" (Core.Fault_count.risk_ratio base)
     (Extensions.Correlated.risk_ratio m)
 
 let test_correlated_positive_correlation_raises_variance () =
@@ -102,12 +99,12 @@ let test_correlated_analytic_vs_monte_carlo () =
     Numerics.Welford.add pfd_acc version_pfd;
     if version_pfd = 0.0 then incr n1_zero
   done;
-  check_close ~eps:0.01 "MC P(N1=0)"
+  Prop.check_close ~eps:0.01 "MC P(N1=0)"
     (Extensions.Correlated.p_n1_zero m)
     (float_of_int !n1_zero /. float_of_int n);
-  check_close ~eps:0.003 "MC mean PFD" (Extensions.Correlated.mu1 m)
+  Prop.check_close ~eps:0.003 "MC mean PFD" (Extensions.Correlated.mu1 m)
     (Numerics.Welford.mean pfd_acc);
-  check_close ~eps:0.005 "MC std PFD" (Extensions.Correlated.sigma1 m)
+  Prop.check_close ~eps:0.005 "MC std PFD" (Extensions.Correlated.sigma1 m)
     (Numerics.Welford.std pfd_acc)
 
 let test_correlated_pair_mc () =
@@ -121,10 +118,10 @@ let test_correlated_pair_mc () =
     Numerics.Welford.add pair_acc pair_pfd;
     if pair_pfd = 0.0 then incr pair_zero
   done;
-  check_close ~eps:0.01 "MC P(N2=0)"
+  Prop.check_close ~eps:0.01 "MC P(N2=0)"
     (Extensions.Correlated.p_n2_zero m)
     (float_of_int !pair_zero /. float_of_int n);
-  check_close ~eps:0.002 "MC pair mean = mu2" (Extensions.Correlated.mu2 m)
+  Prop.check_close ~eps:0.002 "MC pair mean = mu2" (Extensions.Correlated.mu2 m)
     (Numerics.Welford.mean pair_acc)
 
 let test_correlated_fault_free_risk_ratio () =
@@ -138,7 +135,7 @@ let test_correlated_fault_free_risk_ratio () =
           faults = [| (0.0, 0.0, 0.1); (0.0, 0.0, 0.2) |] };
       |]
   in
-  check_close ~eps:0.0 "P(N1>0) is exactly zero" 0.0
+  Prop.check_close ~eps:0.0 "P(N1>0) is exactly zero" 0.0
     (Extensions.Correlated.p_n1_pos m);
   Alcotest.(check bool) "risk ratio is nan, not a division blow-up" true
     (Float.is_nan (Extensions.Correlated.risk_ratio m))
@@ -179,9 +176,9 @@ let test_overlap_disjoint_is_exact () =
       ~profile:(Demandspace.Profile.uniform ~size:(24 * 24))
   in
   let a = Extensions.Overlap.analyse s in
-  check_close ~eps:1e-12 "no overlap: additive mu1 exact" 1.0
+  Prop.check_close ~eps:1e-12 "no overlap: additive mu1 exact" 1.0
     a.Extensions.Overlap.mu1_pessimism;
-  check_close ~eps:1e-12 "no overlap: additive mu2 exact" 1.0
+  Prop.check_close ~eps:1e-12 "no overlap: additive mu2 exact" 1.0
     a.Extensions.Overlap.mu2_pessimism;
   Alcotest.(check int) "no overlapping pairs" 0 a.Extensions.Overlap.overlap_pairs
 
@@ -201,10 +198,10 @@ let test_overlap_merged_universe () =
   let ps = Core.Universe.ps u in
   Array.sort compare qs;
   Array.sort compare ps;
-  check_close ~eps:1e-12 "lone region q" 0.05 qs.(0);
-  check_close ~eps:1e-12 "merged union q" 0.15 qs.(1);
-  check_close ~eps:1e-12 "lone region p" 0.3 ps.(0);
-  check_close ~eps:1e-12 "merged p = 1-(1-p1)(1-p2)" 0.75 ps.(1)
+  Prop.check_close ~eps:1e-12 "lone region q" 0.05 qs.(0);
+  Prop.check_close ~eps:1e-12 "merged union q" 0.15 qs.(1);
+  Prop.check_close ~eps:1e-12 "lone region p" 0.3 ps.(0);
+  Prop.check_close ~eps:1e-12 "merged p = 1-(1-p1)(1-p2)" 0.75 ps.(1)
 
 let test_overlap_mc_pessimism () =
   let rng = rng0 () in
@@ -221,10 +218,10 @@ let prior () =
 
 let test_bayes_prior_statistics () =
   let t = prior () in
-  check_close ~eps:1e-12 "prior mean"
+  Prop.check_close ~eps:1e-12 "prior mean"
     ((0.3 *. 1e-4) +. (0.2 *. 1e-3) +. (0.2 *. 1e-2))
     (Extensions.Bayes.mean t);
-  check_close "prior P(<=1e-3)" 0.8 (Extensions.Bayes.prob_at_most t 1e-3)
+  Prop.check_close "prior P(<=1e-3)" 0.8 (Extensions.Bayes.prob_at_most t 1e-3)
 
 let test_bayes_failure_free_shifts_down () =
   let t = prior () in
@@ -245,14 +242,14 @@ let test_bayes_exact_update () =
   let w_a = (1.0 -. a) ** float_of_int demands in
   let w_b = (1.0 -. b) ** float_of_int demands in
   let expected = w_a /. (w_a +. w_b) in
-  check_close ~eps:1e-10 "two-point posterior" expected
+  Prop.check_close ~eps:1e-10 "two-point posterior" expected
     (Extensions.Bayes.prob_at_most post a)
 
 let test_bayes_with_failures () =
   let t = Extensions.Bayes.of_mass [ (0.0, 0.5); (1e-2, 0.5) ] in
   let post = Extensions.Bayes.observe t ~demands:100 ~failures:1 in
   (* a failure rules out PFD = 0 entirely *)
-  check_close ~eps:1e-12 "failure kills the zero atom" 0.0
+  Prop.check_close ~eps:1e-12 "failure kills the zero atom" 0.0
     (Extensions.Bayes.prob_at_most post 0.0);
   Alcotest.check_raises "impossible record"
     (Invalid_argument "Bayes.observe: observation impossible under the prior")
@@ -266,7 +263,7 @@ let test_bayes_huge_run_no_underflow () =
   let t = prior () in
   let post = Extensions.Bayes.observe_failure_free t ~demands:100_000_000 in
   (* only the PFD=0 atom survives a 10^8 failure-free run *)
-  check_close ~eps:1e-9 "mass concentrates at zero" 1.0
+  Prop.check_close ~eps:1e-9 "mass concentrates at zero" 1.0
     (Extensions.Bayes.prob_at_most post 0.0)
 
 let test_bayes_demands_for_confidence () =
@@ -300,9 +297,9 @@ let test_bayes_roundtrip_with_pfd_dist () =
   let u = base_universe () in
   let dist = Core.Pfd_dist.exact_pair u in
   let t = Extensions.Bayes.of_pfd_dist dist in
-  check_close ~eps:1e-10 "prior mean = dist mean" (Core.Pfd_dist.mean dist)
+  Prop.check_close ~eps:1e-10 "prior mean = dist mean" (Core.Pfd_dist.mean dist)
     (Extensions.Bayes.mean t);
-  check_close ~eps:1e-10 "prior quantile = dist quantile"
+  Prop.check_close ~eps:1e-10 "prior quantile = dist quantile"
     (Core.Pfd_dist.quantile dist 0.9)
     (Extensions.Bayes.quantile t 0.9)
 

@@ -1,9 +1,6 @@
 (* Tests for demand-space transformations, functional diversity, and
    profile-robustness bounds. *)
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:808
 
 let make_space () =
@@ -74,10 +71,10 @@ let test_transform_compose () =
 let test_functional_identity_is_worst_case () =
   let space = make_space () in
   let model = Extensions.Functional.non_functional space in
-  check_close ~eps:1e-12 "identity sensing = EL pair mean"
+  Prop.check_close ~eps:1e-12 "identity sensing = EL pair mean"
     (Baselines.Eckhardt_lee.mean_pair space)
     (Extensions.Functional.mean_pair model);
-  check_close ~eps:1e-12 "gain is 1 at the worst case" 1.0
+  Prop.check_close ~eps:1e-12 "gain is 1 at the worst case" 1.0
     (Extensions.Functional.functional_gain model)
 
 let test_functional_hand_computed () =
@@ -93,7 +90,7 @@ let test_functional_hand_computed () =
   done;
   let t = Demandspace.Transform.of_array forward in
   let model = Extensions.Functional.create space ~sensing_b:t in
-  check_close ~eps:1e-12 "swapped regions"
+  Prop.check_close ~eps:1e-12 "swapped regions"
     ((0.1 *. 0.4 *. 0.3) +. (0.1 *. 0.3 *. 0.4))
     (Extensions.Functional.mean_pair model);
   (* vs the worst case q1 p1^2 + q2 p2^2 = 0.1*0.16 + 0.1*0.09 = 0.025 *)
@@ -109,7 +106,7 @@ let test_functional_gain_zero_denominator () =
   let r = Demandspace.Region.interval ~space_size:10 ~lo:0 ~hi:4 in
   let space = Demandspace.Space.create ~profile ~faults:[| (r, 0.0) |] in
   let model = Extensions.Functional.non_functional space in
-  check_close ~eps:0.0 "pair mean is exactly zero" 0.0
+  Prop.check_close ~eps:0.0 "pair mean is exactly zero" 0.0
     (Extensions.Functional.mean_pair model);
   Alcotest.(check bool) "gain guard returns infinity" true
     (Extensions.Functional.functional_gain model = infinity)
@@ -129,10 +126,10 @@ let test_functional_concrete_pair () =
   let vb = Demandspace.Version.create space [ 1 ] in
   (* A fails on region 1 ([0,9]); B's input-space failure set is region 2,
      whose plant-space preimage is region 1 — so they coincide. *)
-  check_close ~eps:1e-12 "transformed pair pfd" 0.1
+  Prop.check_close ~eps:1e-12 "transformed pair pfd" 0.1
     (Extensions.Functional.pair_pfd_of_versions model va vb);
   let vb' = Demandspace.Version.create space [ 0 ] in
-  check_close ~eps:1e-12 "same fault no longer coincides" 0.0
+  Prop.check_close ~eps:1e-12 "same fault no longer coincides" 0.0
     (Extensions.Functional.pair_pfd_of_versions model va vb')
 
 let test_functional_monte_carlo_matches () =
@@ -146,7 +143,7 @@ let test_functional_monte_carlo_matches () =
   for _ = 1 to 30_000 do
     Numerics.Welford.add acc (Extensions.Functional.sample_pair_pfd rng model)
   done;
-  check_close ~eps:0.002 "analytic pair mean matches sampling"
+  Prop.check_close ~eps:0.002 "analytic pair mean matches sampling"
     (Extensions.Functional.mean_pair model)
     (Numerics.Welford.mean acc)
 
@@ -171,26 +168,26 @@ let test_functional_continuum_monotone_trend () =
 (* ------------------------------------------------------------------ *)
 
 let test_robust_region_measure () =
-  check_close "bounded rise" 0.25
+  Prop.check_close "bounded rise" 0.25
     (Demandspace.Robustness.worst_case_region_measure ~q:0.2 ~epsilon:0.05);
-  check_close "capped at 1" 1.0
+  Prop.check_close "capped at 1" 1.0
     (Demandspace.Robustness.worst_case_region_measure ~q:0.99 ~epsilon:0.05)
 
 let test_robust_universe_epsilon_zero () =
   let space = make_space () in
   let u0 = Demandspace.Space.to_universe space in
   let ur = Demandspace.Robustness.robust_universe space ~epsilon:0.0 in
-  check_close ~eps:1e-12 "epsilon 0 changes nothing" (Core.Moments.mu2 u0)
+  Prop.check_close ~eps:1e-12 "epsilon 0 changes nothing" (Core.Moments.mu2 u0)
     (Core.Moments.mu2 ur)
 
 let test_worst_case_mu2 () =
   let space = make_space () in
   let base = Core.Moments.mu2 (Demandspace.Space.to_universe space) in
-  check_close ~eps:1e-12 "epsilon 0 is the base value" base
+  Prop.check_close ~eps:1e-12 "epsilon 0 is the base value" base
     (Demandspace.Robustness.worst_case_mu2 space ~epsilon:0.0);
   (* the adversary pushes mass into region 1 (p^2 = 0.16 > 0.09):
      slope is max p_i^2 while headroom lasts *)
-  check_close ~eps:1e-12 "linear in epsilon with slope max p^2"
+  Prop.check_close ~eps:1e-12 "linear in epsilon with slope max p^2"
     (base +. (0.16 *. 0.05))
     (Demandspace.Robustness.worst_case_mu2 space ~epsilon:0.05);
   Alcotest.(check bool) "monotone in epsilon" true
@@ -218,9 +215,9 @@ let test_total_variation () =
   let a = Demandspace.Profile.uniform ~size:4 in
   let b = Demandspace.Profile.of_weights [| 1.0; 1.0; 1.0; 0.0 |] in
   (* TV = 0.5 * (|1/4-1/3|*3 + 1/4) = 0.5 * (0.25 + 0.25) = 0.25 *)
-  check_close ~eps:1e-12 "hand-computed TV" 0.25
+  Prop.check_close ~eps:1e-12 "hand-computed TV" 0.25
     (Demandspace.Robustness.total_variation a b);
-  check_close "TV to itself" 0.0 (Demandspace.Robustness.total_variation a a)
+  Prop.check_close "TV to itself" 0.0 (Demandspace.Robustness.total_variation a a)
 
 let test_profile_sensitivity () =
   let space = make_space () in
@@ -235,7 +232,7 @@ let test_profile_sensitivity () =
          0.5 + 9*(0.5/99), q2 = 10*(0.5/99). *)
       let q1 = 0.5 +. (9.0 *. (0.5 /. 99.0)) in
       let q2 = 10.0 *. (0.5 /. 99.0) in
-      check_close ~eps:1e-12 "mu1 under the peaked profile"
+      Prop.check_close ~eps:1e-12 "mu1 under the peaked profile"
         ((0.4 *. q1) +. (0.3 *. q2))
         mu1
   | _ -> Alcotest.fail "expected one row"

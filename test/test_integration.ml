@@ -2,9 +2,6 @@
    (demand space -> abstract model -> simulator -> inference), plus smoke
    tests of the experiment registry and report rendering. *)
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:10101
 
 (* ------------------------------------------------------------------ *)
@@ -25,12 +22,12 @@ let test_space_universe_el_consistency () =
   let mu1_model = Core.Moments.mu1 u in
   let mu1_el = Baselines.Eckhardt_lee.mean_single space in
   let mu1_dist = Core.Pfd_dist.mean (Core.Pfd_dist.exact_single u) in
-  check_close ~eps:1e-10 "model vs EL" mu1_model mu1_el;
-  check_close ~eps:1e-10 "model vs exact dist" mu1_model mu1_dist;
+  Prop.check_close ~eps:1e-10 "model vs EL" mu1_model mu1_el;
+  Prop.check_close ~eps:1e-10 "model vs exact dist" mu1_model mu1_dist;
   let mu2_model = Core.Moments.mu2 u in
-  check_close ~eps:1e-10 "pair: model vs EL" mu2_model
+  Prop.check_close ~eps:1e-10 "pair: model vs EL" mu2_model
     (Baselines.Eckhardt_lee.mean_pair space);
-  check_close ~eps:1e-10 "pair: model vs exact dist" mu2_model
+  Prop.check_close ~eps:1e-10 "pair: model vs exact dist" mu2_model
     (Core.Pfd_dist.mean (Core.Pfd_dist.exact_pair u))
 
 let test_develop_and_operate_matches_model () =
@@ -51,7 +48,7 @@ let test_develop_and_operate_matches_model () =
       (Simulator.Channel.create ~name:"B" vb)
   in
   let truth = Simulator.Protection.true_pfd system in
-  check_close ~eps:1e-12 "protection pfd = version pair pfd"
+  Prop.check_close ~eps:1e-12 "protection pfd = version pair pfd"
     (Demandspace.Version.pair_pfd va vb)
     truth;
   let stats = Simulator.Runner.run rng ~system ~demand_count:150_000 in
@@ -65,10 +62,10 @@ let test_montecarlo_matches_fault_count () =
     Core.Universe.uniform_random rng ~n:10 ~p_lo:0.05 ~p_hi:0.4 ~total_q:0.6
   in
   let est = Simulator.Montecarlo.estimate rng u ~replications:40_000 in
-  check_close ~eps:0.02 "simulated risk ratio matches eq. (10)"
+  Prop.check_close ~eps:0.02 "simulated risk ratio matches eq. (10)"
     (Core.Fault_count.risk_ratio u)
     est.Simulator.Montecarlo.risk_ratio;
-  check_close ~eps:0.01 "simulated P(N2>0)"
+  Prop.check_close ~eps:0.01 "simulated P(N2>0)"
     (Core.Fault_count.p_n2_pos u)
     est.Simulator.Montecarlo.p_n2_pos
 
@@ -120,7 +117,7 @@ let test_bayes_prior_from_simulation_consistent () =
       (Extensions.Bayes.observe_failure_free empirical_prior ~demands)
       bound
   in
-  check_close ~eps:0.02 "posterior confidence agrees" p_exact p_emp
+  Prop.check_close ~eps:0.02 "posterior confidence agrees" p_exact p_emp
 
 let test_overlap_el_vs_merged () =
   (* After merging overlapping regions the additive model becomes exact
@@ -157,7 +154,7 @@ let test_correlated_reduces_to_core_via_montecarlo () =
   for _ = 1 to n do
     if Extensions.Correlated.sample_version rng m <> [] then incr some
   done;
-  check_close ~eps:0.01 "correlated sampler matches fault-count model"
+  Prop.check_close ~eps:0.01 "correlated sampler matches fault-count model"
     (Core.Fault_count.p_n1_pos u)
     (float_of_int !some /. float_of_int n)
 

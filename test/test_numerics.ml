@@ -2,9 +2,6 @@
 
 open Numerics
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Rng.create ~seed:12345
 
 (* ------------------------------------------------------------------ *)
@@ -19,16 +16,16 @@ let test_kahan_small_terms () =
   for _ = 1 to 1_000_000 do
     Kahan.add acc 1e-16
   done;
-  check_close ~eps:1e-12 "kahan preserves small terms" (1.0 +. 1e-10)
+  Prop.check_close ~eps:1e-12 "kahan preserves small terms" (1.0 +. 1e-10)
     (Kahan.total acc)
 
 let test_kahan_sum_array () =
-  check_close "sum_array" 6.0 (Kahan.sum_array [| 1.0; 2.0; 3.0 |]);
-  check_close "sum_list" 6.0 (Kahan.sum_list [ 1.0; 2.0; 3.0 ]);
-  check_close "sum_over" 10.0 (Kahan.sum_over 5 float_of_int)
+  Prop.check_close "sum_array" 6.0 (Kahan.sum_array [| 1.0; 2.0; 3.0 |]);
+  Prop.check_close "sum_list" 6.0 (Kahan.sum_list [ 1.0; 2.0; 3.0 ]);
+  Prop.check_close "sum_over" 10.0 (Kahan.sum_over 5 float_of_int)
 
 let test_kahan_dot () =
-  check_close "dot" 32.0 (Kahan.dot [| 1.0; 2.0; 3.0 |] [| 4.0; 5.0; 6.0 |]);
+  Prop.check_close "dot" 32.0 (Kahan.dot [| 1.0; 2.0; 3.0 |] [| 4.0; 5.0; 6.0 |]);
   Alcotest.check_raises "dot length mismatch"
     (Invalid_argument "Kahan.dot: length mismatch") (fun () ->
       ignore (Kahan.dot [| 1.0 |] [| 1.0; 2.0 |]))
@@ -37,7 +34,7 @@ let test_kahan_reset () =
   let acc = Kahan.create () in
   Kahan.add acc 5.0;
   Kahan.reset acc;
-  check_close "reset zeroes" 0.0 (Kahan.total acc)
+  Prop.check_close "reset zeroes" 0.0 (Kahan.total acc)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -72,7 +69,7 @@ let test_rng_float_mean () =
   for _ = 1 to n do
     Kahan.add acc (Rng.float rng)
   done;
-  check_close ~eps:0.01 "uniform mean ~ 0.5" 0.5
+  Prop.check_close ~eps:0.01 "uniform mean ~ 0.5" 0.5
     (Kahan.total acc /. float_of_int n)
 
 let test_rng_int_bounds () =
@@ -112,7 +109,7 @@ let test_rng_bool_frequency () =
   for _ = 1 to n do
     if Rng.bool rng ~p:0.3 then incr hits
   done;
-  check_close ~eps:0.01 "bernoulli frequency" 0.3
+  Prop.check_close ~eps:0.01 "bernoulli frequency" 0.3
     (float_of_int !hits /. float_of_int n)
 
 let test_rng_split_independence () =
@@ -140,49 +137,49 @@ let test_rng_shuffle_permutation () =
 (* ------------------------------------------------------------------ *)
 
 let test_erf_known_values () =
-  check_close ~eps:1e-12 "erf 0" 0.0 (Special.erf 0.0);
-  check_close ~eps:1e-10 "erf 0.5" 0.5204998778130465 (Special.erf 0.5);
-  check_close ~eps:1e-10 "erf 1" 0.8427007929497149 (Special.erf 1.0);
-  check_close ~eps:1e-10 "erf 2" 0.9953222650189527 (Special.erf 2.0);
-  check_close ~eps:1e-12 "erf 10" 1.0 (Special.erf 10.0)
+  Prop.check_close ~eps:1e-12 "erf 0" 0.0 (Special.erf 0.0);
+  Prop.check_close ~eps:1e-10 "erf 0.5" 0.5204998778130465 (Special.erf 0.5);
+  Prop.check_close ~eps:1e-10 "erf 1" 0.8427007929497149 (Special.erf 1.0);
+  Prop.check_close ~eps:1e-10 "erf 2" 0.9953222650189527 (Special.erf 2.0);
+  Prop.check_close ~eps:1e-12 "erf 10" 1.0 (Special.erf 10.0)
 
 let test_erf_odd () =
   List.iter
     (fun x ->
-      check_close ~eps:1e-13 "erf odd" (-.Special.erf x) (Special.erf (-.x)))
+      Prop.check_close ~eps:1e-13 "erf odd" (-.Special.erf x) (Special.erf (-.x)))
     [ 0.1; 0.5; 1.0; 2.0; 3.5 ]
 
 let test_erfc_known_values () =
-  check_close ~eps:1e-12 "erfc 0" 1.0 (Special.erfc 0.0);
-  check_close ~eps:1e-16 "erfc 3" 2.209049699858544e-05 (Special.erfc 3.0);
-  check_close ~eps:1e-27 "erfc 5" 1.5374597944280347e-12 (Special.erfc 5.0);
-  check_close ~eps:1e-11 "erfc -1" (2.0 -. Special.erfc 1.0) (Special.erfc (-1.0))
+  Prop.check_close ~eps:1e-12 "erfc 0" 1.0 (Special.erfc 0.0);
+  Prop.check_close ~eps:1e-16 "erfc 3" 2.209049699858544e-05 (Special.erfc 3.0);
+  Prop.check_close ~eps:1e-27 "erfc 5" 1.5374597944280347e-12 (Special.erfc 5.0);
+  Prop.check_close ~eps:1e-11 "erfc -1" (2.0 -. Special.erfc 1.0) (Special.erfc (-1.0))
 
 let test_erf_erfc_complement () =
   List.iter
     (fun x ->
-      check_close ~eps:1e-12 "erf + erfc = 1" 1.0
+      Prop.check_close ~eps:1e-12 "erf + erfc = 1" 1.0
         (Special.erf x +. Special.erfc x))
     [ 0.0; 0.3; 1.0; 1.49; 1.51; 2.5; 4.0 ]
 
 let test_log_gamma () =
-  check_close ~eps:1e-10 "log_gamma 5 = log 24" (log 24.0) (Special.log_gamma 5.0);
-  check_close ~eps:1e-10 "log_gamma 0.5 = log sqrt(pi)"
+  Prop.check_close ~eps:1e-10 "log_gamma 5 = log 24" (log 24.0) (Special.log_gamma 5.0);
+  Prop.check_close ~eps:1e-10 "log_gamma 0.5 = log sqrt(pi)"
     (log (sqrt Float.pi))
     (Special.log_gamma 0.5);
-  check_close ~eps:1e-10 "log_gamma 1" 0.0 (Special.log_gamma 1.0)
+  Prop.check_close ~eps:1e-10 "log_gamma 1" 0.0 (Special.log_gamma 1.0)
 
 let test_log_factorial_choose () =
-  check_close ~eps:1e-10 "log 5!" (log 120.0) (Special.log_factorial 5);
-  check_close ~eps:1e-10 "C(10,3) = 120" (log 120.0) (Special.log_choose 10 3);
-  Alcotest.(check (float 0.0)) "choose out of range" neg_infinity
+  Prop.check_close ~eps:1e-10 "log 5!" (log 120.0) (Special.log_factorial 5);
+  Prop.check_close ~eps:1e-10 "C(10,3) = 120" (log 120.0) (Special.log_choose 10 3);
+  Prop.check_close ~eps:0.0 "choose out of range" neg_infinity
     (Special.log_choose 3 5)
 
 let test_logsumexp () =
-  check_close ~eps:1e-12 "logsumexp of equal terms"
+  Prop.check_close ~eps:1e-12 "logsumexp of equal terms"
     (log 3.0 +. 10.0)
     (Special.logsumexp [| 10.0; 10.0; 10.0 |]);
-  Alcotest.(check (float 0.0)) "logsumexp empty-like" neg_infinity
+  Prop.check_close ~eps:0.0 "logsumexp empty-like" neg_infinity
     (Special.logsumexp [| neg_infinity; neg_infinity |])
 
 (* ------------------------------------------------------------------ *)
@@ -190,47 +187,48 @@ let test_logsumexp () =
 (* ------------------------------------------------------------------ *)
 
 let test_normal_cdf_known () =
-  check_close ~eps:1e-12 "Phi(0)" 0.5 (Normal_dist.cdf 0.0);
-  check_close ~eps:1e-9 "Phi(1.96)" 0.9750021048517795 (Normal_dist.cdf 1.96);
-  check_close ~eps:1e-9 "Phi(3)" 0.9986501019683699 (Normal_dist.cdf 3.0);
-  check_close ~eps:1e-9 "Phi(-1)" 0.15865525393145707 (Normal_dist.cdf (-1.0))
+  Prop.check_close ~eps:1e-12 "Phi(0)" 0.5 (Normal_dist.cdf 0.0);
+  Prop.check_close ~eps:1e-9 "Phi(1.96)" 0.9750021048517795 (Normal_dist.cdf 1.96);
+  Prop.check_close ~eps:1e-9 "Phi(3)" 0.9986501019683699 (Normal_dist.cdf 3.0);
+  Prop.check_close ~eps:1e-9 "Phi(-1)" 0.15865525393145707 (Normal_dist.cdf (-1.0))
 
 let test_normal_ppf_known () =
-  check_close ~eps:1e-9 "ppf 0.99" 2.3263478740408408 (Normal_dist.ppf 0.99);
-  check_close ~eps:1e-9 "ppf 0.5" 0.0 (Normal_dist.ppf 0.5);
-  check_close ~eps:1e-8 "ppf 0.975" 1.959963984540054 (Normal_dist.ppf 0.975)
+  Prop.check_close ~eps:1e-9 "ppf 0.99" 2.3263478740408408 (Normal_dist.ppf 0.99);
+  Prop.check_close ~eps:1e-9 "ppf 0.5" 0.0 (Normal_dist.ppf 0.5);
+  Prop.check_close ~eps:1e-8 "ppf 0.975" 1.959963984540054 (Normal_dist.ppf 0.975)
 
 let test_normal_ppf_cdf_roundtrip () =
   List.iter
     (fun p ->
-      check_close ~eps:1e-11 "cdf(ppf(p)) = p" p
+      Prop.check_close ~eps:1e-11 "cdf(ppf(p)) = p" p
         (Normal_dist.cdf (Normal_dist.ppf p)))
     [ 1e-8; 1e-4; 0.01; 0.2; 0.5; 0.8; 0.99; 0.9999; 1.0 -. 1e-8 ]
 
 let test_normal_location_scale () =
-  check_close ~eps:1e-12 "cdf at mu is 0.5" 0.5 (Normal_dist.cdf ~mu:3.0 ~sigma:2.0 3.0);
-  check_close ~eps:1e-9 "ppf with mu/sigma"
+  Prop.check_close ~eps:1e-12 "cdf at mu is 0.5" 0.5
+    (Normal_dist.cdf ~mu:3.0 ~sigma:2.0 3.0);
+  Prop.check_close ~eps:1e-9 "ppf with mu/sigma"
     (3.0 +. (2.0 *. Normal_dist.ppf 0.9))
     (Normal_dist.ppf ~mu:3.0 ~sigma:2.0 0.9)
 
 let test_normal_sf () =
   List.iter
     (fun x ->
-      check_close ~eps:1e-12 "cdf + sf = 1" 1.0
+      Prop.check_close ~eps:1e-12 "cdf + sf = 1" 1.0
         (Normal_dist.cdf x +. Normal_dist.sf x))
     [ -3.0; 0.0; 1.5; 6.0 ]
 
 let test_normal_pdf_integrates () =
   let xs = Grid.linspace ~lo:(-8.0) ~hi:8.0 ~n:4001 in
   let ys = Array.map (fun x -> Normal_dist.pdf x) xs in
-  check_close ~eps:1e-6 "pdf integrates to 1" 1.0 (Grid.trapezoid ~xs ~ys)
+  Prop.check_close ~eps:1e-6 "pdf integrates to 1" 1.0 (Grid.trapezoid ~xs ~ys)
 
 let test_normal_sampling_moments () =
   let rng = rng0 () in
   let n = 200_000 in
   let samples = Array.init n (fun _ -> Normal_dist.sample rng ~mu:2.0 ~sigma:3.0 ()) in
-  check_close ~eps:0.05 "sample mean" 2.0 (Stats.mean samples);
-  check_close ~eps:0.05 "sample std" 3.0 (Stats.std samples)
+  Prop.check_close ~eps:0.05 "sample mean" 2.0 (Stats.mean samples);
+  Prop.check_close ~eps:0.05 "sample std" 3.0 (Stats.std samples)
 
 let test_normal_invalid_args () =
   Alcotest.check_raises "ppf p=0"
@@ -251,9 +249,49 @@ let test_stats_approx_eq () =
   Alcotest.(check bool) "within relative tolerance" true
     (Stats.approx_eq 1e9 (1e9 +. 0.5));
   Alcotest.(check bool) "distinct values differ" false (Stats.approx_eq 1.0 1.1);
-  Alcotest.(check bool) "nan equals nothing" false (Stats.approx_eq nan nan);
   Alcotest.(check bool) "0.1+0.2 ~ 0.3 (the R1 poster child)" true
-    (Stats.approx_eq (0.1 +. 0.2) 0.3)
+    (Stats.approx_eq (0.1 +. 0.2) 0.3);
+  (* the edge matrix under the default tolerances, no tolerance at all,
+     and a tolerance too wide to mean anything *)
+  List.iter
+    (fun (what, a, b, expected) ->
+      List.iter
+        (fun (rel, abs) ->
+          let tol = Printf.sprintf "%s (rel=%g, abs=%g)" what rel abs in
+          let eq x y = Stats.approx_eq ~rel ~abs x y in
+          Alcotest.(check bool) tol expected (eq a b);
+          Alcotest.(check bool) (tol ^ ", swapped") expected (eq b a))
+        [ (1e-9, 1e-12); (0.0, 0.0); (1.0, Float.max_float) ])
+    Prop.float_edges;
+  let tiny = 5e-324 in
+  (* subnormals compare by the absolute tolerance like any finite value *)
+  Alcotest.(check bool) "subnormals within abs" true
+    (Stats.approx_eq ~rel:0.0 ~abs:1e-310 tiny 1e-310);
+  Alcotest.(check bool) "subnormals outside abs" false
+    (Stats.approx_eq ~rel:0.0 ~abs:1e-320 tiny 1e-310);
+  Alcotest.(check bool) "subnormal vs its negation, no tolerance" false
+    (Stats.approx_eq ~rel:0.0 ~abs:0.0 tiny (-.tiny));
+  Alcotest.(check bool) "subnormal vs zero, default abs" true
+    (Stats.approx_eq tiny 0.0)
+
+(* Reflexivity and symmetry over finite doubles (one case in four a
+   subnormal), paired both with an independent double and with a
+   neighbour a few ulps away, under three tolerance settings. *)
+let test_stats_approx_eq_laws () =
+  Prop.check ~cases:500 "approx_eq is reflexive and symmetric"
+    (Prop.triple Prop.finite_float Prop.finite_float (Prop.int_range 0 8))
+    (fun (x, y, ulps) ->
+      let near = ref x in
+      for _ = 1 to ulps do
+        near := Float.succ !near
+      done;
+      List.iter
+        (fun (rel, abs) ->
+          let eq = Stats.approx_eq ~rel ~abs in
+          Alcotest.(check bool) "reflexive" true (eq x x);
+          Alcotest.(check bool) "symmetric" (eq x y) (eq y x);
+          Alcotest.(check bool) "symmetric near" (eq x !near) (eq !near x))
+        [ (1e-9, 1e-12); (0.0, 0.0); (0.0, 1e-310) ])
 
 let test_stats_is_zero () =
   Alcotest.(check bool) "exact zero" true (Stats.is_zero 0.0);
@@ -268,41 +306,41 @@ let test_stats_is_zero () =
 
 let test_stats_mean_variance () =
   let a = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
-  check_close "mean" 5.0 (Stats.mean a);
-  check_close "population variance" 4.0 (Stats.variance ~bessel:false a);
-  check_close ~eps:1e-12 "sample variance" (32.0 /. 7.0) (Stats.variance a)
+  Prop.check_close "mean" 5.0 (Stats.mean a);
+  Prop.check_close "population variance" 4.0 (Stats.variance ~bessel:false a);
+  Prop.check_close ~eps:1e-12 "sample variance" (32.0 /. 7.0) (Stats.variance a)
 
 let test_stats_summary () =
   let s = Stats.summarize [| 1.0; 2.0; 3.0 |] in
   Alcotest.(check int) "n" 3 s.Stats.n;
-  check_close "mean" 2.0 s.Stats.mean;
-  check_close "min" 1.0 s.Stats.min;
-  check_close "max" 3.0 s.Stats.max;
-  check_close "variance" 1.0 s.Stats.variance
+  Prop.check_close "mean" 2.0 s.Stats.mean;
+  Prop.check_close "min" 1.0 s.Stats.min;
+  Prop.check_close "max" 3.0 s.Stats.max;
+  Prop.check_close "variance" 1.0 s.Stats.variance
 
 let test_stats_quantiles () =
   let a = [| 1.0; 2.0; 3.0; 4.0 |] in
-  check_close "q0" 1.0 (Stats.quantile a 0.0);
-  check_close "q1" 4.0 (Stats.quantile a 1.0);
-  check_close "median interpolates" 2.5 (Stats.median a);
-  check_close "q 1/3" 2.0 (Stats.quantile a (1.0 /. 3.0))
+  Prop.check_close "q0" 1.0 (Stats.quantile a 0.0);
+  Prop.check_close "q1" 4.0 (Stats.quantile a 1.0);
+  Prop.check_close "median interpolates" 2.5 (Stats.median a);
+  Prop.check_close "q 1/3" 2.0 (Stats.quantile a (1.0 /. 3.0))
 
 let test_stats_covariance_correlation () =
   let a = [| 1.0; 2.0; 3.0; 4.0 |] in
   let b = [| 2.0; 4.0; 6.0; 8.0 |] in
-  check_close ~eps:1e-12 "perfect correlation" 1.0 (Stats.correlation a b);
+  Prop.check_close ~eps:1e-12 "perfect correlation" 1.0 (Stats.correlation a b);
   let c = [| 8.0; 6.0; 4.0; 2.0 |] in
-  check_close ~eps:1e-12 "perfect anticorrelation" (-1.0) (Stats.correlation a c);
-  check_close ~eps:1e-12 "cov(a,b) = 2 var(a)"
+  Prop.check_close ~eps:1e-12 "perfect anticorrelation" (-1.0) (Stats.correlation a c);
+  Prop.check_close ~eps:1e-12 "cov(a,b) = 2 var(a)"
     (2.0 *. Stats.variance a)
     (Stats.covariance a b)
 
 let test_stats_empirical_cdf () =
   let cdf = Stats.empirical_cdf [| 1.0; 2.0; 3.0; 4.0 |] in
-  check_close "below support" 0.0 (cdf 0.5);
-  check_close "at 2" 0.5 (cdf 2.0);
-  check_close "mid-gap" 0.5 (cdf 2.5);
-  check_close "above support" 1.0 (cdf 9.0)
+  Prop.check_close "below support" 0.0 (cdf 0.5);
+  Prop.check_close "at 2" 0.5 (cdf 2.0);
+  Prop.check_close "mid-gap" 0.5 (cdf 2.5);
+  Prop.check_close "above support" 1.0 (cdf 9.0)
 
 let test_stats_wilson () =
   let lo, hi = Stats.proportion_ci ~successes:0 ~trials:100 () in
@@ -323,10 +361,10 @@ let test_welford_matches_stats () =
   let samples = Array.init 5_000 (fun _ -> Rng.float rng) in
   let w = Welford.create () in
   Array.iter (Welford.add w) samples;
-  check_close ~eps:1e-10 "welford mean" (Stats.mean samples) (Welford.mean w);
-  check_close ~eps:1e-10 "welford variance" (Stats.variance samples)
+  Prop.check_close ~eps:1e-10 "welford mean" (Stats.mean samples) (Welford.mean w);
+  Prop.check_close ~eps:1e-10 "welford variance" (Stats.variance samples)
     (Welford.variance w);
-  check_close "welford min" (Array.fold_left min infinity samples)
+  Prop.check_close "welford min" (Array.fold_left min infinity samples)
     (Welford.min_value w)
 
 let test_welford_merge () =
@@ -338,8 +376,8 @@ let test_welford_merge () =
   Array.iter (Welford.add wb) b;
   let merged = Welford.merge wa wb in
   let combined = Array.append a b in
-  check_close ~eps:1e-10 "merged mean" (Stats.mean combined) (Welford.mean merged);
-  check_close ~eps:1e-9 "merged variance" (Stats.variance combined)
+  Prop.check_close ~eps:1e-10 "merged mean" (Stats.mean combined) (Welford.mean merged);
+  Prop.check_close ~eps:1e-9 "merged variance" (Stats.variance combined)
     (Welford.variance merged)
 
 (* ------------------------------------------------------------------ *)
@@ -348,9 +386,9 @@ let test_welford_merge () =
 
 let test_alias_normalisation () =
   let t = Alias.create [| 2.0; 6.0; 2.0 |] in
-  check_close "p0" 0.2 (Alias.probability t 0);
-  check_close "p1" 0.6 (Alias.probability t 1);
-  check_close "sum to one" 1.0 (Kahan.sum_array (Alias.probabilities t))
+  Prop.check_close "p0" 0.2 (Alias.probability t 0);
+  Prop.check_close "p1" 0.6 (Alias.probability t 1);
+  Prop.check_close "sum to one" 1.0 (Kahan.sum_array (Alias.probabilities t))
 
 let test_alias_frequencies () =
   let weights = [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -364,7 +402,7 @@ let test_alias_frequencies () =
   done;
   Array.iteri
     (fun i c ->
-      check_close ~eps:0.01
+      Prop.check_close ~eps:0.01
         (Printf.sprintf "frequency of outcome %d" i)
         (weights.(i) /. 10.0)
         (float_of_int c /. float_of_int n))
@@ -433,42 +471,42 @@ let test_bitset_bounds () =
 
 let test_rootfind_bisect () =
   let root = Rootfind.bisect (fun x -> (x *. x) -. 2.0) ~lo:0.0 ~hi:2.0 in
-  check_close ~eps:1e-9 "sqrt 2 by bisection" (sqrt 2.0) root
+  Prop.check_close ~eps:1e-9 "sqrt 2 by bisection" (sqrt 2.0) root
 
 let test_rootfind_brent () =
   let root = Rootfind.brent (fun x -> cos x -. x) ~lo:0.0 ~hi:1.0 in
-  check_close ~eps:1e-9 "dottie number" 0.7390851332151607 root;
+  Prop.check_close ~eps:1e-9 "dottie number" 0.7390851332151607 root;
   Alcotest.check_raises "no sign change"
     (Invalid_argument "Rootfind.brent: no sign change over the bracket")
     (fun () -> ignore (Rootfind.brent (fun x -> x +. 10.0) ~lo:0.0 ~hi:1.0))
 
 let test_rootfind_golden () =
   let m = Rootfind.minimize_golden (fun x -> (x -. 1.5) ** 2.0) ~lo:0.0 ~hi:4.0 in
-  check_close ~eps:1e-6 "minimum of parabola" 1.5 m
+  Prop.check_close ~eps:1e-6 "minimum of parabola" 1.5 m
 
 let test_deriv () =
-  check_close ~eps:1e-7 "central d/dx sin at 0.7" (cos 0.7)
+  Prop.check_close ~eps:1e-7 "central d/dx sin at 0.7" (cos 0.7)
     (Deriv.central sin 0.7);
-  check_close ~eps:1e-9 "richardson d/dx sin at 0.7" (cos 0.7)
+  Prop.check_close ~eps:1e-9 "richardson d/dx sin at 0.7" (cos 0.7)
     (Deriv.richardson sin 0.7);
-  check_close ~eps:1e-5 "second derivative of x^3 at 2" 12.0
+  Prop.check_close ~eps:1e-5 "second derivative of x^3 at 2" 12.0
     (Deriv.second (fun x -> x ** 3.0) 2.0)
 
 let test_deriv_gradient () =
   let f x = (x.(0) *. x.(0)) +. (3.0 *. x.(1)) in
   let g = Deriv.gradient f [| 2.0; 5.0 |] in
-  check_close ~eps:1e-6 "df/dx0" 4.0 g.(0);
-  check_close ~eps:1e-6 "df/dx1" 3.0 g.(1)
+  Prop.check_close ~eps:1e-6 "df/dx0" 4.0 g.(0);
+  Prop.check_close ~eps:1e-6 "df/dx1" 3.0 g.(1)
 
 let test_grid () =
   let ls = Grid.linspace ~lo:0.0 ~hi:1.0 ~n:5 in
-  check_close "linspace start" 0.0 ls.(0);
-  check_close "linspace end" 1.0 ls.(4);
-  check_close "linspace step" 0.25 ls.(1);
+  Prop.check_close "linspace start" 0.0 ls.(0);
+  Prop.check_close "linspace end" 1.0 ls.(4);
+  Prop.check_close "linspace step" 0.25 ls.(1);
   let lg = Grid.logspace ~lo:1.0 ~hi:100.0 ~n:3 in
-  check_close ~eps:1e-12 "logspace middle" 10.0 lg.(1);
+  Prop.check_close ~eps:1e-12 "logspace middle" 10.0 lg.(1);
   let xs = Grid.linspace ~lo:0.0 ~hi:1.0 ~n:101 in
-  check_close ~eps:1e-12 "trapezoid of x" 0.5
+  Prop.check_close ~eps:1e-12 "trapezoid of x" 0.5
     (Grid.trapezoid ~xs ~ys:(Array.copy xs))
 
 (* ------------------------------------------------------------------ *)
@@ -491,7 +529,7 @@ let test_histogram_density () =
   let h = Histogram.of_samples ~bins:10 samples in
   let d = Histogram.densities h in
   Array.iter
-    (fun density -> check_close ~eps:0.08 "uniform density ~ 1" 1.0 density)
+    (fun density -> Prop.check_close ~eps:0.08 "uniform density ~ 1" 1.0 density)
     d
 
 let test_ks_uniform () =
@@ -509,7 +547,7 @@ let test_ks_mismatch () =
   Alcotest.(check bool) "p-value tiny for wrong dist" true (p < 1e-6)
 
 let test_ks_q_function () =
-  check_close "Q(0) = 1" 1.0 (Ks.kolmogorov_q 0.0);
+  Prop.check_close "Q(0) = 1" 1.0 (Ks.kolmogorov_q 0.0);
   Alcotest.(check bool) "Q decreasing" true
     (Ks.kolmogorov_q 0.5 > Ks.kolmogorov_q 1.0
     && Ks.kolmogorov_q 1.0 > Ks.kolmogorov_q 2.0);
@@ -518,15 +556,15 @@ let test_ks_q_function () =
 let test_sampler_exponential () =
   let rng = rng0 () in
   let samples = Array.init 100_000 (fun _ -> Sampler.exponential rng ~rate:2.0) in
-  check_close ~eps:0.01 "exponential mean 1/rate" 0.5 (Stats.mean samples)
+  Prop.check_close ~eps:0.01 "exponential mean 1/rate" 0.5 (Stats.mean samples)
 
 let test_sampler_binomial () =
   let rng = rng0 () in
   let samples =
     Array.init 50_000 (fun _ -> float_of_int (Sampler.binomial rng ~n:20 ~p:0.3))
   in
-  check_close ~eps:0.05 "binomial mean" 6.0 (Stats.mean samples);
-  check_close ~eps:0.1 "binomial variance" 4.2 (Stats.variance samples)
+  Prop.check_close ~eps:0.05 "binomial mean" 6.0 (Stats.mean samples);
+  Prop.check_close ~eps:0.1 "binomial variance" 4.2 (Stats.variance samples)
 
 let test_sampler_beta () =
   let rng = rng0 () in
@@ -534,20 +572,20 @@ let test_sampler_beta () =
   Array.iter
     (fun x -> if x < 0.0 || x > 1.0 then Alcotest.fail "beta out of range")
     samples;
-  check_close ~eps:0.01 "beta mean a/(a+b)" 0.4 (Stats.mean samples)
+  Prop.check_close ~eps:0.01 "beta mean a/(a+b)" 0.4 (Stats.mean samples)
 
 let test_sampler_gamma () =
   let rng = rng0 () in
   let samples = Array.init 50_000 (fun _ -> Sampler.gamma rng ~shape:3.5) in
-  check_close ~eps:0.05 "gamma mean = shape" 3.5 (Stats.mean samples);
+  Prop.check_close ~eps:0.05 "gamma mean = shape" 3.5 (Stats.mean samples);
   let small = Array.init 50_000 (fun _ -> Sampler.gamma rng ~shape:0.5) in
-  check_close ~eps:0.02 "gamma mean, shape < 1" 0.5 (Stats.mean small)
+  Prop.check_close ~eps:0.02 "gamma mean, shape < 1" 0.5 (Stats.mean small)
 
 let test_sampler_dirichlet () =
   let rng = rng0 () in
   for _ = 1 to 50 do
     let v = Sampler.dirichlet rng ~alphas:[| 1.0; 2.0; 3.0 |] in
-    check_close ~eps:1e-12 "dirichlet sums to 1" 1.0 (Kahan.sum_array v);
+    Prop.check_close ~eps:1e-12 "dirichlet sums to 1" 1.0 (Kahan.sum_array v);
     Array.iter
       (fun x -> if x < 0.0 then Alcotest.fail "negative dirichlet weight")
       v
@@ -565,8 +603,8 @@ let test_sampler_poisson () =
   let samples =
     Array.init 50_000 (fun _ -> float_of_int (Sampler.poisson rng ~lambda:4.0))
   in
-  check_close ~eps:0.05 "poisson mean" 4.0 (Stats.mean samples);
-  check_close ~eps:0.15 "poisson variance" 4.0 (Stats.variance samples)
+  Prop.check_close ~eps:0.05 "poisson mean" 4.0 (Stats.mean samples);
+  Prop.check_close ~eps:0.15 "poisson variance" 4.0 (Stats.variance samples)
 
 let test_sampler_truncated () =
   let rng = rng0 () in
@@ -685,6 +723,7 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "approx_eq" `Quick test_stats_approx_eq;
+          Alcotest.test_case "approx_eq laws" `Quick test_stats_approx_eq_laws;
           Alcotest.test_case "is_zero" `Quick test_stats_is_zero;
           Alcotest.test_case "mean/variance" `Quick test_stats_mean_variance;
           Alcotest.test_case "summary" `Quick test_stats_summary;

@@ -377,35 +377,17 @@ let test_prop_campaign_invariance () =
 
 (* ---- incremental kernels vs their retained naive references ---- *)
 
-(* Tolerance for incremental-vs-naive gradient agreement (the
-   EXPERIMENTS.md ulp policy): the paths differ only in summation
-   association, so per-coordinate drift is rounding-level; the bound
-   1e-9 * (1 + ||grad_naive||_inf) is orders of magnitude above any
-   observed drift yet fails instantly on a formula divergence. *)
-let gradient_tol naive =
-  let inf_norm =
-    Array.fold_left
-      (fun acc d -> if Float.is_nan d then acc else Float.max acc (Float.abs d))
-      0.0 naive
-  in
-  1e-9 *. (1.0 +. inf_norm)
-
+(* Incremental-vs-naive gradient agreement under the EXPERIMENTS.md ulp
+   policy, judged by the same helpers the registry oracle uses. *)
 let check_gradient_agreement name ps =
   let fast = Core.Sensitivity.risk_ratio_gradient ps in
   let naive = Core.Sensitivity.risk_ratio_gradient_naive ps in
   check_int (name ^ ": length") (Array.length naive) (Array.length fast);
-  let tol = gradient_tol naive in
-  Array.iteri
-    (fun i f ->
-      let ok =
-        (Float.is_nan f && Float.is_nan naive.(i))
-        || Float.abs (f -. naive.(i)) <= tol
-      in
-      check_bool
-        (Printf.sprintf "%s: coordinate %d (%.17g vs %.17g, tol %.3g)" name i
-           f naive.(i) tol)
-        true ok)
-    fast
+  Prop.check_close
+    ~eps:(Check.Reference.gradient_tol naive)
+    (name ^ ": max coordinate |fast - naive|")
+    0.0
+    (Check.Reference.gradient_gap fast naive)
 
 (* Incremental O(n) gradient vs the retained O(n^2) reference over
    random universes, including coordinates forced to the p = 0 and
@@ -425,10 +407,9 @@ let test_prop_gradient_incremental_vs_naive () =
       let k = 0.7 in
       let dk = Core.Sensitivity.risk_ratio_k_derivative ~b ~k in
       let dk_naive = Core.Sensitivity.risk_ratio_k_derivative_naive ~b ~k in
-      check_bool
-        (Printf.sprintf "dR/dk agrees (%.17g vs %.17g)" dk dk_naive)
-        true
-        (Float.abs (dk -. dk_naive) <= 1e-12 *. (1.0 +. Float.abs dk_naive)))
+      Prop.check_close
+        ~eps:(1e-12 *. (1.0 +. Float.abs dk_naive))
+        "dR/dk agrees" dk_naive dk)
 
 (* The ping-pong exact convolution claims full bit-identity with the
    legacy allocating pass: same float ops in the same order, only the
@@ -489,18 +470,11 @@ let check_grid_fast_vs_legacy (u, bins) =
       (Core.Pfd_dist.masses fast)
   end
   else begin
-    let close what a b =
-      check_bool
-        (Printf.sprintf "%s agrees to rounding (%.17g vs %.17g)" what a b)
-        true
-        (Stats.approx_eq ~abs:1e-12 a b)
-    in
-    close "mean" (Core.Pfd_dist.mean legacy) (Core.Pfd_dist.mean fast);
-    close "variance" (Core.Pfd_dist.variance legacy)
-      (Core.Pfd_dist.variance fast);
-    close "P(X > 0)"
-      (Core.Pfd_dist.prob_positive legacy)
-      (Core.Pfd_dist.prob_positive fast)
+    let open Core.Pfd_dist in
+    Prop.check_close "mean to rounding" (mean legacy) (mean fast);
+    Prop.check_close "variance to rounding" (variance legacy) (variance fast);
+    Prop.check_close "P(X > 0) to rounding"
+      (prob_positive legacy) (prob_positive fast)
   end
 
 (* Random small grids, plus one 40,000-bin sweep over 60 faults so the
@@ -752,17 +726,6 @@ let test_golden_seed42_fleet_pins () =
     |]
     (fleet 8)
 
-(* An independent legacy evaluator: the seed's M-out-of-N adjudicator
-   reimplemented verbatim (double traversal, polymorphic compare and
-   all) as it stood before the combinator calculus. *)
-let legacy_combine ~required outputs =
-  let shutdowns =
-    List.length
-      (List.filter (fun o -> o = Simulator.Channel.Shutdown) outputs)
-  in
-  if shutdowns >= required then Simulator.Channel.Shutdown
-  else Simulator.Channel.No_action
-
 let count_outputs outs =
   List.fold_left
     (fun (s, na, ab) o ->
@@ -771,17 +734,6 @@ let count_outputs outs =
       | Simulator.Channel.No_action -> (s, na + 1, ab)
       | Simulator.Channel.Abstain -> (s, na, ab + 1))
     (0, 0, 0) outs
-
-let shuffle_outputs seed l =
-  let a = Array.of_list l in
-  let rng = Rng.create ~seed in
-  for i = Array.length a - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
-  Array.to_list a
 
 (* Every law the lib/check adjudication oracles assert, re-checked here
    over generated calculus terms and abstention-bearing vectors, plus
@@ -804,7 +756,8 @@ let test_prop_adjudication_laws () =
       (* adjudication is permutation-invariant on the list path *)
       if A.min_channels term <= n then
         check_output "combine permutation-invariant" (A.combine term outs)
-          (A.combine term (shuffle_outputs salt outs));
+          (A.combine term
+             (Check.Reference.shuffle (Rng.create ~seed:salt) outs));
       (* legacy-vs-combinator byte-identity on abstain-free inputs *)
       let free =
         List.map
@@ -818,10 +771,11 @@ let test_prop_adjudication_laws () =
         let adj = A.m_out_of_n ~required in
         check_output
           (Printf.sprintf "%d-of-%d vote == legacy" required n)
-          (legacy_combine ~required free)
+          (Check.Reference.legacy_combine ~required free)
           (A.combine adj free);
         check_bool "system_fails == legacy"
-          (legacy_combine ~required free = Simulator.Channel.No_action)
+          (Check.Reference.legacy_combine ~required free
+           = Simulator.Channel.No_action)
           (A.system_fails adj free)
       done)
 

@@ -1,8 +1,5 @@
 (* Tests for the protection-system simulator. *)
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:4242
 
 let make_space () =
@@ -27,9 +24,12 @@ let test_devteam_frequencies () =
       (fun i -> counts.(i) <- counts.(i) + 1)
       (Simulator.Devteam.sample_fault_set rng u)
   done;
-  check_close ~eps:0.01 "fault 0 at p0" 0.4 (float_of_int counts.(0) /. float_of_int n);
-  check_close ~eps:0.01 "fault 1 at p1" 0.25 (float_of_int counts.(1) /. float_of_int n);
-  check_close ~eps:0.01 "fault 2 at p2" 0.6 (float_of_int counts.(2) /. float_of_int n)
+  Prop.check_close ~eps:0.01 "fault 0 at p0" 0.4
+    (float_of_int counts.(0) /. float_of_int n);
+  Prop.check_close ~eps:0.01 "fault 1 at p1" 0.25
+    (float_of_int counts.(1) /. float_of_int n);
+  Prop.check_close ~eps:0.01 "fault 2 at p2" 0.6
+    (float_of_int counts.(2) /. float_of_int n)
 
 let test_devteam_version_pfd () =
   let rng = rng0 () in
@@ -38,7 +38,7 @@ let test_devteam_version_pfd () =
   for _ = 1 to 50_000 do
     Numerics.Welford.add acc (Simulator.Devteam.version_pfd_from_universe rng u)
   done;
-  check_close ~eps:0.005 "mean version PFD = mu1" (Core.Moments.mu1 u)
+  Prop.check_close ~eps:0.005 "mean version PFD = mu1" (Core.Moments.mu1 u)
     (Numerics.Welford.mean acc)
 
 let test_devteam_pair_pfd () =
@@ -49,7 +49,7 @@ let test_devteam_pair_pfd () =
     let _, _, pair = Simulator.Devteam.pair_pfd_from_universe rng u in
     Numerics.Welford.add acc pair
   done;
-  check_close ~eps:0.005 "mean pair PFD = mu2" (Core.Moments.mu2 u)
+  Prop.check_close ~eps:0.005 "mean pair PFD = mu2" (Core.Moments.mu2 u)
     (Numerics.Welford.mean acc)
 
 let test_devteam_develop () =
@@ -74,7 +74,7 @@ let test_channel_respond () =
   Alcotest.(check bool) "shuts down elsewhere" true
     (Simulator.Channel.respond c (Demandspace.Demand.of_int 120)
     = Simulator.Channel.Shutdown);
-  check_close ~eps:1e-12 "channel pfd" 0.1 (Simulator.Channel.pfd c)
+  Prop.check_close ~eps:1e-12 "channel pfd" 0.1 (Simulator.Channel.pfd c)
 
 let test_adjudicator_truth_table () =
   let open Simulator in
@@ -106,9 +106,9 @@ let test_protection_pfd () =
       (Simulator.Channel.create ~name:"A" a)
       (Simulator.Channel.create ~name:"B" b)
   in
-  check_close ~eps:1e-12 "system pfd = common fault measure" 0.05
+  Prop.check_close ~eps:1e-12 "system pfd = common fault measure" 0.05
     (Simulator.Protection.true_pfd system);
-  check_close ~eps:1e-12 "matches Version.pair_pfd"
+  Prop.check_close ~eps:1e-12 "matches Version.pair_pfd"
     (Demandspace.Version.pair_pfd a b)
     (Simulator.Protection.true_pfd system);
   (* The system fails exactly on demands where both channels fail. *)
@@ -121,7 +121,7 @@ let test_protection_three_channels () =
   let space = make_space () in
   let mk faults = Simulator.Channel.create ~name:"x" (Demandspace.Version.create space faults) in
   let system = Simulator.Protection.create [ mk [ 0 ]; mk [ 0; 1 ]; mk [ 0; 2 ] ] in
-  check_close ~eps:1e-12 "1oo3 pfd = triple intersection" 0.1
+  Prop.check_close ~eps:1e-12 "1oo3 pfd = triple intersection" 0.1
     (Simulator.Protection.true_pfd system)
 
 (* ------------------------------------------------------------------ *)
@@ -294,7 +294,7 @@ let test_plant_idle_rate () =
     | Simulator.Plant.Demand _ -> incr demands
     | Simulator.Plant.Idle -> ()
   done;
-  check_close ~eps:0.01 "demand rate respected" 0.25
+  Prop.check_close ~eps:0.01 "demand rate respected" 0.25
     (float_of_int !demands /. float_of_int n)
 
 let test_runner_empirical_pfd () =
@@ -309,14 +309,14 @@ let test_runner_empirical_pfd () =
   in
   let stats = Simulator.Runner.run rng ~system ~demand_count:100_000 in
   let truth = Simulator.Protection.true_pfd system in
-  check_close ~eps:0.005 "empirical pfd converges" truth
+  Prop.check_close ~eps:0.005 "empirical pfd converges" truth
     stats.Simulator.Runner.estimated_pfd;
   let lo, hi = stats.Simulator.Runner.pfd_ci in
   Alcotest.(check bool) "CI contains truth" true (lo <= truth && truth <= hi);
   Alcotest.(check int) "demand count recorded" 100_000 stats.Simulator.Runner.demands;
   (* channel A contains fault 0 and 1: pfd 0.15 *)
   let est = Simulator.Runner.channel_pfd_estimates stats in
-  check_close ~eps:0.01 "channel A empirical pfd" 0.15 est.(0)
+  Prop.check_close ~eps:0.01 "channel A empirical pfd" 0.15 est.(0)
 
 let test_runner_coincident () =
   let rng = rng0 () in
@@ -339,20 +339,20 @@ let test_montecarlo_estimate () =
   let rng = rng0 () in
   let u = Core.Universe.of_pairs [ (0.3, 0.1); (0.2, 0.2); (0.4, 0.05) ] in
   let est = Simulator.Montecarlo.estimate rng u ~replications:60_000 in
-  check_close ~eps:0.003 "theta1 mean" (Core.Moments.mu1 u)
+  Prop.check_close ~eps:0.003 "theta1 mean" (Core.Moments.mu1 u)
     est.Simulator.Montecarlo.theta1.Numerics.Stats.mean;
-  check_close ~eps:0.002 "theta2 mean" (Core.Moments.mu2 u)
+  Prop.check_close ~eps:0.002 "theta2 mean" (Core.Moments.mu2 u)
     est.Simulator.Montecarlo.theta2.Numerics.Stats.mean;
-  check_close ~eps:0.01 "P(N1>0)" (Core.Fault_count.p_n1_pos u)
+  Prop.check_close ~eps:0.01 "P(N1>0)" (Core.Fault_count.p_n1_pos u)
     est.Simulator.Montecarlo.p_n1_pos;
-  check_close ~eps:0.02 "risk ratio" (Core.Fault_count.risk_ratio u)
+  Prop.check_close ~eps:0.02 "risk ratio" (Core.Fault_count.risk_ratio u)
     est.Simulator.Montecarlo.risk_ratio
 
 let test_montecarlo_sigma () =
   let rng = rng0 () in
   let u = Core.Universe.of_pairs [ (0.3, 0.1); (0.2, 0.2); (0.4, 0.05) ] in
   let est = Simulator.Montecarlo.estimate rng u ~replications:60_000 in
-  check_close ~eps:0.003 "theta1 std" (Core.Moments.sigma1 u)
+  Prop.check_close ~eps:0.003 "theta1 std" (Core.Moments.sigma1 u)
     est.Simulator.Montecarlo.theta1.Numerics.Stats.std
 
 let test_version_population () =
@@ -408,7 +408,7 @@ let test_empirical_system_pfd () =
     Simulator.Montecarlo.empirical_system_pfd rng space ~replications:300
       ~demands_per_system:2000
   in
-  check_close ~eps:0.01 "full-stack pfd near mu2" (Core.Moments.mu2 u) emp
+  Prop.check_close ~eps:0.01 "full-stack pfd near mu2" (Core.Moments.mu2 u) emp
 
 let () =
   Alcotest.run "simulator"

@@ -1,8 +1,5 @@
 (* Tests for the rigorous tail bounds and the sequential acceptance test. *)
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:161803
 
 let tiny () = Core.Universe.of_pairs [ (0.5, 0.1); (0.2, 0.3) ]
@@ -12,7 +9,7 @@ let tiny () = Core.Universe.of_pairs [ (0.5, 0.1); (0.2, 0.3) ]
 (* ------------------------------------------------------------------ *)
 
 let test_log_mgf_at_zero () =
-  check_close "MGF(0) = 1" 0.0
+  Prop.check_close "MGF(0) = 1" 0.0
     (Core.Tail_bound.log_mgf ~probs:[| 0.5; 0.2 |] ~values:[| 0.1; 0.3 |] 0.0)
 
 let test_log_mgf_derivative_is_mean () =
@@ -23,7 +20,7 @@ let test_log_mgf_derivative_is_mean () =
       (fun l -> Core.Tail_bound.log_mgf ~probs ~values l)
       0.0
   in
-  check_close ~eps:1e-8 "d/dl log MGF at 0 = mean" mean d
+  Prop.check_close ~eps:1e-8 "d/dl log MGF at 0 = mean" mean d
 
 let test_chernoff_covers_exact () =
   let rng = rng0 () in
@@ -63,9 +60,9 @@ let test_hoeffding_covers_exact () =
 
 let test_chernoff_vacuous_below_mean () =
   let u = tiny () in
-  check_close "at the mean the bound is 1" 1.0
+  Prop.check_close "at the mean the bound is 1" 1.0
     (Core.Tail_bound.chernoff_sf_single u (Core.Moments.mu1 u));
-  check_close "below the mean the bound is 1" 1.0
+  Prop.check_close "below the mean the bound is 1" 1.0
     (Core.Tail_bound.chernoff_sf_single u 0.01)
 
 let test_chernoff_monotone () =

@@ -2,9 +2,6 @@
    behind it, parameter estimation, the testing-process extension, and the
    Beta-prior comparator. *)
 
-let check_close ?(eps = 1e-12) msg expected actual =
-  Alcotest.(check (float eps)) msg expected actual
-
 let rng0 () = Numerics.Rng.create ~seed:555
 
 let tiny () = Core.Universe.of_pairs [ (0.5, 0.1); (0.2, 0.3) ]
@@ -15,19 +12,19 @@ let tiny () = Core.Universe.of_pairs [ (0.5, 0.1); (0.2, 0.3) ]
 
 let test_betainc_known_values () =
   (* I_x(1,1) = x *)
-  check_close ~eps:1e-12 "I_x(1,1) = x" 0.37
+  Prop.check_close ~eps:1e-12 "I_x(1,1) = x" 0.37
     (Numerics.Betainc.regularized ~a:1.0 ~b:1.0 0.37);
   (* I_x(2,2) = x^2 (3 - 2x) *)
   let x = 0.3 in
-  check_close ~eps:1e-12 "I_x(2,2)" (x *. x *. (3.0 -. (2.0 *. x)))
+  Prop.check_close ~eps:1e-12 "I_x(2,2)" (x *. x *. (3.0 -. (2.0 *. x)))
     (Numerics.Betainc.regularized ~a:2.0 ~b:2.0 x);
-  check_close "endpoints 0" 0.0 (Numerics.Betainc.regularized ~a:3.0 ~b:4.0 0.0);
-  check_close "endpoints 1" 1.0 (Numerics.Betainc.regularized ~a:3.0 ~b:4.0 1.0)
+  Prop.check_close "endpoints 0" 0.0 (Numerics.Betainc.regularized ~a:3.0 ~b:4.0 0.0);
+  Prop.check_close "endpoints 1" 1.0 (Numerics.Betainc.regularized ~a:3.0 ~b:4.0 1.0)
 
 let test_betainc_symmetry () =
   List.iter
     (fun (a, b, x) ->
-      check_close ~eps:1e-12 "I_x(a,b) = 1 - I_{1-x}(b,a)"
+      Prop.check_close ~eps:1e-12 "I_x(a,b) = 1 - I_{1-x}(b,a)"
         (1.0 -. Numerics.Betainc.regularized ~a:b ~b:a (1.0 -. x))
         (Numerics.Betainc.regularized ~a ~b x))
     [ (2.0, 5.0, 0.1); (0.5, 0.5, 0.7); (10.0, 3.0, 0.9); (1.5, 8.0, 0.25) ]
@@ -36,7 +33,7 @@ let test_betainc_binomial_identity () =
   (* binomial_cdf via the beta identity must match direct summation. *)
   List.iter
     (fun (n, p, k) ->
-      check_close ~eps:1e-12
+      Prop.check_close ~eps:1e-12
         (Printf.sprintf "binomial tail n=%d p=%g k=%d" n p k)
         (Numerics.Betainc.binomial_tail_direct ~n ~p k)
         (Numerics.Betainc.binomial_sf ~n ~p (k - 1)))
@@ -45,7 +42,7 @@ let test_betainc_binomial_identity () =
 let test_beta_ppf_roundtrip () =
   List.iter
     (fun p ->
-      check_close ~eps:1e-9 "cdf(ppf(p)) = p" p
+      Prop.check_close ~eps:1e-9 "cdf(ppf(p)) = p" p
         (Numerics.Betainc.beta_cdf ~a:2.5 ~b:7.0
            (Numerics.Betainc.beta_ppf ~a:2.5 ~b:7.0 p)))
     [ 0.01; 0.25; 0.5; 0.9; 0.999 ]
@@ -64,24 +61,24 @@ let test_betainc_validation () =
 
 let test_voting_recovers_paper_model () =
   let u = tiny () in
-  check_close ~eps:1e-12 "1oo1 = mu1" (Core.Moments.mu1 u)
+  Prop.check_close ~eps:1e-12 "1oo1 = mu1" (Core.Moments.mu1 u)
     (Core.Voting.mu (Core.Voting.create ~channels:1 ~required:1) u);
-  check_close ~eps:1e-12 "1oo2 = mu2" (Core.Moments.mu2 u)
+  Prop.check_close ~eps:1e-12 "1oo2 = mu2" (Core.Moments.mu2 u)
     (Core.Voting.mu Core.Voting.one_out_of_two u);
-  check_close ~eps:1e-12 "1oo3 = mu_n 3" (Core.Moments.mu_n u ~channels:3)
+  Prop.check_close ~eps:1e-12 "1oo3 = mu_n 3" (Core.Moments.mu_n u ~channels:3)
     (Core.Voting.mu (Core.Voting.create ~channels:3 ~required:1) u);
-  check_close ~eps:1e-12 "1oo2 sigma" (Core.Moments.sigma2 u)
+  Prop.check_close ~eps:1e-12 "1oo2 sigma" (Core.Moments.sigma2 u)
     (Core.Voting.sigma Core.Voting.one_out_of_two u)
 
 let test_voting_defeat_probability () =
   (* 2oo3: defeated when >= 2 of 3 channels have the fault:
      3p^2(1-p) + p^3. *)
   let p = 0.3 in
-  check_close ~eps:1e-12 "2oo3 defeat probability"
+  Prop.check_close ~eps:1e-12 "2oo3 defeat probability"
     ((3.0 *. p *. p *. (1.0 -. p)) +. (p ** 3.0))
     (Core.Voting.fault_defeats_system Core.Voting.two_out_of_three ~p);
   (* 1oo2: p^2. *)
-  check_close ~eps:1e-12 "1oo2 defeat probability" (p *. p)
+  Prop.check_close ~eps:1e-12 "1oo2 defeat probability" (p *. p)
     (Core.Voting.fault_defeats_system Core.Voting.one_out_of_two ~p)
 
 let test_voting_ordering () =
@@ -98,11 +95,11 @@ let test_voting_dist_consistency () =
   let u = tiny () in
   let v = Core.Voting.two_out_of_three in
   let dist = Core.Voting.pfd_dist v u in
-  check_close ~eps:1e-12 "dist mean = analytic mu" (Core.Voting.mu v u)
+  Prop.check_close ~eps:1e-12 "dist mean = analytic mu" (Core.Voting.mu v u)
     (Core.Pfd_dist.mean dist);
-  check_close ~eps:1e-12 "dist variance = analytic var" (Core.Voting.var v u)
+  Prop.check_close ~eps:1e-12 "dist variance = analytic var" (Core.Voting.var v u)
     (Core.Pfd_dist.variance dist);
-  check_close ~eps:1e-12 "P(positive) = P(some system fault)"
+  Prop.check_close ~eps:1e-12 "P(positive) = P(some system fault)"
     (Core.Voting.p_some_system_fault v u)
     (Core.Pfd_dist.prob_positive dist)
 
@@ -129,7 +126,7 @@ let test_voting_simulator_agreement () =
     let system = Simulator.Protection.voted ~required:2 [ mk (); mk (); mk () ] in
     Numerics.Welford.add acc (Simulator.Protection.true_pfd system)
   done;
-  check_close ~eps:0.004 "2oo3 simulated mean PFD"
+  Prop.check_close ~eps:0.004 "2oo3 simulated mean PFD"
     (Core.Voting.mu Core.Voting.two_out_of_three u)
     (Numerics.Welford.mean acc)
 
@@ -161,10 +158,10 @@ let test_estimator_p_hat () =
   Alcotest.(check (array int)) "occurrence counts" [| 3; 2; 1 |]
     (Core.Estimator.occurrence_counts obs);
   let p = Core.Estimator.p_hat obs in
-  check_close "p0" 0.75 p.(0);
-  check_close "p1" 0.5 p.(1);
-  check_close "p2" 0.25 p.(2);
-  check_close "pmax hat" 0.75 (Core.Estimator.pmax_hat obs);
+  Prop.check_close "p0" 0.75 p.(0);
+  Prop.check_close "p1" 0.5 p.(1);
+  Prop.check_close "p2" 0.25 p.(2);
+  Prop.check_close "pmax hat" 0.75 (Core.Estimator.pmax_hat obs);
   Alcotest.(check bool) "pmax upper exceeds hat" true
     (Core.Estimator.pmax_upper obs > 0.75)
 
@@ -177,10 +174,10 @@ let test_estimator_consistency () =
   in
   let obs = Core.Estimator.observe ~n_faults:2 versions in
   let p = Core.Estimator.p_hat obs in
-  check_close ~eps:0.01 "p0 converges" 0.5 p.(0);
-  check_close ~eps:0.01 "p1 converges" 0.2 p.(1);
+  Prop.check_close ~eps:0.01 "p0 converges" 0.5 p.(0);
+  Prop.check_close ~eps:0.01 "p1 converges" 0.2 p.(1);
   let u = Core.Estimator.plug_in_universe obs ~qs:(Core.Universe.qs truth) in
-  check_close ~eps:0.01 "plug-in risk ratio" (Core.Fault_count.risk_ratio truth)
+  Prop.check_close ~eps:0.01 "plug-in risk ratio" (Core.Fault_count.risk_ratio truth)
     (Core.Fault_count.risk_ratio u)
 
 let test_estimator_bootstrap_interval () =
@@ -214,7 +211,7 @@ let test_estimator_validation () =
 let test_testing_zero_demands_is_identity () =
   let u = tiny () in
   let u' = Extensions.Testing_process.operational_testing u ~demands:0 in
-  check_close "mu1 unchanged" (Core.Moments.mu1 u) (Core.Moments.mu1 u')
+  Prop.check_close "mu1 unchanged" (Core.Moments.mu1 u) (Core.Moments.mu1 u')
 
 let test_testing_scrubs_big_regions_faster () =
   let u = tiny () in
@@ -222,8 +219,8 @@ let test_testing_scrubs_big_regions_faster () =
      fault's probability falls more. *)
   let u' = Extensions.Testing_process.operational_testing u ~demands:10 in
   let p = Core.Universe.ps u' in
-  check_close ~eps:1e-12 "fault 0 survival" (0.5 *. (0.9 ** 10.0)) p.(0);
-  check_close ~eps:1e-12 "fault 1 survival" (0.2 *. (0.7 ** 10.0)) p.(1);
+  Prop.check_close ~eps:1e-12 "fault 0 survival" (0.5 *. (0.9 ** 10.0)) p.(0);
+  Prop.check_close ~eps:1e-12 "fault 1 survival" (0.2 *. (0.7 ** 10.0)) p.(1);
   Alcotest.(check bool) "relative reduction larger for big region" true
     (p.(1) /. 0.2 < p.(0) /. 0.5)
 
@@ -244,8 +241,8 @@ let test_directed_testing () =
       ~cycles:2
   in
   let p = Core.Universe.ps u' in
-  check_close "detected fault shrinks" (0.5 *. 0.25) p.(0);
-  check_close "undetected fault untouched" 0.2 p.(1)
+  Prop.check_close "detected fault shrinks" (0.5 *. 0.25) p.(0);
+  Prop.check_close "undetected fault untouched" 0.2 p.(1)
 
 let test_testing_trajectory () =
   let u = tiny () in
@@ -254,7 +251,7 @@ let test_testing_trajectory () =
       ~demand_counts:[| 0; 10; 100 |]
   in
   Alcotest.(check int) "points" 3 (Array.length traj);
-  check_close ~eps:1e-12 "t=0 is the base universe"
+  Prop.check_close ~eps:1e-12 "t=0 is the base universe"
     (Core.Fault_count.risk_ratio u)
     traj.(0).Extensions.Testing_process.risk_ratio
 
@@ -265,9 +262,9 @@ let test_testing_trajectory () =
 let test_beta_prior_conjugacy () =
   let prior = Extensions.Beta_prior.create ~a:2.0 ~b:8.0 in
   let post = Extensions.Beta_prior.observe prior ~demands:10 ~failures:3 in
-  check_close "posterior a" 5.0 (Extensions.Beta_prior.a post);
-  check_close "posterior b" 15.0 (Extensions.Beta_prior.b post);
-  check_close ~eps:1e-12 "posterior mean" 0.25 (Extensions.Beta_prior.mean post)
+  Prop.check_close "posterior a" 5.0 (Extensions.Beta_prior.a post);
+  Prop.check_close "posterior b" 15.0 (Extensions.Beta_prior.b post);
+  Prop.check_close ~eps:1e-12 "posterior mean" 0.25 (Extensions.Beta_prior.mean post)
 
 let test_beta_prior_uniform_update () =
   (* Uniform prior + t failure-free demands: P(theta <= x) = 1-(1-x)^(t+1). *)
@@ -276,7 +273,7 @@ let test_beta_prior_uniform_update () =
       ~demands:100
   in
   let x = 0.01 in
-  check_close ~eps:1e-10 "closed-form posterior CDF"
+  Prop.check_close ~eps:1e-10 "closed-form posterior CDF"
     (1.0 -. ((1.0 -. x) ** 101.0))
     (Extensions.Beta_prior.prob_at_most post x)
 
@@ -284,7 +281,7 @@ let test_beta_prior_moment_match () =
   let u = tiny () in
   let dist = Core.Pfd_dist.exact_pair u in
   let matched = Extensions.Beta_prior.moment_matched dist in
-  check_close ~eps:1e-10 "mean matched" (Core.Pfd_dist.mean dist)
+  Prop.check_close ~eps:1e-10 "mean matched" (Core.Pfd_dist.mean dist)
     (Extensions.Beta_prior.mean matched)
 
 let test_beta_prior_demands_for_confidence () =
