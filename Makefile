@@ -65,6 +65,7 @@ check:
 	dune build @evidence-smoke
 	dune build @adjudication-smoke
 	dune build @check-smoke
+	dune build @all-smoke
 	dune build @serve-smoke
 
 # Proven-in-use evidence pipeline, end to end: log a fleet campaign

@@ -260,7 +260,8 @@ let tests ~smoke () =
     Test.make ~name:"develop-pair/n=1000"
       (Staged.stage
          (let r = Numerics.Rng.create ~seed:(seed + 2) in
-          fun () -> ignore (Simulator.Devteam.pair_pfd_from_universe r u_big)));
+          let c = Simulator.Devteam.compile u_big in
+          fun () -> ignore (Simulator.Devteam.pair_pfd r c)));
     Test.make ~name:"run-1000-demands"
       (Staged.stage
          (let r = Numerics.Rng.create ~seed:(seed + 3) in

@@ -62,9 +62,10 @@ let () =
   Fmt.pr "  E(version PFD) = %.6f, E(pair PFD) = %.6f@." (Core.Moments.mu1 u)
     (Core.Moments.mu2 u);
   let emp =
-    Simulator.Montecarlo.empirical_system_pfd
-      (Numerics.Rng.split rng ~index:4)
-      space ~replications:200 ~demands_per_system:5_000
+    let rng = Numerics.Rng.split rng ~index:4 in
+    let systems = Simulator.Fleet.deploy_pairs rng space ~plants:200 in
+    Simulator.Fleet.pooled_rate
+      (Simulator.Fleet.observe rng systems ~demands_per_plant:5_000)
   in
   Fmt.pr "  average observed pair PFD over 200 fresh developments: %.6f@." emp;
   Fmt.pr

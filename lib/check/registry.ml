@@ -582,9 +582,10 @@ let adjudication_graceful_degradation =
           ~replications:r
       in
       let counts_samples =
+        let compiled = Simulator.Devteam.compile u in
         Array.init r (fun _ ->
-            Simulator.Devteam.adjudicated_system_pfd_from_universe ~detection
-              rng u ~channels ~adjudicator:cascade)
+            Simulator.Devteam.adjudicated_system_pfd ~detection rng compiled
+              ~channels ~adjudicator:cascade)
       in
       let sampler samples =
         Compare.mean_z ~bound ~expected:mu ~sigma ~trials:r

@@ -30,19 +30,22 @@ let shard_bounds ~range ~shards =
       let len = base + if k < extra then 1 else 0 in
       (lo, len))
 
-let split_rngs rng ~shards =
-  if shards < 1 then invalid_arg "Exec.split_rngs: shards must be >= 1";
-  Array.init shards (fun k -> Numerics.Rng.split rng ~index:k)
-
 let map_shards ?pool ~shards ~f () =
   if shards < 1 then invalid_arg "Exec.map_shards: shards must be >= 1";
   let pool = match pool with Some p -> p | None -> Pool.default () in
   Pool.run pool ~n:shards (fun k -> Obs.Trace.with_shard k (fun () -> f k))
 
-let map_reduce ?pool ~shards ~f ~merge () =
-  let results = map_shards ?pool ~shards ~f () in
-  let acc = ref results.(0) in
-  for k = 1 to shards - 1 do
-    acc := merge !acc results.(k)
-  done;
-  !acc
+(* The parent is split in the caller, in index order, so its draws do not
+   depend on the pool; only the seeds cross domains. Each generator is
+   built on the worker that drives it, so no two shards' generator states
+   are allocated side by side by the caller. *)
+let map_shards_rng ?pool rng ~shards ~range ~f =
+  let bounds = shard_bounds ~range ~shards in
+  let seeds =
+    Array.init shards (fun k -> Numerics.Rng.split_seed rng ~index:k)
+  in
+  map_shards ?pool ~shards
+    ~f:(fun k ->
+      let lo, len = bounds.(k) in
+      f ~lo ~len (Numerics.Rng.create ~seed:seeds.(k)))
+    ()

@@ -1,13 +1,21 @@
-(** Deterministic sharded map-reduce over a {!Pool} of domains.
+(** Deterministic sharded execution over a {!Pool} of domains.
 
     Determinism contract: a parallel computation is split into a fixed
     number of [shards]; shard [k] derives its randomness from
     [Rng.split parent ~index:k] and its slice of the work from
-    {!shard_bounds}; results are merged in shard order. The output is a
-    pure function of [(seed, shards)] and is byte-identical for any
+    {!shard_bounds}; results are returned in shard order. The output is
+    a pure function of [(seed, shards)] and is byte-identical for any
     domain count, including a 1-domain (fully sequential) pool. Changing
     [shards] changes outputs — deterministically — which is why the
-    default is a fixed constant rather than a hardware-derived value. *)
+    default is a fixed constant rather than a hardware-derived value.
+
+    {!map_shards_rng} is the one implementation of that rule. The
+    simulator's sharded entry points, all taking [?pool]/[?shards]:
+    [Montecarlo.estimate], [Campaign.estimate_mttf],
+    [Campaign.simulate_mission_survival], [Fleet.deploy_pairs],
+    [Fleet.deploy_singles] and [Fleet.observe] run on it;
+    [Montecarlo.version_population] draws nothing in parallel and uses
+    {!map_shards} over {!shard_bounds}. *)
 
 module Pool = Pool
 
@@ -24,11 +32,6 @@ val shard_bounds : range:int -> shards:int -> (int * int) array
     lengths differ by at most one (the first [range mod shards] shards
     take the extra element). Shards beyond [range] get [len = 0]. *)
 
-val split_rngs : Numerics.Rng.t -> shards:int -> Numerics.Rng.t array
-(** One independent substream per shard, derived with
-    [Rng.split ~index:k]. Advances the parent by exactly [shards]
-    draws. *)
-
 val map_shards :
   ?pool:Pool.t -> shards:int -> f:(int -> 'a) -> unit -> 'a array
 (** Run [f 0 .. f (shards-1)] on the pool (default: {!Pool.default}),
@@ -36,12 +39,19 @@ val map_shards :
     [Obs.Trace.with_shard k] so trace spans from parallel regions stay
     well-nested per shard. *)
 
-val map_reduce :
+val map_shards_rng :
   ?pool:Pool.t ->
+  Numerics.Rng.t ->
   shards:int ->
-  f:(int -> 'a) ->
-  merge:('a -> 'a -> 'a) ->
-  unit ->
-  'a
-(** {!map_shards} followed by a left fold of [merge] in shard order:
-    [merge (... merge (merge r0 r1) r2 ...) r(shards-1)]. *)
+  range:int ->
+  f:(lo:int -> len:int -> Numerics.Rng.t -> 'a) ->
+  'a array
+(** [map_shards_rng rng ~shards ~range ~f] runs shard [k] as
+    [f ~lo ~len rng_k] on the pool and returns the results in shard
+    order. [(lo, len)] is shard [k]'s entry of
+    [shard_bounds ~range ~shards]; [rng_k] is the stream
+    [Rng.split rng ~index:k]. The split happens in the caller, in index
+    order 0..shards-1, and advances [rng] by exactly [shards] draws; the
+    generator itself is built on the worker that runs the shard. Raises
+    [Invalid_argument] when [shards < 1] or [range < 0], before drawing
+    from [rng]. *)

@@ -88,16 +88,13 @@ let next_int64 t =
   Bytes.set_int64_ne st 24 s3;
   result
 
-let split t ~index =
-  (* Derive an independent substream: hash the parent's next output with the
-     index through splitmix64. *)
-  let base = Int64.to_int (next_int64 t) in
-  let state = ref (Int64.of_int (base lxor (index * 0x2545F4914F6CDD1D))) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  of_lanes s0 s1 s2 s3
+(* Derive an independent substream: hash the parent's next output with the
+   index, then expand it through splitmix64 exactly as [create] expands a
+   seed. *)
+let split_seed t ~index =
+  Int64.to_int (next_int64 t) lxor (index * 0x2545F4914F6CDD1D)
+
+let split t ~index = create ~seed:(split_seed t ~index)
 
 let draws t = t.draws
 

@@ -17,6 +17,13 @@ val split : t -> index:int -> t
     indices from the same parent state yield distinct streams. Advances the
     parent. *)
 
+val split_seed : t -> index:int -> int
+(** The seed of the substream [split t ~index] builds:
+    [create ~seed:(split_seed t ~index)] is that same stream. Advances the
+    parent by one draw, like {!split}, but allocates no generator, so a
+    caller can draw the seeds in order and build each generator on the
+    domain that uses it. *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

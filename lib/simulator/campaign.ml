@@ -45,30 +45,22 @@ type mttf_estimate = {
 let estimate_mttf ?pool ?shards rng ~system ~missions ~max_demands =
   if missions <= 0 then
     invalid_arg "Campaign.estimate_mttf: missions must be positive";
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
-  if shards < 1 then invalid_arg "Campaign.estimate_mttf: shards must be >= 1";
+  let shards = Option.value shards ~default:(Exec.default_shards ()) in
   let span = Obs.Trace.enter "campaign.estimate_mttf" in
   (* Missions are independent: each shard drives its contiguous slice on
      its own substream, writing into the shared outcome array (disjoint
      slices). Per-mission spans open on the worker and are attributed to
      the owning shard's trace lane. *)
   let outcomes = Array.make missions Survived in
-  let child_rngs = Exec.split_rngs rng ~shards in
-  let bounds = Exec.shard_bounds ~range:missions ~shards in
   let shard_draws =
-    Exec.map_shards ?pool ~shards
-      ~f:(fun k ->
-        let lo, len = bounds.(k) in
-        let rng_k = child_rngs.(k) in
+    Exec.map_shards_rng ?pool rng ~shards ~range:missions
+      ~f:(fun ~lo ~len rng_k ->
         for m = lo to lo + len - 1 do
           let mission_span = Obs.Trace.enter "campaign.mission" in
           outcomes.(m) <- time_to_first_failure rng_k ~system ~max_demands;
           Obs.Trace.leave mission_span
         done;
         Rng.draws rng_k)
-      ()
   in
   (* Join: replay the outcomes in mission order, so tallies, metrics, the
      running gauge and the run log are identical to a sequential pass
@@ -137,17 +129,11 @@ let simulate_mission_survival ?pool ?shards rng ~system ~mission_demands
     ~missions =
   if missions <= 0 then
     invalid_arg "Campaign.simulate_mission_survival: missions must be positive";
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
+  let shards = Option.value shards ~default:(Exec.default_shards ()) in
   let span = Obs.Trace.enter "campaign.simulate_mission_survival" in
-  let child_rngs = Exec.split_rngs rng ~shards in
-  let bounds = Exec.shard_bounds ~range:missions ~shards in
-  let survived =
-    Exec.map_reduce ?pool ~shards
-      ~f:(fun k ->
-        let _, len = bounds.(k) in
-        let rng_k = child_rngs.(k) in
+  let per_shard =
+    Exec.map_shards_rng ?pool rng ~shards ~range:missions
+      ~f:(fun ~lo:_ ~len rng_k ->
         let survived = ref 0 in
         for _ = 1 to len do
           match
@@ -157,8 +143,8 @@ let simulate_mission_survival ?pool ?shards rng ~system ~mission_demands
           | Failed_at _ -> ()
         done;
         !survived)
-      ~merge:( + ) ()
   in
+  let survived = Array.fold_left ( + ) 0 per_shard in
   Obs.Metrics.add m_missions missions;
   let fraction = float_of_int survived /. float_of_int missions in
   Obs.Metrics.set g_survival fraction;
@@ -172,21 +158,6 @@ type architecture_report = {
   survival_1000 : float;
 }
 
-let measure_architecture rng ~label ~system ~missions ~max_demands =
-  let arch_span = Obs.Trace.enter ("campaign.architecture:" ^ label) in
-  let analytic_pfd = Protection.true_pfd system in
-  let report =
-    {
-      label;
-      analytic_pfd;
-      simulated_mttf = estimate_mttf rng ~system ~missions ~max_demands;
-      survival_1000 =
-        mission_survival_probability ~pfd:analytic_pfd ~mission_demands:1000;
-    }
-  in
-  Obs.Trace.leave arch_span;
-  report
-
 let compare_architectures rng space ~architectures ~missions ~max_demands =
   List.map
     (fun (label, channels, required) ->
@@ -198,19 +169,18 @@ let compare_architectures rng space ~architectures ~missions ~max_demands =
       let system =
         Protection.voted ~required (List.init channels (fun _ -> mk ()))
       in
-      measure_architecture rng ~label ~system ~missions ~max_demands)
-    architectures
-
-let compare_adjudicated ?detection rng space ~architectures ~missions
-    ~max_demands =
-  List.map
-    (fun (label, channels, adjudicator) ->
-      if channels <= 0 then
-        invalid_arg "Campaign.compare_adjudicated: channels must be positive";
-      let system =
-        Protection.create ~adjudicator
-          (Array.to_list
-             (Devteam.develop_channels ?detection rng space ~count:channels))
+      let arch_span = Obs.Trace.enter ("campaign.architecture:" ^ label) in
+      let analytic_pfd = Protection.true_pfd system in
+      let report =
+        {
+          label;
+          analytic_pfd;
+          simulated_mttf = estimate_mttf rng ~system ~missions ~max_demands;
+          survival_1000 =
+            mission_survival_probability ~pfd:analytic_pfd
+              ~mission_demands:1000;
+        }
       in
-      measure_architecture rng ~label ~system ~missions ~max_demands)
+      Obs.Trace.leave arch_span;
+      report)
     architectures

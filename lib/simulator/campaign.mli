@@ -75,19 +75,3 @@ val compare_architectures :
 (** For each (label, channels, required-votes) triple: develop the
     channels fresh from the space's process, build the voted system, and
     measure it. *)
-
-val compare_adjudicated :
-  ?detection:float ->
-  Numerics.Rng.t ->
-  Demandspace.Space.t ->
-  architectures:(string * int * Adjudicator.t) list ->
-  missions:int ->
-  max_demands:int ->
-  architecture_report list
-(** {!compare_architectures} generalised to adjudicator calculus terms:
-    for each (label, channels, adjudicator) triple, develop [channels]
-    optionally self-checking channels ({!Devteam.develop_channel} with
-    [detection]) and measure the adjudicated system — e.g. pitting
-    [vote ~required:2] against
-    [fallback (vote ~required:2) (vote ~required:1)] under the same
-    development process. *)

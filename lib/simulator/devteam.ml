@@ -20,37 +20,6 @@ let develop_pair rng space = (develop rng space, develop rng space)
 
 let develop_many rng space ~count = Array.init count (fun _ -> develop rng space)
 
-(* Self-checking development (Boiten): after the version's faults are
-   drawn exactly as [develop] draws them, each introduced fault is
-   independently caught by the team's runtime checks with probability
-   [detection]; the channel then abstains (instead of failing silently)
-   on every demand in a detected fault's region. [detection = 0] makes
-   no detection draws and returns a channel byte-identical in behaviour
-   to [Channel.create] over [develop]. *)
-let develop_channel ?(detection = 0.0) rng space ~name =
-  if detection < 0.0 || detection > 1.0 then
-    invalid_arg "Devteam.develop_channel: detection outside [0, 1]";
-  let version = develop rng space in
-  if detection <= 0.0 then Channel.create ~name version
-  else
-    let detected =
-      List.filter
-        (fun _ -> Rng.bool rng ~p:detection)
-        (Demandspace.Version.present_faults version)
-    in
-    match detected with
-    | [] -> Channel.create ~name version
-    | _ :: _ ->
-        let self_check =
-          Demandspace.Region.union_members
-            (List.map (Demandspace.Space.region space) detected)
-        in
-        Channel.create ~self_check ~name version
-
-let develop_channels ?detection rng space ~count =
-  Array.init count (fun i ->
-      develop_channel ?detection rng space ~name:(Printf.sprintf "ch%d" i))
-
 (* ------------------------------------------------------------------ *)
 (* Compiled universes                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -111,25 +80,6 @@ let pair_pfd rng c =
   done;
   (Kahan.total ka, Kahan.total kb, Kahan.total kc)
 
-(* One-slot per-domain cache so the from_universe wrappers stay cheap
-   when called in a loop on one universe (the benchmarks do exactly
-   this). Domain-local storage keeps the mutable scratch contained. *)
-let compiled_cache : (Core.Universe.t * compiled) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let compiled_of universe =
-  let cache = Domain.DLS.get compiled_cache in
-  match !cache with
-  | Some (u, c) when u == universe -> c
-  | _ ->
-      let c = compile universe in
-      cache := Some (universe, c);
-      c
-
-let version_pfd_from_universe rng universe = version_pfd rng (compiled_of universe)
-
-let pair_pfd_from_universe rng universe = pair_pfd rng (compiled_of universe)
-
 (* Sampled PFD of an N-channel system behind an arbitrary adjudicator
    term: develop [channels] abstract versions (each drawn in
    [sample_into]'s i = n-1 downto 0 order, channel by channel), give
@@ -165,8 +115,3 @@ let adjudicated_system_pfd ?(detection = 0.0) rng c ~channels ~adjudicator =
     | Channel.No_action | Channel.Abstain -> Kahan.add k c.qs.(i)
   done;
   Kahan.total k
-
-let adjudicated_system_pfd_from_universe ?detection rng universe ~channels
-    ~adjudicator =
-  adjudicated_system_pfd ?detection rng (compiled_of universe) ~channels
-    ~adjudicator

@@ -22,28 +22,6 @@ val develop_many :
 (** A population of versions (e.g. the 27 of the Knight–Leveson
     replication). *)
 
-val develop_channel :
-  ?detection:float ->
-  Numerics.Rng.t ->
-  Demandspace.Space.t ->
-  name:string ->
-  Channel.t
-(** Develop one (possibly self-checking) channel: the version is drawn
-    exactly as by {!develop}, then each introduced fault is caught by
-    the team's runtime checks independently with probability
-    [detection] (default 0 — no extra draws, plain binary channel); the
-    channel abstains on demands in detected faults' regions. Raises
-    [Invalid_argument] when [detection] is outside [0, 1]. *)
-
-val develop_channels :
-  ?detection:float ->
-  Numerics.Rng.t ->
-  Demandspace.Space.t ->
-  count:int ->
-  Channel.t array
-(** [count] independently developed self-checking channels, named
-    ch0..ch(count-1). *)
-
 (** {2 Compiled abstract development}
 
     The Monte Carlo hot path samples millions of abstract versions from
@@ -69,14 +47,6 @@ val pair_pfd : Numerics.Rng.t -> compiled -> float * float * float
 (** [(pfd_a, pfd_b, pfd_pair)] for an independently developed pair; the
     pair PFD is the summed measure of the common faults. *)
 
-val version_pfd_from_universe : Numerics.Rng.t -> Core.Universe.t -> float
-(** [version_pfd] through a per-domain one-slot compile cache, so looping
-    on a single universe pays compilation once. *)
-
-val pair_pfd_from_universe :
-  Numerics.Rng.t -> Core.Universe.t -> float * float * float
-(** [pair_pfd] through the same per-domain compile cache. *)
-
 val adjudicated_system_pfd :
   ?detection:float ->
   Numerics.Rng.t ->
@@ -93,12 +63,3 @@ val adjudicated_system_pfd :
     {!Core.Voting.policy_defeat_prob}'s closed form. Raises
     [Invalid_argument] when [channels < 1] or [detection] is outside
     [0, 1]. *)
-
-val adjudicated_system_pfd_from_universe :
-  ?detection:float ->
-  Numerics.Rng.t ->
-  Core.Universe.t ->
-  channels:int ->
-  adjudicator:Adjudicator.t ->
-  float
-(** [adjudicated_system_pfd] through the per-domain compile cache. *)

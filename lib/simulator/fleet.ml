@@ -20,35 +20,22 @@ type t = { records : plant_record array }
 
 (* Sharding convention (see Exec): [shards = 1] is the legacy sequential
    path — the parent RNG is threaded through the plants in plant order,
-   byte-identical to the pre-sharding implementation. [shards >= 2]
-   splits one substream per shard; shard k handles a contiguous slice of
-   the plants (Exec.shard_bounds) in plant order on its own substream,
-   and slices concatenate back in plant order, so the result is a pure
-   function of (seed, shards) and byte-identical for any domain count. *)
-
-let resolve_shards ~what = function
-  | Some s ->
-      if s < 1 then invalid_arg ("Fleet." ^ what ^ ": shards must be >= 1");
-      s
-  | None -> Exec.default_shards ()
+   byte-identical to the pre-sharding implementation. Any other count
+   goes through [Exec.map_shards_rng], which validates it: shard k
+   handles a contiguous slice of the plants in plant order on its own
+   substream, and slices concatenate back in plant order, so the result
+   is a pure function of (seed, shards) and byte-identical for any
+   domain count. *)
 
 let deploy ?pool ?shards ~what rng ~plants make =
   if plants <= 0 then
     invalid_arg ("Fleet." ^ what ^ ": plants must be positive");
-  let shards = resolve_shards ~what shards in
+  let shards = Option.value shards ~default:(Exec.default_shards ()) in
   if shards = 1 then Array.init plants (fun _ -> make rng)
   else
-    let child_rngs = Exec.split_rngs rng ~shards in
-    let bounds = Exec.shard_bounds ~range:plants ~shards in
-    let parts =
-      Exec.map_shards ?pool ~shards
-        ~f:(fun k ->
-          let _, len = bounds.(k) in
-          let rng_k = child_rngs.(k) in
-          Array.init len (fun _ -> make rng_k))
-        ()
-    in
-    Array.concat (Array.to_list parts)
+    Exec.map_shards_rng ?pool rng ~shards ~range:plants
+      ~f:(fun ~lo:_ ~len rng_k -> Array.init len (fun _ -> make rng_k))
+    |> Array.to_list |> Array.concat
 
 let deploy_pairs ?pool ?shards rng space ~plants =
   deploy ?pool ?shards ~what:"deploy_pairs" rng ~plants (fun rng ->
@@ -62,20 +49,10 @@ let deploy_singles ?pool ?shards rng space ~plants =
       Protection.create
         [ Channel.create ~name:"single" (Devteam.develop rng space) ])
 
-let deploy_adjudicated ?pool ?shards ?detection ?(adjudicator = Adjudicator.one_out_of_n)
-    rng space ~plants ~channels =
-  if channels < 1 then
-    invalid_arg "Fleet.deploy_adjudicated: channels must be >= 1";
-  if Adjudicator.min_channels adjudicator > channels then
-    invalid_arg "Fleet.deploy_adjudicated: more votes required than channels";
-  deploy ?pool ?shards ~what:"deploy_adjudicated" rng ~plants (fun rng ->
-      Protection.create ~adjudicator
-        (Array.to_list (Devteam.develop_channels ?detection rng space ~count:channels)))
-
 let observe ?pool ?shards rng systems ~demands_per_plant =
   if demands_per_plant <= 0 then
     invalid_arg "Fleet.observe: demands_per_plant must be positive";
-  let shards = resolve_shards ~what:"observe" shards in
+  let shards = Option.value shards ~default:(Exec.default_shards ()) in
   let span = Obs.Trace.enter "fleet.observe" in
   let run_plant rng system =
     let stats = Runner.run rng ~system ~demand_count:demands_per_plant in
@@ -88,18 +65,10 @@ let observe ?pool ?shards rng systems ~demands_per_plant =
   let records =
     if shards = 1 then Array.map (fun system -> run_plant rng system) systems
     else
-      let plants = Array.length systems in
-      let child_rngs = Exec.split_rngs rng ~shards in
-      let bounds = Exec.shard_bounds ~range:plants ~shards in
-      let parts =
-        Exec.map_shards ?pool ~shards
-          ~f:(fun k ->
-            let lo, len = bounds.(k) in
-            let rng_k = child_rngs.(k) in
-            Array.init len (fun i -> run_plant rng_k systems.(lo + i)))
-          ()
-      in
-      Array.concat (Array.to_list parts)
+      Exec.map_shards_rng ?pool rng ~shards ~range:(Array.length systems)
+        ~f:(fun ~lo ~len rng_k ->
+          Array.init len (fun i -> run_plant rng_k systems.(lo + i)))
+      |> Array.to_list |> Array.concat
   in
   (* Join: replay the per-plant records into the instruments in plant
      order, so metrics and the run log are independent of the domain

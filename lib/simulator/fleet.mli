@@ -28,14 +28,15 @@ val deploy_pairs :
   Protection.t array
 (** Each plant gets a fresh, independently developed 1-out-of-2 system.
 
-    Sharded over [Exec.map_shards]: with [shards >= 2] (the default
+    Sharded over [Exec.map_shards_rng]: with [shards >= 2] (the default
     shard count is [Exec.default_shards ()]), shard [k] develops a
     contiguous slice of the plants on its own [Rng.split] substream and
     the slices concatenate in plant order, so the fleet is a pure
     function of [(seed, shards)] — byte-identical for any pool size.
     [~shards:1] is the legacy sequential path: the parent RNG is
     threaded through the plants directly, byte-identical to the
-    pre-sharding implementation. *)
+    pre-sharding implementation. Raises [Invalid_argument] when
+    [plants <= 0] or [shards < 1]. *)
 
 val deploy_singles :
   ?pool:Exec.Pool.t ->
@@ -46,25 +47,6 @@ val deploy_singles :
   Protection.t array
 (** Single-version plants (the comparison fleet). Same sharding
     contract as {!deploy_pairs}. *)
-
-val deploy_adjudicated :
-  ?pool:Exec.Pool.t ->
-  ?shards:int ->
-  ?detection:float ->
-  ?adjudicator:Adjudicator.t ->
-  Numerics.Rng.t ->
-  Demandspace.Space.t ->
-  plants:int ->
-  channels:int ->
-  Protection.t array
-(** Each plant gets [channels] independently developed (optionally
-    self-checking, see {!Devteam.develop_channel}) channels behind an
-    arbitrary adjudicator term — e.g. a cascaded vote with a fallback
-    for graceful degradation under abstention. Default adjudicator is
-    the paper's OR; default [detection] is 0 (plain binary channels).
-    Same sharding contract as {!deploy_pairs}. Raises
-    [Invalid_argument] when [channels < 1] or the adjudicator needs
-    more channels than [channels]. *)
 
 val observe :
   ?pool:Exec.Pool.t ->

@@ -29,36 +29,28 @@ type estimate = {
 let estimate ?pool ?shards rng universe ~replications =
   if replications <= 0 then
     invalid_arg "Montecarlo.estimate: replications must be positive";
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
-  if shards < 1 then invalid_arg "Montecarlo.estimate: shards must be >= 1";
+  let shards = Option.value shards ~default:(Exec.default_shards ()) in
   let span = Obs.Trace.enter "montecarlo.estimate" in
   let draws0 = Rng.draws rng in
   let theta1_samples = Array.make replications 0.0 in
   let theta2_samples = Array.make replications 0.0 in
   (* Deterministic sharding: each shard owns a contiguous slice of the
-     sample arrays and an independent substream, so the result depends on
-     (seed, shards) only — never on the pool's domain count. *)
-  let child_rngs = Exec.split_rngs rng ~shards in
-  let bounds = Exec.shard_bounds ~range:replications ~shards in
+     sample arrays, an independent substream and its own compiled
+     universe (compiled scratch is single-domain), so the result depends
+     on (seed, shards) only — never on the pool's domain count. *)
   let per_shard =
-    Exec.map_shards ?pool ~shards
-      ~f:(fun k ->
-        let lo, len = bounds.(k) in
-        let rng_k = child_rngs.(k) in
+    Exec.map_shards_rng ?pool rng ~shards ~range:replications
+      ~f:(fun ~lo ~len rng_k ->
+        let compiled = Devteam.compile universe in
         let n1 = ref 0 and n2 = ref 0 in
         for r = lo to lo + len - 1 do
-          let pfd_a, _pfd_b, pfd_pair =
-            Devteam.pair_pfd_from_universe rng_k universe
-          in
+          let pfd_a, _pfd_b, pfd_pair = Devteam.pair_pfd rng_k compiled in
           theta1_samples.(r) <- pfd_a;
           theta2_samples.(r) <- pfd_pair;
           if pfd_a > 0.0 then incr n1;
           if pfd_pair > 0.0 then incr n2
         done;
         (!n1, !n2, Rng.draws rng_k))
-      ()
   in
   (* Join: fold shard tallies in shard order and feed the single-writer
      instruments from the calling domain. *)
@@ -120,9 +112,7 @@ type population = {
 let version_population ?pool ?shards rng space ~count =
   if count < 2 then
     invalid_arg "Montecarlo.version_population: need at least two versions";
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
+  let shards = Option.value shards ~default:(Exec.default_shards ()) in
   let span = Obs.Trace.enter "montecarlo.version_population" in
   (* Development consumes the RNG and stays sequential; evaluating the
      count*(count-1)/2 unordered pairs is pure, so it shards over a
@@ -179,37 +169,3 @@ let knight_leveson_shape pop =
     else nan
   in
   (mean_ratio, std_ratio)
-
-let empirical_system_pfd ?pool ?shards rng space ~replications
-    ~demands_per_system =
-  (* Full-stack estimate: develop a pair, build the Fig. 1 system, run it
-     on operational demands, and average the observed failure rates. Each
-     shard runs its slice of the replications on its own substream into a
-     local Welford accumulator; accumulators merge in shard order. *)
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
-  let span = Obs.Trace.enter "montecarlo.empirical_system_pfd" in
-  let child_rngs = Exec.split_rngs rng ~shards in
-  let bounds = Exec.shard_bounds ~range:replications ~shards in
-  let acc =
-    Exec.map_reduce ?pool ~shards
-      ~f:(fun k ->
-        let _, len = bounds.(k) in
-        let rng_k = child_rngs.(k) in
-        let acc = Welford.create () in
-        for _ = 1 to len do
-          let va, vb = Devteam.develop_pair rng_k space in
-          let system =
-            Protection.one_out_of_two
-              (Channel.create ~name:"A" va)
-              (Channel.create ~name:"B" vb)
-          in
-          let stats = Runner.run rng_k ~system ~demand_count:demands_per_system in
-          Welford.add acc stats.Runner.estimated_pfd
-        done;
-        acc)
-      ~merge:Welford.merge ()
-  in
-  Obs.Trace.leave span;
-  Welford.mean acc

@@ -56,16 +56,3 @@ val version_population :
 val knight_leveson_shape : population -> float * float
 (** [(mean_ratio, std_ratio)] of pair vs version PFD; the paper's
     qualitative claim is both < 1 with the std shrinking more. *)
-
-val empirical_system_pfd :
-  ?pool:Exec.Pool.t ->
-  ?shards:int ->
-  Numerics.Rng.t ->
-  Demandspace.Space.t ->
-  replications:int ->
-  demands_per_system:int ->
-  float
-(** Average observed failure rate over full develop-and-operate
-    replications of the Fig. 1 system. Sharded like {!estimate}: each
-    shard accumulates into a local Welford state, merged in shard
-    order. *)

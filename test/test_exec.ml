@@ -70,28 +70,58 @@ let test_shard_bounds () =
   check_int "empty tail shards" 3
     (Array.fold_left (fun acc (_, len) -> if len = 0 then acc + 1 else acc) 0 b)
 
-(* ---- split_rngs ---- *)
+(* ---- map_shards_rng ---- *)
 
-let test_split_rngs () =
-  let parent = Numerics.Rng.create ~seed:99 in
-  let before = Numerics.Rng.draws parent in
-  let subs = Exec.split_rngs parent ~shards:8 in
-  check_int "parent advances one draw per split" 8
-    (Numerics.Rng.draws parent - before);
-  (* substreams are reproducible and pairwise distinct *)
-  let parent' = Numerics.Rng.create ~seed:99 in
-  let subs' = Exec.split_rngs parent' ~shards:8 in
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_map_shards_rng () =
+  let shards = 5 and range = 23 in
   let draw_some r = Array.init 16 (fun _ -> Numerics.Rng.float r) in
-  let a = Array.map draw_some subs and b = Array.map draw_some subs' in
+  let run pool =
+    let parent = Numerics.Rng.create ~seed:99 in
+    let out =
+      Exec.map_shards_rng ~pool parent ~shards ~range ~f:(fun ~lo ~len rng_k ->
+          ((lo, len), draw_some rng_k))
+    in
+    (parent, out)
+  in
+  let parent1, out1 = run (Lazy.force pool1) in
+  let parent4, out4 = run (Lazy.force pool4) in
+  check_int "parent advances exactly shards draws" shards
+    (Numerics.Rng.draws parent1);
+  (* the reference: split the same parent by hand, in index order *)
+  let reference = Numerics.Rng.create ~seed:99 in
+  let expected =
+    Array.init shards (fun k ->
+        draw_some (Numerics.Rng.split reference ~index:k))
+  in
+  let bounds = Exec.shard_bounds ~range ~shards in
   Array.iteri
-    (fun k ak -> check_bits (Printf.sprintf "substream %d reproducible" k) ak b.(k))
-    a;
-  for i = 0 to 6 do
-    check_bool
-      (Printf.sprintf "substreams %d and %d differ" i (i + 1))
-      true
-      (bits a.(i) <> bits a.(i + 1))
-  done
+    (fun k (slice, xs) ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "shard %d slice = shard_bounds" k)
+        bounds.(k) slice;
+      check_bits
+        (Printf.sprintf "shard %d stream = Rng.split ~index:%d" k k)
+        expected.(k) xs;
+      check_bits
+        (Printf.sprintf "shard %d bit-identical on pool4" k)
+        xs
+        (snd out4.(k)))
+    out1;
+  let after = draw_some reference in
+  check_bits "parent continues as after the splits" after (draw_some parent1);
+  check_bits "parent continues the same on pool4" after (draw_some parent4);
+  let parent = Numerics.Rng.create ~seed:99 in
+  let noop ~lo:_ ~len:_ _ = () in
+  check_bool "shards = 0 raises Invalid_argument" true
+    (raises_invalid (fun () ->
+         Exec.map_shards_rng parent ~shards:0 ~range:4 ~f:noop));
+  check_bool "negative range raises Invalid_argument" true
+    (raises_invalid (fun () ->
+         Exec.map_shards_rng parent ~shards:2 ~range:(-1) ~f:noop));
+  check_int "a rejected call draws nothing" 0 (Numerics.Rng.draws parent)
 
 (* ---- Pool.run ---- *)
 
@@ -184,7 +214,7 @@ let test_survival_identical () =
   check_float_bits "survival probability" (run (Lazy.force pool1))
     (run (Lazy.force pool4))
 
-(* ---- version population & empirical system PFD ---- *)
+(* ---- version population ---- *)
 
 let test_population_identical () =
   let run pool =
@@ -198,14 +228,41 @@ let test_population_identical () =
   check_bits "version pfds" a.version_pfds b.version_pfds;
   check_bits "pair pfds" a.pair_pfds b.pair_pfds
 
-let test_empirical_pfd_identical () =
-  let run pool =
-    let rng = Numerics.Rng.create ~seed:23 in
-    Simulator.Montecarlo.empirical_system_pfd ~pool ~shards:4 rng (space 23)
-      ~replications:12 ~demands_per_system:200
+(* ---- literal pins ---- *)
+
+(* Values computed before the shard primitive existed. The identity
+   tests above compare two pools of the current code; these catch a
+   drift in the split order or the slice assignment, which would move
+   both pools together. *)
+
+let digest_bits a =
+  let b = Buffer.create (8 * Array.length a) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) a;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_estimate_pinned () =
+  let e = estimate ~pool:(Lazy.force pool4) ~shards:4 ~seed:7 in
+  Alcotest.(check (array int)) "shard_draws" [| 9600; 9600; 9600; 9600 |]
+    e.Simulator.Montecarlo.shard_draws;
+  Alcotest.(check string) "theta1 sample bits"
+    "72c3dbc7c6c8ecd0f611ffb65737211f" (digest_bits e.theta1_samples);
+  Alcotest.(check string) "theta2 sample bits"
+    "da95f2853fc0a9b096e4f0c350a6c4ad" (digest_bits e.theta2_samples)
+
+let test_mttf_pinned () =
+  let rng = Numerics.Rng.create ~seed:5 in
+  let m =
+    Simulator.Campaign.estimate_mttf ~pool:(Lazy.force pool4) ~shards:4 rng
+      ~system:(system 1) ~missions:64 ~max_demands:400
   in
-  check_float_bits "empirical system pfd" (run (Lazy.force pool1))
-    (run (Lazy.force pool4))
+  Alcotest.(check (array int)) "shard_draws" [| 6490; 5200; 6614; 7308 |]
+    m.Simulator.Campaign.shard_draws;
+  check_int "failures" 46 m.failures;
+  check_int "censored" 18 m.censored;
+  Alcotest.(check int64) "mttf bits" 4638276225194695635L
+    (Int64.bits_of_float m.mean_time_to_failure);
+  Alcotest.(check int64) "failure rate bits" 4570429163305933713L
+    (Int64.bits_of_float m.failure_rate)
 
 (* ---- trace spans from parallel regions ---- *)
 
@@ -231,7 +288,7 @@ let () =
       ( "mechanics",
         [
           Alcotest.test_case "shard_bounds" `Quick test_shard_bounds;
-          Alcotest.test_case "split_rngs" `Quick test_split_rngs;
+          Alcotest.test_case "map_shards_rng" `Quick test_map_shards_rng;
           Alcotest.test_case "pool run" `Quick test_pool_run;
           Alcotest.test_case "pool exceptions" `Quick test_pool_exception;
         ] );
@@ -245,8 +302,9 @@ let () =
           Alcotest.test_case "campaign mttf" `Quick test_campaign_identical;
           Alcotest.test_case "mission survival" `Quick test_survival_identical;
           Alcotest.test_case "version population" `Quick test_population_identical;
-          Alcotest.test_case "empirical system pfd" `Quick
-            test_empirical_pfd_identical;
+          Alcotest.test_case "montecarlo estimate pinned" `Quick
+            test_estimate_pinned;
+          Alcotest.test_case "campaign mttf pinned" `Quick test_mttf_pinned;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "trace shard lanes" `Quick test_trace_shards ] );

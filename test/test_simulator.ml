@@ -34,9 +34,10 @@ let test_devteam_frequencies () =
 let test_devteam_version_pfd () =
   let rng = rng0 () in
   let u = Core.Universe.of_pairs [ (0.5, 0.2); (0.5, 0.3) ] in
+  let c = Simulator.Devteam.compile u in
   let acc = Numerics.Welford.create () in
   for _ = 1 to 50_000 do
-    Numerics.Welford.add acc (Simulator.Devteam.version_pfd_from_universe rng u)
+    Numerics.Welford.add acc (Simulator.Devteam.version_pfd rng c)
   done;
   Prop.check_close ~eps:0.005 "mean version PFD = mu1" (Core.Moments.mu1 u)
     (Numerics.Welford.mean acc)
@@ -44,9 +45,10 @@ let test_devteam_version_pfd () =
 let test_devteam_pair_pfd () =
   let rng = rng0 () in
   let u = Core.Universe.of_pairs [ (0.5, 0.2); (0.3, 0.3) ] in
+  let c = Simulator.Devteam.compile u in
   let acc = Numerics.Welford.create () in
   for _ = 1 to 50_000 do
-    let _, _, pair = Simulator.Devteam.pair_pfd_from_universe rng u in
+    let _, _, pair = Simulator.Devteam.pair_pfd rng c in
     Numerics.Welford.add acc pair
   done;
   Prop.check_close ~eps:0.005 "mean pair PFD = mu2" (Core.Moments.mu2 u)
@@ -400,16 +402,6 @@ let test_rng_draw_counts () =
   Alcotest.(check int) "child counts independently" 1
     (Numerics.Rng.draws child)
 
-let test_empirical_system_pfd () =
-  let rng = rng0 () in
-  let space = make_space () in
-  let u = Demandspace.Space.to_universe space in
-  let emp =
-    Simulator.Montecarlo.empirical_system_pfd rng space ~replications:300
-      ~demands_per_system:2000
-  in
-  Prop.check_close ~eps:0.01 "full-stack pfd near mu2" (Core.Moments.mu2 u) emp
-
 let () =
   Alcotest.run "simulator"
     [
@@ -448,7 +440,6 @@ let () =
           Alcotest.test_case "estimate matches analytic" `Slow test_montecarlo_estimate;
           Alcotest.test_case "sigma matches" `Slow test_montecarlo_sigma;
           Alcotest.test_case "version population" `Quick test_version_population;
-          Alcotest.test_case "full-stack pfd" `Slow test_empirical_system_pfd;
           Alcotest.test_case "rng draw counts reproducible" `Quick
             test_rng_draw_counts;
         ] );

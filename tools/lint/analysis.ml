@@ -5,8 +5,8 @@
    inventory (Mutstate), then walks the conservative call graph from
    every shard-callback root:
 
-   - roots are the callback arguments of Exec.map_shards / Exec.map_reduce
-     / Pool.run spawn sites, plus any function literal passed to an entry
+   - roots are the callback arguments of Exec.map_shards /
+     Exec.map_shards_rng / Pool.run spawn sites, plus any function literal passed to an entry
      point declaring ?pool or ?shards (except ~merge arguments, which run
      sequentially at join);
    - reachability follows every referenced identifier, resolved against
@@ -146,24 +146,25 @@ let r10_captured_msg name =
   Printf.sprintf
     "shard closure captures Rng stream '%s' from the enclosing scope and \
      draws from it; draw order then depends on shard scheduling — give \
-     each shard its own substream via Exec.split_rngs / Rng.split \
+     each shard its own substream via Exec.map_shards_rng \
      (suppress: divlint allow rng-discipline)"
     name
 
 let r10_global_msg (it : M.item) root =
   Printf.sprintf
     "draw from module-level Rng stream %s (defined at %s:%d) in code \
-     reachable from the shard callback at %s; shard code must draw from a \
-     per-shard Rng.split substream (suppress: divlint allow rng-discipline)"
+     reachable from the shard callback at %s; shard code must draw from \
+     the substream Exec.map_shards_rng passes it (suppress: divlint allow \
+     rng-discipline)"
     (item_path it) it.it_file it.it_loc.C.l_line root
 
 let r11_captured_msg name kind =
   Printf.sprintf
     "shard callback accumulates into captured '%s' (%s); shards complete \
      in nondeterministic order, so the merged result is not in \
-     shard-index order — return per-shard values and combine them with \
-     Exec.map_reduce / an indexed output slot (suppress: divlint allow \
-     nondeterministic-merge)"
+     shard-index order — return per-shard values and fold the array \
+     Exec.map_shards_rng returns in shard order, or write an indexed \
+     output slot (suppress: divlint allow nondeterministic-merge)"
     name (C.kind_word kind)
 
 let r11_hash_msg op =

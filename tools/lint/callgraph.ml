@@ -92,17 +92,17 @@ let is_rng_create path =
   | _ -> false
 
 type spawn_api =
-  | Map_shards  (** Exec.map_shards / Exec.map_reduce: callback is [~f] *)
+  | Map_shards  (** Exec.map_shards / Exec.map_shards_rng: callback is [~f] *)
   | Pool_run  (** Pool.run: callback is the last positional argument *)
 
 let spawn_api path =
   match last2 path with
-  | Some ("Exec", ("map_shards" | "map_reduce")) -> Some Map_shards
+  | Some ("Exec", ("map_shards" | "map_shards_rng")) -> Some Map_shards
   | Some ("Pool", "run") -> Some Pool_run
   | _ -> (
       (* unqualified calls inside lib/exec itself *)
       match path with
-      | "map_shards" | "map_reduce" -> Some Map_shards
+      | "map_shards" | "map_shards_rng" -> Some Map_shards
       | _ -> None)
 
 let is_lock path =

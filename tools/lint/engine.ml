@@ -417,7 +417,7 @@ let message rule detail =
   | Domain_containment ->
       Printf.sprintf
         "%s: domain primitive outside lib/exec/; run parallel work through \
-         Exec.Pool / Exec.map_reduce so results stay deterministic, or \
+         Exec.Pool / Exec.map_shards_rng so results stay deterministic, or \
          suppress with a divlint allow comment (domain-containment)"
         detail
   | Shared_mutable_escape | Rng_discipline | Nondet_merge ->

@@ -1,12 +1,16 @@
 (* R11 negative: the sanctioned merge patterns. *)
 
-(* map_reduce's ~merge runs sequentially over shard-indexed results at
-   join — the callback itself stays pure. *)
-let good_index_order xs =
-  Exec.map_reduce ~shards:4
-    ~f:(fun k -> xs.(k))
-    ~merge:(fun acc v -> acc +. v)
-    ()
+(* Per-shard values come back in shard order and are folded at join on
+   the calling domain — the callback itself stays pure. *)
+let good_index_order rng xs =
+  Exec.map_shards_rng rng ~shards:4 ~range:(Array.length xs)
+    ~f:(fun ~lo ~len _rng_k ->
+      let acc = ref 0.0 in
+      for i = lo to lo + len - 1 do
+        acc := !acc +. xs.(i)
+      done;
+      !acc)
+  |> Array.fold_left max neg_infinity
 
 (* Disjoint indexed writes into a preallocated output buffer: each shard
    owns slot k, so completion order cannot change the result. *)

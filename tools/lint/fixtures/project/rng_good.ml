@@ -1,13 +1,11 @@
-(* R10 negative: every shard draws from its own split substream. *)
+(* R10 negative: every shard draws from the substream it is passed. *)
 
 let good_substream rng =
-  let rngs = Exec.split_rngs rng ~shards:4 in
-  Exec.map_shards ~shards:4 ~f:(fun k -> Numerics.Rng.float rngs.(k)) ()
+  Exec.map_shards_rng rng ~shards:4 ~range:4 ~f:(fun ~lo:_ ~len:_ rng_k ->
+      Numerics.Rng.float rng_k)
 
-let good_rebound rng =
-  let rngs = Exec.split_rngs rng ~shards:4 in
-  Exec.map_shards ~shards:4
-    ~f:(fun k ->
-      let rng_k = rngs.(k) in
-      Numerics.Rng.uniform rng_k ~lo:0.0 ~hi:1.0)
-    ()
+let good_slice rng xs =
+  Exec.map_shards_rng rng ~shards:4 ~range:(Array.length xs)
+    ~f:(fun ~lo ~len rng_k ->
+      Array.init len (fun i ->
+          xs.(lo + i) +. Numerics.Rng.uniform rng_k ~lo:0.0 ~hi:1.0))
