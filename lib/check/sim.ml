@@ -43,9 +43,9 @@ let voted rng universe ~arch ~replications =
 
 (* Full-stack simulation: concrete versions over the demand space,
    executable channels behind the M-out-of-N [Simulator.Adjudicator],
-   exact system PFD by sweeping every demand through
-   [Protection.respond]. Exercises the entire executable path the
-   abstract sampler above bypasses. *)
+   exact system PFD from the verdict bitset [Protection.create]
+   compiles. Exercises the entire executable path the abstract sampler
+   above bypasses. *)
 let concrete_voted_pfds rng space ~arch ~replications =
   if replications < 1 then
     invalid_arg "Sim.concrete_voted_pfds: replications must be >= 1";
@@ -80,10 +80,10 @@ let concrete_pairs rng space ~replications =
    actual [Channel.output] vector (clean channel -> Shutdown, undetected
    carrier -> No_action, self-detected carrier -> Abstain) and hand it
    to [Adjudicator.combine]. Independent of both the counts fast path
-   ([Devteam.adjudicated_system_pfd], the runner's decision table) and
-   the closed form ([Voting.policy_defeat_prob]): a bug in the fold, the
-   decision table or the binomial integration breaks three-way
-   agreement. *)
+   ([Devteam.adjudicated_system_pfd], the counts table
+   [Protection.create] compiles with) and the closed form
+   ([Voting.policy_defeat_prob]): a bug in the fold, the counts table or
+   the binomial integration breaks three-way agreement. *)
 let adjudicated rng universe ~channels ~detection ~adjudicator ~replications =
   if replications < 1 then
     invalid_arg "Sim.adjudicated: replications must be >= 1";

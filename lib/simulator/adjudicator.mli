@@ -64,8 +64,9 @@ val combine : t -> Channel.output list -> Channel.output
 val decide_counts :
   t -> shutdowns:int -> no_actions:int -> abstains:int -> Channel.output
 (** Counts-level [combine] (adjudication is permutation-invariant, so
-    counts determine the verdict) — the runner's Bitset fast path feeds
-    this directly. Raises [Invalid_argument] on negative counts. *)
+    counts determine the verdict) — {!Protection.create} tabulates it
+    once per system to compile the verdict bitsets. Raises
+    [Invalid_argument] on negative counts. *)
 
 val system_fails : t -> Channel.output list -> bool
 (** True when the combined output is not [Shutdown] on a demand — the

@@ -32,21 +32,10 @@ let respond t demand =
     | Some _ | None -> No_action
   else Shutdown
 
-let fails_on t demand = Demandspace.Version.fails_on t.version demand
-
-let equal_output a b =
+let equal a b =
   match (a, b) with
   | Shutdown, Shutdown | No_action, No_action | Abstain, Abstain -> true
   | (Shutdown | No_action | Abstain), _ -> false
-
-let equal = equal_output
-let abstains_on t demand = equal_output (respond t demand) Abstain
-
-let abstain_set t =
-  let failure = Demandspace.Version.failure_set t.version in
-  match t.self_check with
-  | None -> Numerics.Bitset.create (Numerics.Bitset.length failure)
-  | Some s -> Numerics.Bitset.inter failure s
 
 let pfd t = Demandspace.Version.pfd t.version
 

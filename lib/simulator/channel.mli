@@ -28,24 +28,10 @@ val respond : t -> Demandspace.Demand.t -> output
 (** [Shutdown] off the version's failure set; on it, [Abstain] when the
     self-check covers the demand, [No_action] otherwise. *)
 
-val fails_on : t -> Demandspace.Demand.t -> bool
-(** The demand lies in the version's failure set (the output is not
-    [Shutdown], whether the failure is silent or self-detected). *)
-
-val abstains_on : t -> Demandspace.Demand.t -> bool
-
-val abstain_set : t -> Numerics.Bitset.t
-(** Fresh bitset of demands on which the channel abstains: the failure
-    set intersected with the self-check set (empty for channels without
-    one). Feeds the runner's Bitset fast path. *)
-
 val pfd : t -> float
 
-val equal_output : output -> output -> bool
-
 val equal : output -> output -> bool
-(** Alias of {!equal_output} — the adjudicated vote is the module's
-    comparable value. Prefer this over polymorphic [=]. *)
+(** Equality of outputs. Prefer this over polymorphic [=]. *)
 
 val pp_output : Format.formatter -> output -> unit
 val pp : Format.formatter -> t -> unit

@@ -28,7 +28,3 @@ let sample_demands_into t buf ~n =
   if t.demand_rate < 1.0 then
     invalid_arg "Plant.sample_demands_into: plant has idle periods";
   Demandspace.Profile.sample_many t.profile t.rng buf ~n
-
-let demands t ~count = Array.init count (fun _ -> next_demand t)
-
-let demand_rate t = t.demand_rate

@@ -25,8 +25,3 @@ val sample_demands_into : t -> int array -> n:int -> unit
     sequence is identical — so hot loops can sample in blocks without
     changing any output. Raises [Invalid_argument] if the plant has idle
     periods ([demand_rate < 1.0]), where batching would reorder draws. *)
-
-val demands : t -> count:int -> Demandspace.Demand.t array
-(** A batch of demands. *)
-
-val demand_rate : t -> float

@@ -1,13 +1,17 @@
 (** The complete protection system of Fig. 1: N software channels behind an
     adjudicator (the paper studies the 1-out-of-2 OR case; voted
-    M-out-of-N architectures are supported as an extension). *)
+    M-out-of-N architectures are supported as an extension).
+    [create] compiles the system into per-demand verdict bitsets, so
+    every per-demand query is an allocation-free lookup. *)
 
 type t
 
 val create : ?adjudicator:Adjudicator.t -> Channel.t list -> t
-(** Raises [Invalid_argument] on an empty channel list or when the
-    adjudicator requires more votes than there are channels. The default
-    adjudicator is the paper's OR. *)
+(** Compiles the system in one pass over demands x channels. Raises
+    [Invalid_argument] on an empty channel list, when the adjudicator requires more votes
+    than there are channels, or when the channels' versions are over
+    demand spaces of different sizes. The default adjudicator is the
+    paper's OR. *)
 
 val one_out_of_two : Channel.t -> Channel.t -> t
 (** The paper's dual-channel configuration. *)
@@ -17,15 +21,21 @@ val voted : required:int -> Channel.t list -> t
     shutdown. *)
 
 val channels : t -> Channel.t list
-val channel_count : t -> int
 val adjudicator : t -> Adjudicator.t
+
+val failure_set : t -> Numerics.Bitset.t
+(** Demands on which {!fails_on} holds. Shared: do not mutate. *)
+
+val abstain_set : t -> Numerics.Bitset.t
+(** Demands on which the verdict is [Abstain]. Shared: do not mutate. *)
 
 val space : t -> Demandspace.Space.t
 (** The demand space all channels operate over (taken from the first
     channel; [create] guarantees at least one). *)
 
 val respond : t -> Demandspace.Demand.t -> Channel.output
-(** System output on a demand. *)
+(** System output on a demand: equal to {!Adjudicator.combine} over the
+    channels' {!Channel.respond} outputs. *)
 
 val fails_on : t -> Demandspace.Demand.t -> bool
 (** True when the adjudicated output is not [Shutdown] — a silent
@@ -33,7 +43,7 @@ val fails_on : t -> Demandspace.Demand.t -> bool
     unhandled. *)
 
 val true_pfd : t -> float
-(** Exact system PFD: sweep of the demand space under the operational
-    profile (equals the intersection measure for the OR adjudicator). *)
+(** Exact system PFD: the profile measure of {!failure_set} (equals the
+    intersection measure for the OR adjudicator). *)
 
 val pp : Format.formatter -> t -> unit

@@ -35,35 +35,16 @@ let run ?(log = false) rng ~system ~demand_count =
   let channels = Protection.channels system in
   let n_channels = List.length channels in
   let channel_failures = Array.make n_channels 0 in
-  (* Hoisted evaluation state: a channel fails on a demand exactly when
-     the demand lies in its version's failure set, and the adjudicator
-     commands shutdown when at least [required] channels do — so the
-     per-demand work reduces to [n_channels] bitset lookups and two
-     integer comparisons, with no per-demand allocation. *)
+  (* The verdict comes from the sets [Protection.create] compiled; the
+     channel loop only tallies channel and coincident failures. *)
   let failure_sets =
     Array.of_list
       (List.map
          (fun c -> Demandspace.Version.failure_set (Channel.version c))
          channels)
   in
-  let abstain_sets = Array.of_list (List.map Channel.abstain_set channels) in
-  let any_self_check =
-    List.exists (fun c -> Channel.self_check c <> None) channels
-  in
-  (* Adjudication is permutation-invariant (counts-level semantics), so
-     the verdict on a demand is a pure function of (failed, abstaining)
-     channel counts — tabulated once here, making the per-demand cost of
-     an arbitrary combinator term one array lookup. Row f covers
-     abstention counts 0..f; the unreachable upper triangle is padding. *)
-  let adjudicator = Protection.adjudicator system in
-  let decision_table =
-    Array.init (n_channels + 1) (fun f ->
-        Array.init (n_channels + 1) (fun ab ->
-            if ab > f then Channel.No_action
-            else
-              Adjudicator.decide_counts adjudicator
-                ~shutdowns:(n_channels - f) ~no_actions:(f - ab) ~abstains:ab))
-  in
+  let system_failure_set = Protection.failure_set system in
+  let system_abstain_set = Protection.abstain_set system in
   let system_failures = ref 0 in
   let system_abstentions = ref 0 in
   let coincident = ref 0 in
@@ -87,29 +68,22 @@ let run ?(log = false) rng ~system ~demand_count =
       let id = Array.unsafe_get block i in
       if log_hist then hist.(id) <- hist.(id) + 1;
       let n_failed = ref 0 in
-      let n_abstained = ref 0 in
       for c = 0 to n_channels - 1 do
         if Bitset.mem (Array.unsafe_get failure_sets c) id then begin
           channel_failures.(c) <- channel_failures.(c) + 1;
-          incr n_failed;
-          if
-            any_self_check
-            && Bitset.mem (Array.unsafe_get abstain_sets c) id
-          then incr n_abstained
+          incr n_failed
         end
       done;
       if !n_failed >= 2 then incr coincident;
-      match decision_table.(!n_failed).(!n_abstained) with
-      | Channel.Shutdown -> ()
-      | (Channel.No_action | Channel.Abstain) as verdict ->
-          if Channel.equal verdict Channel.Abstain then
-            incr system_abstentions;
-          incr system_failures;
-          if log then
-            Logs.debug (fun m ->
-                m "step %d: system failure on %a" (!step + i + 1)
-                  Demandspace.Demand.pp
-                  (Demandspace.Demand.of_int id))
+      if Bitset.mem system_failure_set id then begin
+        if Bitset.mem system_abstain_set id then incr system_abstentions;
+        incr system_failures;
+        if log then
+          Logs.debug (fun m ->
+              m "step %d: system failure on %a" (!step + i + 1)
+                Demandspace.Demand.pp
+                (Demandspace.Demand.of_int id))
+      end
     done;
     step := !step + n
   done;

@@ -264,6 +264,37 @@ let test_mttf_pinned () =
   Alcotest.(check int64) "failure rate bits" 4570429163305933713L
     (Int64.bits_of_float m.failure_rate)
 
+(* A 1-out-of-2 system with self-checking channels: on demands 20-27
+   both channels abstain and the verdict is [Abstain], which the mission
+   must count as a failure. The pin was computed before protection
+   systems were compiled to verdict bitsets. *)
+let abstaining_system () =
+  let profile = Demandspace.Profile.uniform ~size:200 in
+  let ra = Demandspace.Region.interval ~space_size:200 ~lo:0 ~hi:29 in
+  let rb = Demandspace.Region.interval ~space_size:200 ~lo:20 ~hi:49 in
+  let space =
+    Demandspace.Space.create ~profile ~faults:[| (ra, 1.0); (rb, 1.0) |]
+  in
+  let check lo hi =
+    Numerics.Bitset.of_list 200 (List.init (hi - lo + 1) (( + ) lo))
+  in
+  Simulator.Protection.one_out_of_two
+    (Simulator.Channel.create ~self_check:(check 20 27) ~name:"A"
+       (Demandspace.Version.create space [ 0 ]))
+    (Simulator.Channel.create ~self_check:(check 20 29) ~name:"B"
+       (Demandspace.Version.create space [ 1 ]))
+
+let test_survival_pinned () =
+  let rng = Numerics.Rng.create ~seed:23 in
+  let fraction =
+    Simulator.Campaign.simulate_mission_survival ~pool:(Lazy.force pool4)
+      ~shards:4 rng ~system:(abstaining_system ()) ~mission_demands:30
+      ~missions:120
+  in
+  Alcotest.(check int64) "survival fraction bits" 4598925819483171499L
+    (Int64.bits_of_float fraction);
+  check_int "parent draws" 4 (Numerics.Rng.draws rng)
+
 (* ---- trace spans from parallel regions ---- *)
 
 let test_trace_shards () =
@@ -305,6 +336,8 @@ let () =
           Alcotest.test_case "montecarlo estimate pinned" `Quick
             test_estimate_pinned;
           Alcotest.test_case "campaign mttf pinned" `Quick test_mttf_pinned;
+          Alcotest.test_case "mission survival pinned" `Quick
+            test_survival_pinned;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "trace shard lanes" `Quick test_trace_shards ] );

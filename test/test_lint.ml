@@ -209,11 +209,13 @@ let test_rng_discipline () =
   let r10 =
     List.filter (fun f -> f.E.rule = E.Rng_discipline) r.A.res_findings
   in
-  check_int "two undisciplined draws" 2 (List.length r10);
+  check_int "three undisciplined draws" 3 (List.length r10);
   Alcotest.(check bool) "module-level stream draw flagged at its site" true
     (List.exists (fun f -> in_file "rng_bad.ml" f && f.E.line = 7) r10);
   Alcotest.(check bool) "captured parent stream flagged" true
     (List.exists (fun f -> in_file "rng_bad.ml" f && f.E.line = 13) r10);
+  Alcotest.(check bool) "draw from a captured stream array flagged" true
+    (List.exists (fun f -> in_file "rng_bad.ml" f && f.E.line = 26) r10);
   let good = A.analyze_paths [ Filename.concat project_dir "rng_good.ml" ] in
   check_int "split substreams pass" 0 (List.length good.A.res_findings)
 
@@ -237,7 +239,7 @@ let test_nondet_merge () =
 
 let test_project_suppressions () =
   let r = A.analyze_paths [ project_dir ] in
-  check_int "seven findings survive over the corpus" 7
+  check_int "eight findings survive over the corpus" 8
     (List.length r.A.res_findings);
   let dropped rule name =
     List.exists

@@ -735,6 +735,68 @@ let count_outputs outs =
       | Simulator.Channel.Abstain -> (s, na, ab + 1))
     (0, 0, 0) outs
 
+(* Protection.create compiles each system into verdict bitsets. On every
+   demand the compiled verdict must equal the adjudicated list of channel
+   outputs, and [true_pfd] must equal, bit for bit, the per-demand Kahan
+   sweep it replaced — over random spaces, 1-4 channels with random
+   self-check sets, and calculus terms built from vote/compose/fallback. *)
+let reference_true_pfd system =
+  let space = Simulator.Protection.space system in
+  let profile = Demandspace.Space.profile space in
+  let channels = Simulator.Protection.channels system in
+  let acc = Numerics.Kahan.create () in
+  for d = 0 to Demandspace.Space.size space - 1 do
+    let demand = Demandspace.Demand.of_int d in
+    if
+      Simulator.Adjudicator.system_fails
+        (Simulator.Protection.adjudicator system)
+        (List.map (fun c -> Simulator.Channel.respond c demand) channels)
+    then Numerics.Kahan.add acc (Demandspace.Profile.probability profile demand)
+  done;
+  Numerics.Kahan.total acc
+
+let test_prop_compiled_protection () =
+  Prop.check ~cases:200 "compiled protection = per-demand adjudication"
+    (Prop.quad Prop.seed
+       (Prop.space ~max_size:160 ~max_faults:5 ())
+       (Prop.int_range 1 4)
+       (Prop.adjudicator_term ~max_required:4 ()))
+    (fun (seed, space, n_channels, adj) ->
+      let rng = Rng.create ~seed in
+      let size = Demandspace.Space.size space in
+      let channel i =
+        let version = Simulator.Devteam.develop rng space in
+        let self_check =
+          if Rng.int rng 3 = 0 then None
+          else
+            Some
+              (Numerics.Bitset.of_list size
+                 (List.filter
+                    (fun _ -> Rng.bool rng ~p:0.5)
+                    (List.init size Fun.id)))
+        in
+        Simulator.Channel.create ?self_check
+          ~name:(Printf.sprintf "ch%d" i)
+          version
+      in
+      let channels =
+        List.init
+          (max n_channels (Simulator.Adjudicator.min_channels adj))
+          channel
+      in
+      let system = Simulator.Protection.create ~adjudicator:adj channels in
+      for d = 0 to size - 1 do
+        let demand = Demandspace.Demand.of_int d in
+        check_output
+          (Printf.sprintf "respond on demand %d" d)
+          (Simulator.Adjudicator.combine adj
+             (List.map (fun c -> Simulator.Channel.respond c demand) channels))
+          (Simulator.Protection.respond system demand)
+      done;
+      Alcotest.(check int64) "true_pfd bits"
+        (Int64.bits_of_float (reference_true_pfd system))
+        (Int64.bits_of_float (Simulator.Protection.true_pfd system)))
+
 (* Every law the lib/check adjudication oracles assert, re-checked here
    over generated calculus terms and abstention-bearing vectors, plus
    the legacy-vs-combinator byte-identity on abstain-free inputs. *)
@@ -812,6 +874,8 @@ let () =
             test_prop_fleet_matches_reference;
           Alcotest.test_case "runner batching = reference loop" `Quick
             test_prop_runner_batching;
+          Alcotest.test_case "compiled protection = per-demand adjudication"
+            `Quick test_prop_compiled_protection;
           Alcotest.test_case "montecarlo invariance" `Quick
             test_prop_montecarlo_invariance;
           Alcotest.test_case "campaign invariance" `Quick

@@ -126,6 +126,32 @@ let test_protection_three_channels () =
   Prop.check_close ~eps:1e-12 "1oo3 pfd = triple intersection" 0.1
     (Simulator.Protection.true_pfd system)
 
+(* Channels over demand spaces of different sizes cannot form a system:
+   a smaller later channel would raise mid-simulation and a larger one
+   would have its extra demands ignored. Both orders are rejected. *)
+let test_protection_space_mismatch () =
+  let small =
+    let space =
+      Demandspace.Space.create
+        ~profile:(Demandspace.Profile.uniform ~size:100)
+        ~faults:
+          [| (Demandspace.Region.interval ~space_size:100 ~lo:0 ~hi:9, 0.5) |]
+    in
+    Simulator.Channel.create ~name:"small"
+      (Demandspace.Version.create space [ 0 ])
+  in
+  let large =
+    Simulator.Channel.create ~name:"large"
+      (Demandspace.Version.create (make_space ()) [ 0 ])
+  in
+  let mismatch =
+    Invalid_argument "Protection.create: channels over different demand spaces"
+  in
+  Alcotest.check_raises "smaller channel first" mismatch (fun () ->
+      ignore (Simulator.Protection.one_out_of_two small large));
+  Alcotest.check_raises "larger channel first" mismatch (fun () ->
+      ignore (Simulator.Protection.one_out_of_two large small))
+
 (* ------------------------------------------------------------------ *)
 (* Adjudication calculus                                               *)
 (* ------------------------------------------------------------------ *)
@@ -166,17 +192,20 @@ let test_channel_abstain () =
   Alcotest.check output_t "shuts down on clean demands"
     Simulator.Channel.Shutdown
     (Simulator.Channel.respond c (Demandspace.Demand.of_int 120));
-  Alcotest.(check bool) "abstains_on tracks respond" true
-    (Simulator.Channel.abstains_on c (Demandspace.Demand.of_int 5));
+  let abstains channel =
+    Numerics.Bitset.mem
+      (Simulator.Protection.abstain_set
+         (Simulator.Protection.create [ channel ]))
+      5
+  in
   Alcotest.(check bool) "abstain set covers the detected region" true
-    (Numerics.Bitset.mem (Simulator.Channel.abstain_set c) 5);
+    (abstains c);
   (* a plain channel on the same version never abstains *)
   let plain = Simulator.Channel.create ~name:"B" v in
   Alcotest.check output_t "undetected failure is silent"
     Simulator.Channel.No_action
     (Simulator.Channel.respond plain (Demandspace.Demand.of_int 5));
-  Alcotest.(check bool) "plain abstain set is empty" false
-    (Numerics.Bitset.mem (Simulator.Channel.abstain_set plain) 5);
+  Alcotest.(check bool) "plain abstain set is empty" false (abstains plain);
   Alcotest.check_raises "mis-sized self-check"
     (Invalid_argument "Channel.create: self-check set sized to a different space")
     (fun () ->
@@ -419,6 +448,8 @@ let () =
             test_adjudicator_truth_table;
           Alcotest.test_case "protection pfd" `Quick test_protection_pfd;
           Alcotest.test_case "three channels" `Quick test_protection_three_channels;
+          Alcotest.test_case "channels over different spaces" `Quick
+            test_protection_space_mismatch;
         ] );
       ( "adjudication-calculus",
         [

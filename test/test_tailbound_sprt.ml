@@ -180,6 +180,44 @@ let test_sprt_error_rates () =
     (Printf.sprintf "acceptance rate ~ 1 - alpha (got %g)" rate)
     true (rate > 0.9)
 
+(* A 1-out-of-2 system whose channels both self-check part of their
+   failure regions: on demands 20-27 both abstain (the adjudicated verdict
+   is [Abstain]), on 28-29 channel A fails silently. True PFD 0.05. *)
+let abstaining_system () =
+  let profile = Demandspace.Profile.uniform ~size:200 in
+  let ra = Demandspace.Region.interval ~space_size:200 ~lo:0 ~hi:29 in
+  let rb = Demandspace.Region.interval ~space_size:200 ~lo:20 ~hi:49 in
+  let space =
+    Demandspace.Space.create ~profile ~faults:[| (ra, 1.0); (rb, 1.0) |]
+  in
+  let check lo hi =
+    Numerics.Bitset.of_list 200 (List.init (hi - lo + 1) (( + ) lo))
+  in
+  Simulator.Protection.one_out_of_two
+    (Simulator.Channel.create ~self_check:(check 20 27) ~name:"A"
+       (Demandspace.Version.create space [ 0 ]))
+    (Simulator.Channel.create ~self_check:(check 20 29) ~name:"B"
+       (Demandspace.Version.create space [ 1 ]))
+
+(* Values computed before protection systems were compiled to verdict
+   bitsets: the decision, the evidence it rests on and the generator's
+   draw count pin both the draw stream and the rule that an [Abstain]
+   verdict counts as a failed demand. *)
+let test_sprt_pinned () =
+  let rng = Numerics.Rng.create ~seed:5 in
+  let decision, t =
+    Simulator.Sprt.run rng ~system:(abstaining_system ()) ~theta0:0.01
+      ~theta1:0.1 ~alpha:0.05 ~beta:0.05 ~max_demands:10_000
+  in
+  Alcotest.(check string) "decision" "reject"
+    (match decision with
+    | Simulator.Sprt.Accept -> "accept"
+    | Reject -> "reject"
+    | Continue -> "continue");
+  Alcotest.(check int) "demands" 85 (Simulator.Sprt.demands_observed t);
+  Alcotest.(check int) "failures" 5 (Simulator.Sprt.failures_observed t);
+  Alcotest.(check int) "draws" 170 (Numerics.Rng.draws rng)
+
 let test_sprt_expected_sample_size_positive () =
   let n =
     Simulator.Sprt.expected_sample_size_h0 ~theta0:1e-3 ~theta1:1e-2
@@ -212,6 +250,7 @@ let () =
             test_sprt_successes_push_to_accept;
           Alcotest.test_case "decision final" `Quick test_sprt_decision_is_final;
           Alcotest.test_case "error rates" `Slow test_sprt_error_rates;
+          Alcotest.test_case "abstaining system pinned" `Quick test_sprt_pinned;
           Alcotest.test_case "expected sample size" `Quick
             test_sprt_expected_sample_size_positive;
         ] );

@@ -22,8 +22,10 @@
      that does (the lock sanction propagates to callees — Obs.Trace
      mutates its store in helpers called under the lock of [enter]);
    - R10 fires on a draw from a stream the shard closure captured from
-     its enclosing scope (the parent's Rng.t), or from a module-level
-     stream, instead of a per-shard Rng.split substream;
+     its enclosing scope (the parent's Rng.t), from an element of a
+     captured array of streams ([Rng.float rngs.(k)], generators split in
+     the caller), or from a module-level stream, instead of the substream
+     Exec.map_shards_rng passes the shard;
    - R11 fires on accumulation into a captured scalar/container from
      inside the shard callback (completion-order merge), and on
      Hashtbl.fold/iter inside any function that also spawns shards
@@ -148,6 +150,14 @@ let r10_captured_msg name =
      draws from it; draw order then depends on shard scheduling — give \
      each shard its own substream via Exec.map_shards_rng \
      (suppress: divlint allow rng-discipline)"
+    name
+
+let r10_element_msg name =
+  Printf.sprintf
+    "shard closure draws from an element of Rng array '%s' captured from \
+     the enclosing scope, i.e. generators split in the caller and indexed \
+     by shard — let Exec.map_shards_rng split the parent and pass each \
+     shard its substream (suppress: divlint allow rng-discipline)"
     name
 
 let r10_global_msg (it : M.item) root =
@@ -283,7 +293,10 @@ let analyze_paths roots =
             | its ->
                 List.iter
                   (fun it -> check_item_draw ~file ~root it loc)
-                  its))
+                  its)
+        | C.Cap_elt_draw (name, loc) ->
+            if is_root_lambda && resolve_item idx ~file name = [] then
+              add E.Rng_discipline file loc (r10_element_msg name))
       caps
   in
   (* reachability -------------------------------------------------- *)

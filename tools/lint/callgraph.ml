@@ -30,6 +30,8 @@ let last1 path =
   match List.rev (components path) with f :: _ -> f | [] -> path
 
 let is_qualified path = String.contains path '.'
+let path_of_lid = Engine.path_of_lid
+let normalize = Engine.normalize
 
 (* ------------------------------------------------------------------ *)
 (* Syntactic classifiers                                              *)
@@ -86,6 +88,19 @@ let is_rng_draw path =
   | Some ("Rng", f) -> List.mem f rng_draw_fns
   | _ -> false
 
+(* [rngs.(k)] parses as [Array.get rngs k]: the array a draw's stream
+   argument is an element of, when the array is a plain identifier. *)
+let array_element (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_apply
+      ( { pexp_desc = Pexp_ident { txt; _ }; _ },
+        [ (Asttypes.Nolabel, { pexp_desc = Pexp_ident arr; _ }); _ ] ) -> (
+      match last2 (normalize (path_of_lid txt)) with
+      | Some ("Array", ("get" | "unsafe_get")) ->
+          Some (normalize (path_of_lid arr.txt))
+      | _ -> None)
+  | _ -> None
+
 let is_rng_create path =
   match last2 path with
   | Some ("Rng", ("create" | "split")) -> true
@@ -141,15 +156,16 @@ type summary = {
   s_draws : (string * loc) list;
       (** Rng draw sites; the string is the stream argument when it is a
           plain identifier, [""] otherwise *)
+  s_elt_draws : (string * loc) list;
+      (** Rng draw sites whose stream argument is an element of an array
+          named by a plain identifier ([rngs.(k)]); the string is the
+          array *)
   s_spawns : (loc * Parsetree.expression list) list;
       (** shard-spawn sites and their callback expressions *)
   s_calls : call list;  (** calls that carry function-literal arguments *)
   s_locks : bool;  (** body takes a Mutex (lock or protect) *)
   s_hashfolds : (string * loc) list;  (** Hashtbl.fold / Hashtbl.iter sites *)
 }
-
-let path_of_lid = Engine.path_of_lid
-let normalize = Engine.normalize
 
 let ident_path (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -165,6 +181,7 @@ let summarize (expr : Parsetree.expression) : summary =
   let refs = ref [] in
   let writes = ref [] in
   let draws = ref [] in
+  let elt_draws = ref [] in
   let spawns = ref [] in
   let calls = ref [] in
   let locks = ref false in
@@ -189,7 +206,13 @@ let summarize (expr : Parsetree.expression) : summary =
             | a :: _ -> Option.value (ident_path a) ~default:""
             | [] -> ""
           in
-          draws := (stream, loc) :: !draws
+          draws := (stream, loc) :: !draws;
+          match positional args with
+          | a :: _ -> (
+              match array_element a with
+              | Some arr -> elt_draws := (arr, loc) :: !elt_draws
+              | None -> ())
+          | [] -> ()
         end;
         (match spawn_api path with
         | Some Map_shards ->
@@ -249,6 +272,7 @@ let summarize (expr : Parsetree.expression) : summary =
     s_refs = List.rev !refs;
     s_writes = List.rev !writes;
     s_draws = List.rev !draws;
+    s_elt_draws = List.rev !elt_draws;
     s_spawns = List.rev !spawns;
     s_calls = List.rev !calls;
     s_locks = !locks;
@@ -264,6 +288,9 @@ type capture =
       (** the closure mutates a free (captured) variable *)
   | Cap_draw of string * loc
       (** the closure draws from a free (captured) Rng stream *)
+  | Cap_elt_draw of string * loc
+      (** the closure draws from an element of a free (captured) array —
+          the caller-split [rngs.(k)] pattern *)
 
 (* Names bound by any pattern anywhere inside [expr] (parameters, lets,
    match cases, ...). Used as an over-approximation of "locally bound":
@@ -305,6 +332,10 @@ let captures (lambda : Parsetree.expression) : capture list =
       (fun (name, loc) ->
         if free name then Some (Cap_draw (name, loc)) else None)
       s.s_draws
+  @ List.filter_map
+      (fun (name, loc) ->
+        if free name then Some (Cap_elt_draw (name, loc)) else None)
+      s.s_elt_draws
 
 (* ------------------------------------------------------------------ *)
 (* Top-level harvesting                                               *)

@@ -26,6 +26,8 @@ type summary = {
   s_refs : (string * loc) list;
   s_writes : (string * write_kind * loc) list;
   s_draws : (string * loc) list;
+  s_elt_draws : (string * loc) list;
+      (** draws from an element of an identifier-named array, [rngs.(k)] *)
   s_spawns : (loc * Parsetree.expression list) list;
   s_calls : call list;
   s_locks : bool;
@@ -37,6 +39,8 @@ val summarize : Parsetree.expression -> summary
 type capture =
   | Cap_write of string * write_kind * loc
   | Cap_draw of string * loc
+  | Cap_elt_draw of string * loc
+      (** a draw from an element of a captured array ([rngs.(k)]) *)
 
 val captures : Parsetree.expression -> capture list
 (** Mutation/draw sites inside a closure whose target is an unqualified

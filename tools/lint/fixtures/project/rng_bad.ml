@@ -18,3 +18,9 @@ let bad_suppressed rng =
       (* divlint: allow rng-discipline *)
       Numerics.Rng.float rng)
     ()
+
+(* Generators split in the caller and indexed by shard: the pattern
+   Exec.map_shards_rng replaced. *)
+let bad_caller_split rng =
+  let rngs = Array.init 4 (fun index -> Numerics.Rng.split rng ~index) in
+  Exec.map_shards ~shards:4 ~f:(fun k -> Numerics.Rng.float rngs.(k)) ()
