@@ -245,9 +245,6 @@ let tests ~smoke () =
     Test.make ~name:"sensitivity-gradient/n=1000"
       (Staged.stage (fun () ->
            ignore (Core.Sensitivity.risk_ratio_gradient ps_big)));
-    Test.make ~name:"sensitivity-gradient-incremental/n=1000"
-      (Staged.stage (fun () ->
-           ignore (Core.Sensitivity.risk_ratio_gradient ps_big)));
     Test.make ~name:"sensitivity-gradient-naive/n=1000"
       (Staged.stage (fun () ->
            ignore (Core.Sensitivity.risk_ratio_gradient_naive ps_big)));

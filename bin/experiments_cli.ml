@@ -69,6 +69,25 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
+(* Run [f] with a streaming run log on [path] (if any) installed as the
+   global sink: events reach the file as they are recorded, so a long run
+   holds none of its log in memory. The sink is removed and the file
+   closed however [f] exits. *)
+let with_runlog path f =
+  match path with
+  | None -> f ()
+  | Some path ->
+      let oc = open_out path in
+      Obs.Runlog.set_sink (Some (Obs.Runlog.create_streaming oc));
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Runlog.set_sink None;
+          close_out_noerr oc)
+        (fun () ->
+          let result = f () in
+          close_out oc;
+          result)
+
 (* Run [f] with the telemetry sinks the flags request, then write the
    artefacts. With all three flags absent this is just [f ()]. *)
 let with_telemetry ~label ~seed ~trace ~metrics ~log f =
@@ -76,45 +95,38 @@ let with_telemetry ~label ~seed ~trace ~metrics ~log f =
   else begin
     if metrics <> None then Obs.Metrics.set_enabled true;
     if trace <> None then Obs.Trace.set_enabled true;
-    let runlog =
-      match log with Some _ -> Some (Obs.Runlog.create ()) | None -> None
+    let result =
+      with_runlog log (fun () ->
+          if Obs.Runlog.active () then
+            Obs.Runlog.record ~kind:"run.start"
+              [
+                ("target", Obs.Json.String label);
+                ("seed", Obs.Json.Int seed);
+                (* outputs are a pure function of (seed, shards): recording the
+                   effective default shard count makes a logged run replayable *)
+                ("shards", Obs.Json.Int (Exec.default_shards ()));
+              ];
+          let draws0 = Numerics.Rng.total_draws () in
+          let span = Obs.Trace.enter label in
+          let result, dur_ns = Obs.Clock.timed f in
+          Obs.Trace.leave span;
+          let draws = Numerics.Rng.total_draws () - draws0 in
+          Obs.Metrics.add m_rng_draws draws;
+          if Obs.Runlog.active () then
+            Obs.Runlog.record ~kind:"run.end"
+              [
+                ("target", Obs.Json.String label);
+                ("seed", Obs.Json.Int seed);
+                ("shards", Obs.Json.Int (Exec.default_shards ()));
+                ("rng_draws", Obs.Json.Int draws);
+                ("duration_ns", Obs.Json.Int (Int64.to_int dur_ns));
+              ];
+          result)
     in
-    Obs.Runlog.set_sink runlog;
-    if Obs.Runlog.active () then
-      Obs.Runlog.record ~kind:"run.start"
-        [
-          ("target", Obs.Json.String label);
-          ("seed", Obs.Json.Int seed);
-          (* outputs are a pure function of (seed, shards): recording the
-             effective default shard count makes a logged run replayable *)
-          ("shards", Obs.Json.Int (Exec.default_shards ()));
-        ];
-    let draws0 = Numerics.Rng.total_draws () in
-    let span = Obs.Trace.enter label in
-    let result, dur_ns = Obs.Clock.timed f in
-    Obs.Trace.leave span;
-    let draws = Numerics.Rng.total_draws () - draws0 in
-    Obs.Metrics.add m_rng_draws draws;
-    if Obs.Runlog.active () then
-      Obs.Runlog.record ~kind:"run.end"
-        [
-          ("target", Obs.Json.String label);
-          ("seed", Obs.Json.Int seed);
-          ("shards", Obs.Json.Int (Exec.default_shards ()));
-          ("rng_draws", Obs.Json.Int draws);
-          ("duration_ns", Obs.Json.Int (Int64.to_int dur_ns));
-        ];
     Option.iter (fun path -> write_file path (Obs.Metrics.render_json ())) metrics;
     Option.iter
       (fun path -> write_file path (Obs.Trace.render_chrome_json ()))
       trace;
-    Option.iter
-      (fun path ->
-        match runlog with
-        | Some l -> write_file path (Obs.Runlog.to_jsonl l)
-        | None -> ())
-      log;
-    Obs.Runlog.set_sink None;
     Obs.Trace.set_enabled false;
     Obs.Metrics.set_enabled false;
     result

@@ -13,9 +13,6 @@ let difficulty space demand_id =
   done;
   -.Special.expm1 !acc
 
-let difficulty_vector space =
-  Array.init (Demandspace.Space.size space) (fun x -> difficulty space x)
-
 let mean_single space =
   let profile = Demandspace.Space.profile space in
   Kahan.sum_over (Demandspace.Space.size space) (fun x ->

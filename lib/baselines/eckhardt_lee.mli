@@ -12,9 +12,6 @@ val difficulty : Demandspace.Space.t -> int -> float
 (** theta(x) = 1 - prod over faults covering x of (1 - p_i); exact even
     when failure regions overlap. *)
 
-val difficulty_vector : Demandspace.Space.t -> float array
-(** theta over the whole demand space. *)
-
 val mean_single : Demandspace.Space.t -> float
 (** E(Theta_1) = E_X[theta(X)] under the operational profile. *)
 

@@ -20,9 +20,6 @@ val same_process : Demandspace.Space.t -> two_process
 (** Degenerate LM instance with identical processes: reduces to
     Eckhardt–Lee (used as a consistency oracle in tests). *)
 
-val difficulty_a : two_process -> int -> float
-val difficulty_b : two_process -> int -> float
-
 val mean_single_a : two_process -> float
 val mean_single_b : two_process -> float
 

@@ -8,7 +8,7 @@ type verdict = {
   simulated : float;
 }
 
-(* The default z for the statistical comparators. Two-sided normal tail
+(* The z of every statistical comparator. Two-sided normal tail
    beyond 6 sigma is ~2e-9, so even a full `make check` sweep (hundreds
    of scenarios, tens of statistical verdicts each) has a negligible
    probability of a false alarm under a *fresh* PROP_SEED — and for any
@@ -17,7 +17,7 @@ type verdict = {
    real formula corruption: a broken analytic term shifts its estimate
    by many tens of standard errors at the replication counts the
    scenarios use (see the mutation smoke in EXPERIMENTS.md). *)
-let default_z = 6.0
+let z = 6.0
 
 (* Every verdict carries the pair its comparator tested, so an oracle
    outcome built from a verdict cannot record different values from the
@@ -64,7 +64,7 @@ let law holds =
       Printf.sprintf "%d/%d randomized cases violate the law" violations
         (Array.length holds) )
 
-let wilson ?(z = default_z) ~expected ~successes ~trials () =
+let wilson ~expected ~successes ~trials () =
   if trials <= 0 then invalid_arg "Compare.wilson: trials must be positive";
   if successes < 0 || successes > trials then
     invalid_arg "Compare.wilson: successes out of range";
@@ -94,7 +94,7 @@ let wilson ?(z = default_z) ~expected ~successes ~trials () =
            half-width %.3e"
           expected successes trials lo hi bernstein ))
 
-let mean_z ?(z = default_z) ?(bound = 0.0) ~expected ~sigma ~trials ~mean () =
+let mean_z ?(bound = 0.0) ~expected ~sigma ~trials ~mean () =
   if trials <= 0 then invalid_arg "Compare.mean_z: trials must be positive";
   if sigma < 0.0 then invalid_arg "Compare.mean_z: sigma must be >= 0";
   if bound < 0.0 then invalid_arg "Compare.mean_z: bound must be >= 0";
@@ -127,7 +127,7 @@ let mean_z ?(z = default_z) ?(bound = 0.0) ~expected ~sigma ~trials ~mean () =
             (abs_float (mean -. expected))
             half ))
 
-let ratio_wilson ?(z = default_z) ~expected ~num ~den ~trials () =
+let ratio_wilson ~expected ~num ~den ~trials () =
   if trials <= 0 then
     invalid_arg "Compare.ratio_wilson: trials must be positive";
   if num < 0 || num > trials || den < 0 || den > trials then

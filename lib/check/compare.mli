@@ -9,7 +9,7 @@
       (enumeration vs direct summation);
     - {!wilson} / {!mean_z} / {!ratio_wilson} — Monte-Carlo agreement:
       the analytic value must fall inside a z-sigma sampling interval of
-      the estimate. With the default z (6), verdicts on a fixed seed are
+      the estimate. With z = 6, verdicts on a fixed seed are
       deterministic and a fresh seed has a ~2e-9 per-check false-alarm
       probability, so the differential suites are seed-stable and never
       flaky by construction;
@@ -50,8 +50,7 @@ val law : bool array -> verdict
     no case violates it; records [0] as the analytic side and the
     violation count as the simulated one. *)
 
-val wilson :
-  ?z:float -> expected:float -> successes:int -> trials:int -> unit -> verdict
+val wilson : expected:float -> successes:int -> trials:int -> unit -> verdict
 (** Does the analytic probability lie in the Wilson score interval of
     the observed proportion — or, for expected proportions within ~1/n
     of 0 or 1 where Wilson's CLT coverage collapses, within the exact
@@ -61,7 +60,6 @@ val wilson :
     on an empty or inconsistent sample. *)
 
 val mean_z :
-  ?z:float ->
   ?bound:float ->
   expected:float ->
   sigma:float ->
@@ -81,7 +79,7 @@ val mean_z :
     {!approx} when both [sigma] and [bound] are zero. *)
 
 val ratio_wilson :
-  ?z:float -> expected:float -> num:int -> den:int -> trials:int -> unit -> verdict
+  expected:float -> num:int -> den:int -> trials:int -> unit -> verdict
 (** Ratio-of-proportions containment for eq. (10)-style quantities:
     the analytic ratio must lie in the interval spanned by the two
     Wilson intervals, each widened by the Bernstein [z^2/(3n)] term (see

@@ -29,5 +29,3 @@ let paper_table_pmax = [| 0.5; 0.1; 0.01 |]
 
 let paper_table () =
   Array.map (fun pmax -> (pmax, sigma_ratio_bound pmax)) paper_table_pmax
-
-let beats_independence u = Universe.pmax u <= Moments.mu1 u

@@ -41,13 +41,5 @@ val pair_bound_from_bound : single_bound:float -> pmax:float -> float
     confidence bound (mu1 + k sigma1) is known: the bound shrinks by at
     least sqrt(pmax(1+pmax)). *)
 
-val paper_table_pmax : float array
-(** The pmax values tabulated in Section 5.1: 0.5, 0.1, 0.01. *)
-
 val paper_table : unit -> (float * float) array
 (** The Section 5.1 table: pairs (pmax, sqrt(pmax(1+pmax))). *)
-
-val beats_independence : Universe.t -> bool
-(** Section 3.1.1's remark: the eq. (4) bound predicts at least the
-    improvement that failure independence would, exactly when
-    pmax <= mu1. *)

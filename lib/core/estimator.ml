@@ -26,19 +26,13 @@ let p_hat obs =
   let m = float_of_int (version_count obs) in
   Array.map (fun c -> float_of_int c /. m) (occurrence_counts obs)
 
-let p_interval ?(z = 1.959963984540054) obs i =
-  let counts = occurrence_counts obs in
-  if i < 0 || i >= obs.n_faults then
-    invalid_arg "Estimator.p_interval: fault index out of range";
-  Stats.proportion_ci ~z ~successes:counts.(i) ~trials:(version_count obs) ()
-
 let pmax_hat obs = Array.fold_left max 0.0 (p_hat obs)
 
-let pmax_upper ?(z = 1.959963984540054) obs =
+let pmax_upper obs =
   let counts = occurrence_counts obs in
   Array.fold_left
     (fun acc c ->
-      let _, hi = Stats.proportion_ci ~z ~successes:c ~trials:(version_count obs) () in
+      let _, hi = Stats.proportion_ci ~successes:c ~trials:(version_count obs) () in
       max acc hi)
     0.0 counts
 
@@ -54,8 +48,12 @@ type prediction = {
   ci_high : float;
 }
 
-let bootstrap_predict ?(replicates = 1000) ?(alpha = 0.05) rng obs ~qs ~statistic
-    =
+(* Percentile bootstrap over the version sample: 1000 resamples, a
+   two-sided 95% interval. *)
+let replicates = 1000
+let alpha = 0.05
+
+let bootstrap_predict rng obs ~qs ~statistic =
   if Array.length qs <> obs.n_faults then
     invalid_arg "Estimator.bootstrap_predict: q vector length mismatch";
   let m = version_count obs in
@@ -75,14 +73,7 @@ let bootstrap_predict ?(replicates = 1000) ?(alpha = 0.05) rng obs ~qs ~statisti
     ci_high = Stats.quantile_sorted stats (1.0 -. (alpha /. 2.0));
   }
 
-let predict_mean_gain ?replicates ?alpha rng obs ~qs =
-  bootstrap_predict ?replicates ?alpha rng obs ~qs ~statistic:(fun u ->
-      (* mean gain can be infinite on resamples where no fault repeats;
-         cap it so interval endpoints stay finite and interpretable *)
-      let g = Moments.mean_gain u in
-      if Float.is_finite g then g else float_of_int (version_count obs) ** 2.0)
-
-let predict_risk_ratio ?replicates ?alpha rng obs ~qs =
-  bootstrap_predict ?replicates ?alpha rng obs ~qs ~statistic:(fun u ->
+let predict_risk_ratio rng obs ~qs =
+  bootstrap_predict rng obs ~qs ~statistic:(fun u ->
       let r = Fault_count.risk_ratio u in
       if Float.is_nan r then 0.0 else r)

@@ -24,16 +24,13 @@ val occurrence_counts : observation -> int array
 val p_hat : observation -> float array
 (** Maximum-likelihood estimates of the introduction probabilities. *)
 
-val p_interval : ?z:float -> observation -> int -> float * float
-(** Wilson interval for one fault's probability. *)
-
 val pmax_hat : observation -> float
 (** Point estimate of pmax. *)
 
-val pmax_upper : ?z:float -> observation -> float
+val pmax_upper : observation -> float
 (** Conservative upper confidence bound on pmax (the largest Wilson upper
-    limit over faults) — the quantity an assessor feeds into eqs. (4),
-    (9), (11), (12). *)
+    limit at 95% over faults) — the quantity an assessor feeds into eqs.
+    (4), (9), (11), (12). *)
 
 val plug_in_universe : observation -> qs:float array -> Universe.t
 (** Universe with the estimated probabilities and externally supplied
@@ -41,21 +38,6 @@ val plug_in_universe : observation -> qs:float array -> Universe.t
 
 type prediction = { point : float; ci_low : float; ci_high : float }
 
-val bootstrap_predict :
-  ?replicates:int ->
-  ?alpha:float ->
-  Numerics.Rng.t ->
-  observation ->
-  qs:float array ->
-  statistic:(Universe.t -> float) ->
-  prediction
-(** Plug-in prediction of any universe statistic with a percentile
-    bootstrap interval over the version sample. *)
-
-val predict_mean_gain :
-  ?replicates:int -> ?alpha:float -> Numerics.Rng.t -> observation -> qs:float array -> prediction
-(** mu1/mu2 with sampling uncertainty (capped on degenerate resamples). *)
-
-val predict_risk_ratio :
-  ?replicates:int -> ?alpha:float -> Numerics.Rng.t -> observation -> qs:float array -> prediction
-(** The eq. (10) ratio with sampling uncertainty. *)
+val predict_risk_ratio : Numerics.Rng.t -> observation -> qs:float array -> prediction
+(** The eq. (10) ratio with a 95% percentile-bootstrap interval over the
+    version sample (1000 resamples). *)

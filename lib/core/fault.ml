@@ -17,7 +17,6 @@ let scale_p t factor =
   { t with p }
 
 let with_p t p = make ~p ~q:t.q
-let with_q t q = make ~p:t.p ~q
 
 let mean_contribution t = t.p *. t.q
 let variance_contribution t = t.p *. (1.0 -. t.p) *. t.q *. t.q

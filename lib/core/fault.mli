@@ -25,7 +25,6 @@ val scale_p : t -> float -> t
     raises [Invalid_argument] if the result leaves [0, 1]. *)
 
 val with_p : t -> float -> t
-val with_q : t -> float -> t
 
 val mean_contribution : t -> float
 (** [p*q]: this fault's term in E(Theta_1), eq. (1). *)

@@ -21,10 +21,6 @@ let p_n2_pos u = prob_some (squared (Universe.ps u))
 let powered ps ~channels =
   Array.map (fun p -> p ** float_of_int channels) ps
 
-let p_nk_zero u ~channels =
-  if channels < 1 then invalid_arg "Fault_count.p_nk_zero: channels < 1";
-  prob_none (powered (Universe.ps u) ~channels)
-
 let p_nk_pos u ~channels =
   if channels < 1 then invalid_arg "Fault_count.p_nk_pos: channels < 1";
   prob_some (powered (Universe.ps u) ~channels)
@@ -61,10 +57,6 @@ let poisson_binomial ps =
 
 let n1_distribution u = poisson_binomial (Universe.ps u)
 let n2_distribution u = poisson_binomial (squared (Universe.ps u))
-
-let nk_distribution u ~channels =
-  if channels < 1 then invalid_arg "Fault_count.nk_distribution: channels < 1";
-  poisson_binomial (powered (Universe.ps u) ~channels)
 
 let mean_of_distribution dist =
   Kahan.sum_over (Array.length dist) (fun k -> float_of_int k *. dist.(k))

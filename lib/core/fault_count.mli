@@ -17,9 +17,6 @@ val p_n2_zero : Universe.t -> float
 
 val p_n2_pos : Universe.t -> float
 
-val p_nk_zero : Universe.t -> channels:int -> float
-(** 1-out-of-N generalisation: P(no fault common to all N channels). *)
-
 val p_nk_pos : Universe.t -> channels:int -> float
 
 val risk_ratio : Universe.t -> float
@@ -50,8 +47,6 @@ val n1_distribution : Universe.t -> float array
 
 val n2_distribution : Universe.t -> float array
 (** Distribution of the number of common faults in a pair. *)
-
-val nk_distribution : Universe.t -> channels:int -> float array
 
 val mean_of_distribution : float array -> float
 val variance_of_distribution : float array -> float

@@ -71,6 +71,3 @@ let trajectory u ~step ~factors =
 
 let proportional_trajectory u ~factors =
   trajectory u ~step:(fun k -> Proportional k) ~factors
-
-let single_fault_trajectory u ~index ~factors =
-  trajectory u ~step:(fun factor -> Single { index; factor }) ~factors

@@ -44,7 +44,3 @@ val trajectory :
 val proportional_trajectory :
   Universe.t -> factors:float array -> trajectory_point array
 (** The Appendix B sweep: factors are values of k. *)
-
-val single_fault_trajectory :
-  Universe.t -> index:int -> factors:float array -> trajectory_point array
-(** The Section 4.2.1 sweep on one fault. *)

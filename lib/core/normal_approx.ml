@@ -23,14 +23,8 @@ let bound_difference u ~k = single_bound u ~k -. pair_bound u ~k
 let single_cdf u x =
   Normal_dist.cdf ~mu:(Moments.mu1 u) ~sigma:(Moments.sigma1 u) x
 
-let pair_cdf u x =
-  Normal_dist.cdf ~mu:(Moments.mu2 u) ~sigma:(Moments.sigma2 u) x
-
 let single_quantile u ~confidence =
   Normal_dist.ppf ~mu:(Moments.mu1 u) ~sigma:(Moments.sigma1 u) confidence
-
-let pair_quantile u ~confidence =
-  Normal_dist.ppf ~mu:(Moments.mu2 u) ~sigma:(Moments.sigma2 u) confidence
 
 type worked_example = {
   mu1 : float;

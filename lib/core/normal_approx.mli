@@ -31,12 +31,8 @@ val bound_difference : Universe.t -> k:float -> float
 val single_cdf : Universe.t -> float -> float
 (** Normal-approximate P(Theta_1 <= x). *)
 
-val pair_cdf : Universe.t -> float -> float
-
 val single_quantile : Universe.t -> confidence:float -> float
 (** Normal-approximate quantile of Theta_1. *)
-
-val pair_quantile : Universe.t -> confidence:float -> float
 
 type worked_example = {
   mu1 : float;

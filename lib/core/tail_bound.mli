@@ -12,23 +12,8 @@ val log_mgf : probs:float array -> values:float array -> float -> float
 (** Log moment generating function of a sum of independent two-point
     variables at the given argument. *)
 
-val chernoff_exponent : probs:float array -> values:float array -> float -> float
-(** Optimised large-deviation exponent sup (lambda x - log MGF). *)
-
-val chernoff_sf_of_vectors :
-  probs:float array -> values:float array -> float -> float
-(** Guaranteed upper bound on P(sum > x); returns 1 at or below the mean,
-    where the bound is vacuous. *)
-
 val chernoff_sf_single : Universe.t -> float -> float
 (** Guaranteed P(Theta_1 > x). *)
-
-val chernoff_sf_pair : Universe.t -> float -> float
-(** Guaranteed P(Theta_2 > x) for the independently developed pair. *)
-
-val hoeffding_sf_of_vectors :
-  probs:float array -> values:float array -> float -> float
-(** The cruder exp(-2 t^2 / sum q_i^2) bound. *)
 
 val hoeffding_sf_single : Universe.t -> float -> float
 

@@ -40,7 +40,6 @@ val validate_disjoint : t -> bool
     failure regions (Section 6.2). *)
 
 val map_faults : (Fault.t -> Fault.t) -> t -> t
-val map_p : (float -> float) -> t -> t
 
 val scale_all_p : t -> float -> t
 (** The Appendix B process-quality transformation p_i = k*b_i applied as a

@@ -14,6 +14,35 @@ let two_out_of_three = { channels = 3; required = 2 }
 let channels t = t.channels
 let required t = t.required
 
+(* Every closed form of a voted system is a function of the per-fault
+   probability that the fault defeats the adjudication — the voted
+   system's analogue of the pair's p_i^2 — and of the region sizes q_i.
+   Each family below is one of these aggregators applied to its own
+   [defeat] function. *)
+let defeat_probs defeat u =
+  Array.map (fun f -> defeat ~p:(Fault.p f)) (Universe.faults u)
+
+let mu_of defeat u =
+  Kahan.sum_over (Universe.size u) (fun i ->
+      let f = Universe.fault u i in
+      defeat ~p:(Fault.p f) *. Fault.q f)
+
+let var_of defeat u =
+  Kahan.sum_over (Universe.size u) (fun i ->
+      let f = Universe.fault u i in
+      let s = defeat ~p:(Fault.p f) in
+      s *. (1.0 -. s) *. Fault.q f *. Fault.q f)
+
+let p_some_of defeat u = Fault_count.prob_some (defeat_probs defeat u)
+
+let risk_ratio_of defeat u =
+  let denom = Fault_count.p_n1_pos u in
+  if Stats.is_zero denom then nan else p_some_of defeat u /. denom
+
+let pfd_dist_of defeat u =
+  Pfd_dist.exact_of_vectors ~probs:(defeat_probs defeat u)
+    ~values:(Universe.qs u) ()
+
 let fault_defeats_system t ~p =
   (* The system mishandles a demand in fault i's region iff fewer than
      [required] channels are free of fault i, i.e. at least
@@ -21,35 +50,13 @@ let fault_defeats_system t ~p =
   let k = t.channels - t.required + 1 in
   Betainc.binomial_tail_direct ~n:t.channels ~p k
 
-let mu t u =
-  Kahan.sum_over (Universe.size u) (fun i ->
-      let f = Universe.fault u i in
-      fault_defeats_system t ~p:(Fault.p f) *. Fault.q f)
-
-let var t u =
-  Kahan.sum_over (Universe.size u) (fun i ->
-      let f = Universe.fault u i in
-      let s = fault_defeats_system t ~p:(Fault.p f) in
-      s *. (1.0 -. s) *. Fault.q f *. Fault.q f)
-
+let mu t u = mu_of (fault_defeats_system t) u
+let var t u = var_of (fault_defeats_system t) u
 let sigma t u = sqrt (var t u)
-
-let system_fault_probs t u =
-  Array.map (fun f -> fault_defeats_system t ~p:(Fault.p f)) (Universe.faults u)
-
-let p_system_fault_free t u =
-  Fault_count.prob_none (system_fault_probs t u)
-
-let p_some_system_fault t u =
-  Fault_count.prob_some (system_fault_probs t u)
-
-let risk_ratio_vs_single t u =
-  let denom = Fault_count.p_n1_pos u in
-  if Stats.is_zero denom then nan else p_some_system_fault t u /. denom
-
-let pfd_dist t u =
-  Pfd_dist.exact_of_vectors ~probs:(system_fault_probs t u)
-    ~values:(Universe.qs u) ()
+let system_fault_probs t u = defeat_probs (fault_defeats_system t) u
+let p_some_system_fault t u = p_some_of (fault_defeats_system t) u
+let risk_ratio_vs_single t u = risk_ratio_of (fault_defeats_system t) u
+let pfd_dist t u = pfd_dist_of (fault_defeats_system t) u
 
 let confidence_bound t u ~k = mu t u +. (k *. sigma t u)
 
@@ -142,11 +149,6 @@ let decide p ~shutdowns ~no_actions ~abstains =
   let s, na, _ = run_policy p ~shutdowns ~no_actions ~abstains in
   if s > 0 then Shutdown else if na > 0 then No_action else Abstain
 
-let pp_decision ppf = function
-  | Shutdown -> Fmt.string ppf "shutdown"
-  | No_action -> Fmt.string ppf "no-action"
-  | Abstain -> Fmt.string ppf "abstain"
-
 let rec pp_policy ppf = function
   | Unit -> Fmt.string ppf "unit"
   | Vote 1 -> Fmt.string ppf "1-out-of-N (OR)"
@@ -201,38 +203,25 @@ let policy_defeat_prob policy ~channels ?(detection = 0.0) ~p () =
   done;
   Kahan.total acc
 
-let policy_system_fault_probs policy ~channels ?detection u =
-  Array.map
-    (fun f ->
-      policy_defeat_prob policy ~channels ?detection ~p:(Fault.p f) ())
-    (Universe.faults u)
+let policy_defeat policy ~channels detection ~p =
+  policy_defeat_prob policy ~channels ?detection ~p ()
 
 let policy_mu policy ~channels ?detection u =
-  Kahan.sum_over (Universe.size u) (fun i ->
-      let f = Universe.fault u i in
-      policy_defeat_prob policy ~channels ?detection ~p:(Fault.p f) ()
-      *. Fault.q f)
+  mu_of (policy_defeat policy ~channels detection) u
 
 let policy_var policy ~channels ?detection u =
-  Kahan.sum_over (Universe.size u) (fun i ->
-      let f = Universe.fault u i in
-      let s = policy_defeat_prob policy ~channels ?detection ~p:(Fault.p f) () in
-      s *. (1.0 -. s) *. Fault.q f *. Fault.q f)
+  var_of (policy_defeat policy ~channels detection) u
 
 let policy_sigma policy ~channels ?detection u =
   sqrt (policy_var policy ~channels ?detection u)
 
 let policy_p_some_system_fault policy ~channels ?detection u =
-  Fault_count.prob_some (policy_system_fault_probs policy ~channels ?detection u)
+  p_some_of (policy_defeat policy ~channels detection) u
 
 let policy_risk_ratio_vs_single policy ~channels ?detection u =
-  let denom = Fault_count.p_n1_pos u in
-  if Stats.is_zero denom then nan
-  else policy_p_some_system_fault policy ~channels ?detection u /. denom
+  risk_ratio_of (policy_defeat policy ~channels detection) u
 
 let policy_pfd_dist policy ~channels ?detection u =
-  Pfd_dist.exact_of_vectors
-    ~probs:(policy_system_fault_probs policy ~channels ?detection u)
-    ~values:(Universe.qs u) ()
+  pfd_dist_of (policy_defeat policy ~channels detection) u
 
 let arch_policy t = Vote t.required

@@ -40,9 +40,6 @@ val system_fault_probs : t -> Universe.t -> float array
 (** Per-fault probabilities of defeating the vote — the voted system's
     analogue of the p_i^2 vector. *)
 
-val p_system_fault_free : t -> Universe.t -> float
-(** Probability that no fault defeats the vote (the Section 4 measure). *)
-
 val p_some_system_fault : t -> Universe.t -> float
 
 val risk_ratio_vs_single : t -> Universe.t -> float
@@ -111,9 +108,7 @@ val policy_min_channels : policy -> int
     [Simulator.Adjudicator.combine] ([Vote r] needs [r] channels; a
     fallback needs only its cheaper branch). *)
 
-val equal_decision : decision -> decision -> bool
 val equal_policy : policy -> policy -> bool
-val pp_decision : Format.formatter -> decision -> unit
 
 val pp_policy : Format.formatter -> policy -> unit
 (** Prints [Vote] nodes in the legacy adjudicator's notation
@@ -140,9 +135,6 @@ val binom_pmf : n:int -> p:float -> int -> float
 
 val policy_defeat_prob :
   policy -> channels:int -> ?detection:float -> p:float -> unit -> float
-
-val policy_system_fault_probs :
-  policy -> channels:int -> ?detection:float -> Universe.t -> float array
 
 val policy_mu :
   policy -> channels:int -> ?detection:float -> Universe.t -> float

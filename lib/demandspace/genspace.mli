@@ -2,15 +2,6 @@
     of the paper's Fig. 2 and the shapes it cites from the literature:
     compact blobs, thin lines, and non-connected scatters of points. *)
 
-val random_box : Numerics.Rng.t -> width:int -> height:int -> max_side:int -> Region.t
-val random_line : Numerics.Rng.t -> width:int -> height:int -> max_steps:int -> Region.t
-val random_scatter :
-  Numerics.Rng.t -> width:int -> height:int -> max_points:int -> Region.t
-
-val random_region :
-  Numerics.Rng.t -> width:int -> height:int -> max_extent:int -> Region.t
-(** One region with a uniformly chosen shape kind. *)
-
 val place_disjoint :
   Numerics.Rng.t ->
   width:int ->

@@ -15,11 +15,6 @@ let space_size t = t.space_size
 let cardinal t = Bitset.cardinal t.members
 let mem t d = Bitset.mem t.members (Demand.to_int d)
 
-let of_bitset ~space_size ~shape members =
-  if Bitset.length members <> space_size then
-    invalid_arg "Region.of_bitset: bitset over a different space";
-  { space_size; members; shape }
-
 let points ~space_size ids =
   List.iter
     (fun i ->

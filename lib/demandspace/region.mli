@@ -29,8 +29,6 @@ val cardinal : t -> int
 val mem : t -> Demand.t -> bool
 (** Is this demand a failure point of the region? *)
 
-val of_bitset : space_size:int -> shape:shape -> Numerics.Bitset.t -> t
-
 val points : space_size:int -> int list -> t
 (** Explicit list of failure points. *)
 

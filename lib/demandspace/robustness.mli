@@ -13,8 +13,6 @@ val worst_case_region_measure : q:float -> epsilon:float -> float
 (** min(1, q + epsilon): the largest measure a region can attain under a
     total-variation-epsilon profile perturbation. *)
 
-val worst_case_qs : Space.t -> epsilon:float -> float array
-
 val robust_universe : Space.t -> epsilon:float -> Core.Universe.t
 (** Conservative universe with every region at its worst-case measure
     (each region's bound is individually attainable, not jointly — the

@@ -31,10 +31,6 @@ val has_fault : t -> int -> bool
 val common_faults : t -> t -> int list
 (** Faults present in both versions of a pair. *)
 
-val joint_failure_set : t -> t -> Numerics.Bitset.t
-(** Intersection of the two failure sets: where a 1-out-of-2 OR system
-    fails (both channels fail on the demand). *)
-
 val pair_pfd : t -> t -> float
 (** True PFD of the 1-out-of-2 pair. *)
 

@@ -203,9 +203,6 @@ let ingest_parsed t = function
       Obs.Metrics.incr m_malformed
 
 let ingest_line t line = ingest_parsed t (Schema.parse_line line)
-let ingest_json t json = ingest_parsed t (Schema.parse_json json)
-
-let ingest_runlog t log = List.iter (ingest_json t) (Obs.Runlog.events log)
 
 let ingest_source t src ~max_lines =
   if max_lines < 0 then

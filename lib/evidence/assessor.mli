@@ -1,9 +1,9 @@
 (** Streaming proven-in-use assessor over the JSONL run log.
 
-    Ingests run-log events (from a file read incrementally, or an
-    in-memory {!Obs.Runlog.t}) in one pass, maintaining per-plant and
-    per-fleet counters only; every judgement — Bayesian posterior PFD
-    bounds (conjugate Beta, {!Extensions.Beta_prior}), the Wald
+    Ingests run-log events from a file read incrementally, in one pass,
+    maintaining per-plant and per-fleet counters only; every judgement —
+    Bayesian posterior PFD bounds (conjugate Beta,
+    {!Extensions.Beta_prior}), the Wald
     ("SPRT-style") accept/reject boundary re-evaluated on the aggregate
     counts, demand-profile drift against the declared profile
     ({!Drift}) — is derived from those counters on demand. The final
@@ -51,12 +51,7 @@ val ingest_line : t -> string -> unit
     and unconsumed kinds are counted (and surfaced in the verdict and
     the [evidence.*] metrics), not fatal. *)
 
-val ingest_json : t -> Obs.Json.t -> unit
-
 val ingest_parsed : t -> Schema.parsed -> unit
-
-val ingest_runlog : t -> Obs.Runlog.t -> unit
-(** Ingest an in-memory run log in append order. *)
 
 val ingest_source : t -> Source.t -> max_lines:int -> int
 (** Read and ingest up to [max_lines] lines from the cursor, each as it

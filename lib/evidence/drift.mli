@@ -28,7 +28,3 @@ val assess : expected:float array -> counts:int array -> alpha:float -> result
     [Invalid_argument] if [alpha] is outside (0, 1), [expected] is empty
     or contains a negative/non-finite entry. An empty histogram returns
     [p_value = 1.0] and no alarm. *)
-
-val chi_square_p_value : dof:int -> float -> float
-(** Upper-tail chi-square probability (Wilson-Hilferty cube-root normal
-    approximation; accurate to a few percent for [dof >= 1]). *)

@@ -13,7 +13,6 @@ type t = {
   mutable lines : int;
 }
 
-let of_channel ic = { ic; owned = false; lines = 0 }
 let open_file path = { ic = open_in_bin path; owned = true; lines = 0 }
 
 let next_line t =

@@ -11,10 +11,6 @@ val open_file : string -> t
     [Sys_error] if the file cannot be opened. The channel is closed by
     {!close}. *)
 
-val of_channel : in_channel -> t
-(** Wrap an existing channel. {!close} leaves the channel open: the
-    caller owns it. *)
-
 val next_line : t -> string option
 (** Next line without its terminator; [None] at end of file. A growing
     file can be polled: once the writer appends more lines, [next_line]
@@ -30,9 +26,6 @@ val resume : t -> offset:int -> unit
 val lines_read : t -> int
 (** Lines handed out by this cursor since creation (not affected by
     {!resume}). *)
-
-val fold_lines : t -> init:'a -> f:('a -> string -> 'a) -> 'a
-(** Fold [f] over the remaining lines. *)
 
 val iter_lines : t -> f:(string -> unit) -> unit
 

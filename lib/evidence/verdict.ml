@@ -255,7 +255,10 @@ let render_json v = Obs.Json.render (to_json v)
 (* Text                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let render_text ?(plant_limit = 16) v =
+(* Per-plant rows shown in the text report; the JSON form carries all. *)
+let plant_limit = 16
+
+let render_text v =
   let b = Buffer.create 2048 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let config = v.config in

@@ -46,14 +46,8 @@ val of_assessor : Assessor.t -> t
 
 val overall_string : overall -> string
 
-val decision_string : Schema.sprt_outcome -> string
-
-val to_json : t -> Obs.Json.t
-(** Deterministic: no timestamps, rates or host data. Schema
-    ["divrel-evidence/1"]. *)
-
 val render_json : t -> string
 
-val render_text : ?plant_limit:int -> t -> string
-(** Human-readable report; at most [plant_limit] (default 16) per-plant
-    rows, with the rest elided (the JSON form always carries all). *)
+val render_text : t -> string
+(** Human-readable report; at most 16 per-plant rows, with the rest
+    elided (the JSON form always carries all). *)

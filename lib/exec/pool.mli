@@ -35,9 +35,6 @@ val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent. Running batches must
     have completed. *)
 
-val env_var : string
-(** ["DIVREL_DOMAINS"] — environment override for the default size. *)
-
 val auto_domains : unit -> int
 (** The size {!create} and {!default} use when none is given:
     [DIVREL_DOMAINS] if set, else [Domain.recommended_domain_count ()]. *)

@@ -17,9 +17,6 @@ val of_pfd_dist : Core.Pfd_dist.t -> t
 val of_mass : (float * float) list -> t
 (** Prior from explicit (value, mass) pairs. *)
 
-val to_pfd_dist : t -> Core.Pfd_dist.t
-(** Normalised snapshot of the current distribution. *)
-
 val observe : t -> demands:int -> failures:int -> t
 (** Condition on a binomial operational record. Raises [Invalid_argument]
     when the record is impossible under the prior (e.g. failures observed

@@ -10,15 +10,6 @@ let create ~a ~b =
 let uniform = { a = 1.0; b = 1.0 }
 let jeffreys = { a = 0.5; b = 0.5 }
 
-let of_mean_and_equivalent_observations ~mean ~observations =
-  if mean <= 0.0 || mean >= 1.0 then
-    invalid_arg "Beta_prior.of_mean_and_equivalent_observations: mean outside (0, 1)";
-  if observations <= 0.0 then
-    invalid_arg
-      "Beta_prior.of_mean_and_equivalent_observations: observations must be \
-       positive";
-  { a = mean *. observations; b = (1.0 -. mean) *. observations }
-
 let moment_matched dist =
   (* Match the Beta's mean and variance to a model PFD distribution: the
      'computational convenience' prior an assessor would pick if told only

@@ -17,9 +17,6 @@ val uniform : t
 val jeffreys : t
 (** Beta(1/2, 1/2). *)
 
-val of_mean_and_equivalent_observations : mean:float -> observations:float -> t
-(** Elicit from a mean PFD and a pseudo-observation weight. *)
-
 val moment_matched : Core.Pfd_dist.t -> t
 (** Beta with the same mean and variance as a model PFD distribution —
     what an assessor keeps of the model if forced into a conjugate form.

@@ -26,7 +26,6 @@ let of_universe u =
 let size t = Array.length t.qs
 
 let channel_a t = Core.Universe.of_arrays ~p:t.pa ~q:t.qs
-let channel_b t = Core.Universe.of_arrays ~p:t.pb ~q:t.qs
 
 let mu_a t = Kahan.sum_over (size t) (fun i -> t.pa.(i) *. t.qs.(i))
 let mu_b t = Kahan.sum_over (size t) (fun i -> t.pb.(i) *. t.qs.(i))
@@ -38,8 +37,6 @@ let var_pair t =
   Kahan.sum_over (size t) (fun i ->
       let pc = t.pa.(i) *. t.pb.(i) in
       pc *. (1.0 -. pc) *. t.qs.(i) *. t.qs.(i))
-
-let sigma_pair t = sqrt (var_pair t)
 
 let p_no_common_fault t =
   exp

@@ -19,11 +19,6 @@ val of_universe : Core.Universe.t -> t
 
 val size : t -> int
 
-val channel_a : t -> Core.Universe.t
-(** Channel A's process viewed as a single-process universe. *)
-
-val channel_b : t -> Core.Universe.t
-
 val mu_a : t -> float
 (** Mean PFD of a channel-A version. *)
 
@@ -33,7 +28,6 @@ val mu_pair : t -> float
 (** Mean PFD of the forced-diverse 1-out-of-2 pair: sum pa_i pb_i q_i. *)
 
 val var_pair : t -> float
-val sigma_pair : t -> float
 
 val p_no_common_fault : t -> float
 (** prod (1 - pa_i pb_i). *)

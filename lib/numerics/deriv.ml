@@ -1,19 +1,20 @@
-let default_h = 1e-6
+(* Relative step of the central and partial differences. *)
+let h = 1e-6
 
-let central ?(h = default_h) f x =
+let central f x =
   let h = h *. max 1.0 (abs_float x) in
   (f (x +. h) -. f (x -. h)) /. (2.0 *. h)
 
-let richardson ?(h = 1e-3) f x =
+let richardson f x =
   (* Richardson extrapolation of the central difference: combine step sizes
      h and h/2 to cancel the O(h^2) term, giving an O(h^4) estimate. *)
-  let h = h *. max 1.0 (abs_float x) in
+  let h = 1e-3 *. max 1.0 (abs_float x) in
   let d1 = (f (x +. h) -. f (x -. h)) /. (2.0 *. h) in
   let h2 = h /. 2.0 in
   let d2 = (f (x +. h2) -. f (x -. h2)) /. (2.0 *. h2) in
   ((4.0 *. d2) -. d1) /. 3.0
 
-let partial ?(h = default_h) f x i =
+let partial f x i =
   let xi = x.(i) in
   let step = h *. max 1.0 (abs_float xi) in
   let eval v =
@@ -23,8 +24,8 @@ let partial ?(h = default_h) f x i =
   in
   (eval (xi +. step) -. eval (xi -. step)) /. (2.0 *. step)
 
-let gradient ?h f x = Array.init (Array.length x) (fun i -> partial ?h f x i)
+let gradient f x = Array.init (Array.length x) (fun i -> partial f x i)
 
-let second ?(h = 1e-4) f x =
-  let h = h *. max 1.0 (abs_float x) in
+let second f x =
+  let h = 1e-4 *. max 1.0 (abs_float x) in
   (f (x +. h) -. (2.0 *. f x) +. f (x -. h)) /. (h *. h)

@@ -38,8 +38,9 @@ let p_value samples cdf =
   let lambda = (sqrt n +. 0.12 +. (0.11 /. sqrt n)) *. d in
   kolmogorov_q lambda
 
-let distance_between_cdfs ?(points = 2048) cdf1 cdf2 ~lo ~hi =
+let distance_between_cdfs cdf1 cdf2 ~lo ~hi =
   if not (lo < hi) then invalid_arg "Ks.distance_between_cdfs: need lo < hi";
+  let points = 2048 in
   let d = ref 0.0 in
   for i = 0 to points do
     let x = lo +. ((hi -. lo) *. float_of_int i /. float_of_int points) in

@@ -14,6 +14,6 @@ val p_value : float array -> (float -> float) -> float
 (** Asymptotic p-value with Stephens' finite-sample correction. *)
 
 val distance_between_cdfs :
-  ?points:int -> (float -> float) -> (float -> float) -> lo:float -> hi:float -> float
-(** Sup-distance between two CDFs, evaluated on a uniform grid of
-    [points + 1] abscissae over [lo, hi]. *)
+  (float -> float) -> (float -> float) -> lo:float -> hi:float -> float
+(** Sup-distance between two CDFs, evaluated on a uniform grid of 2049
+    abscissae over [lo, hi]. *)

@@ -16,7 +16,15 @@ type t = { st : Bytes.t; mutable draws : int }
    read. *)
 let total = Atomic.make 0 (* divlint: allow domain-containment *)
 
-let pending : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+(* A domain's pending count is the middle word of its own 17-word block,
+   so any 64-byte cache line holding it lies inside the block and no
+   other domain writes that line. Bare [ref 0] cells of two domains were
+   seen to share a line: `all --seed 42` at 2 domains then took about
+   twice the CPU time, depending on the build's heap layout. *)
+let pending_slot = 8
+
+let pending : int array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make ((2 * pending_slot) + 1) 0)
 
 (* Cumulative draws already flushed by this domain. Together with the
    pending counter this gives [local_draws] — an exact per-domain draw
@@ -27,14 +35,16 @@ let flushed : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 let flush_draws () =
   let p = Domain.DLS.get pending in
-  if !p <> 0 then begin
-    ignore (Atomic.fetch_and_add total !p) (* divlint: allow domain-containment *);
+  let n = p.(pending_slot) in
+  if n <> 0 then begin
+    ignore (Atomic.fetch_and_add total n) (* divlint: allow domain-containment *);
     let f = Domain.DLS.get flushed in
-    f := !f + !p;
-    p := 0
+    f := !f + n;
+    p.(pending_slot) <- 0
   end
 
-let local_draws () = !(Domain.DLS.get flushed) + !(Domain.DLS.get pending)
+let local_draws () =
+  !(Domain.DLS.get flushed) + (Domain.DLS.get pending).(pending_slot)
 
 (* splitmix64: used to expand a seed into the xoshiro state, and to derive
    independent substreams. *)
@@ -67,7 +77,8 @@ let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (
 (* xoshiro256++ *)
 let next_int64 t =
   t.draws <- t.draws + 1;
-  incr (Domain.DLS.get pending);
+  let p = Domain.DLS.get pending in
+  p.(pending_slot) <- p.(pending_slot) + 1;
   let st = t.st in
   let open Int64 in
   let s0 = Bytes.get_int64_ne st 0

@@ -1,7 +1,7 @@
 let default_tol = 1e-12
-let default_max_iter = 200
+let max_iter = 200
 
-let bisect ?(tol = default_tol) ?(max_iter = default_max_iter) f ~lo ~hi =
+let bisect ?(tol = default_tol) f ~lo ~hi =
   let flo = f lo and fhi = f hi in
   if flo = 0.0 then lo (* divlint: allow float-eq *)
   else if fhi = 0.0 then hi (* divlint: allow float-eq *)
@@ -20,7 +20,7 @@ let bisect ?(tol = default_tol) ?(max_iter = default_max_iter) f ~lo ~hi =
     loop lo hi flo 0
 
 (* Brent's method: inverse quadratic interpolation with bisection fallback. *)
-let brent ?(tol = default_tol) ?(max_iter = default_max_iter) f ~lo ~hi =
+let brent ?(tol = default_tol) f ~lo ~hi =
   let a = ref lo and b = ref hi in
   let fa = ref (f lo) and fb = ref (f hi) in
   if !fa = 0.0 then !a (* divlint: allow float-eq *)
@@ -89,7 +89,7 @@ let brent ?(tol = default_tol) ?(max_iter = default_max_iter) f ~lo ~hi =
     !b
   end
 
-let minimize_golden ?(tol = 1e-10) ?(max_iter = default_max_iter) f ~lo ~hi =
+let minimize_golden ?(tol = 1e-10) f ~lo ~hi =
   let phi = (sqrt 5.0 -. 1.0) /. 2.0 in
   let rec loop a b iter =
     if b -. a < tol || iter >= max_iter then 0.5 *. (a +. b)

@@ -61,8 +61,6 @@ let power_law rng ~exponent ~lo ~hi =
     let e = exponent +. 1.0 in
     (((hi ** e) -. (lo ** e)) *. u +. (lo ** e)) ** (1.0 /. e)
 
-let log_uniform rng ~lo ~hi = power_law rng ~exponent:(-1.0) ~lo ~hi
-
 let poisson rng ~lambda =
   if lambda < 0.0 then invalid_arg "Sampler.poisson: negative rate";
   if lambda < 30.0 then begin

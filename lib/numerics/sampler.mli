@@ -24,10 +24,6 @@ val power_law : Rng.t -> exponent:float -> lo:float -> hi:float -> float
 (** Draw from the density proportional to x^exponent on [lo, hi]
     (0 < lo < hi). Exponent -1 is handled as the log-uniform limit. *)
 
-val log_uniform : Rng.t -> lo:float -> hi:float -> float
-(** Log-uniform draw: uniform in log-space, the standard model for
-    failure-region sizes spanning several orders of magnitude. *)
-
 val poisson : Rng.t -> lambda:float -> int
 
 val truncated : Rng.t -> lo:float -> hi:float -> (Rng.t -> float) -> float

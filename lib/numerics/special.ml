@@ -79,15 +79,15 @@ let rec log_gamma x =
     let t = x +. 7.5 in
     (0.5 *. log (2.0 *. Float.pi)) +. ((x +. 0.5) *. log t) -. t +. log !acc
 
-let log_factorial =
-  let cache = Array.make 256 nan in
-  fun n ->
-    if n < 0 then invalid_arg "Special.log_factorial: negative argument"
-    else if n < 256 then begin
-      if Float.is_nan cache.(n) then cache.(n) <- log_gamma (float_of_int (n + 1));
-      cache.(n)
-    end
-    else log_gamma (float_of_int (n + 1))
+(* log n! for n < 256, built once at module initialisation and only read
+   afterwards, so concurrent callers on several domains share it safely. *)
+let log_factorial_table =
+  Array.init 256 (fun n -> log_gamma (float_of_int (n + 1)))
+
+let log_factorial n =
+  if n < 0 then invalid_arg "Special.log_factorial: negative argument"
+  else if n < 256 then log_factorial_table.(n)
+  else log_gamma (float_of_int (n + 1))
 
 let log_choose n k =
   if k < 0 || k > n then neg_infinity

@@ -7,9 +7,6 @@
     fraction for the tails, giving close to machine precision over the whole
     real line. *)
 
-val sqrt_pi : float
-(** sqrt(pi). *)
-
 val sqrt2 : float
 (** sqrt(2). *)
 

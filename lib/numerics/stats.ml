@@ -85,13 +85,6 @@ let empirical_cdf a =
     in
     float_of_int (search 0 (Array.length sorted)) /. n
 
-let standard_error a = std a /. sqrt (float_of_int (Array.length a))
-
-let mean_ci ?(z = 1.959963984540054) a =
-  let m = mean a in
-  let se = standard_error a in
-  (m -. (z *. se), m +. (z *. se))
-
 let proportion_ci ?(z = 1.959963984540054) ~successes ~trials () =
   if trials <= 0 then invalid_arg "Stats.proportion_ci: trials must be positive";
   (* Wilson score interval: behaves correctly for proportions near 0, which

@@ -60,13 +60,6 @@ val median : float array -> float
 val empirical_cdf : float array -> float -> float
 (** [empirical_cdf a] returns the step CDF x -> #{i | a_i <= x}/n. *)
 
-val standard_error : float array -> float
-(** Standard error of the mean. *)
-
-val mean_ci : ?z:float -> float array -> float * float
-(** Normal-theory confidence interval for the mean ([z] defaults to the
-    two-sided 95% value). *)
-
 val proportion_ci : ?z:float -> successes:int -> trials:int -> unit -> float * float
 (** Wilson score interval for a binomial proportion; well behaved for the
     near-zero probabilities typical of PFD estimation. *)

@@ -26,7 +26,6 @@ let variance t =
 
 let std t = sqrt (variance t)
 let min_value t = if t.count = 0 then nan else t.min
-let max_value t = if t.count = 0 then nan else t.max
 
 let merge a b =
   if a.count = 0 then { b with count = b.count }
@@ -43,13 +42,3 @@ let merge a b =
           /. float_of_int n)
     in
     { count = n; mean; m2; min = min a.min b.min; max = max a.max b.max }
-
-let to_summary t : Stats.summary =
-  {
-    Stats.n = t.count;
-    mean = mean t;
-    variance = (if t.count < 2 then 0.0 else variance t);
-    std = (if t.count < 2 then 0.0 else std t);
-    min = min_value t;
-    max = max_value t;
-  }

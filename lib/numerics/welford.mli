@@ -20,11 +20,7 @@ val variance : t -> float
 val std : t -> float
 
 val min_value : t -> float
-val max_value : t -> float
 
 val merge : t -> t -> t
 (** Combine two accumulators (parallel reduction); exact in the same sense
     as Welford's update. *)
-
-val to_summary : t -> Stats.summary
-(** Snapshot as a {!Stats.summary} (variance reported as 0 when n < 2). *)

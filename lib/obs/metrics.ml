@@ -57,7 +57,6 @@ let add c n =
   (* divlint: allow domain-containment *)
   if !enabled then ignore (Atomic.fetch_and_add c.count n)
 
-let counter_name c = c.c_name
 let counter_value c = Atomic.get c.count (* divlint: allow domain-containment *)
 
 (* ------------------------------------------------------------------ *)
@@ -75,7 +74,6 @@ let set g v =
     g.g_set <- true
   end
 
-let gauge_name g = g.g_name
 let gauge_value g = if g.g_set then Some g.g_value else None
 
 (* ------------------------------------------------------------------ *)
@@ -144,9 +142,7 @@ let buckets h =
         (bucket_edge h h.n_buckets, infinity, h.counts.(slot))
       else (bucket_edge h (slot - 1), bucket_edge h slot, h.counts.(slot)))
 
-let histogram_name h = h.h_name
 let histogram_count h = h.total
-let histogram_sum h = h.sum
 let histogram_min h = if h.total = 0 then None else Some h.min_seen
 let histogram_max h = if h.total = 0 then None else Some h.max_seen
 

@@ -25,7 +25,6 @@ val counter : string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val counter_name : counter -> string
 val counter_value : counter -> int
 
 (** {1 Gauges} *)
@@ -34,8 +33,6 @@ type gauge
 
 val gauge : string -> gauge
 val set : gauge -> float -> unit
-
-val gauge_name : gauge -> string
 
 val gauge_value : gauge -> float option
 (** [None] until the first (enabled) {!set}. *)
@@ -60,9 +57,7 @@ val buckets : histogram -> (float * float * int) array
     [(0, lo)] first, then the log buckets, then the overflow bucket with
     upper edge [infinity]. *)
 
-val histogram_name : histogram -> string
 val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 val histogram_min : histogram -> float option
 val histogram_max : histogram -> float option
 

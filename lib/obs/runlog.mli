@@ -12,25 +12,17 @@
     ]}
 
     Every event carries its kind, a per-log sequence number ([seq]) and a
-    monotonic nanosecond timestamp ([t_ns]). An in-memory log ({!create})
-    performs no I/O: callers serialise with {!to_jsonl} / {!output_jsonl}
-    and write the file themselves. A streaming log ({!create_streaming})
-    appends each event to its channel as it is recorded and retains
-    nothing, so long operational histories serialise in O(1) memory. *)
+    monotonic nanosecond timestamp ([t_ns]). A log appends each event to
+    its channel as it is recorded and retains nothing, so long
+    operational histories serialise in O(1) memory. *)
 
 type t
-
-val create : unit -> t
-(** In-memory log: events are retained and read back with {!events} /
-    {!to_jsonl} / {!output_jsonl}. *)
 
 val create_streaming : out_channel -> t
 (** Streaming log: each recorded event is rendered to the channel as one
     JSONL line immediately and not retained, so producing a
     million-event run log does not hold the log in memory. The caller
-    owns the channel (flushing/closing it); {!size} still counts events,
-    but {!events} / {!to_jsonl} / {!output_jsonl} raise
-    [Invalid_argument]. *)
+    owns the channel (flushing/closing it); {!size} counts events. *)
 
 val set_sink : t option -> unit
 (** Install (or remove, with [None]) the global sink that {!record}
@@ -51,21 +43,6 @@ val record_all : kind:string -> (string * Json.t) list list -> unit
     [t_ns]. No-op without a sink. *)
 
 val size : t -> int
-
-val events : t -> Json.t list
-(** Events in append order. Raises [Invalid_argument] on a streaming
-    log. *)
-
-val to_jsonl : t -> string
-(** One compact JSON object per line, in append order, as one string.
-    Kept for tests and small logs; large logs should prefer
-    {!output_jsonl} or a streaming sink. Raises [Invalid_argument] on a
-    streaming log. *)
-
-val output_jsonl : t -> out_channel -> unit
-(** Append the log to a channel, one compact JSON object per line,
-    without materialising the whole serialisation as a string. Raises
-    [Invalid_argument] on a streaming log. *)
 
 val input_line_opt : in_channel -> string option
 (** Next line of a JSONL stream, [None] at end of file — the reader half

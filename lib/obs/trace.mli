@@ -19,9 +19,6 @@ val with_shard : int -> (unit -> 'a) -> 'a
     (domain-local state; restored on exit). Code outside any sharded
     region records under shard 0. *)
 
-val current_shard : unit -> int
-(** The shard id spans opened by this domain are attributed to. *)
-
 type handle
 (** Token returned by {!enter}; pass it to {!leave}. *)
 
@@ -60,9 +57,7 @@ val span_count : unit -> int
 val to_text : unit -> string
 (** Indented tree, one line per span with a human-readable duration. *)
 
-val to_chrome_json : unit -> Json.t
+val render_chrome_json : unit -> string
 (** Chrome trace-event JSON (["ph":"X"] complete events, microsecond
     timestamps relative to the first span); loadable in chrome://tracing
     and Perfetto. *)
-
-val render_chrome_json : unit -> string

@@ -11,7 +11,6 @@ val add_row : t -> cell list -> t
 (** Raises [Invalid_argument] when the row width differs from the header
     count. *)
 
-val add_rows : t -> cell list list -> t
 val of_rows : title:string -> headers:string list -> cell list list -> t
 
 val float : ?precision:int -> float -> cell

@@ -15,7 +15,12 @@ let addr_of = function
   | Server.Tcp_port port ->
       Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
-let connect ?(attempts = 100) ?(delay_s = 0.02) listen =
+(* Connection attempts while the daemon binds its socket, and the pause
+   between them: two seconds in all. *)
+let attempts = 100
+let delay_s = 0.02
+
+let connect listen =
   let addr = addr_of listen in
   let rec go n =
     let fd =
@@ -37,7 +42,6 @@ let connect ?(attempts = 100) ?(delay_s = 0.02) listen =
         (try Unix.close fd with Unix.Unix_error _ -> ());
         raise e
   in
-  if attempts < 1 then invalid_arg "Client.connect: attempts must be >= 1";
   go attempts
 
 let send_line t line =

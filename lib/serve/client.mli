@@ -5,8 +5,8 @@
 
 type t
 
-val connect : ?attempts:int -> ?delay_s:float -> Server.listen -> t
-(** Connect to a daemon, retrying (default 100 attempts, 20 ms apart)
+val connect : Server.listen -> t
+(** Connect to a daemon, retrying (100 attempts, 20 ms apart)
     while the socket is not yet bound — the startup race of launching a
     daemon and connecting to it. Raises the last [Unix.Unix_error] when
     the attempts are exhausted. *)

@@ -99,7 +99,6 @@ let estimate ?pool ?shards rng universe ~replications =
     shard_draws;
   }
 
-let quantile_theta2 est alpha = Stats.quantile est.theta2_samples alpha
 let quantile_theta1 est alpha = Stats.quantile est.theta1_samples alpha
 
 type population = {

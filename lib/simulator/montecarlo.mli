@@ -32,7 +32,6 @@ val estimate :
     function of (seed, shards) and is byte-identical for any pool size. *)
 
 val quantile_theta1 : estimate -> float -> float
-val quantile_theta2 : estimate -> float -> float
 
 type population = {
   version_pfds : float array;

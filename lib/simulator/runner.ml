@@ -28,7 +28,7 @@ type stats = {
    pre-hoisted arrays. *)
 let sample_block = 1024
 
-let run ?(log = false) rng ~system ~demand_count =
+let run rng ~system ~demand_count =
   if demand_count <= 0 then invalid_arg "Runner.run: demand_count must be positive";
   let span = Obs.Trace.enter "runner.run" in
   let draws0 = Rng.draws rng in
@@ -77,12 +77,7 @@ let run ?(log = false) rng ~system ~demand_count =
       if !n_failed >= 2 then incr coincident;
       if Bitset.mem system_failure_set id then begin
         if Bitset.mem system_abstain_set id then incr system_abstentions;
-        incr system_failures;
-        if log then
-          Logs.debug (fun m ->
-              m "step %d: system failure on %a" (!step + i + 1)
-                Demandspace.Demand.pp
-                (Demandspace.Demand.of_int id))
+        incr system_failures
       end
     done;
     step := !step + n

@@ -23,10 +23,9 @@ type stats = {
   pfd_ci : float * float;  (** Wilson 95% interval *)
 }
 
-val run :
-  ?log:bool -> Numerics.Rng.t -> system:Protection.t -> demand_count:int -> stats
+val run : Numerics.Rng.t -> system:Protection.t -> demand_count:int -> stats
 (** Run the system on [demand_count] demands drawn from the space's
-    operational profile. [log] emits a debug line per system failure. *)
+    operational profile. *)
 
 val channel_pfd_estimates : stats -> float array
 (** Empirical per-channel PFDs. *)

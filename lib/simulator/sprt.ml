@@ -71,7 +71,6 @@ let record t ~failed =
 
 let demands_observed t = t.demands
 let failures_observed t = t.failures
-let log_likelihood_ratio t = t.log_lr
 let theta0 t = t.theta0
 let theta1 t = t.theta1
 

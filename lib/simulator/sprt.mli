@@ -26,7 +26,6 @@ val record : t -> failed:bool -> decision
 val state : t -> decision
 val demands_observed : t -> int
 val failures_observed : t -> int
-val log_likelihood_ratio : t -> float
 
 val theta0 : t -> float
 (** The acceptable PFD the test state was created with. *)

@@ -74,11 +74,6 @@ let test_poisson_extremes () =
   in
   Prop.check_close ~eps:0.5 "large-lambda splitting path" 50.0 (Numerics.Stats.mean big)
 
-let test_histogram_single_bin () =
-  let h = Numerics.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:1 in
-  List.iter (Numerics.Histogram.add h) [ 0.0; 0.5; 1.0 ];
-  Alcotest.(check int) "everything in the one bin" 3 (Numerics.Histogram.count h 0)
-
 let test_grid_arange () =
   let a = Numerics.Grid.arange ~lo:0.0 ~hi:1.0 ~step:0.25 in
   Alcotest.(check int) "4 points strictly below hi" 4 (Array.length a);
@@ -298,25 +293,6 @@ let test_testing_huge_campaign () =
   Alcotest.(check bool) "long testing drives mu1 to ~0" true
     (Core.Moments.mu1 u' < 1e-30)
 
-(* ------------------------------------------------------------------ *)
-(* report / markdown                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_markdown_table () =
-  let t =
-    Report.Table.of_rows ~title:"demo" ~headers:[ "a"; "b" ]
-      [ [ "1"; "x|y" ] ]
-  in
-  let md = Report.Markdown.of_table t in
-  let lines = String.split_on_char '\n' md in
-  Alcotest.(check bool) "heading present" true (List.mem "### demo" lines);
-  Alcotest.(check bool) "separator present" true (List.mem "|---|---|" lines);
-  Alcotest.(check bool) "pipe escaped" true (List.mem "| 1 | x\\|y |" lines)
-
-let test_markdown_code_block () =
-  let cb = Report.Markdown.code_block ~language:"text" "fig" in
-  Alcotest.(check string) "fenced" "```text\nfig\n```\n" cb
-
 let () =
   Alcotest.run "edge-cases"
     [
@@ -332,7 +308,6 @@ let () =
             test_kahan_catastrophic_cancellation;
           Alcotest.test_case "logsumexp -inf" `Quick test_logsumexp_with_neg_infinity;
           Alcotest.test_case "poisson extremes" `Slow test_poisson_extremes;
-          Alcotest.test_case "histogram single bin" `Quick test_histogram_single_bin;
           Alcotest.test_case "grid arange" `Quick test_grid_arange;
         ] );
       ( "core",
@@ -371,10 +346,5 @@ let () =
           Alcotest.test_case "extreme forced processes" `Quick
             test_forced_extreme_processes;
           Alcotest.test_case "huge test campaign" `Quick test_testing_huge_campaign;
-        ] );
-      ( "report",
-        [
-          Alcotest.test_case "markdown table" `Quick test_markdown_table;
-          Alcotest.test_case "markdown code block" `Quick test_markdown_code_block;
         ] );
     ]

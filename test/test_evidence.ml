@@ -35,45 +35,55 @@ let small_space () =
     ~profile:(Demandspace.Profile.uniform ~size)
     ~faults
 
-(* Deploy and observe a fleet with the run-log sink active, exactly as
-   the CLI does with --log, and return the captured log next to the
-   in-process observation for reconciliation. ~shards:1 keeps the event
-   order deterministic (sharded observation records runner.run events
-   from worker domains). *)
+let with_temp_file f =
+  let path = Filename.temp_file "evidence_test" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let read_lines path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* Deploy and observe a fleet with a streaming run-log sink on a file,
+   exactly as the CLI does with --log, and return the log's lines next
+   to the in-process observation for reconciliation. ~shards:1 keeps the
+   event order deterministic (sharded observation records runner.run
+   events from worker domains). *)
 let fleet_log ~seed ~plants ~demands_per_plant =
   let space = small_space () in
   let rng = Numerics.Rng.create ~seed in
-  let log = Runlog.create () in
-  Runlog.set_sink (Some log);
-  let fleet =
-    Fun.protect
-      ~finally:(fun () -> Runlog.set_sink None)
-      (fun () ->
-        Runlog.record ~kind:"run.start"
-          [
-            ("target", Obs.Json.String "test.fleet");
-            ("seed", Obs.Json.Int seed);
-            ("shards", Obs.Json.Int 1);
-          ];
-        let systems = Simulator.Fleet.deploy_pairs ~shards:1 rng space ~plants in
-        let fleet =
-          Simulator.Fleet.observe ~shards:1 rng systems ~demands_per_plant
-        in
-        Runlog.record ~kind:"run.end"
-          [
-            ("target", Obs.Json.String "test.fleet");
-            ("seed", Obs.Json.Int seed);
-            ("shards", Obs.Json.Int 1);
-            ("rng_draws", Obs.Json.Int (Numerics.Rng.total_draws ()));
-            ("duration_ns", Obs.Json.Int 0);
-          ];
-        fleet)
-  in
-  (log, fleet)
-
-let log_lines log =
-  Runlog.to_jsonl log |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
+  with_temp_file (fun path ->
+      let oc = open_out path in
+      Runlog.set_sink (Some (Runlog.create_streaming oc));
+      let fleet =
+        Fun.protect
+          ~finally:(fun () ->
+            Runlog.set_sink None;
+            close_out oc)
+          (fun () ->
+            Runlog.record ~kind:"run.start"
+              [
+                ("target", Obs.Json.String "test.fleet");
+                ("seed", Obs.Json.Int seed);
+                ("shards", Obs.Json.Int 1);
+              ];
+            let systems =
+              Simulator.Fleet.deploy_pairs ~shards:1 rng space ~plants
+            in
+            let fleet =
+              Simulator.Fleet.observe ~shards:1 rng systems ~demands_per_plant
+            in
+            Runlog.record ~kind:"run.end"
+              [
+                ("target", Obs.Json.String "test.fleet");
+                ("seed", Obs.Json.Int seed);
+                ("shards", Obs.Json.Int 1);
+                ("rng_draws", Obs.Json.Int (Numerics.Rng.total_draws ()));
+                ("duration_ns", Obs.Json.Int 0);
+              ];
+            fleet)
+      in
+      (read_lines path, fleet))
 
 let uniform_profile size =
   Demandspace.Profile.probabilities (Demandspace.Profile.uniform ~size)
@@ -88,10 +98,6 @@ let verdict_of_lines config lines =
   let a = Assessor.create config in
   List.iter (Assessor.ingest_line a) lines;
   Verdict.render_json (Verdict.of_assessor a)
-
-let with_temp_file f =
-  let path = Filename.temp_file "evidence_test" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 (* Write [lines] to a run-log file and hand [f] a cursor over it: the
    path the CLI ingests through. *)
@@ -108,8 +114,7 @@ let with_source lines f =
 (* ------------------------------------------------------------------ *)
 
 let test_windowed_equals_batch () =
-  let log, _fleet = fleet_log ~seed:11 ~plants:6 ~demands_per_plant:300 in
-  let lines = log_lines log in
+  let lines, _fleet = fleet_log ~seed:11 ~plants:6 ~demands_per_plant:300 in
   let n = List.length lines in
   let config = config_with_profile () in
   let batch = verdict_of_lines config lines in
@@ -133,8 +138,7 @@ let test_windowed_equals_batch () =
         Alcotest.failf "window %d diverges from the batch verdict" w)
 
 let test_random_split_points () =
-  let log, _fleet = fleet_log ~seed:12 ~plants:5 ~demands_per_plant:250 in
-  let lines = log_lines log in
+  let lines, _fleet = fleet_log ~seed:12 ~plants:5 ~demands_per_plant:250 in
   let n = List.length lines in
   let config = config_with_profile () in
   let batch = verdict_of_lines config lines in
@@ -157,9 +161,9 @@ let test_random_split_points () =
 
 let test_reconciles_with_fleet_observe () =
   let plants = 7 and demands_per_plant = 400 in
-  let log, fleet = fleet_log ~seed:42 ~plants ~demands_per_plant in
+  let lines, fleet = fleet_log ~seed:42 ~plants ~demands_per_plant in
   let a = Assessor.create (config_with_profile ()) in
-  Assessor.ingest_runlog a log;
+  List.iter (Assessor.ingest_line a) lines;
   let fc = Assessor.fleet_counts a in
   check_int "plants" plants fc.Assessor.f_plants;
   check_int "fleet demands" (plants * demands_per_plant) fc.Assessor.f_demands;
@@ -249,7 +253,7 @@ let test_drift_impossible_demands () =
 let test_drift_alarm_rejects_verdict () =
   (* End to end: a fleet log assessed under the wrong declared profile
      is rejected for drift regardless of its failure record. *)
-  let log, _fleet = fleet_log ~seed:13 ~plants:6 ~demands_per_plant:2_000 in
+  let lines, _fleet = fleet_log ~seed:13 ~plants:6 ~demands_per_plant:2_000 in
   let config =
     {
       Assessor.default_config with
@@ -260,7 +264,7 @@ let test_drift_alarm_rejects_verdict () =
     }
   in
   let a = Assessor.create config in
-  Assessor.ingest_runlog a log;
+  List.iter (Assessor.ingest_line a) lines;
   let v = Verdict.of_assessor a in
   (match v.Verdict.drift with
   | Some d -> check_bool "drift alarm raised" true d.Drift.alarm
@@ -397,11 +401,6 @@ let test_streaming_writer () =
           Runlog.record ~kind:"gamma" [ ("y", Obs.Json.Float 0.5) ]);
       close_out oc;
       check_int "streaming log counts events" 3 (Runlog.size log);
-      (* the in-memory accessors refuse: events went straight to disk *)
-      (try
-         ignore (Runlog.to_jsonl log);
-         Alcotest.fail "to_jsonl should refuse on a streaming log"
-       with Invalid_argument _ -> ());
       let ic = open_in path in
       let lines = ref [] in
       let rec read () =
@@ -423,22 +422,12 @@ let test_streaming_writer () =
         lines)
 
 let test_file_matches_memory () =
-  let log, _fleet = fleet_log ~seed:17 ~plants:4 ~demands_per_plant:150 in
+  let lines, _fleet = fleet_log ~seed:17 ~plants:4 ~demands_per_plant:150 in
   let config = config_with_profile () in
-  let from_memory =
-    let a = Assessor.create config in
-    Assessor.ingest_runlog a log;
-    Verdict.render_json (Verdict.of_assessor a)
-  in
-  with_temp_file (fun path ->
-      let oc = open_out path in
-      Runlog.output_jsonl log oc;
-      close_out oc;
+  let from_memory = verdict_of_lines config lines in
+  with_source lines (fun src ->
       let a = Assessor.create config in
-      let src = Source.open_file path in
-      Fun.protect
-        ~finally:(fun () -> Source.close src)
-        (fun () -> Source.iter_lines src ~f:(Assessor.ingest_line a));
+      Source.iter_lines src ~f:(Assessor.ingest_line a);
       check_string "file ingest == in-memory ingest" from_memory
         (Verdict.render_json (Verdict.of_assessor a)))
 
@@ -505,8 +494,8 @@ let test_posterior_of_counts () =
 let golden_path = "golden/evidence_seed42.json"
 
 let test_golden_verdict () =
-  let log, _fleet = fleet_log ~seed:42 ~plants:4 ~demands_per_plant:200 in
-  let got = verdict_of_lines (config_with_profile ()) (log_lines log) ^ "\n" in
+  let lines, _fleet = fleet_log ~seed:42 ~plants:4 ~demands_per_plant:200 in
+  let got = verdict_of_lines (config_with_profile ()) lines ^ "\n" in
   let ic = open_in_bin golden_path in
   let n = in_channel_length ic in
   let expected = really_input_string ic n in
@@ -531,10 +520,10 @@ let read_file path =
   s
 
 let test_cli_window_byte_identity () =
-  let log, _fleet = fleet_log ~seed:42 ~plants:5 ~demands_per_plant:300 in
+  let lines, _fleet = fleet_log ~seed:42 ~plants:5 ~demands_per_plant:300 in
   with_temp_file (fun log_path ->
       let oc = open_out log_path in
-      Runlog.output_jsonl log oc;
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines;
       close_out oc;
       let verdict window =
         with_temp_file (fun out_path ->
@@ -643,9 +632,9 @@ let test_cli_profile_size_bound () =
      EVIDENCE_PRINT_GOLDEN=1 ./test_evidence.exe > test/golden/evidence_seed42.json *)
 let () =
   if Sys.getenv_opt "EVIDENCE_PRINT_GOLDEN" <> None then begin
-    let log, _fleet = fleet_log ~seed:42 ~plants:4 ~demands_per_plant:200 in
+    let lines, _fleet = fleet_log ~seed:42 ~plants:4 ~demands_per_plant:200 in
     print_string
-      (verdict_of_lines (config_with_profile ()) (log_lines log) ^ "\n");
+      (verdict_of_lines (config_with_profile ()) lines ^ "\n");
     exit 0
   end
 

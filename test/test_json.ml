@@ -88,16 +88,22 @@ let e26_log =
        | None -> Alcotest.fail "E26 is not registered"
      in
      let shards = Exec.default_shards () in
-     let log = Obs.Runlog.create () in
-     Exec.set_default_shards 1;
-     Obs.Runlog.set_sink (Some log);
+     let path = Filename.temp_file "e26_runlog" ".jsonl" in
      Fun.protect
-       ~finally:(fun () ->
-         Obs.Runlog.set_sink None;
-         Exec.set_default_shards shards)
-       (fun () -> ignore (exp.Experiments.Experiment.run ~seed:42));
-     Obs.Runlog.to_jsonl log |> String.split_on_char '\n'
-     |> List.filter (fun l -> l <> ""))
+       ~finally:(fun () -> Sys.remove path)
+       (fun () ->
+         let oc = open_out path in
+         Exec.set_default_shards 1;
+         Obs.Runlog.set_sink (Some (Obs.Runlog.create_streaming oc));
+         Fun.protect
+           ~finally:(fun () ->
+             Obs.Runlog.set_sink None;
+             close_out oc;
+             Exec.set_default_shards shards)
+           (fun () -> ignore (exp.Experiments.Experiment.run ~seed:42));
+         In_channel.with_open_bin path In_channel.input_all
+         |> String.split_on_char '\n'
+         |> List.filter (fun l -> l <> "")))
 
 (* Inputs at the edges of the grammar. Each is also fuzzed below. *)
 let edge_cases =

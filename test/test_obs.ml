@@ -347,15 +347,23 @@ let test_runlog () =
   Runlog.set_sink None;
   check_bool "inactive without a sink" true (not (Runlog.active ()));
   Runlog.record ~kind:"dropped" [ ("x", Json.Int 1) ];
-  let log = Runlog.create () in
-  Runlog.set_sink (Some log);
-  Fun.protect ~finally:(fun () -> Runlog.set_sink None) (fun () ->
-      check_bool "active with a sink" true (Runlog.active ());
-      Runlog.record ~kind:"alpha" [ ("pfd", Json.Float 1e-6) ];
-      Runlog.record ~kind:"beta" [];
+  let path = Filename.temp_file "runlog_test" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      let oc = open_out path in
+      let log = Runlog.create_streaming oc in
+      Runlog.set_sink (Some log);
+      Fun.protect
+        ~finally:(fun () ->
+          Runlog.set_sink None;
+          close_out oc)
+        (fun () ->
+          check_bool "active with a sink" true (Runlog.active ());
+          Runlog.record ~kind:"alpha" [ ("pfd", Json.Float 1e-6) ];
+          Runlog.record ~kind:"beta" []);
       check_int "both events captured, dropped one lost" 2 (Runlog.size log);
       let lines =
-        Runlog.to_jsonl log |> String.split_on_char '\n'
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
         |> List.filter (fun l -> l <> "")
       in
       check_int "one line per event" 2 (List.length lines);

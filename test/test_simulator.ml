@@ -314,20 +314,6 @@ let test_runner_abstentions () =
 (* Plant / Runner                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_plant_idle_rate () =
-  let rng = rng0 () in
-  let profile = Demandspace.Profile.uniform ~size:10 in
-  let plant = Simulator.Plant.create ~demand_rate:0.25 ~profile rng in
-  let demands = ref 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    match Simulator.Plant.step plant with
-    | Simulator.Plant.Demand _ -> incr demands
-    | Simulator.Plant.Idle -> ()
-  done;
-  Prop.check_close ~eps:0.01 "demand rate respected" 0.25
-    (float_of_int !demands /. float_of_int n)
-
 let test_runner_empirical_pfd () =
   let rng = rng0 () in
   let space = make_space () in
@@ -462,7 +448,6 @@ let () =
         ] );
       ( "plant-runner",
         [
-          Alcotest.test_case "plant idle rate" `Slow test_plant_idle_rate;
           Alcotest.test_case "runner empirical pfd" `Slow test_runner_empirical_pfd;
           Alcotest.test_case "coincident failures" `Quick test_runner_coincident;
         ] );

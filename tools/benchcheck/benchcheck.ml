@@ -59,9 +59,9 @@ let check_kernel i k =
    demonstrator pairs (same computation on 1 vs 4 domains), the
    proven-in-use evidence ingest path and its JSON parse of both
    untrusted-input shapes, and the rewritten hot-path
-   kernels (both the headline names and the explicit incremental/fast
-   variants, so a regenerated artefact can never silently drop the
-   perf-trajectory anchors). *)
+   kernels (both the headline names and the explicit fast variants, so
+   a regenerated artefact can never silently drop the perf-trajectory
+   anchors). *)
 let required_kernels =
   [
     "mc-estimate-parallel/1dom";
@@ -72,7 +72,6 @@ let required_kernels =
     "json-parse/serve-request";
     "json-parse/runlog-line";
     "sensitivity-gradient/n=1000";
-    "sensitivity-gradient-incremental/n=1000";
     "exact-pfd-dist/n=16";
     "exact-pfd-dist-fast/n=16";
     "serve-throughput/1workers";
