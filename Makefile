@@ -63,10 +63,8 @@ check:
 	DIVREL_DOMAINS=2 PROP_SEED=271828 dune exec test/test_json.exe
 	dune build @bench-smoke
 	dune build @evidence-smoke
-	dune build @adjudication-smoke
 	dune build @check-smoke
 	dune build @all-smoke
-	dune build @serve-smoke
 
 # Proven-in-use evidence pipeline, end to end: log a fleet campaign
 # (E26, seed 42) and stream the run log through the assessor with

@@ -202,36 +202,15 @@ let check_cmd =
     let doc = "Monte-Carlo replications per scenario." in
     Arg.(value & opt int 1200 & info [ "replications" ] ~docv:"R" ~doc)
   in
-  let only_arg =
-    let doc =
-      "Sweep only oracles whose id starts with $(docv) (e.g. \
-       'adjudication' for the calculus law oracles)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "only" ] ~docv:"PREFIX" ~doc)
-  in
-  let run seed cases replications only trace metrics log domains shards =
+  let run seed cases replications trace metrics log domains shards =
     setup_logs ();
     setup_parallelism domains shards;
     if cases < 1 then `Error (false, "--cases must be >= 1")
     else if replications < 1 then `Error (false, "--replications must be >= 1")
-    else if
-      match only with
-      | None -> false
-      | Some prefix ->
-          not
-            (List.exists
-               (String.starts_with ~prefix)
-               (Check.Registry.ids ()))
-    then
-      `Error
-        ( false,
-          Printf.sprintf "--only matches no oracle; known: %s"
-            (String.concat ", " (Check.Registry.ids ())) )
     else begin
       let sweep =
         with_telemetry ~label:"check.sweep" ~seed ~trace ~metrics ~log
-          (fun () -> Check.Registry.sweep ~seed ~cases ~replications ?only ())
+          (fun () -> Check.Registry.sweep ~seed ~cases ~replications ())
       in
       print_string (Check.Registry.render sweep);
       if Check.Registry.passed sweep then `Ok ()
@@ -254,8 +233,8 @@ let check_cmd =
           fixed --seed; exits non-zero on any disagreement.")
     Term.(
       ret
-        (const run $ seed_arg $ cases_arg $ replications_arg $ only_arg
-       $ trace_arg $ metrics_arg $ log_arg $ domains_arg $ shards_arg))
+        (const run $ seed_arg $ cases_arg $ replications_arg $ trace_arg
+       $ metrics_arg $ log_arg $ domains_arg $ shards_arg))
 
 (* Declared-profile specs for the evidence verb: the drift detector
    needs the profile the operating evidence was supposedly collected
@@ -321,43 +300,6 @@ let evidence_cmd =
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let fopt name ~default doc =
-    Arg.(value & opt float default & info [ name ] ~docv:"X" ~doc)
-  in
-  let d = Evidence.Assessor.default_config in
-  let theta0_arg =
-    fopt "theta0" ~default:d.Evidence.Assessor.theta0
-      "Acceptable PFD (H0) of the Wald boundary."
-  in
-  let theta1_arg =
-    fopt "theta1" ~default:d.Evidence.Assessor.theta1
-      "Rejectable PFD (H1) of the Wald boundary; must exceed theta0."
-  in
-  let alpha_arg =
-    fopt "alpha" ~default:d.Evidence.Assessor.alpha
-      "Type-I error rate of the Wald boundary."
-  in
-  let beta_arg =
-    fopt "beta" ~default:d.Evidence.Assessor.beta
-      "Type-II error rate of the Wald boundary."
-  in
-  let prior_a_arg =
-    fopt "prior-a" ~default:d.Evidence.Assessor.prior_a
-      "Beta prior alpha parameter for the posterior PFD."
-  in
-  let prior_b_arg =
-    fopt "prior-b" ~default:d.Evidence.Assessor.prior_b
-      "Beta prior beta parameter for the posterior PFD."
-  in
-  let bound_arg =
-    fopt "bound" ~default:d.Evidence.Assessor.bound
-      "PFD bound the posterior confidence is reported against."
-  in
-  let confidence_arg =
-    fopt "confidence" ~default:d.Evidence.Assessor.confidence
-      "Coverage of the reported posterior interval (and the confidence an \
-       accepted verdict requires in the bound)."
-  in
   let profile_arg =
     let doc =
       "Declared operational profile for drift detection: uniform:SIZE, \
@@ -366,12 +308,7 @@ let evidence_cmd =
     in
     Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"SPEC" ~doc)
   in
-  let drift_alpha_arg =
-    fopt "drift-alpha" ~default:d.Evidence.Assessor.drift_alpha
-      "Drift alarm threshold on the chi-square p-value."
-  in
-  let run file window json theta0 theta1 alpha beta prior_a prior_b bound
-      confidence profile drift_alpha metrics =
+  let run file window json profile metrics =
     setup_logs ();
     if window < 0 then `Error (false, "--window must be >= 0")
     else
@@ -382,71 +319,52 @@ let evidence_cmd =
       in
       match profile_result with
       | Error msg -> `Error (false, msg)
-      | Ok expected_profile -> (
-          let assessor =
-            try
-              Ok
-                (Evidence.Assessor.create
-                   {
-                     Evidence.Assessor.theta0;
-                     theta1;
-                     alpha;
-                     beta;
-                     prior_a;
-                     prior_b;
-                     bound;
-                     confidence;
-                     expected_profile;
-                     drift_alpha;
-                   })
-            with Invalid_argument msg -> Error msg
+      | Ok expected_profile ->
+          let config =
+            { Evidence.Assessor.default_config with expected_profile }
           in
-          match assessor with
-          | Error msg -> `Error (false, msg)
-          | Ok assessor ->
-              if metrics <> None then Obs.Metrics.set_enabled true;
-              let src = Evidence.Source.open_file file in
-              Fun.protect
-                ~finally:(fun () -> Evidence.Source.close src)
-                (fun () ->
-                  (* Single pass, one line resident at a time. The chunk
-                     (one window, or 64k lines) is the unit the ingest
-                     rate is observed over and, with --window, the point
-                     an interim verdict is printed at. *)
-                  let chunk = if window > 0 then window else 65536 in
-                  let rec drain () =
-                    let n =
-                      Evidence.Assessor.ingest_source assessor src
-                        ~max_lines:chunk
-                    in
-                    if n > 0 then begin
-                      if window > 0 && not json then begin
-                        let v = Evidence.Verdict.of_assessor assessor in
-                        let fleet = v.Evidence.Verdict.fleet in
-                        Printf.printf
-                          "interim @ %7d line(s): %-21s fleet %d/%d \
-                           failures/demands, P(pfd<=%g)=%.4f\n"
-                          (Evidence.Source.lines_read src)
-                          (Evidence.Verdict.overall_string
-                             v.Evidence.Verdict.overall)
-                          fleet.Evidence.Assessor.f_failures
-                          fleet.Evidence.Assessor.f_demands bound
-                          v.Evidence.Verdict.fleet_posterior
-                            .Evidence.Assessor.confidence_in_bound
-                      end;
-                      if n = chunk then drain ()
-                    end
-                  in
-                  drain ());
-              let verdict = Evidence.Verdict.of_assessor assessor in
-              if json then
-                print_string (Evidence.Verdict.render_json verdict ^ "\n")
-              else print_string (Evidence.Verdict.render_text verdict);
-              Option.iter
-                (fun path -> write_file path (Obs.Metrics.render_json ()))
-                metrics;
-              if metrics <> None then Obs.Metrics.set_enabled false;
-              `Ok ())
+          let assessor = Evidence.Assessor.create config in
+          if metrics <> None then Obs.Metrics.set_enabled true;
+          let src = Evidence.Source.open_file file in
+          Fun.protect
+            ~finally:(fun () -> Evidence.Source.close src)
+            (fun () ->
+              (* Single pass, one line resident at a time. The chunk (one
+                 window, or 64k lines) is the unit the ingest rate is
+                 observed over and, with --window, the point an interim
+                 verdict is printed at. *)
+              let chunk = if window > 0 then window else 65536 in
+              let rec drain () =
+                let n =
+                  Evidence.Assessor.ingest_source assessor src ~max_lines:chunk
+                in
+                if n > 0 then begin
+                  if window > 0 && not json then begin
+                    let v = Evidence.Verdict.of_assessor assessor in
+                    let fleet = v.Evidence.Verdict.fleet in
+                    Printf.printf
+                      "interim @ %7d line(s): %-21s fleet %d/%d \
+                       failures/demands, P(pfd<=%g)=%.4f\n"
+                      (Evidence.Source.lines_read src)
+                      (Evidence.Verdict.overall_string v.Evidence.Verdict.overall)
+                      fleet.Evidence.Assessor.f_failures
+                      fleet.Evidence.Assessor.f_demands
+                      config.Evidence.Assessor.bound
+                      v.Evidence.Verdict.fleet_posterior
+                        .Evidence.Assessor.confidence_in_bound
+                  end;
+                  if n = chunk then drain ()
+                end
+              in
+              drain ());
+          let verdict = Evidence.Verdict.of_assessor assessor in
+          if json then print_string (Evidence.Verdict.render_json verdict ^ "\n")
+          else print_string (Evidence.Verdict.render_text verdict);
+          Option.iter
+            (fun path -> write_file path (Obs.Metrics.render_json ()))
+            metrics;
+          if metrics <> None then Obs.Metrics.set_enabled false;
+          `Ok ()
   in
   Cmd.v
     (Cmd.info "evidence"
@@ -460,9 +378,7 @@ let evidence_cmd =
           how it was windowed.")
     Term.(
       ret
-        (const run $ runlog_arg $ window_arg $ json_arg $ theta0_arg
-       $ theta1_arg $ alpha_arg $ beta_arg $ prior_a_arg $ prior_b_arg
-       $ bound_arg $ confidence_arg $ profile_arg $ drift_alpha_arg
+        (const run $ runlog_arg $ window_arg $ json_arg $ profile_arg
        $ metrics_arg))
 
 (* ------------------------------------------------------------------ *)
@@ -512,128 +428,6 @@ let script_arg =
   let doc = "Request script: one JSON request per line ('-' for stdin)." in
   Arg.(value & pos 0 string "-" & info [] ~docv:"SCRIPT" ~doc)
 
-(* In-process smoke test: daemon on a private Unix socket in a thread, a
-   scripted client through the public codec, every served response
-   compared byte-for-byte against a direct [Engine.eval]. *)
-let serve_selftest ~workers ~queue_depth ~batch ~seed =
-  let path = Filename.temp_file "divrel-serve" ".sock" in
-  let config =
-    {
-      Serve.Server.listen = Serve.Server.Unix_path path;
-      workers;
-      queue_capacity = queue_depth;
-      batch_max = batch;
-      seed;
-    }
-  in
-  let stats_slot = ref None in
-  let server =
-    Thread.create (fun () -> stats_slot := Some (Serve.Server.serve config)) ()
-  in
-  let failures = ref 0 in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        incr failures;
-        Printf.eprintf "serve selftest: %s\n" s)
-      fmt
-  in
-  let u = { Serve.Proto.ps = [| 0.1; 0.02; 0.3 |]; qs = [| 1e-3; 1e-4; 5e-3 |] } in
-  let work =
-    [
-      { Serve.Proto.id = "t1"; u; verb = Serve.Proto.Moments };
-      {
-        Serve.Proto.id = "t2";
-        u;
-        verb = Serve.Proto.Risk_ratio { channels = 2; required = 1 };
-      };
-      {
-        Serve.Proto.id = "t3";
-        u;
-        verb = Serve.Proto.Pfd_dist { channels = 2; required = 1; bins = 0 };
-      };
-      {
-        Serve.Proto.id = "t4";
-        u;
-        verb =
-          Serve.Proto.Fleet_mission
-            {
-              plants = 8;
-              demands_per_plant = 200;
-              mission_demands = 1000;
-              salt = 1;
-              shards = 4;
-              space = 512;
-            };
-      };
-    ]
-  in
-  let client = Serve.Client.connect (Serve.Server.Unix_path path) in
-  List.iter
-    (fun r ->
-      let expect = Serve.Engine.eval ~seed r in
-      match Serve.Client.round_trip client (Serve.Proto.render_request r) with
-      | Some got when String.equal got expect -> ()
-      | Some got ->
-          fail "%s: daemon differs from direct evaluation\n  daemon: %s\n  direct: %s"
-            r.Serve.Proto.id got expect
-      | None -> fail "%s: connection closed early" r.Serve.Proto.id)
-    work;
-  (match Serve.Client.round_trip client "{ not json" with
-  | Some line -> (
-      match Serve.Proto.parse_response line with
-      | Ok resp
-        when (not resp.Serve.Proto.resp_ok)
-             && resp.Serve.Proto.resp_error = Some "parse" ->
-          ()
-      | _ -> fail "malformed line not answered with a parse error: %s" line)
-  | None -> fail "malformed line: connection closed early");
-  (match
-     Serve.Client.round_trip client
-       (Serve.Proto.render_admin ~id:"s1" Serve.Proto.Stats)
-   with
-  | Some line -> (
-      match Serve.Proto.parse_response line with
-      | Ok resp when resp.Serve.Proto.resp_ok -> (
-          match
-            Option.bind resp.Serve.Proto.resp_body (fun b ->
-                Option.bind (Obs.Json.member "served" b) Obs.Json.to_int)
-          with
-          | Some 4 -> ()
-          | _ -> fail "stats body did not report served=4: %s" line)
-      | _ -> fail "stats request failed: %s" line)
-  | None -> fail "stats: connection closed early");
-  (match
-     Serve.Client.round_trip client
-       (Serve.Proto.render_admin ~id:"s2" Serve.Proto.Shutdown)
-   with
-  | Some line -> (
-      match Serve.Proto.parse_response line with
-      | Ok resp when resp.Serve.Proto.resp_ok -> ()
-      | _ -> fail "shutdown request failed: %s" line)
-  | None -> fail "shutdown: connection closed early");
-  Serve.Client.close client;
-  Thread.join server;
-  (match !stats_slot with
-  | Some st
-    when st.Serve.Server.served = 4
-         && st.Serve.Server.malformed = 1
-         && st.Serve.Server.rejected = 0 ->
-      ()
-  | Some st ->
-      fail "session stats off: served=%d rejected=%d malformed=%d"
-        st.Serve.Server.served st.Serve.Server.rejected
-        st.Serve.Server.malformed
-  | None -> fail "server thread returned no stats");
-  if !failures = 0 then begin
-    Printf.printf
-      "serve selftest: ok (4 verbs byte-identical to direct evaluation, \
-       malformed counted, stats/shutdown clean; workers=%d)\n"
-      workers;
-    `Ok ()
-  end
-  else `Error (false, Printf.sprintf "serve selftest: %d failure(s)" !failures)
-
 let serve_cmd =
   let workers_arg =
     let doc =
@@ -652,20 +446,11 @@ let serve_cmd =
     let doc = "Most requests dispatched per pool batch." in
     Arg.(value & opt int 8 & info [ "batch" ] ~docv:"B" ~doc)
   in
-  let selftest_arg =
-    let doc =
-      "Run an in-process smoke test instead of serving: daemon on a private \
-       Unix socket, scripted client, byte-identity against direct \
-       evaluation. Exits non-zero on any mismatch."
-    in
-    Arg.(value & flag & info [ "selftest" ] ~doc)
-  in
-  let run socket port workers queue_depth batch seed selftest metrics =
+  let run socket port workers queue_depth batch seed metrics =
     setup_logs ();
     if workers < 1 then `Error (false, "--workers must be >= 1")
     else if queue_depth < 1 then `Error (false, "--queue-depth must be >= 1")
     else if batch < 1 then `Error (false, "--batch must be >= 1")
-    else if selftest then serve_selftest ~workers ~queue_depth ~batch ~seed
     else
       match listen_of_flags socket port with
       | Error msg -> `Error (false, msg)
@@ -715,17 +500,10 @@ let serve_cmd =
     Term.(
       ret
         (const run $ socket_arg $ port_arg $ workers_arg $ queue_arg
-       $ batch_arg $ seed_arg $ selftest_arg $ metrics_arg))
+       $ batch_arg $ seed_arg $ metrics_arg))
 
 let serve_client_cmd =
-  let pipeline_arg =
-    let doc =
-      "Send the whole script before reading replies (one reply per line is \
-       still guaranteed) instead of strict request/reply alternation."
-    in
-    Arg.(value & flag & info [ "pipeline" ] ~doc)
-  in
-  let run socket port script pipeline =
+  let run socket port script =
     setup_logs ();
     match listen_of_flags socket port with
     | Error msg -> `Error (false, msg)
@@ -737,31 +515,17 @@ let serve_client_cmd =
         let finish () = Serve.Client.close client in
         match
           Fun.protect ~finally:finish (fun () ->
-              if pipeline then begin
-                List.iter (Serve.Client.send_line client) lines;
-                let rec drain n =
-                  if n > 0 then
-                    match Serve.Client.recv_line client with
-                    | Some reply ->
-                        print_endline reply;
-                        drain (n - 1)
-                    | None -> Error "server closed before all replies arrived"
-                  else Ok ()
-                in
-                drain (List.length lines)
-              end
-              else
-                List.fold_left
-                  (fun acc line ->
-                    match acc with
-                    | Error _ -> acc
-                    | Ok () -> (
-                        match Serve.Client.round_trip client line with
-                        | Some reply ->
-                            print_endline reply;
-                            Ok ()
-                        | None -> Error "server closed before replying"))
-                  (Ok ()) lines)
+              List.fold_left
+                (fun acc line ->
+                  match acc with
+                  | Error _ -> acc
+                  | Ok () -> (
+                      match Serve.Client.round_trip client line with
+                      | Some reply ->
+                          print_endline reply;
+                          Ok ()
+                      | None -> Error "server closed before replying"))
+                (Ok ()) lines)
         with
         | Ok () -> `Ok ()
         | Error msg -> `Error (false, msg))
@@ -772,7 +536,7 @@ let serve_client_cmd =
          "Scripted client for the assessment daemon: send each non-blank \
           line of SCRIPT as a request, print each reply line. Exactly one \
           reply per request, in order.")
-    Term.(ret (const run $ socket_arg $ port_arg $ script_arg $ pipeline_arg))
+    Term.(ret (const run $ socket_arg $ port_arg $ script_arg))
 
 let assess_cmd =
   let run seed script =

@@ -741,25 +741,16 @@ type sweep = {
   per_oracle : (string * int * int) list;  (* id, checks, failures *)
 }
 
-let sweep ?max_channels ?max_faults ?replications ?only ~seed ~cases () =
+let sweep ?replications ~seed ~cases () =
   if cases < 1 then invalid_arg "Registry.sweep: cases must be >= 1";
-  let chosen =
-    match only with
-    | None -> all
-    | Some prefix ->
-        List.filter (fun o -> String.starts_with ~prefix (Oracle.id o)) all
-  in
-  if chosen = [] then
-    invalid_arg "Registry.sweep: no registered oracle matches the prefix";
   let parent = Rng.create ~seed in
-  let per_oracle = ref (List.map (fun o -> (Oracle.id o, 0, 0)) chosen) in
+  let per_oracle = ref (List.map (fun o -> (Oracle.id o, 0, 0)) all) in
   let failed = ref [] in
   for case = 0 to cases - 1 do
     let scenario =
-      Scenario.generate ?max_channels ?max_faults ?replications
-        (Rng.split parent ~index:case)
+      Scenario.generate ?replications (Rng.split parent ~index:case)
     in
-    let runs = List.map (fun o -> Oracle.run o scenario) chosen in
+    let runs = List.map (fun o -> Oracle.run o scenario) all in
     per_oracle :=
       List.map2
         (fun (id, n, f) outcomes ->

@@ -29,23 +29,12 @@ type sweep = {
       (** per oracle id: checks run, checks failed *)
 }
 
-val sweep :
-  ?max_channels:int ->
-  ?max_faults:int ->
-  ?replications:int ->
-  ?only:string ->
-  seed:int ->
-  cases:int ->
-  unit ->
-  sweep
+val sweep : ?replications:int -> seed:int -> cases:int -> unit -> sweep
 (** Generate [cases] scenarios from [seed] (case [k] uses
-    [Rng.split (Rng.create ~seed) ~index:k]) and run the whole registry
-    on each. [?only] restricts the sweep to oracles whose id starts
-    with the given prefix (e.g. ["adjudication"] for the calculus law
-    oracles), without changing any oracle's salted substream — a
-    filtered sweep's verdicts are those of the full sweep. Deterministic:
+    [Rng.split (Rng.create ~seed) ~index:k], {!Scenario.generate}'s
+    default sizes) and run the whole registry on each. Deterministic:
     the same seed always yields the same sweep. Raises
-    [Invalid_argument] when [cases < 1] or no oracle matches [only]. *)
+    [Invalid_argument] when [cases < 1]. *)
 
 val passed : sweep -> bool
 

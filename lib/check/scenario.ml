@@ -28,10 +28,10 @@ let create ~arch ~space ~sim_seed ~replications =
    the space. Introduction probabilities stay in [0.1, 0.65]: bounded
    away from 0 so the Monte-Carlo events the statistical comparators
    count are not vanishingly rare at the default replication counts. *)
-let generate ?(max_channels = 4) ?(max_faults = 6) ?(replications = 1200) rng =
-  if max_channels < 1 then
-    invalid_arg "Scenario.generate: max_channels must be >= 1";
-  if max_faults < 1 then invalid_arg "Scenario.generate: max_faults must be >= 1";
+let max_channels = 4
+let max_faults = 6
+
+let generate ?(replications = 1200) rng =
   let channels = 1 + Numerics.Rng.int rng max_channels in
   let required = 1 + Numerics.Rng.int rng channels in
   let arch = Core.Voting.create ~channels ~required in

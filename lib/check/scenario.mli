@@ -21,12 +21,11 @@ val create :
     universe abstraction would be the pessimistic Section 6.2
     approximation, not an exact pairing) or [replications < 1]. *)
 
-val generate :
-  ?max_channels:int -> ?max_faults:int -> ?replications:int -> Numerics.Rng.t -> t
-(** Random N-of-M architecture (N <= [max_channels], default 4) over a
-    random disjoint-region space (<= [max_faults] faults, default 6;
-    introduction probabilities in [0.1, 0.65] so Monte-Carlo event
-    counts stay testable at the default 1200 replications). *)
+val generate : ?replications:int -> Numerics.Rng.t -> t
+(** Random voted architecture (<= 4 channels) over a random disjoint-region
+    space (<= 6 faults; introduction probabilities in [0.1, 0.65] so
+    Monte-Carlo event counts stay testable at the default 1200
+    replications). *)
 
 val arch : t -> Core.Voting.t
 val space : t -> Demandspace.Space.t

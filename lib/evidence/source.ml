@@ -7,13 +7,9 @@
    file later and [resume] from the saved offset without re-reading the
    prefix. *)
 
-type t = {
-  ic : in_channel;
-  owned : bool;  (* close the channel on [close]? *)
-  mutable lines : int;
-}
+type t = { ic : in_channel; mutable lines : int }
 
-let open_file path = { ic = open_in_bin path; owned = true; lines = 0 }
+let open_file path = { ic = open_in_bin path; lines = 0 }
 
 let next_line t =
   match Obs.Runlog.input_line_opt t.ic with
@@ -26,7 +22,7 @@ let offset t = pos_in t.ic
 let lines_read t = t.lines
 let resume t ~offset = seek_in t.ic offset
 
-let close t = if t.owned then close_in t.ic
+let close t = close_in t.ic
 
 let fold_lines t ~init ~f =
   let rec go acc =

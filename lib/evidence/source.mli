@@ -30,5 +30,4 @@ val lines_read : t -> int
 val iter_lines : t -> f:(string -> unit) -> unit
 
 val close : t -> unit
-(** Close the underlying channel if {!open_file} created it; no-op for
-    {!of_channel}. *)
+(** Close the file {!open_file} opened. Closing twice is harmless. *)

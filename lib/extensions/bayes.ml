@@ -12,11 +12,13 @@ let of_mass pairs =
   let dist = Core.Pfd_dist.of_mass pairs in
   of_pfd_dist dist
 
+(* The support is a Pfd_dist support (sorted, distinct) and never changes,
+   so the posterior needs no sort or merge; masses that underflow to 0 are
+   dropped by [of_sorted_arrays]. *)
 let to_pfd_dist t =
   let m = Special.logsumexp t.log_weights in
-  Core.Pfd_dist.of_mass
-    (Array.to_list
-       (Array.mapi (fun i lw -> (t.support.(i), exp (lw -. m))) t.log_weights))
+  Core.Pfd_dist.of_sorted_arrays t.support
+    (Array.map (fun lw -> exp (lw -. m)) t.log_weights)
 
 let observe t ~demands ~failures =
   if demands < 0 || failures < 0 || failures > demands then

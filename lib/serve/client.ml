@@ -1,4 +1,4 @@
-(* Blocking scripted client for tests, the CLI client mode and the
+(* Blocking scripted client for tests, the [serve-client] verb and the
    throughput bench: connect (with retry while the daemon binds its
    socket), send lines, read newline-delimited replies. One [t] per
    thread — the buffer is not shared. *)

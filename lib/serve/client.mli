@@ -1,5 +1,6 @@
-(** Blocking scripted client: the test harness's, CLI client mode's and
-    throughput bench's view of the daemon.
+(** Blocking scripted client: the view of the daemon that the tests, the
+    [serve-client] verb (strict request/reply alternation) and the
+    throughput bench share.
 
     One [t] per thread — the receive buffer is not shared. *)
 

@@ -211,12 +211,15 @@ let serve ?on_ready config =
                  ~capacity:(Admission.capacity queue)))
   in
 
+  (* Reads until EAGAIN, but stops once the buffer passes the line limit
+     so a client that keeps its socket full cannot grow [inbuf] without
+     bound; [process_input] then answers the overlong line. *)
   let rec read_conn c =
     match Unix.read c.fd scratch 0 (Bytes.length scratch) with
     | 0 -> c.eof <- true
     | n ->
         Buffer.add_subbytes c.inbuf scratch 0 n;
-        read_conn c
+        if Buffer.length c.inbuf <= max_line_bytes then read_conn c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         kill c

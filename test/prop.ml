@@ -386,8 +386,8 @@ let channel_outputs ?(max_channels = 6) ?(abstaining = true) () =
    first, then drops trailing faults (a subset of disjoint regions stays
    disjoint), rebuilding through [Check.Scenario.create] so every shrunk
    candidate is still a valid scenario. *)
-let scenario ?max_channels ?max_faults ?replications () =
-  let arch_gen = voting_arch ?max_channels () in
+let scenario ?replications () =
+  let arch_gen = voting_arch () in
   let drop_faults s k =
     let sp = Check.Scenario.space s in
     let faults =
@@ -419,7 +419,7 @@ let scenario ?max_channels ?max_faults ?replications () =
         |> Seq.filter (fun k -> k >= 1 && k < n)
         |> Seq.map (drop_faults s)))
     ~pp:Check.Scenario.pp
-    (fun rng -> Check.Scenario.generate ?max_channels ?max_faults ?replications rng)
+    (fun rng -> Check.Scenario.generate ?replications rng)
 
 (* ---- byte-level mutation of text inputs ---- *)
 

@@ -303,6 +303,25 @@ let test_bayes_roundtrip_with_pfd_dist () =
     (Core.Pfd_dist.quantile dist 0.9)
     (Extensions.Bayes.quantile t 0.9)
 
+(* Bit pin of a posterior whose prior support includes 0 (dropped by the
+   observed failure) and points near 0.9 (masses underflow to 0 after
+   1000 demands): the posterior is rebuilt from the prior's own sorted
+   support without a sort or merge, and must stay bit-identical. *)
+let test_bayes_posterior_pinned () =
+  let u = Core.Universe.of_pairs [ (0.5, 1e-4); (0.5, 2e-4); (0.3, 0.9) ] in
+  let prior = Extensions.Bayes.of_pfd_dist (Core.Pfd_dist.exact_pair u) in
+  let post = Extensions.Bayes.observe prior ~demands:1000 ~failures:1 in
+  let bits name expected x =
+    Alcotest.(check int64) name expected (Int64.bits_of_float x)
+  in
+  bits "mean" 4551326555468630453L (Extensions.Bayes.mean post);
+  bits "quantile 0.9" 4554169646866313826L (Extensions.Bayes.quantile post 0.9);
+  bits "P(pfd <= 1e-4)" 4598636055060102769L
+    (Extensions.Bayes.prob_at_most post 1e-4);
+  bits "P(pfd <= 2e-4)" 4605149825686154902L
+    (Extensions.Bayes.prob_at_most post 2e-4);
+  bits "P(pfd <= 0)" 0L (Extensions.Bayes.prob_at_most post 0.0)
+
 let () =
   Alcotest.run "extensions"
     [
@@ -352,5 +371,7 @@ let () =
           Alcotest.test_case "trajectory monotone" `Quick test_bayes_trajectory_monotone;
           Alcotest.test_case "pfd_dist roundtrip" `Quick
             test_bayes_roundtrip_with_pfd_dist;
+          Alcotest.test_case "posterior pinned" `Quick
+            test_bayes_posterior_pinned;
         ] );
     ]

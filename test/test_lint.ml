@@ -1,11 +1,10 @@
 (* divlint against its fixture corpus: each rule on known-bad and
    known-clean snippets, rule scoping by path, suppression comments, the
-   project-wide analysis (R9-R11) over its own corpus, and the CLI's exit
-   code / JSON / SARIF output. *)
+   project-wide analysis (R9-R11) over its own corpus, and the CLI's text
+   output and exit codes. *)
 
 module E = Divlint_lib.Engine
 module A = Divlint_lib.Analysis
-module J = Obs.Json
 
 let fixtures_dir = "../tools/lint/fixtures"
 let fixture name = Filename.concat fixtures_dir name
@@ -314,69 +313,7 @@ let test_rendering () =
   in
   Alcotest.(check bool)
     "text leads with file:line:col and rule tag" true
-    (contains "bad_float_eq.ml:3:" text && contains "[R1 float-eq]" text);
-  let json = E.render_json fs in
-  Alcotest.(check bool) "json has rule ids" true (contains "\"rule\":\"R1\"" json);
-  Alcotest.(check bool) "json has slugs" true (contains "\"slug\":\"float-eq\"" json);
-  Alcotest.(check bool) "json has lines" true (contains "\"line\":3" json)
-
-(* ---- SARIF ---- *)
-
-let test_sarif () =
-  let fs = E.lint_file (fixture "bad_float_eq.ml") in
-  let sarif = E.render_sarif fs in
-  let doc =
-    match J.parse sarif with
-    | Ok d -> d
-    | Error e -> Alcotest.fail ("SARIF does not parse as JSON: " ^ e)
-  in
-  let get name o =
-    match o with
-    | J.Obj kvs -> (
-        match List.assoc_opt name kvs with
-        | Some v -> v
-        | None -> Alcotest.fail ("SARIF missing field " ^ name))
-    | _ -> Alcotest.fail ("SARIF field " ^ name ^ ": not an object")
-  in
-  Alcotest.(check bool) "version 2.1.0" true
-    (get "version" doc = J.String "2.1.0");
-  Alcotest.(check bool) "$schema present" true
-    (match get "$schema" doc with J.String _ -> true | _ -> false);
-  let run =
-    match get "runs" doc with
-    | J.List [ r ] -> r
-    | _ -> Alcotest.fail "expected exactly one run"
-  in
-  let driver = get "driver" (get "tool" run) in
-  Alcotest.(check bool) "driver is divlint" true
-    (get "name" driver = J.String "divlint");
-  let rules =
-    match get "rules" driver with
-    | J.List l -> l
-    | _ -> Alcotest.fail "rules is not a list"
-  in
-  check_int "rule metadata covers every rule" (List.length E.all_rules)
-    (List.length rules);
-  let results =
-    match get "results" run with
-    | J.List l -> l
-    | _ -> Alcotest.fail "results is not a list"
-  in
-  check_int "one result per finding" (List.length fs) (List.length results);
-  match results with
-  | first :: _ ->
-      Alcotest.(check bool) "ruleId" true (get "ruleId" first = J.String "R1");
-      Alcotest.(check bool) "level" true (get "level" first = J.String "error");
-      let region =
-        match get "locations" first with
-        | J.List [ l ] -> get "region" (get "physicalLocation" l)
-        | _ -> Alcotest.fail "expected one location"
-      in
-      Alcotest.(check bool) "startLine" true (get "startLine" region = J.Int 3);
-      (match get "startColumn" region with
-      | J.Int c -> Alcotest.(check bool) "column is 1-based" true (c >= 1)
-      | _ -> Alcotest.fail "startColumn is not an int")
-  | [] -> Alcotest.fail "no results"
+    (contains "bad_float_eq.ml:3:" text && contains "[R1 float-eq]" text)
 
 (* ---- rule token parsing ---- *)
 
@@ -452,8 +389,7 @@ let () =
         ] );
       ( "output",
         [
-          Alcotest.test_case "text and json" `Quick test_rendering;
-          Alcotest.test_case "sarif" `Quick test_sarif;
+          Alcotest.test_case "text" `Quick test_rendering;
           Alcotest.test_case "rule tokens" `Quick test_rule_tokens;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
         ] );

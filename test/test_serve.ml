@@ -21,7 +21,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* The selftest universe: three faults, mixed creation probabilities,
+(* The shared test universe: three faults, mixed creation probabilities,
    small disjoint failure regions. *)
 let u3 : Proto.universe_spec =
   { ps = [| 0.1; 0.02; 0.3 |]; qs = [| 1.0e-3; 1.0e-4; 5.0e-3 |] }
@@ -547,6 +547,73 @@ let test_soak () =
       | None -> Alcotest.failf "stats reply has no body: %s" stats_reply)
   | Error e -> Alcotest.failf "stats reply unparseable: %s" e
 
+(* A client that sends 2 MiB with no newline gets exactly one parse
+   error and is disconnected once its buffer passes the 1 MiB line
+   limit; a second client on the same daemon is served throughout. *)
+let test_overlong_line () =
+  let socket = temp_socket () in
+  let config =
+    {
+      Server.listen = Server.Unix_path socket;
+      workers = 1;
+      queue_capacity = 8;
+      batch_max = 4;
+      seed = 42;
+    }
+  in
+  let stats_slot = ref None in
+  let server = Thread.create (fun () -> stats_slot := Some (Server.serve config)) () in
+  (* Connecting through [Client] first waits out the daemon's bind. *)
+  let good = Client.connect (Server.Unix_path socket) in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let chunk = Bytes.make 65536 'x' in
+  let rec flood left =
+    if left > 0 then
+      match Unix.write fd chunk 0 (Bytes.length chunk) with
+      | n -> flood (left - n)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  in
+  flood (2 lsl 20);
+  let buf = Buffer.create 256 in
+  let rec drain () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        drain ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+  in
+  drain ();
+  Unix.close fd;
+  (match String.split_on_char '\n' (Buffer.contents buf) with
+  | [ line; "" ] -> (
+      match Proto.parse_response line with
+      | Ok resp ->
+          check_bool "not ok" false resp.Proto.resp_ok;
+          check_bool "parse error" true (resp.Proto.resp_error = Some "parse");
+          check_bool "names the limit" true
+            (resp.Proto.resp_detail = Some "line exceeds 1 MiB")
+      | Error e -> Alcotest.failf "unparseable reply %S: %s" line e)
+  | _ ->
+      Alcotest.failf "expected exactly one reply line, got %S"
+        (Buffer.contents buf));
+  let req = List.hd work_requests in
+  (match Client.round_trip good (Proto.render_request req) with
+  | Some reply ->
+      check_string "second client served" (Engine.eval ~seed:42 req) reply
+  | None -> Alcotest.fail "second client: connection closed");
+  (match Client.round_trip good (Proto.render_admin ~id:"bye" Proto.Shutdown) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "no shutdown reply");
+  Client.close good;
+  Thread.join server;
+  match !stats_slot with
+  | Some st ->
+      check_int "one malformed" 1 st.Server.malformed;
+      check_int "one served" 1 st.Server.served
+  | None -> Alcotest.fail "server thread returned no stats"
+
 (* ------------------------------------------------------------------ *)
 (* Golden session transcript                                          *)
 (* ------------------------------------------------------------------ *)
@@ -633,6 +700,8 @@ let () =
           Alcotest.test_case "byte-identity vs one-shot assess" `Quick
             test_daemon_vs_assess;
           Alcotest.test_case "soak: 64 clients, tight queue" `Quick test_soak;
+          Alcotest.test_case "overlong line disconnects" `Quick
+            test_overlong_line;
           Alcotest.test_case "golden session transcript" `Quick
             test_golden_session;
         ] );

@@ -12,36 +12,15 @@
 let default_roots = [ "lib"; "bin"; "bench"; "examples" ]
 let project_default_roots = [ "lib"; "bin"; "tools"; "test"; "bench" ]
 
-let usage =
-  "divlint [--project] [--json|--sarif] [--rule R1,float-eq,...] [path ...]"
-
-type format = Text | Json | Sarif
+let usage = "divlint [--project] [path ...]"
 
 let () =
-  let format = ref Text in
   let project = ref false in
-  let only_rules = ref [] in
   let paths = ref [] in
-  let add_rules spec =
-    String.split_on_char ',' spec
-    |> List.iter (fun tok ->
-           match Divlint_lib.Engine.rule_of_token tok with
-           | Some r -> only_rules := r :: !only_rules
-           | None ->
-               prerr_endline ("divlint: unknown rule " ^ tok);
-               exit 2)
-  in
   let spec =
     [
-      ("--json", Arg.Unit (fun () -> format := Json),
-       " emit findings as a JSON array");
-      ("--sarif", Arg.Unit (fun () -> format := Sarif),
-       " emit findings as a SARIF 2.1.0 log");
       ("--project", Arg.Set project,
        " run the whole-project interprocedural analysis (R9-R11)");
-      ( "--rule",
-        Arg.String add_rules,
-        "RULES comma-separated rule ids or slugs to report (default: all)" );
     ]
   in
   Arg.parse (Arg.align spec) (fun p -> paths := p :: !paths) usage;
@@ -76,19 +55,7 @@ let () =
       )
     end
   in
-  let findings =
-    match !only_rules with
-    | [] -> findings
-    | rules ->
-        List.filter
-          (fun f -> List.mem f.Divlint_lib.Engine.rule rules)
-          findings
-  in
   List.iter prerr_endline errors;
-  (match !format with
-  | Json -> print_string (Divlint_lib.Engine.render_json findings)
-  | Sarif -> print_string (Divlint_lib.Engine.render_sarif findings)
-  | Text ->
-      print_string (Divlint_lib.Engine.render_text findings);
-      prerr_endline (summary (List.length findings)));
+  print_string (Divlint_lib.Engine.render_text findings);
+  prerr_endline (summary (List.length findings));
   if errors <> [] then exit 2 else if findings <> [] then exit 1

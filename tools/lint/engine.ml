@@ -69,27 +69,6 @@ let rule_slug = function
   | Nondet_merge -> "nondeterministic-merge"
   | Unused_suppression -> "unused-suppression"
 
-let rule_doc = function
-  | Float_eq -> "exact float (in)equality against a float literal"
-  | Random_use -> "Stdlib.Random outside the seeded Numerics.Rng"
-  | Float_sum -> "naive float accumulation via fold_left ( +. )"
-  | Missing_mli -> "lib module without an interface file"
-  | Print_effect -> "printing side effect in lib/ outside lib/report/"
-  | Partial_fun -> "partial function in lib/"
-  | Wallclock -> "non-monotonic time source outside lib/obs/"
-  | Domain_containment -> "parallelism primitive outside lib/exec/"
-  | Shared_mutable_escape ->
-      "module-level mutable state written from shard-reachable code without \
-       Atomic/Mutex/Domain.DLS protection"
-  | Rng_discipline ->
-      "parent or module-level Rng stream drawn from shard code instead of a \
-       per-shard Rng.split substream"
-  | Nondet_merge ->
-      "shard results accumulated in completion or hash order instead of \
-       shard-index order"
-  | Unused_suppression ->
-      "a (* divlint: allow ... *) comment whose rule never fires on its line"
-
 let rule_of_token tok =
   let tok = String.lowercase_ascii (String.trim tok) in
   List.find_opt
@@ -595,66 +574,3 @@ let render_finding f =
 
 let render_text findings =
   String.concat "" (List.map (fun f -> render_finding f ^ "\n") findings)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let render_json findings =
-  let item f =
-    Printf.sprintf
-      "{\"rule\":\"%s\",\"slug\":\"%s\",\"file\":\"%s\",\"line\":%d,\
-       \"col\":%d,\"message\":\"%s\"}"
-      (rule_id f.rule) (rule_slug f.rule) (json_escape f.file) f.line f.col
-      (json_escape f.message)
-  in
-  "[" ^ String.concat "," (List.map item findings) ^ "]\n"
-
-(* SARIF 2.1.0 (the static-analysis interchange format CI systems render
-   as code annotations). One run, one driver, the full rule table, one
-   result per finding. Columns are 1-based in SARIF; divlint's are
-   0-based, hence the + 1. *)
-let render_sarif findings =
-  let rule_json r =
-    Printf.sprintf
-      "{\"id\":\"%s\",\"name\":\"%s\",\"shortDescription\":{\"text\":\"%s\"}}"
-      (rule_id r) (json_escape (rule_slug r))
-      (json_escape (rule_doc r))
-  in
-  let rule_index r =
-    let rec go i = function
-      | [] -> -1
-      | r' :: rest -> if r' = r then i else go (i + 1) rest
-    in
-    go 0 all_rules
-  in
-  let result f =
-    let level =
-      match f.rule with Unused_suppression -> "warning" | _ -> "error"
-    in
-    Printf.sprintf
-      "{\"ruleId\":\"%s\",\"ruleIndex\":%d,\"level\":\"%s\",\
-       \"message\":{\"text\":\"%s\"},\"locations\":[{\"physicalLocation\":\
-       {\"artifactLocation\":{\"uri\":\"%s\"},\"region\":{\"startLine\":%d,\
-       \"startColumn\":%d}}}]}"
-      (rule_id f.rule) (rule_index f.rule) level (json_escape f.message)
-      (json_escape f.file) f.line (f.col + 1)
-  in
-  Printf.sprintf
-    "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-     \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\
-     \"name\":\"divlint\",\"informationUri\":\
-     \"https://example.invalid/divlint\",\"rules\":[%s]}},\"results\":[%s]}]}\n"
-    (String.concat "," (List.map rule_json all_rules))
-    (String.concat "," (List.map result findings))

@@ -54,9 +54,6 @@ val rule_id : rule -> string
 val rule_slug : rule -> string
 (** Stable lowercase name used in suppression comments, e.g. ["float-eq"]. *)
 
-val rule_doc : rule -> string
-(** One-line description (used for SARIF rule metadata). *)
-
 val rule_of_token : string -> rule option
 (** Accepts a slug or a rule id, case-insensitively. *)
 
@@ -159,10 +156,3 @@ val render_finding : finding -> string
 (** [file:line:col: [R1 float-eq] message]. *)
 
 val render_text : finding list -> string
-val render_json : finding list -> string
-
-val render_sarif : finding list -> string
-(** SARIF 2.1.0: one run, the full rule table as driver metadata, one
-    result per finding (W1 at level warning, everything else error). *)
-
-val json_escape : string -> string
