@@ -40,31 +40,24 @@ bench-diff:
 	fi
 	dune exec tools/benchdiff/benchdiff.exe -- --max-regression $(BENCH_MAX_REGRESSION) $(BENCH_BASE) $(BENCH_CAND)
 
-# The single-command gate CI should run. The test suite executes twice,
-# on a 1-domain (inline sequential) and a 2-domain default pool: the
-# determinism contract says the outputs cannot differ, and running both
-# ways keeps that claim continuously tested. (--force, because dune
-# would otherwise replay the cached first run.) The property suite
-# (test/test_prop.exe) draws its cases from a fixed seed by default;
-# the JSON parser differential (test/test_json.exe) runs once more on a
-# second fixed seed, like the oracle suite (test/test_diff.exe);
-# `make check PROP_SEED=1234` replays/explores a different case stream
-# (empty means the built-in seed).
+# The single-command gate CI should run: @ci (the one list of gates:
+# lint, build, tests and every pinned smoke gate), then the test suite
+# once more on a 1-domain (inline sequential) pool after @ci's 2-domain
+# run: the determinism contract says the outputs cannot differ, and
+# running both ways keeps that claim continuously tested. The tests
+# declare DIVREL_DOMAINS and PROP_SEED as dependencies, so dune reruns
+# them whenever either changes. The property suites draw their cases
+# from a fixed seed by default; the oracle suite (test/test_diff.exe)
+# and the JSON parser differential (test/test_json.exe) run once more on
+# further fixed seeds; `make check PROP_SEED=1234` replays/explores a
+# different case stream (empty means the built-in seed).
 PROP_SEED ?=
 check:
-	dune build @lint
-	dune build tools/lint/divlint.exe
-	dune exec tools/lint/divlint.exe -- --project
-	dune build
-	DIVREL_DOMAINS=1 PROP_SEED=$(PROP_SEED) dune runtest --force
-	DIVREL_DOMAINS=2 PROP_SEED=$(PROP_SEED) dune runtest --force
+	DIVREL_DOMAINS=2 PROP_SEED=$(PROP_SEED) dune build @ci
+	DIVREL_DOMAINS=1 PROP_SEED=$(PROP_SEED) dune runtest
 	DIVREL_DOMAINS=2 PROP_SEED=271828 dune exec test/test_diff.exe
 	DIVREL_DOMAINS=2 PROP_SEED=314159 dune exec test/test_diff.exe
 	DIVREL_DOMAINS=2 PROP_SEED=271828 dune exec test/test_json.exe
-	dune build @bench-smoke
-	dune build @evidence-smoke
-	dune build @check-smoke
-	dune build @all-smoke
 
 # Proven-in-use evidence pipeline, end to end: log a fleet campaign
 # (E26, seed 42) and stream the run log through the assessor with

@@ -1,23 +1,13 @@
-(* Bench harness.
+(* Kernel benchmark harness: times the computational kernels with
+   bechamel, one Test.make per kernel, so performance regressions in the
+   library are visible. The paper artefacts themselves are printed by
+   `experiments_cli all`.
 
-   Pass 1 regenerates every table and figure of the paper (one experiment
-   per artefact, see DESIGN.md's index) — the reproduction output proper.
-   Pass 2 times the computational kernels with bechamel, one Test.make per
-   kernel, so performance regressions in the library are visible.
+   Run with:  dune exec bench/main.exe -- json [--smoke] [-o FILE]
+   It writes the kernel timings as BENCH_kernels.json (or FILE); --smoke
+   runs a minimal-iteration pass for CI structural validation.
 
-   Run with:  dune exec bench/main.exe            (both passes)
-              dune exec bench/main.exe -- tables  (reproduction only)
-              dune exec bench/main.exe -- kernels (timings only)
-              dune exec bench/main.exe -- json [--smoke] [-o FILE]
-                 (kernel timings as BENCH_kernels.json; --smoke runs a
-                  minimal-iteration pass for CI structural validation)
-
-   Every mode also accepts --domains N (size of the default Exec pool)
-   and --shards M (default shard count for the sharded library entry
-   points). Changing domains never changes results; changing shards
-   changes them deterministically.
-
-   The json mode records the seed and, when the caller passes it, the git
+   The artefact records the seed and, when the caller passes it, the git
    short revision via the GIT_REV environment variable — `make bench-json`
    does both — so the perf trajectory in BENCH_kernels.json is
    attributable to a commit. *)
@@ -470,25 +460,6 @@ let measure_kernels ~smoke () =
     merged;
   List.sort (fun a b -> compare a.name b.name) !rows
 
-let print_kernel_table rows =
-  print_endline "\n================ kernel timings (bechamel, OLS) ================";
-  Printf.printf "%-34s %14s %10s\n" "kernel" "ns/run" "r^2";
-  Printf.printf "%s\n" (String.make 60 '-');
-  List.iter
-    (fun row ->
-      let estimate =
-        match row.ns_per_run with
-        | Some e -> Printf.sprintf "%14.1f" e
-        | None -> Printf.sprintf "%14s" "n/a"
-      in
-      let r2 =
-        match row.r_square with
-        | Some r -> Printf.sprintf "%10.4f" r
-        | None -> Printf.sprintf "%10s" "n/a"
-      in
-      Printf.printf "%-34s %s %s\n" row.name estimate r2)
-    rows
-
 (* ------------------------------------------------------------------ *)
 (* JSON output (BENCH_kernels.json)                                    *)
 (* ------------------------------------------------------------------ *)
@@ -524,51 +495,24 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let run_kernels () = print_kernel_table (measure_kernels ~smoke:false ())
-
-let run_json ~smoke ~out () =
+let run_json ~smoke ~out =
   let rows = measure_kernels ~smoke () in
   write_file out (Obs.Json.render (bench_json ~smoke rows) ^ "\n");
   Printf.printf "bench: wrote %d kernel timings to %s%s\n" (List.length rows)
     out
     (if smoke then " (smoke mode: timings are not meaningful)" else "")
 
-let run_tables () =
-  print_endline
-    "================ paper artefact reproduction (all tables & figures) \
-     ================";
-  print_string (Experiments.Registry.render_all ~seed ())
+let usage () =
+  prerr_endline "usage: main.exe json [--smoke] [-o FILE]";
+  exit 2
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let mode =
-    match List.find_opt (fun a -> String.length a > 0 && a.[0] <> '-') args with
-    | Some m -> m
-    | None -> "all"
+  let rec parse ~smoke ~out = function
+    | [] -> run_json ~smoke ~out
+    | "--smoke" :: tl -> parse ~smoke:true ~out tl
+    | "-o" :: out :: tl -> parse ~smoke ~out tl
+    | _ -> usage ()
   in
-  let smoke = List.mem "--smoke" args in
-  let rec out_of = function
-    | "-o" :: path :: _ -> path
-    | _ :: tl -> out_of tl
-    | [] -> "BENCH_kernels.json"
-  in
-  let out = out_of args in
-  let rec int_flag name = function
-    | f :: v :: tl ->
-        if f = name then int_of_string_opt v else int_flag name (v :: tl)
-    | _ -> None
-  in
-  (match int_flag "--domains" args with
-  | Some d -> Exec.Pool.set_default_domains d
-  | None -> ());
-  (match int_flag "--shards" args with
-  | Some s -> Exec.set_default_shards s
-  | None -> ());
-  (match mode with
-  | "tables" -> run_tables ()
-  | "kernels" -> run_kernels ()
-  | "json" -> run_json ~smoke ~out ()
-  | _ ->
-      run_tables ();
-      run_kernels ());
-  print_endline "\nbench: done"
+  match List.tl (Array.to_list Sys.argv) with
+  | "json" :: flags -> parse ~smoke:false ~out:"BENCH_kernels.json" flags
+  | _ -> usage ()

@@ -183,7 +183,7 @@ let all_cmd =
     setup_parallelism domains shards;
     let rendered =
       with_telemetry ~label:"experiments.all" ~seed ~trace ~metrics ~log
-        (fun () -> Experiments.Registry.render_all ~seed ())
+        (fun () -> Experiments.Registry.render_all ~seed)
     in
     print_string rendered
   in

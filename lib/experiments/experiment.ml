@@ -28,7 +28,7 @@ let render_output out =
   List.iter (fun n -> Buffer.add_string buf ("note: " ^ n ^ "\n")) out.notes;
   Buffer.contents buf
 
-let render ?(seed = 42) t =
+let render ~seed t =
   Printf.sprintf "\n################ %s — %s ################\n%s\n%s" t.id
     t.paper_ref t.description
     (render_output (t.run ~seed))

@@ -27,7 +27,7 @@ val output :
 
 val render_output : output -> string
 
-val render : ?seed:int -> t -> string
+val render : seed:int -> t -> string
 (** Run the experiment and render it (header plus {!render_output}) as a
     string. Printing is left to the caller: lib code must stay free of
     output side effects (divlint rule R5). *)

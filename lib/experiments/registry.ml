@@ -40,5 +40,5 @@ let find id =
 
 let ids () = List.map (fun e -> e.Experiment.id) all
 
-let render_all ?seed () =
-  String.concat "" (List.map (Experiment.render ?seed) all)
+let render_all ~seed =
+  String.concat "" (List.map (Experiment.render ~seed) all)

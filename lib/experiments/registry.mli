@@ -8,6 +8,6 @@ val find : string -> Experiment.t option
 
 val ids : unit -> string list
 
-val render_all : ?seed:int -> unit -> string
-(** Run every experiment and render the concatenated reports (the bench
-    harness's table pass). The caller prints. *)
+val render_all : seed:int -> string
+(** Run every experiment and render the concatenated reports (the `all`
+    verb of the CLI). The caller prints. *)

@@ -40,6 +40,35 @@ let int_range lo hi =
     ~pp:Format.pp_print_int
     (fun rng -> lo + Numerics.Rng.int rng (hi - lo + 1))
 
+(* Uniform on [lo, hi); shrinks toward [lo]. *)
+let float_range lo hi =
+  if not (lo <= hi) then invalid_arg "Prop.float_range: empty range";
+  make
+    ~shrink:(fun x -> if x > lo then Seq.return lo else Seq.empty)
+    ~pp:(fun ppf x -> Format.fprintf ppf "%.17g" x)
+    (fun rng -> Numerics.Rng.uniform rng ~lo ~hi)
+
+(* Arrays of [min_len..max_len] elements of [elt]; shrinks by dropping
+   trailing elements down to [min_len]. *)
+let array ~min_len ~max_len elt =
+  if min_len < 0 || max_len < min_len then
+    invalid_arg "Prop.array: bad length range";
+  make
+    ~shrink:(fun a ->
+      let n = Array.length a in
+      List.to_seq [ min_len; (n + min_len) / 2; n - 1 ]
+      |> Seq.filter (fun k -> k >= min_len && k < n)
+      |> Seq.map (fun k -> Array.sub a 0 k))
+    ~pp:(fun ppf a ->
+      Format.fprintf ppf "[|@[%a@]|]"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
+           elt.pp)
+        (Array.to_list a))
+    (fun rng ->
+      Array.init (min_len + Numerics.Rng.int rng (max_len - min_len + 1))
+        (fun _ -> elt.gen rng))
+
 let pair a b =
   make
     ~shrink:(fun (x, y) ->

@@ -576,35 +576,36 @@ let test_required_pmax_trivial () =
 (* Property-based tests                                                *)
 (* ------------------------------------------------------------------ *)
 
-let gen_probs =
-  QCheck2.Gen.(array_size (int_range 1 15) (float_range 1e-6 0.999))
+let gen_probs = Prop.array ~min_len:1 ~max_len:15 (Prop.float_range 1e-6 0.999)
 
-let prop_risk_ratio_le_one =
-  QCheck2.Test.make ~name:"eq. (10): risk ratio <= 1" ~count:300 gen_probs
-    (fun ps ->
+(* (p, q) fault lists of [1..max_len] faults. *)
+let gen_pairs ~max_len ~p_lo ~q_lo ~q_hi =
+  Prop.array ~min_len:1 ~max_len
+    (Prop.pair (Prop.float_range p_lo 1.0) (Prop.float_range q_lo q_hi))
+
+let prop_risk_ratio_le_one () =
+  Prop.check ~cases:300 "eq. (10): risk ratio <= 1" gen_probs (fun ps ->
       let r = Core.Fault_count.risk_ratio_of_ps ps in
-      r <= 1.0 +. 1e-12)
+      assert (r <= 1.0 +. 1e-12))
 
-let prop_mu2_le_pmax_mu1 =
-  QCheck2.Test.make ~name:"eq. (4): mu2 <= pmax*mu1" ~count:300
-    QCheck2.Gen.(
-      array_size (int_range 1 15) (pair (float_range 1e-6 1.0) (float_range 1e-6 0.05)))
+let prop_mu2_le_pmax_mu1 () =
+  Prop.check ~cases:300 "eq. (4): mu2 <= pmax*mu1"
+    (gen_pairs ~max_len:15 ~p_lo:1e-6 ~q_lo:1e-6 ~q_hi:0.05)
     (fun pairs ->
       let u = Core.Universe.of_pairs (Array.to_list pairs) in
-      Core.Moments.mu2 u <= (Core.Universe.pmax u *. Core.Moments.mu1 u) +. 1e-15)
+      assert (
+        Core.Moments.mu2 u <= (Core.Universe.pmax u *. Core.Moments.mu1 u) +. 1e-15))
 
-let prop_sigma2_bound =
-  QCheck2.Test.make ~name:"eq. (9): sigma2 <= sqrt(pmax(1+pmax))*sigma1"
-    ~count:300
-    QCheck2.Gen.(
-      array_size (int_range 1 15) (pair (float_range 1e-6 1.0) (float_range 1e-6 0.05)))
+let prop_sigma2_bound () =
+  Prop.check ~cases:300 "eq. (9): sigma2 <= sqrt(pmax(1+pmax))*sigma1"
+    (gen_pairs ~max_len:15 ~p_lo:1e-6 ~q_lo:1e-6 ~q_hi:0.05)
     (fun pairs ->
       let u = Core.Universe.of_pairs (Array.to_list pairs) in
-      Core.Moments.sigma2 u <= Core.Bounds.sigma2_upper u +. 1e-15)
+      assert (Core.Moments.sigma2 u <= Core.Bounds.sigma2_upper u +. 1e-15))
 
-let prop_success_ratio_identity =
-  QCheck2.Test.make ~name:"footnote 5: P(N2=0)/P(N1=0) = prod(1+p)" ~count:300
-    gen_probs (fun ps ->
+let prop_success_ratio_identity () =
+  Prop.check ~cases:300 "footnote 5: P(N2=0)/P(N1=0) = prod(1+p)" gen_probs
+    (fun ps ->
       let u =
         Core.Universe.of_pairs
           (Array.to_list (Array.map (fun p -> (p, 0.01)) ps))
@@ -612,67 +613,72 @@ let prop_success_ratio_identity =
       let direct =
         Core.Fault_count.p_n2_zero u /. Core.Fault_count.p_n1_zero u
       in
-      abs_float (direct -. Core.Fault_count.success_ratio u)
-      <= 1e-9 *. Core.Fault_count.success_ratio u)
+      let ratio = Core.Fault_count.success_ratio u in
+      assert (abs_float (direct -. ratio) <= 1e-9 *. ratio))
 
-let prop_appendix_b =
-  QCheck2.Test.make ~name:"Appendix B: dR/dk >= 0" ~count:300
-    QCheck2.Gen.(
-      pair (array_size (int_range 1 12) (float_range 1e-4 1.0)) (float_range 0.01 1.0))
-    (fun (b, k) -> Core.Sensitivity.risk_ratio_k_derivative ~b ~k >= -1e-10)
+let prop_appendix_b () =
+  Prop.check ~cases:300 "Appendix B: dR/dk >= 0"
+    (Prop.pair
+       (Prop.array ~min_len:1 ~max_len:12 (Prop.float_range 1e-4 1.0))
+       (Prop.float_range 0.01 1.0))
+    (fun (b, k) ->
+      assert (Core.Sensitivity.risk_ratio_k_derivative ~b ~k >= -1e-10))
 
-let prop_exact_dist_mean =
-  QCheck2.Test.make ~name:"exact distribution mean equals mu1" ~count:100
-    QCheck2.Gen.(
-      array_size (int_range 1 10) (pair (float_range 0.0 1.0) (float_range 0.0 0.09)))
+let prop_exact_dist_mean () =
+  Prop.check ~cases:100 "exact distribution mean equals mu1"
+    (gen_pairs ~max_len:10 ~p_lo:0.0 ~q_lo:0.0 ~q_hi:0.09)
     (fun pairs ->
       let u = Core.Universe.of_pairs (Array.to_list pairs) in
       let d = Core.Pfd_dist.exact_single u in
-      abs_float (Core.Pfd_dist.mean d -. Core.Moments.mu1 u) < 1e-10)
+      assert (abs_float (Core.Pfd_dist.mean d -. Core.Moments.mu1 u) < 1e-10))
 
-let prop_cdf_monotone =
-  QCheck2.Test.make ~name:"exact CDF is monotone" ~count:100
-    QCheck2.Gen.(
-      triple
-        (array_size (int_range 1 8) (pair (float_range 0.01 1.0) (float_range 0.001 0.1)))
-        (float_range 0.0 1.0) (float_range 0.0 1.0))
+let prop_cdf_monotone () =
+  Prop.check ~cases:100 "exact CDF is monotone"
+    (Prop.triple
+       (gen_pairs ~max_len:8 ~p_lo:0.01 ~q_lo:0.001 ~q_hi:0.1)
+       (Prop.float_range 0.0 1.0) (Prop.float_range 0.0 1.0))
     (fun (pairs, x1, x2) ->
       let u = Core.Universe.of_pairs (Array.to_list pairs) in
       let d = Core.Pfd_dist.exact_single u in
       let lo = min x1 x2 and hi = max x1 x2 in
-      Core.Pfd_dist.cdf d lo <= Core.Pfd_dist.cdf d hi +. 1e-12)
+      assert (Core.Pfd_dist.cdf d lo <= Core.Pfd_dist.cdf d hi +. 1e-12))
 
-let prop_poisson_binomial_normalised =
-  QCheck2.Test.make ~name:"poisson-binomial sums to 1" ~count:200 gen_probs
-    (fun ps ->
-      abs_float (Numerics.Kahan.sum_array (Core.Fault_count.poisson_binomial ps) -. 1.0)
-      < 1e-10)
+let prop_poisson_binomial_normalised () =
+  Prop.check ~cases:200 "poisson-binomial sums to 1" gen_probs (fun ps ->
+      let total =
+        Numerics.Kahan.sum_array (Core.Fault_count.poisson_binomial ps)
+      in
+      assert (abs_float (total -. 1.0) < 1e-10))
 
-let prop_quantile_cdf_consistency =
-  QCheck2.Test.make ~name:"quantile and CDF agree" ~count:100
-    QCheck2.Gen.(
-      pair
-        (array_size (int_range 1 8) (pair (float_range 0.01 1.0) (float_range 0.001 0.1)))
-        (float_range 0.01 0.99))
+let prop_quantile_cdf_consistency () =
+  Prop.check ~cases:100 "quantile and CDF agree"
+    (Prop.pair
+       (gen_pairs ~max_len:8 ~p_lo:0.01 ~q_lo:0.001 ~q_hi:0.1)
+       (Prop.float_range 0.01 0.99))
     (fun (pairs, alpha) ->
       let u = Core.Universe.of_pairs (Array.to_list pairs) in
       let d = Core.Pfd_dist.exact_single u in
       let x = Core.Pfd_dist.quantile d alpha in
-      Core.Pfd_dist.cdf d x >= alpha -. 1e-12)
+      assert (Core.Pfd_dist.cdf d x >= alpha -. 1e-12))
 
 let props =
-  List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [
+  [
+    Alcotest.test_case "eq. (10): risk ratio <= 1" `Quick
       prop_risk_ratio_le_one;
-      prop_mu2_le_pmax_mu1;
+    Alcotest.test_case "eq. (4): mu2 <= pmax*mu1" `Quick prop_mu2_le_pmax_mu1;
+    Alcotest.test_case "eq. (9): sigma2 <= sqrt(pmax(1+pmax))*sigma1" `Quick
       prop_sigma2_bound;
+    Alcotest.test_case "footnote 5: P(N2=0)/P(N1=0) = prod(1+p)" `Quick
       prop_success_ratio_identity;
-      prop_appendix_b;
+    Alcotest.test_case "Appendix B: dR/dk >= 0" `Quick prop_appendix_b;
+    Alcotest.test_case "exact distribution mean equals mu1" `Quick
       prop_exact_dist_mean;
-      prop_cdf_monotone;
+    Alcotest.test_case "exact CDF is monotone" `Quick prop_cdf_monotone;
+    Alcotest.test_case "poisson-binomial sums to 1" `Quick
       prop_poisson_binomial_normalised;
+    Alcotest.test_case "quantile and CDF agree" `Quick
       prop_quantile_cdf_consistency;
-    ]
+  ]
 
 let () =
   Alcotest.run "core"

@@ -260,20 +260,19 @@ let test_genspace_crowding_raises () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let prop_profile_normalised =
-  QCheck2.Test.make ~name:"profile probabilities sum to 1" ~count:100
-    QCheck2.Gen.(array_size (int_range 1 50) (float_range 0.01 10.0))
+let prop_profile_normalised () =
+  Prop.check ~cases:100 "profile probabilities sum to 1"
+    (Prop.array ~min_len:1 ~max_len:50 (Prop.float_range 0.01 10.0))
     (fun weights ->
       let p = Profile.of_weights weights in
       let total =
         Numerics.Kahan.sum_over (Profile.size p) (fun i ->
             Profile.probability p (Demand.of_int i))
       in
-      abs_float (total -. 1.0) < 1e-9)
+      assert (abs_float (total -. 1.0) < 1e-9))
 
-let prop_version_additive_ge_pfd =
-  QCheck2.Test.make ~name:"additive PFD >= true PFD" ~count:50
-    QCheck2.Gen.(int_range 0 1000)
+let prop_version_additive_ge_pfd () =
+  Prop.check ~cases:50 "additive PFD >= true PFD" (Prop.int_range 0 1000)
     (fun seed ->
       let rng = Numerics.Rng.create ~seed in
       let s =
@@ -285,11 +284,15 @@ let prop_version_additive_ge_pfd =
         List.filter (fun _ -> Numerics.Rng.bool rng ~p:0.5) [ 0; 1; 2; 3; 4; 5 ]
       in
       let v = Version.create s faults in
-      Version.additive_pfd v >= Version.pfd v -. 1e-12)
+      assert (Version.additive_pfd v >= Version.pfd v -. 1e-12))
 
 let props =
-  List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [ prop_profile_normalised; prop_version_additive_ge_pfd ]
+  [
+    Alcotest.test_case "profile probabilities sum to 1" `Quick
+      prop_profile_normalised;
+    Alcotest.test_case "additive PFD >= true PFD" `Quick
+      prop_version_additive_ge_pfd;
+  ]
 
 let () =
   Alcotest.run "demandspace"

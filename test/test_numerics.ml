@@ -605,57 +605,61 @@ let test_sampler_truncated () =
 (* Property-based tests                                                *)
 (* ------------------------------------------------------------------ *)
 
-let prop_quantile_monotone =
-  QCheck2.Test.make ~name:"quantile is monotone in p" ~count:200
-    QCheck2.Gen.(
-      pair
-        (array_size (int_range 2 50) (float_bound_inclusive 100.0))
-        (pair (float_bound_inclusive 1.0) (float_bound_inclusive 1.0)))
-    (fun (a, (p1, p2)) ->
+let prop_quantile_monotone () =
+  Prop.check ~cases:200 "quantile is monotone in p"
+    (Prop.triple
+       (Prop.array ~min_len:2 ~max_len:50 (Prop.float_range 0.0 100.0))
+       (Prop.float_range 0.0 1.0) (Prop.float_range 0.0 1.0))
+    (fun (a, p1, p2) ->
       let lo = min p1 p2 and hi = max p1 p2 in
-      Stats.quantile a lo <= Stats.quantile a hi +. 1e-9)
+      assert (Stats.quantile a lo <= Stats.quantile a hi +. 1e-9))
 
-let prop_variance_nonnegative =
-  QCheck2.Test.make ~name:"variance is non-negative" ~count:200
-    QCheck2.Gen.(array_size (int_range 2 50) (float_range (-100.0) 100.0))
-    (fun a -> Stats.variance a >= 0.0)
+let prop_variance_nonnegative () =
+  Prop.check ~cases:200 "variance is non-negative"
+    (Prop.array ~min_len:2 ~max_len:50 (Prop.float_range (-100.0) 100.0))
+    (fun a -> assert (Stats.variance a >= 0.0))
 
-let prop_bitset_roundtrip =
-  QCheck2.Test.make ~name:"bitset of_list/to_list roundtrip" ~count:200
-    QCheck2.Gen.(list_size (int_range 0 40) (int_range 0 99))
+let prop_bitset_roundtrip () =
+  Prop.check ~cases:200 "bitset of_list/to_list roundtrip"
+    (Prop.array ~min_len:0 ~max_len:40 (Prop.int_range 0 99))
     (fun ids ->
+      let ids = Array.to_list ids in
       let sorted = List.sort_uniq compare ids in
-      Bitset.to_list (Bitset.of_list 100 ids) = sorted)
+      assert (Bitset.to_list (Bitset.of_list 100 ids) = sorted))
 
-let prop_erf_monotone =
-  QCheck2.Test.make ~name:"erf is monotone" ~count:200
-    QCheck2.Gen.(pair (float_range (-6.0) 6.0) (float_range (-6.0) 6.0))
+let prop_erf_monotone () =
+  Prop.check ~cases:200 "erf is monotone"
+    (Prop.pair (Prop.float_range (-6.0) 6.0) (Prop.float_range (-6.0) 6.0))
     (fun (a, b) ->
       let lo = min a b and hi = max a b in
-      Special.erf lo <= Special.erf hi +. 1e-15)
+      assert (Special.erf lo <= Special.erf hi +. 1e-15))
 
-let prop_normal_ppf_inverse =
-  QCheck2.Test.make ~name:"Phi(Phi^-1(p)) = p" ~count:200
-    QCheck2.Gen.(float_range 1e-6 (1.0 -. 1e-6))
-    (fun p -> abs_float (Normal_dist.cdf (Normal_dist.ppf p) -. p) < 1e-10)
+let prop_normal_ppf_inverse () =
+  Prop.check ~cases:200 "Phi(Phi^-1(p)) = p"
+    (Prop.float_range 1e-6 (1.0 -. 1e-6))
+    (fun p ->
+      assert (abs_float (Normal_dist.cdf (Normal_dist.ppf p) -. p) < 1e-10))
 
-let prop_kahan_matches_naive_closely =
-  QCheck2.Test.make ~name:"kahan close to naive on benign data" ~count:200
-    QCheck2.Gen.(array_size (int_range 1 100) (float_range (-1.0) 1.0))
+let prop_kahan_matches_naive_closely () =
+  Prop.check ~cases:200 "kahan close to naive on benign data"
+    (Prop.array ~min_len:1 ~max_len:100 (Prop.float_range (-1.0) 1.0))
     (fun a ->
       let naive = Array.fold_left ( +. ) 0.0 a in
-      abs_float (Kahan.sum_array a -. naive) < 1e-9)
+      assert (abs_float (Kahan.sum_array a -. naive) < 1e-9))
 
 let props =
-  List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [
+  [
+    Alcotest.test_case "quantile is monotone in p" `Quick
       prop_quantile_monotone;
+    Alcotest.test_case "variance is non-negative" `Quick
       prop_variance_nonnegative;
+    Alcotest.test_case "bitset of_list/to_list roundtrip" `Quick
       prop_bitset_roundtrip;
-      prop_erf_monotone;
-      prop_normal_ppf_inverse;
+    Alcotest.test_case "erf is monotone" `Quick prop_erf_monotone;
+    Alcotest.test_case "Phi(Phi^-1(p)) = p" `Quick prop_normal_ppf_inverse;
+    Alcotest.test_case "kahan close to naive on benign data" `Quick
       prop_kahan_matches_naive_closely;
-    ]
+  ]
 
 let () =
   Alcotest.run "numerics"
