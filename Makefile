@@ -22,7 +22,7 @@ test:
 # Fully-timed kernel benchmark artefact, stamped with the current commit.
 bench-json:
 	GIT_REV=$$(git rev-parse --short HEAD) dune exec bench/main.exe -- json -o BENCH_kernels.json
-	dune exec tools/benchcheck/benchcheck.exe -- BENCH_kernels.json
+	dune exec tools/benchdiff/benchdiff.exe -- check BENCH_kernels.json
 
 # Per-kernel speedup/regression report between two bench artefacts.
 # Defaults compare the committed full-mode BENCH_kernels.json against a

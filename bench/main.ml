@@ -82,7 +82,27 @@ let evidence_log_path ~events =
      close_out oc;
      path)
 
-let tests ~smoke () =
+(* How long a kernel is measured. Slow kernels complete few runs inside
+   the standard half-second quota and their OLS fit gets noisy (r^2 well
+   below the 0.9 the repo wants to publish), so they get a generous
+   budget; the evidence ingest makes one multi-second pass over a
+   150MB-scale run log per iteration and needs a far larger one still. *)
+type quota = Standard | Generous | Marathon
+
+(* A kernel as measured: its bechamel test, the number of domains it
+   computes on (the size of its pool; 1 for every sequential kernel)
+   and its quota tier. *)
+type kernel = { test : Test.t; domains : int; quota : quota }
+
+let kernel ?(domains = 1) ?(quota = Standard) name f =
+  { test = Test.make ~name (Staged.stage f); domains; quota }
+
+(* The parallel pairs time one computation on 1 domain and on every
+   core, never on more domains than the host has cores: an
+   oversubscribed pool measures the scheduler, not a speedup. *)
+let ncores = Domain.recommended_domain_count ()
+
+let kernels ~smoke () =
   let u_small = kernel_universe 16 in
   let u_big = kernel_universe 1000 in
   let ps_big = Core.Universe.ps u_big in
@@ -99,15 +119,15 @@ let tests ~smoke () =
       (Simulator.Channel.create ~name:"B" vb)
   in
   let prior = Extensions.Bayes.of_pfd_dist (Core.Pfd_dist.exact_pair u_small) in
-  (* Fixed-size pools for the parallel-estimate kernels: same seed, same
-     shard count, different domain counts — the pair demonstrates (and
+  (* Pools for the parallel-estimate kernels: same seed, same shard
+     count, different domain counts — the pair demonstrates (and
      the determinism test asserts) that timings may move but outputs
      cannot. Created lazily, and the kernels using them run last:
      spawned-but-idle domains make every stop-the-world Gc round (and
      hence bechamel's stabilization between samples) far more expensive,
      which would starve the sequential kernels of samples. *)
   let pool1 = lazy (Exec.Pool.create ~domains:1 ()) in
-  let pool4 = lazy (Exec.Pool.create ~domains:4 ()) in
+  let pool_n = lazy (Exec.Pool.create ~domains:ncores ()) in
   let fleet_systems =
     lazy
       (let r = Numerics.Rng.create ~seed:(seed + 5) in
@@ -206,118 +226,101 @@ let tests ~smoke () =
     done
   in
   [
-    Test.make ~name:"moments/n=1000"
-      (Staged.stage (fun () -> ignore (Core.Moments.compute u_big)));
-    Test.make ~name:"risk-ratio/n=1000"
-      (Staged.stage (fun () -> ignore (Core.Fault_count.risk_ratio u_big)));
-    Test.make ~name:"poisson-binomial/n=1000"
-      (Staged.stage (fun () -> ignore (Core.Fault_count.poisson_binomial ps_big)));
-    Test.make ~name:"exact-pfd-dist/n=16"
-      (Staged.stage (fun () -> ignore (Core.Pfd_dist.exact_single u_small)));
+    kernel "moments/n=1000" ~quota:Generous (fun () ->
+        ignore (Core.Moments.compute u_big));
+    kernel "risk-ratio/n=1000" (fun () ->
+        ignore (Core.Fault_count.risk_ratio u_big));
+    kernel "poisson-binomial/n=1000" (fun () ->
+        ignore (Core.Fault_count.poisson_binomial ps_big));
+    kernel "exact-pfd-dist/n=16" (fun () ->
+        ignore (Core.Pfd_dist.exact_single u_small));
     (* Fast-vs-naive kernel pairs for the rewritten hot paths: the
        unsuffixed names above/below time whatever the library defaults
        to (now the incremental formulations), the explicit pairs keep
        both sides measurable so benchdiff can track the gap as the
-       kernels evolve. *)
-    Test.make ~name:"exact-pfd-dist-fast/n=16"
-      (Staged.stage
-         (let probs = Core.Universe.ps u_small
-          and values = Core.Universe.qs u_small in
-          fun () -> ignore (Core.Pfd_dist.exact_of_vectors ~probs ~values ())));
-    Test.make ~name:"exact-pfd-dist-naive/n=16"
-      (Staged.stage
-         (let probs = Core.Universe.ps u_small
-          and values = Core.Universe.qs u_small in
-          fun () ->
-            ignore (Core.Pfd_dist.exact_of_vectors_naive ~probs ~values ())));
-    Test.make ~name:"grid-pfd-dist/n=1000,bins=2048"
-      (Staged.stage (fun () -> ignore (Core.Pfd_dist.grid_single u_big ~bins:2048)));
-    Test.make ~name:"sensitivity-gradient/n=1000"
-      (Staged.stage (fun () ->
-           ignore (Core.Sensitivity.risk_ratio_gradient ps_big)));
-    Test.make ~name:"sensitivity-gradient-naive/n=1000"
-      (Staged.stage (fun () ->
-           ignore (Core.Sensitivity.risk_ratio_gradient_naive ps_big)));
-    Test.make ~name:"normal-ppf"
-      (Staged.stage
-         (let p = ref 0.001 in
-          fun () ->
-            p := if !p > 0.99 then 0.001 else !p +. 0.001;
-            ignore (Numerics.Normal_dist.ppf !p)));
-    Test.make ~name:"develop-pair/n=1000"
-      (Staged.stage
-         (let r = Numerics.Rng.create ~seed:(seed + 2) in
-          let c = Simulator.Devteam.compile u_big in
-          fun () -> ignore (Simulator.Devteam.pair_pfd r c)));
-    Test.make ~name:"run-1000-demands"
-      (Staged.stage
-         (let r = Numerics.Rng.create ~seed:(seed + 3) in
-          fun () -> ignore (Simulator.Runner.run r ~system ~demand_count:1000)));
-    Test.make ~name:"bayes-update/10k-demands"
-      (Staged.stage (fun () ->
-           ignore (Extensions.Bayes.observe_failure_free prior ~demands:10_000)));
-    Test.make ~name:"el-difficulty-sweep/48x48"
-      (Staged.stage (fun () ->
-           ignore (Baselines.Eckhardt_lee.mean_pair space)));
-    Test.make ~name:"json-parse/serve-request"
-      (Staged.stage (fun () -> ignore (Obs.Json.parse json_serve_request)));
-    Test.make ~name:"json-parse/runlog-line"
-      (Staged.stage (fun () -> ignore (Obs.Json.parse json_runlog_line)));
-    Test.make ~name:"mc-estimate-parallel/1dom"
-      (Staged.stage
-         (let r = Numerics.Rng.create ~seed:(seed + 4) in
-          fun () ->
-            ignore
-              (Simulator.Montecarlo.estimate ~pool:(Lazy.force pool1) ~shards:8
-                 r u_big ~replications:64)));
-    Test.make ~name:"mc-estimate-parallel/4dom"
-      (Staged.stage
-         (let r = Numerics.Rng.create ~seed:(seed + 4) in
-          fun () ->
-            ignore
-              (Simulator.Montecarlo.estimate ~pool:(Lazy.force pool4) ~shards:8
-                 r u_big ~replications:64)));
+       kernels evolve. The naive sides are the Check.Reference
+       kernels. *)
+    kernel "exact-pfd-dist-fast/n=16"
+      (let probs = Core.Universe.ps u_small
+       and values = Core.Universe.qs u_small in
+       fun () -> ignore (Core.Pfd_dist.exact_of_vectors ~probs ~values ()));
+    kernel "exact-pfd-dist-naive/n=16" ~quota:Generous
+      (let probs = Core.Universe.ps u_small
+       and values = Core.Universe.qs u_small in
+       fun () ->
+         ignore (Check.Reference.exact_of_vectors_naive ~probs ~values ()));
+    kernel "grid-pfd-dist/n=1000,bins=2048" ~quota:Generous (fun () ->
+        ignore (Core.Pfd_dist.grid_single u_big ~bins:2048));
+    kernel "sensitivity-gradient/n=1000" (fun () ->
+        ignore (Core.Sensitivity.risk_ratio_gradient ps_big));
+    kernel "sensitivity-gradient-naive/n=1000" ~quota:Generous (fun () ->
+        ignore (Check.Reference.risk_ratio_gradient_naive ps_big));
+    kernel "normal-ppf"
+      (let p = ref 0.001 in
+       fun () ->
+         p := if !p > 0.99 then 0.001 else !p +. 0.001;
+         ignore (Numerics.Normal_dist.ppf !p));
+    kernel "develop-pair/n=1000"
+      (let r = Numerics.Rng.create ~seed:(seed + 2) in
+       let c = Simulator.Devteam.compile u_big in
+       fun () -> ignore (Simulator.Devteam.pair_pfd r c));
+    kernel "run-1000-demands"
+      (let r = Numerics.Rng.create ~seed:(seed + 3) in
+       fun () -> ignore (Simulator.Runner.run r ~system ~demand_count:1000));
+    kernel "bayes-update/10k-demands" (fun () ->
+        ignore (Extensions.Bayes.observe_failure_free prior ~demands:10_000));
+    kernel "el-difficulty-sweep/48x48" (fun () ->
+        ignore (Baselines.Eckhardt_lee.mean_pair space));
+    kernel "json-parse/serve-request" (fun () ->
+        ignore (Obs.Json.parse json_serve_request));
+    kernel "json-parse/runlog-line" (fun () ->
+        ignore (Obs.Json.parse json_runlog_line));
+    kernel "mc-estimate-parallel/1dom" ~domains:1 ~quota:Generous
+      (let r = Numerics.Rng.create ~seed:(seed + 4) in
+       fun () ->
+         ignore
+           (Simulator.Montecarlo.estimate ~pool:(Lazy.force pool1) ~shards:8 r
+              u_big ~replications:64));
+    kernel "mc-estimate-parallel/ncores" ~domains:ncores ~quota:Generous
+      (let r = Numerics.Rng.create ~seed:(seed + 4) in
+       fun () ->
+         ignore
+           (Simulator.Montecarlo.estimate ~pool:(Lazy.force pool_n) ~shards:8 r
+              u_big ~replications:64));
     (* Fleet observation sharded over the pool: the other determinism
        demonstrator pair. The systems are deployed once at setup (on the
        legacy sequential path so no pool is forced early); each run
        observes the whole fleet with 8 shards, exercising the batched
        demand sampling in the runner hot loop. *)
-    Test.make ~name:"fleet-observe-parallel/1dom"
-      (Staged.stage
-         (let r = Numerics.Rng.create ~seed:(seed + 6) in
-          fun () ->
-            ignore
-              (Simulator.Fleet.observe ~pool:(Lazy.force pool1) ~shards:8 r
-                 (Lazy.force fleet_systems) ~demands_per_plant:2000)));
-    Test.make ~name:"fleet-observe-parallel/4dom"
-      (Staged.stage
-         (let r = Numerics.Rng.create ~seed:(seed + 6) in
-          fun () ->
-            ignore
-              (Simulator.Fleet.observe ~pool:(Lazy.force pool4) ~shards:8 r
-                 (Lazy.force fleet_systems) ~demands_per_plant:2000)));
+    kernel "fleet-observe-parallel/1dom" ~domains:1 ~quota:Generous
+      (let r = Numerics.Rng.create ~seed:(seed + 6) in
+       fun () ->
+         ignore
+           (Simulator.Fleet.observe ~pool:(Lazy.force pool1) ~shards:8 r
+              (Lazy.force fleet_systems) ~demands_per_plant:2000));
+    kernel "fleet-observe-parallel/ncores" ~domains:ncores ~quota:Generous
+      (let r = Numerics.Rng.create ~seed:(seed + 6) in
+       fun () ->
+         ignore
+           (Simulator.Fleet.observe ~pool:(Lazy.force pool_n) ~shards:8 r
+              (Lazy.force fleet_systems) ~demands_per_plant:2000));
     (* Proven-in-use evidence pipeline: one full single-pass ingest of
        the synthetic run log (file -> cursor -> assessor -> verdict),
        the same path the `experiments_cli evidence` verb drives. *)
-    Test.make ~name:"evidence-ingest/1e6"
-      (Staged.stage (fun () ->
-           let a =
-             Evidence.Assessor.create Evidence.Assessor.default_config
-           in
-           let src = Evidence.Source.open_file (Lazy.force evidence_log) in
-           Evidence.Source.iter_lines src ~f:(Evidence.Assessor.ingest_line a);
-           Evidence.Source.close src;
-           ignore (Evidence.Verdict.of_assessor a)));
-    (* Run last, like the pool pairs above: the 4-worker daemon keeps
-       three extra domains alive from first use to process exit. *)
-    Test.make ~name:"serve-throughput/1workers"
-      (Staged.stage
-         (let client = serve_client 1 in
-          fun () -> serve_round (Lazy.force client)));
-    Test.make ~name:"serve-throughput/4workers"
-      (Staged.stage
-         (let client = serve_client 4 in
-          fun () -> serve_round (Lazy.force client)));
+    kernel "evidence-ingest/1e6" ~quota:Marathon (fun () ->
+        let a = Evidence.Assessor.create Evidence.Assessor.default_config in
+        let src = Evidence.Source.open_file (Lazy.force evidence_log) in
+        Evidence.Source.iter_lines src ~f:(Evidence.Assessor.ingest_line a);
+        Evidence.Source.close src;
+        ignore (Evidence.Verdict.of_assessor a));
+    (* Run last, like the pool pairs above: the many-worker daemon keeps
+       its extra domains alive from first use to process exit. *)
+    kernel "serve-throughput/1workers" ~domains:1 ~quota:Generous
+      (let client = serve_client 1 in
+       fun () -> serve_round (Lazy.force client));
+    kernel "serve-throughput/ncores" ~domains:ncores ~quota:Generous
+      (let client = serve_client ncores in
+       fun () -> serve_round (Lazy.force client));
   ]
 
 type kernel_row = {
@@ -328,49 +331,13 @@ type kernel_row = {
   domains : int;
 }
 
-(* Domains each kernel computed on, recorded per row in the JSON.
-   Sequential kernels (every analytic one) run on the calling domain;
-   the parallel pairs pin their pool size in the kernel name. *)
-let kernel_domains name =
-  match name with
-  | "mc-estimate-parallel/1dom" | "fleet-observe-parallel/1dom"
-  | "serve-throughput/1workers" ->
-      1
-  | "mc-estimate-parallel/4dom" | "fleet-observe-parallel/4dom"
-  | "serve-throughput/4workers" ->
-      4
-  | _ -> 1
-
-(* Slow kernels complete few runs inside the standard half-second quota
-   and their OLS fit gets noisy (r^2 well below the 0.9 the repo wants
-   to publish); give them a larger measurement budget. *)
-let generous_quota_kernels =
-  [
-    "grid-pfd-dist/n=1000,bins=2048";
-    "moments/n=1000";
-    "sensitivity-gradient-naive/n=1000";
-    "exact-pfd-dist-naive/n=16";
-    "mc-estimate-parallel/1dom";
-    "mc-estimate-parallel/4dom";
-    "fleet-observe-parallel/1dom";
-    "fleet-observe-parallel/4dom";
-    "serve-throughput/1workers";
-    "serve-throughput/4workers";
-  ]
-
-(* The evidence-ingest kernel makes one multi-second pass over a
-   150MB-scale run log per iteration; it needs a far larger budget than
-   even the generous tier to collect enough samples for a clean OLS
-   fit. *)
-let marathon_quota_kernels = [ "evidence-ingest/1e6" ]
-
-let cfg_for ~smoke name =
+let cfg_for ~smoke quota =
   if smoke then Benchmark.cfg ~limit:2 ~quota:(Time.second 0.001) ()
-  else if List.mem name marathon_quota_kernels then
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 30.0) ~stabilize:true ()
-  else if List.mem name generous_quota_kernels then
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 3.0) ~stabilize:true ()
-  else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
+  else
+    let seconds =
+      match quota with Standard -> 0.5 | Generous -> 3.0 | Marathon -> 30.0
+    in
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second seconds) ~stabilize:true ()
 
 (* Minimum OLS fit quality the artefact is allowed to publish. On a
    loaded single-core host one scheduler spike can ruin a whole
@@ -388,77 +355,42 @@ let measure_kernels ~smoke () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let fit_of name b =
-    match instances with
-    | [] -> None
-    | instance :: _ -> (
-        let h = Hashtbl.create 1 in
-        Hashtbl.add h name b;
-        let per = Analyze.all ols instance h in
-        match Hashtbl.find_opt per name with
-        | Some o -> Analyze.OLS.r_square o
-        | None -> None)
+  let clock = Instance.monotonic_clock in
+  let fit name b =
+    let h = Hashtbl.create 1 in
+    Hashtbl.add h name b;
+    Hashtbl.find_opt (Analyze.all ols clock h) name
   in
-  let measure_one elt =
+  let r_square o = Option.value ~default:0.0 (Option.bind o Analyze.OLS.r_square) in
+  let measure_one k elt =
     let name = Test.Elt.name elt in
-    let cfg = cfg_for ~smoke name in
     let run () =
-      let b = Benchmark.run cfg instances elt in
-      (b, Option.value ~default:0.0 (fit_of name b))
+      let b = Benchmark.run (cfg_for ~smoke k.quota) [ clock ] elt in
+      (b, fit name b)
     in
-    let rec retry best best_r2 attempts_left =
-      if best_r2 >= target_r_square || attempts_left = 0 then best
+    let rec retry (best, best_fit) attempts_left =
+      if r_square best_fit >= target_r_square || attempts_left = 0 then
+        (best, best_fit)
       else
-        let b, r2 = run () in
-        if r2 > best_r2 then retry b r2 (attempts_left - 1)
-        else retry best best_r2 (attempts_left - 1)
+        let b, o = run () in
+        if r_square o > r_square best_fit then retry (b, o) (attempts_left - 1)
+        else retry (best, best_fit) (attempts_left - 1)
     in
-    let b, r2 = run () in
-    if smoke then b else retry b r2 (max_attempts - 1)
+    let b, o = if smoke then run () else retry (run ()) (max_attempts - 1) in
+    {
+      name;
+      ns_per_run =
+        (match Option.bind o Analyze.OLS.estimates with
+        | Some (e :: _) -> Some e
+        | _ -> None);
+      r_square = Option.bind o Analyze.OLS.r_square;
+      samples = b.Benchmark.stats.Benchmark.samples;
+      domains = k.domains;
+    }
   in
-  let raw =
-    List.fold_left
-      (fun acc test ->
-        List.fold_left
-          (fun acc elt ->
-            Hashtbl.add acc (Test.Elt.name elt) (measure_one elt);
-            acc)
-          acc (Test.elements test))
-      (Hashtbl.create 16)
-      (tests ~smoke ())
-  in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let merged = Analyze.merge ols instances results in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun _measure per_test ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          let ns_per_run =
-            match Analyze.OLS.estimates ols_result with
-            | Some (e :: _) -> Some e
-            | _ -> None
-          in
-          let samples =
-            match Hashtbl.find_opt raw name with
-            | Some b -> b.Benchmark.stats.Benchmark.samples
-            | None -> 0
-          in
-          rows :=
-            {
-              name;
-              ns_per_run;
-              r_square = Analyze.OLS.r_square ols_result;
-              samples;
-              domains = kernel_domains name;
-            }
-            :: !rows)
-        per_test)
-    merged;
-  List.sort (fun a b -> compare a.name b.name) !rows
+  kernels ~smoke ()
+  |> List.concat_map (fun k -> List.map (measure_one k) (Test.elements k.test))
+  |> List.sort (fun a b -> compare a.name b.name)
 
 (* ------------------------------------------------------------------ *)
 (* JSON output (BENCH_kernels.json)                                    *)

@@ -23,3 +23,30 @@ val gradient_gap : float array -> float array -> float
 (** [gradient_gap fast naive] is the largest coordinate difference
     [|fast.(i) - naive.(i)|], counting a coordinate NaN on both sides as
     agreement; NaN when one side alone is NaN. *)
+
+(** {1 Reference kernels}
+
+    The historical implementations the fast kernels in [Core] replaced,
+    kept only as the reference sides of the [pfd-fast-vs-legacy] and
+    [gradient-incremental-vs-naive] oracles and their bench pairs. *)
+
+val exact_of_vectors_naive :
+  probs:float array -> values:float array -> unit -> Core.Pfd_dist.t
+(** The allocating doubling pass (fresh buffers and two [Array.sub] per
+    fault, [of_mass] finalisation). Bit-identical to
+    {!Core.Pfd_dist.exact_of_vectors}, same input policy
+    ({!Core.Pfd_dist.validate_exact}). *)
+
+val grid_of_vectors_naive :
+  probs:float array -> values:float array -> bins:int -> unit -> Core.Pfd_dist.t
+(** One dense sweep per fault in index order, on the grid and under the
+    input policy of {!Core.Pfd_dist.grid_of_vectors}
+    ({!Core.Pfd_dist.grid_layout}). *)
+
+val risk_ratio_gradient_naive : float array -> float array
+(** O(n^2): one independent {!Core.Sensitivity.risk_ratio_partial} Kahan
+    sum per coordinate. *)
+
+val risk_ratio_k_derivative_naive : b:float array -> k:float -> float
+(** O(n^2) reference for {!Core.Sensitivity.risk_ratio_k_derivative}:
+    one {!Core.Sensitivity.risk_ratio_partial} per coordinate. *)

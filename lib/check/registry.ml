@@ -331,7 +331,7 @@ let gradient_incremental_vs_naive =
       (* gap between the two gradients, against the EXPERIMENTS.md
          ulp-policy bound (see {!Reference.gradient_tol}) *)
       let gradient ps =
-        let naive = Core.Sensitivity.risk_ratio_gradient_naive ps in
+        let naive = Reference.risk_ratio_gradient_naive ps in
         Compare.approx ~abs:(Reference.gradient_tol naive) ~rel:0.0 0.0
           (Reference.gradient_gap (Core.Sensitivity.risk_ratio_gradient ps) naive)
       in
@@ -350,7 +350,7 @@ let gradient_incremental_vs_naive =
         ("gradient max |fast - naive| (p in {0,1})", gradient boundary);
         ( "dR/dk (Appendix B)",
           Compare.approx ~abs:1e-12
-            (Core.Sensitivity.risk_ratio_k_derivative_naive ~b:ps ~k)
+            (Reference.risk_ratio_k_derivative_naive ~b:ps ~k)
             (Core.Sensitivity.risk_ratio_k_derivative ~b:ps ~k) );
       ])
 
@@ -364,11 +364,11 @@ let pfd_fast_vs_legacy =
       let u = Scenario.universe s in
       let probs = Core.Universe.ps u and values = Core.Universe.qs u in
       let fast = Core.Pfd_dist.exact_of_vectors ~probs ~values () in
-      let legacy = Core.Pfd_dist.exact_of_vectors_naive ~probs ~values () in
+      let legacy = Reference.exact_of_vectors_naive ~probs ~values () in
       let bins = 1024 in
       let gfast = Core.Pfd_dist.grid_of_vectors ~probs ~values ~bins () in
       let glegacy =
-        Core.Pfd_dist.grid_of_vectors_naive ~probs ~values ~bins ()
+        Reference.grid_of_vectors_naive ~probs ~values ~bins ()
       in
       let open Core.Pfd_dist in
       [

@@ -27,6 +27,3 @@ let common_variance_contribution t =
   let p2 = t.p *. t.p in
   p2 *. (1.0 -. p2) *. t.q *. t.q
 
-let pp ppf t = Fmt.pf ppf "{p=%.6g; q=%.6g}" t.p t.q
-let equal a b = a.p = b.p && a.q = b.q
-let compare a b = Stdlib.compare (a.p, a.q) (b.p, b.q)

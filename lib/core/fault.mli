@@ -38,6 +38,3 @@ val common_mean_contribution : t -> float
 val common_variance_contribution : t -> float
 (** [p^2(1-p^2)q^2]: the term in Var(Theta_2). *)
 
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
-val compare : t -> t -> int

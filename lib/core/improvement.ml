@@ -28,7 +28,6 @@ let apply_step u step =
           Fault.scale_p f factors.(!i))
         u
 
-let apply u steps = List.fold_left apply_step u steps
 
 let is_obviously_better u u' =
   (* Section 4.2: a change "in which no p_i increases and one or more

@@ -18,9 +18,6 @@ val apply_step : Universe.t -> step -> Universe.t
 (** Raises [Invalid_argument] on negative factors, out-of-range indices, or
     scalings that push a probability above 1. *)
 
-val apply : Universe.t -> step list -> Universe.t
-(** Apply a sequence of changes left to right. *)
-
 val is_obviously_better : Universe.t -> Universe.t -> bool
 (** [is_obviously_better u u'] holds when moving from [u] to [u'] no p_i
     increases and at least one decreases — the paper's notion of an

@@ -221,46 +221,6 @@ let convolve ~probs ~values =
   done;
   (!src_xs, !src_ws, !len)
 
-(* The historical allocating doubling pass, retained verbatim as the
-   reference side of the fast-vs-legacy differential oracle: a fresh
-   2m-point buffer pair and two Array.sub per fault, finishing through
-   the of_mass list pipeline. *)
-let convolve_naive ~probs ~values =
-  let xs = ref [| 0.0 |] and ws = ref [| 1.0 |] in
-  for i = 0 to Array.length probs - 1 do
-    let p = probs.(i) and q = values.(i) in
-    if p > 0.0 then begin
-      let old_xs = !xs and old_ws = !ws in
-      let m = Array.length old_xs in
-      let nxs = Array.make (2 * m) 0.0 and nws = Array.make (2 * m) 0.0 in
-      (* fused merge of (old, weight (1-p)) with (old + q, weight p) *)
-      let a = ref 0 and b = ref 0 and out = ref 0 in
-      let push x w =
-        if !out > 0 && nxs.(!out - 1) = x then nws.(!out - 1) <- nws.(!out - 1) +. w
-        else begin
-          nxs.(!out) <- x;
-          nws.(!out) <- w;
-          incr out
-        end
-      in
-      while !a < m || !b < m do
-        let xa = if !a < m then old_xs.(!a) else infinity in
-        let xb = if !b < m then old_xs.(!b) +. q else infinity in
-        if xa <= xb then begin
-          push xa (old_ws.(!a) *. (1.0 -. p));
-          incr a
-        end
-        else begin
-          push xb (old_ws.(!b) *. p);
-          incr b
-        end
-      done;
-      xs := Array.sub nxs 0 !out;
-      ws := Array.sub nws 0 !out
-    end
-  done;
-  (!xs, !ws)
-
 (* Exact distribution of sum of independent {0, q_i} variables with
    P(q_i) = probs.(i): one doubling pass — bit-for-bit the legacy
    kernel's values, allocation-free (see convolve) and finalised without
@@ -271,12 +231,6 @@ let exact_of_vectors ~probs ~values () =
   validate_exact ~what ~probs ~values;
   let xs, ws, len = convolve ~probs ~values in
   of_sorted_len ~what xs ws len
-
-let exact_of_vectors_naive ~probs ~values () =
-  validate_exact ~what:"Pfd_dist.exact_of_vectors_naive" ~probs ~values;
-  let xs, ws = convolve_naive ~probs ~values in
-  let pairs = Array.to_list (Array.map2 (fun x w -> (x, w)) xs ws) in
-  of_mass pairs
 
 let exact_single u =
   exact_of_vectors ~probs:(Universe.ps u) ~values:(Universe.qs u) ()
@@ -292,10 +246,6 @@ let exact_nk u ~channels =
     ~probs:(Array.map (fun p -> p ** float_of_int channels) (Universe.ps u))
     ~values:(Universe.qs u) ()
 
-let grid_validate ~what ~probs ~values ~bins =
-  validate_vectors ~what ~probs ~values;
-  if bins < 2 then invalid_arg (what ^ ": need at least 2 bins")
-
 (* Rounding each q_i to the nearest grid multiple can round *up* by as
    much as half a step, so the all-faults subset can land up to n/2
    bins above bins - 1. Size the dense array for that true top: a
@@ -303,10 +253,19 @@ let grid_validate ~what ~probs ~values ~bins =
    normalisation would then smear the loss over the whole support,
    biasing the mean far beyond the n*step/2 displacement bound (caught
    by the pfd-exact-vs-grid differential oracle). *)
-let grid_shifts ~probs ~values ~step =
-  Array.init (Array.length probs) (fun i ->
-      if probs.(i) > 0.0 then int_of_float (Float.round (values.(i) /. step))
-      else 0)
+type grid_layout = { step : float; shifts : int array; len : int }
+
+let grid_layout ~what ~probs ~values ~bins =
+  validate_vectors ~what ~probs ~values;
+  if bins < 2 then invalid_arg (what ^ ": need at least 2 bins");
+  let total = Kahan.sum_array values in
+  let step = if total > 0.0 then total /. float_of_int (bins - 1) else 1.0 in
+  let shifts =
+    Array.init (Array.length probs) (fun i ->
+        if probs.(i) > 0.0 then int_of_float (Float.round (values.(i) /. step))
+        else 0)
+  in
+  { step; shifts; len = max bins (1 + Array.fold_left ( + ) 0 shifts) }
 
 (* Collect the surviving (value, mass) pairs of the dense array into
    sorted arrays; finalisation is then bit-identical to the historical
@@ -368,7 +327,7 @@ let block_pass ~counts ~k ~shift ~dist ~top =
    (thousands of faults, a few thousand bins) most faults share one of a
    few dozen shifts, so this removes almost all dense sweeps.
 
-   Versus the retained per-fault path (grid_of_vectors_naive) a block of
+   Versus the per-fault reference pass in Check.Reference a block of
    k >= 2 faults associates the per-fault products differently, and the
    blocks run in ascending-shift order rather than index order, so the
    two paths agree to rounding, not bits; a block of one fault reduces
@@ -376,11 +335,9 @@ let block_pass ~counts ~k ~shift ~dist ~top =
    bit-identical when every shift is unique and already ascending. *)
 let grid_of_vectors ~probs ~values ~bins () =
   let n = Array.length probs in
-  grid_validate ~what:"Pfd_dist.grid_of_vectors" ~probs ~values ~bins;
-  let total = Kahan.sum_array values in
-  let step = if total > 0.0 then total /. float_of_int (bins - 1) else 1.0 in
-  let shifts = grid_shifts ~probs ~values ~step in
-  let len = max bins (1 + Array.fold_left ( + ) 0 shifts) in
+  let { step; shifts; len } =
+    grid_layout ~what:"Pfd_dist.grid_of_vectors" ~probs ~values ~bins
+  in
   (* binomial blocks: (shift, probs of the faults rounding to it), with
      members in index order (stable sort) so the Poisson-binomial
      recurrence consumes them deterministically *)
@@ -414,39 +371,6 @@ let grid_of_vectors ~probs ~values ~bins () =
       block_pass ~counts ~k ~shift ~dist ~top:!top)
     blocks;
   grid_finalise ~step ~dist ~top:!top
-
-(* The historical per-fault grid pass, retained as the reference side of
-   the fast-vs-legacy differential oracle: one two-tap dense sweep per
-   fault, in index order, finishing through the of_mass list pipeline. *)
-let grid_of_vectors_naive ~probs ~values ~bins () =
-  let n = Array.length probs in
-  grid_validate ~what:"Pfd_dist.grid_of_vectors_naive" ~probs ~values ~bins;
-  let total = Kahan.sum_array values in
-  let step = if total > 0.0 then total /. float_of_int (bins - 1) else 1.0 in
-  let shifts = grid_shifts ~probs ~values ~step in
-  let len = max bins (1 + Array.fold_left ( + ) 0 shifts) in
-  let dist = Array.make len 0.0 in
-  dist.(0) <- 1.0;
-  let top = ref 0 in
-  for i = 0 to n - 1 do
-    let p = probs.(i) and shift = shifts.(i) in
-    (* a zero shift is a region too small for the grid: its mass folds
-       into "no change"; the caller can check the induced mean error via
-       [mean]. *)
-    if p > 0.0 && shift > 0 then begin
-      top := !top + shift;
-      for j = !top downto 0 do
-        let keep = dist.(j) *. (1.0 -. p) in
-        let arrive = if j >= shift then dist.(j - shift) *. p else 0.0 in
-        dist.(j) <- keep +. arrive
-      done
-    end
-  done;
-  let pairs = ref [] in
-  for j = !top downto 0 do
-    if dist.(j) > 0.0 then pairs := (float_of_int j *. step, dist.(j)) :: !pairs
-  done;
-  of_mass !pairs
 
 let grid_single u ~bins =
   grid_of_vectors ~probs:(Universe.ps u) ~values:(Universe.qs u) ~bins ()

@@ -66,17 +66,12 @@ val exact_of_vectors : probs:float array -> values:float array -> unit -> t
     allocation) and an {!of_sorted_arrays}-style finalisation instead of
     the of_mass list round-trip.
 
-    Boundary policy (shared by every [*_of_vectors] entry point):
-    reject. Raises [Invalid_argument] naming the function and the index
-    when a [probs] entry is NaN or outside [0, 1], when a [values] entry
+    Boundary policy (shared by every [*_of_vectors] entry point, and by
+    the reference convolvers through {!validate_exact} and
+    {!grid_layout}): reject. Raises [Invalid_argument] naming the
+    function and the index when a [probs] entry is NaN or outside [0, 1], when a [values] entry
     is not finite or is negative, on a length mismatch, and past
     {!max_exact_faults} faults. *)
-
-val exact_of_vectors_naive : probs:float array -> values:float array -> unit -> t
-(** The historical allocating doubling pass (fresh buffers and two
-    [Array.sub] per fault, of_mass finalisation), retained as the
-    reference side of the fast-vs-legacy differential oracle.
-    Bit-identical to {!exact_of_vectors}, same input policy. *)
 
 val exact_single : Universe.t -> t
 (** Exact distribution of Theta_1. *)
@@ -98,18 +93,38 @@ val grid_of_vectors :
     Faults sharing a shift are coalesced into one binomial block via the
     Poisson-binomial count recurrence, so the dense sweep runs once per
     distinct shift instead of once per fault, in place over a single
-    array. Versus {!grid_of_vectors_naive} the block coalescing both
+    array. Versus the one-sweep-per-fault reference in
+    [Check.Reference] the block coalescing both
     associates same-shift products differently and reorders the dense
     passes by ascending shift: the two paths agree to rounding (see
     EXPERIMENTS.md for the tolerance policy), exactly bit-identical only
     when every shift is unique and the faults already appear in
     ascending-shift order. *)
 
-val grid_of_vectors_naive :
-  probs:float array -> values:float array -> bins:int -> unit -> t
-(** The historical one-dense-sweep-per-fault grid pass, retained as the
-    reference side of the fast-vs-legacy differential oracle. Same
-    rounding, sizing and input policy as {!grid_of_vectors}. *)
+val validate_exact :
+  what:string -> probs:float array -> values:float array -> unit
+(** The reject policy of {!exact_of_vectors}: raises [Invalid_argument]
+    prefixed by [what] on the inputs listed there. *)
+
+type grid_layout = {
+  step : float;  (** total_q / (bins - 1), or 1 when total_q = 0 *)
+  shifts : int array;
+      (** each fault's value rounded to a whole number of steps (0 for a
+          fault with p = 0) *)
+  len : int;
+      (** dense array length: [bins], or more when rounding up pushes
+          the all-faults subset past the top bin *)
+}
+
+val grid_layout :
+  what:string ->
+  probs:float array ->
+  values:float array ->
+  bins:int ->
+  grid_layout
+(** The grid {!grid_of_vectors} convolves on, after its reject policy
+    (the {!validate_exact} checks without the fault limit, plus
+    [bins >= 2], raising [Invalid_argument] prefixed by [what]). *)
 
 val grid_single : Universe.t -> bins:int -> t
 val grid_pair : Universe.t -> bins:int -> t

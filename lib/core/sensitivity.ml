@@ -70,12 +70,6 @@ let risk_ratio_gradient ps =
   let partial = incremental_partials ps in
   Array.init (Array.length ps) partial
 
-(* Retained O(n^2) reference path: each partial an independent O(n)
-   Kahan sum. The differential-oracle anchor for the incremental path
-   above. *)
-let risk_ratio_gradient_naive ps =
-  Array.init (Array.length ps) (risk_ratio_partial ps)
-
 let risk_ratio_k_derivative ~b ~k =
   (* Chain rule for p_i = k b_i: dR/dk = sum_i b_i dR/dp_i. Appendix B
      proves this is non-negative for 0 <= k b_i <= 1. O(n) via the same
@@ -83,10 +77,6 @@ let risk_ratio_k_derivative ~b ~k =
   let ps = Array.map (fun bi -> k *. bi) b in
   let partial = incremental_partials ps in
   Kahan.sum_over (Array.length b) (fun i -> b.(i) *. partial i)
-
-let risk_ratio_k_derivative_naive ~b ~k =
-  let ps = Array.map (fun bi -> k *. bi) b in
-  Kahan.sum_over (Array.length b) (fun i -> b.(i) *. risk_ratio_partial ps i)
 
 let stationary_p1 ~p2 =
   if p2 <= 0.0 || p2 >= 1.0 then

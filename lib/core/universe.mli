@@ -48,7 +48,6 @@ val scale_all_p : t -> float -> t
 val with_fault : t -> int -> Fault.t -> t
 val set_p : t -> int -> float -> t
 
-val fold : ('a -> Fault.t -> 'a) -> 'a -> t -> 'a
 val iteri : (int -> Fault.t -> unit) -> t -> unit
 val pp : Format.formatter -> t -> unit
 

@@ -5,9 +5,6 @@ let of_int i =
   i
 
 let to_int d = d
-let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
-let pp ppf d = Fmt.pf ppf "demand#%d" d
 
 type coords = { var1 : int; var2 : int }
 

@@ -12,9 +12,6 @@ val of_int : int -> t
 (** Raises [Invalid_argument] on negatives. *)
 
 val to_int : t -> int
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 
 type coords = { var1 : int; var2 : int }
 (** A point of a two-dimensional demand grid, in the paper's Fig. 2 naming. *)

@@ -114,5 +114,3 @@ let shape_name t =
   | Line _ -> "line"
   | Scatter _ -> "scatter"
 
-let pp ppf t =
-  Fmt.pf ppf "region(%s, |.|=%d/%d)" (shape_name t) (cardinal t) t.space_size

@@ -55,4 +55,3 @@ val measure : t -> Profile.t -> float
 (** The region's probability q under the operational profile. *)
 
 val shape_name : t -> string
-val pp : Format.formatter -> t -> unit

@@ -17,7 +17,6 @@ val perfect : Space.t -> t
 
 val space : t -> Space.t
 val present_faults : t -> int list
-val fault_count : t -> int
 
 val failure_set : t -> Numerics.Bitset.t
 (** Union of the version's failure regions. *)

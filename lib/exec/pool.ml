@@ -91,15 +91,10 @@ let shutdown t =
 (* Running a batch                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_sequential n f =
-  let r = Array.init n (fun i -> f i) in
-  Numerics.Rng.flush_draws ();
-  r
-
 let run t ~n f =
   if n < 0 then invalid_arg "Pool.run: negative task count";
   if n = 0 then [||]
-  else if t.size = 1 || n = 1 then run_sequential n f
+  else if t.size = 1 || n = 1 then Array.init n f
   else begin
     (* Results land by index; completion and the first exception are
        tracked under the pool lock, which also publishes the result
@@ -114,11 +109,6 @@ let run t ~n f =
           Mutex.lock t.lock;
           if !first_exn = None then first_exn := Some exn;
           Mutex.unlock t.lock);
-      (* Per-domain RNG draw accounting: merge this domain's pending
-         draw count into the process total before the task is reported
-         done, so Rng.total_draws is exact as soon as the batch joins —
-         one fetch-and-add per task instead of one per draw. *)
-      Numerics.Rng.flush_draws ();
       Mutex.lock t.lock;
       decr remaining;
       if !remaining = 0 then Condition.broadcast t.work_done;

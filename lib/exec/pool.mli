@@ -26,9 +26,9 @@ val run : t -> n:int -> (int -> 'a) -> 'a array
     returns the results in index order. Tasks must depend only on their
     index, never on placement or completion order. If any task raises,
     one of the raised exceptions is re-raised after all tasks finish.
-    Blocks until the whole batch is done. Every task flushes its
-    domain's pending RNG draw count ({!Numerics.Rng.flush_draws}) on
-    completion, so [Numerics.Rng.total_draws] is exact once [run]
+    Blocks until the whole batch is done. Each task is reported done
+    under the pool lock, so everything a task wrote (its results, its
+    domain's RNG draw count) is visible to the caller once [run]
     returns. *)
 
 val shutdown : t -> unit

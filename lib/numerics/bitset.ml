@@ -82,4 +82,3 @@ let of_list size l =
   List.iter (fun i -> set t i) l;
   t
 
-let equal a b = a.size = b.size && a.words = b.words

@@ -43,4 +43,3 @@ val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
 val of_list : int -> int list -> t
-val equal : t -> t -> bool

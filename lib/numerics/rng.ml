@@ -6,45 +6,35 @@
    bit-identical to the record representation. *)
 type t = { st : Bytes.t; mutable draws : int }
 
-(* Process-wide draw total across every generator, for run telemetry.
-   The hot loop never touches this atomic: each domain accumulates its
-   draws in a domain-local pending counter (one plain int store per
-   draw, no shared cache line), and the pending count is merged with a
-   single fetch-and-add per flush — [Exec.Pool] flushes every worker at
-   task join, and [total_draws] flushes the calling domain, so the
-   total is exact at every parallel join point and on every sequential
-   read. *)
-let total = Atomic.make 0 (* divlint: allow domain-containment *)
+(* Draw accounting. Each domain counts its draws in its own block: one
+   plain int store per draw, no atomic. The count is cumulative and
+   never reset, so [local_draws] is a plain read and [total_draws] sums
+   every block ever registered (a finished domain's block stays, so its
+   draws stay counted). A block is registered once, when its domain
+   first draws. The sum is exact whenever every other domain's last draw
+   happens-before the read: after any [Exec.Pool.run] join (the pool's
+   mutex hand-off) and on any purely sequential read.
 
-(* A domain's pending count is the middle word of its own 17-word block,
-   so any 64-byte cache line holding it lies inside the block and no
-   other domain writes that line. Bare [ref 0] cells of two domains were
-   seen to share a line: `all --seed 42` at 2 domains then took about
-   twice the CPU time, depending on the build's heap layout. *)
-let pending_slot = 8
+   The count is the middle word of a 17-word block, so any 64-byte cache
+   line holding it lies inside the block and no other domain writes that
+   line. Bare [ref 0] cells of two domains were seen to share a line:
+   `all --seed 42` at 2 domains then took about twice the CPU time,
+   depending on the build's heap layout. *)
+let count_slot = 8
+let registry_lock = Mutex.create ()
+let registry : int array list ref = ref []
 
-let pending : int array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make ((2 * pending_slot) + 1) 0)
+let counts : int array Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let block = Array.make ((2 * count_slot) + 1) 0 in
+      Mutex.protect registry_lock (fun () -> registry := block :: !registry);
+      block)
 
-(* Cumulative draws already flushed by this domain. Together with the
-   pending counter this gives [local_draws] — an exact per-domain draw
-   total that needs no atomic on the draw path and survives flushes, so
-   single-domain request handlers (lib/serve) can meter the draws of one
-   evaluation as a delta around it. *)
-let flushed : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+let local_draws () = (Domain.DLS.get counts).(count_slot)
 
-let flush_draws () =
-  let p = Domain.DLS.get pending in
-  let n = p.(pending_slot) in
-  if n <> 0 then begin
-    ignore (Atomic.fetch_and_add total n) (* divlint: allow domain-containment *);
-    let f = Domain.DLS.get flushed in
-    f := !f + n;
-    p.(pending_slot) <- 0
-  end
-
-let local_draws () =
-  !(Domain.DLS.get flushed) + (Domain.DLS.get pending).(pending_slot)
+let total_draws () =
+  Mutex.protect registry_lock (fun () ->
+      List.fold_left (fun acc block -> acc + block.(count_slot)) 0 !registry)
 
 (* splitmix64: used to expand a seed into the xoshiro state, and to derive
    independent substreams. *)
@@ -77,8 +67,8 @@ let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (
 (* xoshiro256++ *)
 let next_int64 t =
   t.draws <- t.draws + 1;
-  let p = Domain.DLS.get pending in
-  p.(pending_slot) <- p.(pending_slot) + 1;
+  let p = Domain.DLS.get counts in
+  p.(count_slot) <- p.(count_slot) + 1;
   let st = t.st in
   let open Int64 in
   let s0 = Bytes.get_int64_ne st 0
@@ -108,10 +98,6 @@ let split_seed t ~index =
 let split t ~index = create ~seed:(split_seed t ~index)
 
 let draws t = t.draws
-
-let total_draws () =
-  flush_draws ();
-  Atomic.get total (* divlint: allow domain-containment *)
 
 let float t =
   (* 53 high bits -> uniform in [0, 1). *)

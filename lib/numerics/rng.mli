@@ -38,27 +38,18 @@ val draws : t -> int
 val total_draws : unit -> int
 (** Process-wide draw total across every generator ever created, for run
     telemetry (e.g. draws consumed by one experiment = difference around
-    the call). Draws are accumulated in a per-domain pending counter and
-    merged into the shared total at flush points — this call flushes the
-    calling domain, and [Exec.Pool] flushes every worker domain when a
-    task joins — so the value is exact after any parallel region and on
-    any purely sequential read, without an atomic operation per draw. *)
+    the call): the sum of every domain's {!local_draws}. Exact whenever
+    every other domain's draws happen-before the call — after any
+    [Exec.Pool.run] returns, and on any purely sequential read — with no
+    atomic operation per draw. *)
 
 val local_draws : unit -> int
 (** Cumulative raw draws made by the calling domain across every
-    generator it has driven (flushed or still pending — flushing never
-    resets this). A computation confined to one domain consumes exactly
-    [local_draws () - before] draws, which is how the assessment
-    service meters the cost of a single request without touching the
-    process-wide atomic: each served request evaluates wholly on one
-    pool worker, so the per-domain delta is exact. *)
-
-val flush_draws : unit -> unit
-(** Merge the calling domain's pending draw count into the process-wide
-    total. {!total_draws} calls this for the current domain; worker pools
-    must call it on each worker at task completion so totals observed
-    after a join are exact (lib/exec does). Idempotent and cheap when
-    nothing is pending. *)
+    generator it has driven (never reset). A computation confined to one
+    domain consumes exactly [local_draws () - before] draws, which is
+    how the assessment service meters the cost of a single request:
+    each served request evaluates wholly on one pool worker, so the
+    per-domain delta is exact. *)
 
 val float : t -> float
 (** Uniform draw in [0, 1) with 53 bits of precision. *)

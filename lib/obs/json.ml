@@ -4,7 +4,7 @@
    this one module so that every artefact we emit — metrics snapshots,
    Chrome trace files, JSONL run logs, BENCH_kernels.json — is produced by
    a single audited serializer. The parser reads the serve wire protocol
-   and evidence run logs, and lets tests and the benchcheck gate verify
+   and evidence run logs, and lets tests and `benchdiff check` verify
    well-formedness without external dependencies. *)
 
 type t =

@@ -3,7 +3,7 @@
     Every artefact the telemetry layer emits (metrics snapshots, Chrome
     trace files, JSONL run logs, [BENCH_kernels.json]) goes through
     {!render}. {!parse} reads the two untrusted inputs, serve requests
-    and evidence run logs, and lets tests and the benchcheck CI gate
+    and evidence run logs, and lets tests and the [benchdiff check] gate
     verify well-formedness without external dependencies. *)
 
 type t =

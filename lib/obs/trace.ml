@@ -17,7 +17,6 @@
 
 let enabled = ref false
 let set_enabled b = enabled := b
-let is_enabled () = !enabled
 
 (* The shard id is domain-local state: the main domain (and any code
    outside a sharded region) reports shard 0. *)

@@ -12,7 +12,6 @@
     from multiple domains. *)
 
 val set_enabled : bool -> unit
-val is_enabled : unit -> bool
 
 val with_shard : int -> (unit -> 'a) -> 'a
 (** [with_shard k f] runs [f] with spans attributed to shard [k]

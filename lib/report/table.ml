@@ -53,4 +53,3 @@ let render t =
     t.rows;
   Buffer.contents buf
 
-let print t = print_string (render t)

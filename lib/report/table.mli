@@ -25,5 +25,3 @@ val rows : t -> cell list list
 
 val render : t -> string
 (** Aligned text rendering with a title line. *)
-
-val print : t -> unit

@@ -43,8 +43,8 @@ type stats = {
   batches : int;  (** pool batches dispatched. *)
   draws_total : int;
       (** exact RNG draws consumed over the server's lifetime
-          ({!Numerics.Rng.total_draws} delta; workers flush at batch
-          join, so this is exact). *)
+          ({!Numerics.Rng.total_draws} delta, read between batches,
+          after each pool join, so it is exact). *)
 }
 
 val serve : ?on_ready:(int option -> unit) -> config -> stats

@@ -1,4 +1,10 @@
-(* Relative step of the central and partial differences. *)
+(* Finite-difference derivatives: the numerical reference the analytic
+   derivatives of the risk ratio (Appendices A and B) and the tail-bound
+   log-MGF are checked against. Compiled into the test executables only;
+   no library code differentiates numerically. *)
+
+(* Relative step of the central and partial differences (the partial
+   does not mutate its input point). *)
 let h = 1e-6
 
 let central f x =
@@ -26,6 +32,7 @@ let partial f x i =
 
 let gradient f x = Array.init (Array.length x) (fun i -> partial f x i)
 
+(* Three-point stencil, relative step 1e-4. *)
 let second f x =
   let h = 1e-4 *. max 1.0 (abs_float x) in
   (f (x +. h) -. (2.0 *. f x) +. f (x -. h)) /. (h *. h)

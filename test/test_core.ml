@@ -219,6 +219,22 @@ let test_nk_consistency () =
 (* Sensitivity                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The finite-difference reference itself, on functions with known
+   derivatives. *)
+let test_deriv () =
+  Prop.check_close ~eps:1e-7 "central d/dx sin at 0.7" (cos 0.7)
+    (Deriv.central sin 0.7);
+  Prop.check_close ~eps:1e-9 "richardson d/dx sin at 0.7" (cos 0.7)
+    (Deriv.richardson sin 0.7);
+  Prop.check_close ~eps:1e-5 "second derivative of x^3 at 2" 12.0
+    (Deriv.second (fun x -> x ** 3.0) 2.0)
+
+let test_deriv_gradient () =
+  let f x = (x.(0) *. x.(0)) +. (3.0 *. x.(1)) in
+  let g = Deriv.gradient f [| 2.0; 5.0 |] in
+  Prop.check_close ~eps:1e-6 "df/dx0" 4.0 g.(0);
+  Prop.check_close ~eps:1e-6 "df/dx1" 3.0 g.(1)
+
 let test_partial_matches_numerical () =
   let rng = rng0 () in
   for _ = 1 to 50 do
@@ -229,7 +245,7 @@ let test_partial_matches_numerical () =
     let i = Numerics.Rng.int rng n in
     let analytic = Core.Sensitivity.risk_ratio_partial ps i in
     let numeric =
-      Numerics.Deriv.partial
+      Deriv.partial
         (fun v -> Core.Fault_count.risk_ratio_of_ps v)
         ps i
     in
@@ -722,6 +738,11 @@ let () =
             test_poisson_binomial_binomial_case;
           Alcotest.test_case "count moments" `Quick test_poisson_binomial_moments;
           Alcotest.test_case "nk consistency" `Quick test_nk_consistency;
+        ] );
+      ( "deriv-reference",
+        [
+          Alcotest.test_case "deriv" `Quick test_deriv;
+          Alcotest.test_case "gradient" `Quick test_deriv_gradient;
         ] );
       ( "sensitivity",
         [

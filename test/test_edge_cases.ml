@@ -141,23 +141,24 @@ let test_grid_dist_with_null_region () =
   Prop.check_close ~eps:1e-6 "grid handles zero-measure regions"
     (Core.Moments.mu1 u) (Core.Pfd_dist.mean g)
 
-(* Boundary policy of the Pfd_dist convolvers: reject. Every entry point
-   raises Invalid_argument naming itself and the first offending index,
-   and accepts the closed edges p in {0, 1}, q = 0 and subnormal q. *)
+(* Boundary policy of the Pfd_dist convolvers and their Check.Reference
+   counterparts: reject. Every entry point raises Invalid_argument
+   naming itself and the first offending index, and accepts the closed
+   edges p in {0, 1}, q = 0 and subnormal q. *)
 let test_pfd_dist_rejects_out_of_range () =
   let entry_points =
     [
-      ( "exact_of_vectors",
+      ( "Pfd_dist.exact_of_vectors",
         fun probs values -> Core.Pfd_dist.exact_of_vectors ~probs ~values () );
-      ( "exact_of_vectors_naive",
+      ( "Reference.exact_of_vectors_naive",
         fun probs values ->
-          Core.Pfd_dist.exact_of_vectors_naive ~probs ~values () );
-      ( "grid_of_vectors",
+          Check.Reference.exact_of_vectors_naive ~probs ~values () );
+      ( "Pfd_dist.grid_of_vectors",
         fun probs values ->
           Core.Pfd_dist.grid_of_vectors ~probs ~values ~bins:64 () );
-      ( "grid_of_vectors_naive",
+      ( "Reference.grid_of_vectors_naive",
         fun probs values ->
-          Core.Pfd_dist.grid_of_vectors_naive ~probs ~values ~bins:64 () );
+          Check.Reference.grid_of_vectors_naive ~probs ~values ~bins:64 () );
     ]
   in
   let rejected =
@@ -175,7 +176,7 @@ let test_pfd_dist_rejects_out_of_range () =
       List.iter
         (fun (probs, values, detail) ->
           Alcotest.check_raises name
-            (Invalid_argument ("Pfd_dist." ^ name ^ ": " ^ detail))
+            (Invalid_argument (name ^ ": " ^ detail))
             (fun () -> ignore (f probs values)))
         rejected;
       let d = f [| 0.0; 1.0; 0.5 |] [| 0.3; 0.2; 5e-324 |] in

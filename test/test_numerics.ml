@@ -473,7 +473,7 @@ let test_bitset_bounds () =
       ignore (Bitset.mem b 10))
 
 (* ------------------------------------------------------------------ *)
-(* Rootfind / Deriv / Grid                                             *)
+(* Rootfind / Grid                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_rootfind_bisect () =
@@ -490,20 +490,6 @@ let test_rootfind_brent () =
 let test_rootfind_golden () =
   let m = Rootfind.minimize_golden (fun x -> (x -. 1.5) ** 2.0) ~lo:0.0 ~hi:4.0 in
   Prop.check_close ~eps:1e-6 "minimum of parabola" 1.5 m
-
-let test_deriv () =
-  Prop.check_close ~eps:1e-7 "central d/dx sin at 0.7" (cos 0.7)
-    (Deriv.central sin 0.7);
-  Prop.check_close ~eps:1e-9 "richardson d/dx sin at 0.7" (cos 0.7)
-    (Deriv.richardson sin 0.7);
-  Prop.check_close ~eps:1e-5 "second derivative of x^3 at 2" 12.0
-    (Deriv.second (fun x -> x ** 3.0) 2.0)
-
-let test_deriv_gradient () =
-  let f x = (x.(0) *. x.(0)) +. (3.0 *. x.(1)) in
-  let g = Deriv.gradient f [| 2.0; 5.0 |] in
-  Prop.check_close ~eps:1e-6 "df/dx0" 4.0 g.(0);
-  Prop.check_close ~eps:1e-6 "df/dx1" 3.0 g.(1)
 
 let test_grid () =
   let ls = Grid.linspace ~lo:0.0 ~hi:1.0 ~n:5 in
@@ -741,8 +727,6 @@ let () =
           Alcotest.test_case "bisect" `Quick test_rootfind_bisect;
           Alcotest.test_case "brent" `Quick test_rootfind_brent;
           Alcotest.test_case "golden" `Quick test_rootfind_golden;
-          Alcotest.test_case "deriv" `Quick test_deriv;
-          Alcotest.test_case "gradient" `Quick test_deriv_gradient;
           Alcotest.test_case "grid" `Quick test_grid;
         ] );
       ( "histogram-ks",

@@ -381,7 +381,7 @@ let test_prop_campaign_invariance () =
    policy, judged by the same helpers the registry oracle uses. *)
 let check_gradient_agreement name ps =
   let fast = Core.Sensitivity.risk_ratio_gradient ps in
-  let naive = Core.Sensitivity.risk_ratio_gradient_naive ps in
+  let naive = Check.Reference.risk_ratio_gradient_naive ps in
   check_int (name ^ ": length") (Array.length naive) (Array.length fast);
   Prop.check_close
     ~eps:(Check.Reference.gradient_tol naive)
@@ -406,7 +406,7 @@ let test_prop_gradient_incremental_vs_naive () =
       let b = Core.Universe.ps u in
       let k = 0.7 in
       let dk = Core.Sensitivity.risk_ratio_k_derivative ~b ~k in
-      let dk_naive = Core.Sensitivity.risk_ratio_k_derivative_naive ~b ~k in
+      let dk_naive = Check.Reference.risk_ratio_k_derivative_naive ~b ~k in
       Prop.check_close
         ~eps:(1e-12 *. (1.0 +. Float.abs dk_naive))
         "dR/dk agrees" dk_naive dk)
@@ -421,7 +421,7 @@ let test_prop_exact_fast_vs_legacy () =
       let values = Core.Universe.qs u in
       let check_for name probs =
         let fast = Core.Pfd_dist.exact_of_vectors ~probs ~values () in
-        let legacy = Core.Pfd_dist.exact_of_vectors_naive ~probs ~values () in
+        let legacy = Check.Reference.exact_of_vectors_naive ~probs ~values () in
         check_bits (name ^ ": support") (Core.Pfd_dist.support legacy)
           (Core.Pfd_dist.support fast);
         check_bits (name ^ ": masses") (Core.Pfd_dist.masses legacy)
@@ -440,7 +440,7 @@ let test_prop_exact_fast_vs_legacy () =
 let check_grid_fast_vs_legacy (u, bins) =
   let probs = Core.Universe.ps u and values = Core.Universe.qs u in
   let fast = Core.Pfd_dist.grid_of_vectors ~probs ~values ~bins () in
-  let legacy = Core.Pfd_dist.grid_of_vectors_naive ~probs ~values ~bins () in
+  let legacy = Check.Reference.grid_of_vectors_naive ~probs ~values ~bins () in
   (* replicate the kernel's shift rounding to decide which claim
      applies to this case *)
   let total = Kahan.sum_array values in

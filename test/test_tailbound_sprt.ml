@@ -16,7 +16,7 @@ let test_log_mgf_derivative_is_mean () =
   let probs = [| 0.5; 0.2; 0.1 |] and values = [| 0.1; 0.3; 0.05 |] in
   let mean = Numerics.Kahan.dot probs values in
   let d =
-    Numerics.Deriv.richardson
+    Deriv.richardson
       (fun l -> Core.Tail_bound.log_mgf ~probs ~values l)
       0.0
   in

@@ -15,7 +15,7 @@ type rule =
   | Random_use  (** R2: [Stdlib.Random] outside [lib/numerics/rng.ml] *)
   | Float_sum  (** R3: naive [+.] accumulation via [fold_left] *)
   | Missing_mli  (** R4: [lib/] module without an interface file *)
-  | Print_effect  (** R5: printing side effect in [lib/] outside [lib/report/] *)
+  | Print_effect  (** R5: printing side effect anywhere in [lib/] *)
   | Partial_fun  (** R6: partial function ([List.hd] / [List.nth] / [Option.get]) *)
   | Wallclock
       (** R7: non-monotonic time source ([Unix.gettimeofday] / [Unix.time] /
