@@ -49,7 +49,7 @@ let () =
 
   (* Step 3: a Section 5 style confidence bound from the recovered
      moments. *)
-  let k = Numerics.Normal_dist.k_of_confidence 0.99 in
+  let k = Numerics.Normal_dist.ppf 0.99 in
   let bound = mu_hat +. (k *. sqrt var_hat) in
   Fmt.pr "@.99%% mu+k*sigma bound from field data: %.5f@." bound;
   let model_bound = Core.Normal_approx.pair_bound u ~k in

@@ -11,7 +11,7 @@ let () =
     Core.Universe.power_law_random rng ~n:25 ~p_lo:0.01 ~p_hi:0.35
       ~q_exponent:(-1.2) ~total_q:0.3
   in
-  let k = Core.Normal_approx.k_of_confidence 0.99 in
+  let k = Numerics.Normal_dist.ppf 0.99 in
   let describe label u =
     Fmt.pr "%-34s mu1=%.5f  bound99=%.5f  pair mu2=%.6f  risk ratio=%.4f@."
       label (Core.Moments.mu1 u)

@@ -9,9 +9,9 @@ let difficulty space demand_id =
     if Bitset.mem (Region.members (Demandspace.Space.region space i)) demand_id
     then
       acc :=
-        !acc +. Special.log1p (-.Demandspace.Space.introduction_prob space i)
+        !acc +. Float.log1p (-.Demandspace.Space.introduction_prob space i)
   done;
-  -.Special.expm1 !acc
+  -.Float.expm1 !acc
 
 let mean_single space =
   let profile = Demandspace.Space.profile space in

@@ -33,9 +33,9 @@ let difficulty_with probs space demand_id =
   let acc = ref 0.0 in
   for i = 0 to Demandspace.Space.fault_count space - 1 do
     if Bitset.mem (Region.members (Demandspace.Space.region space i)) demand_id
-    then acc := !acc +. Special.log1p (-.probs.(i))
+    then acc := !acc +. Float.log1p (-.probs.(i))
   done;
-  -.Special.expm1 !acc
+  -.Float.expm1 !acc
 
 let difficulty_a t x = difficulty_with t.probs_a t.space x
 let difficulty_b t x = difficulty_with t.probs_b t.space x

@@ -2,16 +2,48 @@
    oracles and the property suite (test/test_prop.ml), so both harnesses
    judge a rewrite against the same reference. *)
 
-open Simulator
+open Core.Voting
+
+(* The per-demand path the compiled verdict bitsets of
+   [Simulator.Protection] replaced: one channel output per demand, read
+   off the version's failure set and the self-check set, adjudicated as
+   a list. A demand is, by definition, a plant state requiring
+   intervention; a correct channel commands shutdown. *)
+let respond channel demand =
+  if Demandspace.Version.fails_on (Simulator.Channel.version channel) demand
+  then
+    match Simulator.Channel.self_check channel with
+    | Some s when Numerics.Bitset.mem s (Demandspace.Demand.to_int demand) ->
+        Abstain
+    | Some _ | None -> No_action
+  else Shutdown
+
+let combine policy outputs =
+  (match outputs with
+  | [] -> invalid_arg "Reference.combine: no channel outputs"
+  | _ :: _ -> ());
+  let shutdowns, no_actions, abstains =
+    List.fold_left
+      (fun (s, na, ab) o ->
+        match o with
+        | Shutdown -> (s + 1, na, ab)
+        | No_action -> (s, na + 1, ab)
+        | Abstain -> (s, na, ab + 1))
+      (0, 0, 0) outputs
+  in
+  if policy_min_channels policy > shutdowns + no_actions + abstains then
+    invalid_arg "Reference.combine: more votes required than channels";
+  decide policy ~shutdowns ~no_actions ~abstains
+
+let system_fails policy outputs =
+  not (equal_decision (combine policy outputs) Shutdown)
 
 (* The seed's adjudicator, reimplemented verbatim (polymorphic equality,
    double traversal and all) as the reference the calculus must
    bit-match on its legacy domain. *)
 let legacy_combine ~required outputs =
-  let shutdowns =
-    List.length (List.filter (fun o -> o = Channel.Shutdown) outputs)
-  in
-  if shutdowns >= required then Channel.Shutdown else Channel.No_action
+  let shutdowns = List.length (List.filter (fun o -> o = Shutdown) outputs) in
+  if shutdowns >= required then Shutdown else No_action
 
 (* Independent evaluator of the graceful-degradation scenario — a 2-of-3
    vote falling back to an OR when abstentions break the quorum —
@@ -19,13 +51,13 @@ let legacy_combine ~required outputs =
    counts algebra. *)
 let reference_cascade outs =
   let count p = List.length (List.filter p outs) in
-  let shut = count (fun o -> Channel.equal o Channel.Shutdown) in
-  let active = count (fun o -> not (Channel.equal o Channel.Abstain)) in
-  if shut >= 2 then Channel.Shutdown
-  else if active >= 2 then Channel.No_action
-  else if shut >= 1 then Channel.Shutdown
-  else if active >= 1 then Channel.No_action
-  else Channel.Abstain
+  let shut = count (fun o -> equal_decision o Shutdown) in
+  let active = count (fun o -> not (equal_decision o Abstain)) in
+  if shut >= 2 then Shutdown
+  else if active >= 2 then No_action
+  else if shut >= 1 then Shutdown
+  else if active >= 1 then No_action
+  else Abstain
 
 let shuffle rng l =
   let a = Array.of_list l in

@@ -1,13 +1,35 @@
 (** Reference evaluators and agreement helpers, one copy each, shared by
     the registry oracles ({!Registry}) and the property suite. *)
 
+(** {1 Per-demand adjudication}
+
+    The list-level path that {!Simulator.Protection.create}'s compiled
+    verdict bitsets replaced, kept as the reference side of the
+    [compiled protection = per-demand adjudication] property and of the
+    list-path oracles. *)
+
+val respond : Simulator.Channel.t -> Demandspace.Demand.t -> Core.Voting.decision
+(** A channel's output on a demand: [Shutdown] off its version's failure
+    set; on it, [Abstain] when the self-check covers the demand,
+    [No_action] otherwise. *)
+
+val combine : Core.Voting.policy -> Core.Voting.decision list -> Core.Voting.decision
+(** {!Core.Voting.decide} of the counts of a vector of channel outputs.
+    Raises [Invalid_argument] on an empty output list or when the policy
+    needs more channels than are present
+    ({!Core.Voting.policy_min_channels}). *)
+
+val system_fails : Core.Voting.policy -> Core.Voting.decision list -> bool
+(** True when the combined output is not [Shutdown] — the plant misses
+    the intervention whether the verdict is [No_action] or an unresolved
+    [Abstain]. *)
+
 val legacy_combine :
-  required:int -> Simulator.Channel.output list -> Simulator.Channel.output
+  required:int -> Core.Voting.decision list -> Core.Voting.decision
 (** The seed's M-out-of-N adjudicator, reimplemented verbatim: shut down
     iff at least [required] channels demand it. *)
 
-val reference_cascade :
-  Simulator.Channel.output list -> Simulator.Channel.output
+val reference_cascade : Core.Voting.decision list -> Core.Voting.decision
 (** [fallback (vote 2) (vote 1)] evaluated directly over the output list,
     with no reference to the counts algebra. *)
 

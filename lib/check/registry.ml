@@ -104,7 +104,7 @@ let voting_vs_executable_adjudicator =
   Oracle.make ~id:"voting-vs-executable-adjudicator"
     ~description:
       "Voting.mu vs concretely developed versions behind the executable \
-       Simulator.Adjudicator (full demand-space sweep per replication)"
+       Simulator.Protection (full demand-space sweep per replication)"
     (fun s ->
       let u = Scenario.universe s and arch = Scenario.arch s in
       let r = max 60 (Scenario.replications s / 8) in
@@ -427,34 +427,34 @@ let fleet_vs_moments =
    in the other. *)
 let rec random_term rng ~depth =
   let leaf () =
-    if Rng.int rng 4 = 0 then Simulator.Adjudicator.unit
-    else Simulator.Adjudicator.vote ~required:(1 + Rng.int rng 4)
+    if Rng.int rng 4 = 0 then Core.Voting.Unit
+    else Core.Voting.vote ~required:(1 + Rng.int rng 4)
   in
   if depth <= 0 then leaf ()
   else
     match Rng.int rng 4 with
     | 0 | 1 -> leaf ()
     | 2 ->
-        Simulator.Adjudicator.compose
+        Core.Voting.compose
           (random_term rng ~depth:(depth - 1))
           (random_term rng ~depth:(depth - 1))
     | _ ->
-        Simulator.Adjudicator.fallback
+        Core.Voting.fallback
           (random_term rng ~depth:(depth - 1))
           (random_term rng ~depth:(depth - 1))
 
 let random_outputs rng ~n ~abstaining =
   List.init n (fun _ ->
       match Rng.int rng (if abstaining then 3 else 2) with
-      | 0 -> Simulator.Channel.Shutdown
-      | 1 -> Simulator.Channel.No_action
-      | _ -> Simulator.Channel.Abstain)
+      | 0 -> Core.Voting.Shutdown
+      | 1 -> Core.Voting.No_action
+      | _ -> Core.Voting.Abstain)
 
 (* A vector long enough for every sub-term the law rewrites [term] into:
-   combine raises below [min_channels], and the laws quantify over
+   combine raises below [policy_min_channels], and the laws quantify over
    vectors both sides accept. *)
 let random_vector_for rng term ~abstaining =
-  let n = Simulator.Adjudicator.min_channels term + Rng.int rng 5 in
+  let n = Core.Voting.policy_min_channels term + Rng.int rng 5 in
   random_outputs rng ~n ~abstaining
 
 (* The law oracles draw their cases with [Array.init], which evaluates
@@ -472,12 +472,11 @@ let adjudication_unit_identity =
             let t = random_term rng ~depth:3 in
             let outs = random_vector_for rng t ~abstaining:true in
             let decides t' =
-              Simulator.Channel.equal
-                (Simulator.Adjudicator.combine t' outs)
-                (Simulator.Adjudicator.combine t outs)
+              Core.Voting.equal_decision
+                (Reference.combine t' outs)
+                (Reference.combine t outs)
             in
-            Simulator.Adjudicator.
-              (decides (compose unit t), decides (compose t unit)))
+            Core.Voting.(decides (compose Unit t), decides (compose t Unit)))
       in
       [
         ("compose unit t ≡ t", Compare.law (Array.map fst holds));
@@ -495,9 +494,9 @@ let adjudication_vote_permutation =
         Array.init 200 (fun _ ->
             let t = random_term rng ~depth:3 in
             let outs = random_vector_for rng t ~abstaining:true in
-            let a = Simulator.Adjudicator.combine t outs in
-            Simulator.Channel.equal a
-              (Simulator.Adjudicator.combine t (Reference.shuffle rng outs)))
+            let a = Reference.combine t outs in
+            Core.Voting.equal_decision a
+              (Reference.combine t (Reference.shuffle rng outs)))
       in
       [ ("combine t (perm v) ≡ combine t v", Compare.law holds) ])
 
@@ -512,9 +511,9 @@ let adjudication_fallback_idempotent =
         Array.init 200 (fun _ ->
             let t = random_term rng ~depth:3 in
             let outs = random_vector_for rng t ~abstaining:false in
-            Simulator.Channel.equal
-              (Simulator.Adjudicator.(combine (fallback t t)) outs)
-              (Simulator.Adjudicator.combine t outs))
+            Core.Voting.equal_decision
+              (Reference.combine (Core.Voting.fallback t t) outs)
+              (Reference.combine t outs))
       in
       [ ("fallback t t ≡ t (abstain-free)", Compare.law holds) ])
 
@@ -535,15 +534,15 @@ let adjudication_vote_vs_legacy =
                   let outs = random_outputs rng ~n ~abstaining:false in
                   Array.init n (fun i ->
                       let required = i + 1 in
-                      let t = Simulator.Adjudicator.m_out_of_n ~required in
+                      let t = Core.Voting.vote ~required in
                       let legacy = Reference.legacy_combine ~required outs in
-                      ( Simulator.Channel.equal
-                          (Simulator.Adjudicator.combine t outs)
+                      ( Core.Voting.equal_decision
+                          (Reference.combine t outs)
                           legacy,
-                        Simulator.Adjudicator.system_fails t outs
+                        Reference.system_fails t outs
                         = not
-                            (Simulator.Channel.equal legacy
-                               Simulator.Channel.Shutdown) )))))
+                            (Core.Voting.equal_decision legacy
+                               Core.Voting.Shutdown) )))))
       in
       [
         ("combine ≡ legacy decision", Compare.law (Array.map fst holds));
@@ -560,21 +559,19 @@ let adjudication_graceful_degradation =
     (fun s ->
       let rng = Oracle.rng s ~salt:18 in
       let cascade =
-        Simulator.Adjudicator.(
-          fallback (vote ~required:2) (vote ~required:1))
+        Core.Voting.(fallback (vote ~required:2) (vote ~required:1))
       in
       let channels = 3 and detection = 0.35 in
       let holds =
         Array.init 300 (fun _ ->
             let outs = random_outputs rng ~n:channels ~abstaining:true in
-            Simulator.Channel.equal
-              (Simulator.Adjudicator.combine cascade outs)
+            Core.Voting.equal_decision
+              (Reference.combine cascade outs)
               (Reference.reference_cascade outs))
       in
       let u = Scenario.universe s in
-      let policy = Simulator.Adjudicator.policy cascade in
-      let mu = Core.Voting.policy_mu policy ~channels ~detection u in
-      let sigma = Core.Voting.policy_sigma policy ~channels ~detection u in
+      let mu = Core.Voting.policy_mu cascade ~channels ~detection u in
+      let sigma = Core.Voting.policy_sigma cascade ~channels ~detection u in
       let bound = Core.Universe.total_q u in
       let r = Scenario.replications s in
       let list_samples =

@@ -42,7 +42,7 @@ let voted rng universe ~arch ~replications =
   { pfds; system_faulty = !system_faulty; single_faulty = !single_faulty }
 
 (* Full-stack simulation: concrete versions over the demand space,
-   executable channels behind the M-out-of-N [Simulator.Adjudicator],
+   executable channels behind an M-out-of-N [Core.Voting] adjudicator,
    exact system PFD from the verdict bitset [Protection.create]
    compiles. Exercises the entire executable path the abstract sampler
    above bypasses. *)
@@ -77,9 +77,9 @@ let concrete_pairs rng space ~replications =
 
 (* Adjudicated-system sampler through the *list* path: per replication,
    develop [channels] abstract fault sets and, per fault, build the
-   actual [Channel.output] vector (clean channel -> Shutdown, undetected
+   actual output vector (clean channel -> Shutdown, undetected
    carrier -> No_action, self-detected carrier -> Abstain) and hand it
-   to [Adjudicator.combine]. Independent of both the counts fast path
+   to [Reference.combine]. Independent of both the counts fast path
    ([Devteam.adjudicated_system_pfd], the counts table
    [Protection.create] compiles with) and the closed form
    ([Voting.policy_defeat_prob]): a bug in the fold, the counts table or
@@ -93,21 +93,21 @@ let adjudicated rng universe ~channels ~detection ~adjudicator ~replications =
   let n = Core.Universe.size universe in
   let ps = Core.Universe.ps universe in
   let qs = Core.Universe.qs universe in
-  let outputs = Array.make_matrix channels n Simulator.Channel.Shutdown in
+  let outputs = Array.make_matrix channels n Core.Voting.Shutdown in
   Array.init replications (fun _ ->
       for c = 0 to channels - 1 do
         for i = 0 to n - 1 do
           outputs.(c).(i) <-
             (if Rng.bool rng ~p:ps.(i) then
                if detection > 0.0 && Rng.bool rng ~p:detection then
-                 Simulator.Channel.Abstain
-               else Simulator.Channel.No_action
-             else Simulator.Channel.Shutdown)
+                 Core.Voting.Abstain
+               else Core.Voting.No_action
+             else Core.Voting.Shutdown)
         done
       done;
       Kahan.sum_over n (fun i ->
           let vector = List.init channels (fun c -> outputs.(c).(i)) in
-          if Simulator.Adjudicator.system_fails adjudicator vector then qs.(i)
+          if Reference.system_fails adjudicator vector then qs.(i)
           else 0.0))
 
 let count_positive samples =

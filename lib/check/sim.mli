@@ -5,7 +5,7 @@
     abstract sampler that draws fault sets straight from the universe
     (independent of the [Voting] binomial algebra but sharing its event
     definitions), and a full-stack concrete path (versions over a demand
-    space, executable channels, the real [Simulator.Adjudicator]). A
+    space, executable channels, the compiled [Simulator.Protection]). A
     formula bug in either layer breaks agreement with the other two. *)
 
 type voted_run = {
@@ -48,13 +48,13 @@ val adjudicated :
   Core.Universe.t ->
   channels:int ->
   detection:float ->
-  adjudicator:Simulator.Adjudicator.t ->
+  adjudicator:Core.Voting.policy ->
   replications:int ->
   float array
 (** Sampled PFDs of an adjudicated system through the *list* path: per
-    replication and fault, the actual [Channel.output] vector (clean ->
+    replication and fault, the actual output vector (clean ->
     Shutdown, undetected carrier -> No_action, self-detected carrier ->
-    Abstain) is adjudicated by [Simulator.Adjudicator.combine].
+    Abstain) is adjudicated by {!Reference.combine}.
     Independent of the counts fast path and of
     [Core.Voting.policy_defeat_prob]'s closed form. Raises
     [Invalid_argument] when [replications < 1], [channels < 1] or

@@ -40,7 +40,7 @@ let assess u ~required_bound ~confidence =
     invalid_arg "Assessment.assess: required bound must be positive";
   if confidence <= 0.0 || confidence >= 1.0 then
     invalid_arg "Assessment.assess: confidence must lie strictly in (0, 1)";
-  let k = Normal_approx.k_of_confidence confidence in
+  let k = Numerics.Normal_dist.ppf confidence in
   let single_bound = Normal_approx.single_bound u ~k in
   let pair_bound = Normal_approx.pair_bound u ~k in
   let pair_bound_conservative =
@@ -60,7 +60,7 @@ let assess u ~required_bound ~confidence =
   }
 
 let diversity_gain_summary u ~confidence =
-  let k = Normal_approx.k_of_confidence confidence in
+  let k = Numerics.Normal_dist.ppf confidence in
   let v = assess u ~required_bound:1.0 ~confidence in
   let mean_gain = Moments.mean_gain u in
   let bound_gain =

@@ -1,14 +1,14 @@
 open Numerics
 
 let log_prob_none ps =
-  Kahan.sum_over (Array.length ps) (fun i -> Special.log1p (-.ps.(i)))
+  Kahan.sum_over (Array.length ps) (fun i -> Float.log1p (-.ps.(i)))
 
 let prob_none ps = exp (log_prob_none ps)
 
 let prob_some ps =
   (* 1 - prod(1 - p_i), computed without cancellation when all p_i are
      tiny: -expm1(sum log1p(-p_i)). *)
-  -.Special.expm1 (log_prob_none ps)
+  -.Float.expm1 (log_prob_none ps)
 
 let p_n1_zero u = prob_none (Universe.ps u)
 let p_n1_pos u = prob_some (Universe.ps u)
@@ -37,7 +37,7 @@ let success_ratio u =
   (* Footnote 5: P(N2=0)/P(N1=0) = prod (1+p_i) >= 1. *)
   exp
     (Kahan.sum_over (Universe.size u) (fun i ->
-         Special.log1p (Fault.p (Universe.fault u i))))
+         Float.log1p (Fault.p (Universe.fault u i))))
 
 (* Poisson-binomial distribution by the standard dynamic programme:
    after processing fault i, dist.(k) = P(exactly k of the first i faults

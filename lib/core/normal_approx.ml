@@ -2,8 +2,6 @@ open Numerics
 
 type bound = { confidence : float; k : float; single : float; pair : float }
 
-let k_of_confidence = Normal_dist.k_of_confidence
-
 let single_bound u ~k =
   Bounds.confidence_bound ~mu:(Moments.mu1 u) ~sigma:(Moments.sigma1 u) ~k
 
@@ -11,7 +9,7 @@ let pair_bound u ~k =
   Bounds.confidence_bound ~mu:(Moments.mu2 u) ~sigma:(Moments.sigma2 u) ~k
 
 let bound_at_confidence u ~confidence =
-  let k = k_of_confidence confidence in
+  let k = Normal_dist.ppf confidence in
   { confidence; k; single = single_bound u ~k; pair = pair_bound u ~k }
 
 let bound_ratio u ~k =

@@ -4,13 +4,11 @@
     The PFD is a sum of many independent per-fault contributions, so the
     paper approximates its distribution as N(mu, sigma^2) and reads
     confidence bounds as mu + k*sigma with k set by the confidence level
-    (e.g. 2.33 at 99%). *)
+    (e.g. 2.33 at 99%): k is {!Numerics.Normal_dist.ppf} of the
+    confidence. *)
 
 type bound = { confidence : float; k : float; single : float; pair : float }
 (** Matched single-version and pair bounds at one confidence level. *)
-
-val k_of_confidence : float -> float
-(** k with Phi(k) = confidence. *)
 
 val single_bound : Universe.t -> k:float -> float
 (** mu1 + k*sigma1. *)

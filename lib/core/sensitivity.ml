@@ -2,12 +2,12 @@ open Numerics
 
 let prod_except_one ps i =
   Kahan.sum_over (Array.length ps) (fun j ->
-      if j = i then 0.0 else Special.log1p (-.ps.(j)))
+      if j = i then 0.0 else Float.log1p (-.ps.(j)))
   |> exp
 
 let prod_except_squared ps i =
   Kahan.sum_over (Array.length ps) (fun j ->
-      if j = i then 0.0 else Special.log1p (-.(ps.(j) *. ps.(j))))
+      if j = i then 0.0 else Float.log1p (-.(ps.(j) *. ps.(j))))
   |> exp
 
 let risk_ratio_partial ps i =
@@ -46,16 +46,16 @@ let incremental_partials ps =
     let suf1 = Array.make (n + 1) 0.0 and suf2 = Array.make (n + 1) 0.0 in
     let a1 = Kahan.create () and a2 = Kahan.create () in
     for i = 0 to n - 1 do
-      Kahan.add a1 (Special.log1p (-.ps.(i)));
-      Kahan.add a2 (Special.log1p (-.(ps.(i) *. ps.(i))));
+      Kahan.add a1 (Float.log1p (-.ps.(i)));
+      Kahan.add a2 (Float.log1p (-.(ps.(i) *. ps.(i))));
       pre1.(i + 1) <- Kahan.total a1;
       pre2.(i + 1) <- Kahan.total a2
     done;
     Kahan.reset a1;
     Kahan.reset a2;
     for i = n - 1 downto 0 do
-      Kahan.add a1 (Special.log1p (-.ps.(i)));
-      Kahan.add a2 (Special.log1p (-.(ps.(i) *. ps.(i))));
+      Kahan.add a1 (Float.log1p (-.ps.(i)));
+      Kahan.add a2 (Float.log1p (-.(ps.(i) *. ps.(i))));
       suf1.(i) <- Kahan.total a1;
       suf2.(i) <- Kahan.total a2
     done;

@@ -6,7 +6,7 @@ open Numerics
    evaluated stably via log1p(p_i (e^{lambda q_i} - 1)). *)
 let log_mgf ~probs ~values lambda =
   Kahan.sum_over (Array.length probs) (fun i ->
-      Special.log1p (probs.(i) *. Special.expm1 (lambda *. values.(i))))
+      Float.log1p (probs.(i) *. Float.expm1 (lambda *. values.(i))))
 
 let chernoff_exponent ~probs ~values x =
   (* sup_{lambda >= 0} (lambda x - log MGF(lambda)), found by golden

@@ -66,7 +66,7 @@ let pp ppf t = Fmt.pf ppf "%d-out-of-%d" t.required t.channels
 (* Adjudication combinator calculus                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The executable adjudicator (Simulator.Adjudicator) and the analytic
+(* The executable protection system (Simulator.Protection) and the analytic
    closed forms below share one counts-level algebra, defined here so a
    formula/simulator divergence can only come from how the counts are
    *produced*, never from two drifting copies of the decision rule.
@@ -170,7 +170,7 @@ let binom_pmf ~n ~p k =
     let log_choose =
       -.log (fn +. 1.0) -. Betainc.log_beta (fn -. fk +. 1.0) (fk +. 1.0)
     in
-    exp (log_choose +. (fk *. log p) +. ((fn -. fk) *. Special.log1p (-.p)))
+    exp (log_choose +. (fk *. log p) +. ((fn -. fk) *. Float.log1p (-.p)))
 
 (* Probability that a fault introduced per channel with probability [p]
    — and, when present, caught at development time by the channel's

@@ -57,10 +57,11 @@ val pp : Format.formatter -> t -> unit
 (** {1 Adjudication combinator calculus}
 
     A small algebra of adjudicators over abstaining channel outputs
-    (Boiten, "Diversity and Adjudication"). The executable adjudicator
-    in [Simulator.Adjudicator] and the analytic closed forms below
-    share these counts-level semantics, so simulated and closed-form
-    PFD evaluations of the same composed adjudicator are directly
+    (Boiten, "Diversity and Adjudication"). The executable protection
+    system ([Simulator.Protection], which tabulates [decide] once per
+    system) and the analytic closed forms below share these
+    counts-level semantics, so simulated and closed-form PFD
+    evaluations of the same composed adjudicator are directly
     cross-checkable (see the [lib/check] adjudication oracles).
 
     Laws, by construction:
@@ -74,7 +75,12 @@ val pp : Format.formatter -> t -> unit
 type decision = Shutdown | No_action | Abstain
 (** Verdict lattice: a demand is handled iff the decision is
     [Shutdown]; [Abstain] means the adjudicator could not reach a
-    verdict (quorum loss under abstention). *)
+    verdict (quorum loss under abstention). A self-checking channel's
+    own output is one of these three points too: [Shutdown] off its
+    failure set, [Abstain] where its self-check catches the failure,
+    [No_action] otherwise. *)
+
+val equal_decision : decision -> decision -> bool
 
 type policy =
   | Unit  (** identity: passes the vote vector through unchanged *)
@@ -104,9 +110,9 @@ val decide :
 
 val policy_min_channels : policy -> int
 (** Fewest channel outputs on which the policy can reach a definite
-    verdict — the arity floor enforced by
-    [Simulator.Adjudicator.combine] ([Vote r] needs [r] channels; a
-    fallback needs only its cheaper branch). *)
+    verdict — the arity floor enforced by [Simulator.Protection.create]
+    ([Vote r] needs [r] channels; a fallback needs only its cheaper
+    branch). *)
 
 val equal_policy : policy -> policy -> bool
 

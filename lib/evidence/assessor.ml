@@ -28,8 +28,7 @@ let m_drift_alarms = Obs.Metrics.counter "evidence.drift_alarms"
 
 let h_ingest_rate =
   (* Events per second per timed ingest batch: 1e2 .. 1e8. *)
-  Obs.Metrics.histogram ~lo:1e2 ~decades:6 ~per_decade:4
-    "evidence.ingest_rate"
+  Obs.Metrics.histogram ~lo:1e2 ~decades:6 "evidence.ingest_rate"
 
 type config = {
   theta0 : float;
@@ -241,8 +240,8 @@ let wald_of_counts config ~demands ~failures =
   let log_b = log (config.beta /. (1.0 -. config.alpha)) in
   let per_failure = log (config.theta1 /. config.theta0) in
   let per_success =
-    Numerics.Special.log1p (-.config.theta1)
-    -. Numerics.Special.log1p (-.config.theta0)
+    Float.log1p (-.config.theta1)
+    -. Float.log1p (-.config.theta0)
   in
   let log_lr =
     (float_of_int failures *. per_failure)

@@ -5,7 +5,7 @@
 let run ~seed:_ =
   let ex = Core.Normal_approx.worked_example () in
   let confidence =
-    Numerics.Normal_dist.confidence_of_k ex.Core.Normal_approx.k
+    Numerics.Normal_dist.cdf ex.Core.Normal_approx.k
   in
   let table =
     Report.Table.of_rows ~title:"Section 5.1 worked example"
@@ -38,13 +38,13 @@ let run ~seed:_ =
           "P(Theta <= mu+3sigma)";
           "0.99865003";
           Report.Table.float ~precision:8
-            (Numerics.Normal_dist.confidence_of_k 3.0);
+            (Numerics.Normal_dist.cdf 3.0);
         ];
         [
           "k at 99% confidence";
           "2.33";
           Report.Table.float ~precision:5
-            (Numerics.Normal_dist.k_of_confidence 0.99);
+            (Numerics.Normal_dist.ppf 0.99);
         ];
       ]
   in

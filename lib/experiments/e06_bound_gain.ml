@@ -6,7 +6,7 @@
 let run ~seed =
   let rng = Numerics.Rng.create ~seed in
   let confidence = 0.99 in
-  let k = Core.Normal_approx.k_of_confidence confidence in
+  let k = Numerics.Normal_dist.ppf confidence in
   let rows =
     List.map
       (fun pmax ->

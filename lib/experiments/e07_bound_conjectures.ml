@@ -6,7 +6,7 @@
 
 let run ~seed =
   let rng = Numerics.Rng.create ~seed in
-  let k = Core.Normal_approx.k_of_confidence 0.99 in
+  let k = Numerics.Normal_dist.ppf 0.99 in
   (* 1: proportional improvement sweep on random universes. *)
   let prop_violations = ref 0 in
   let prop_trials = 300 in

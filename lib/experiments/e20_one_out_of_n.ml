@@ -9,7 +9,7 @@ let run ~seed =
       (Numerics.Rng.split rng ~index:0)
       ~n:15 ~p_lo:0.02 ~p_hi:0.3 ~total_q:0.4
   in
-  let k = Core.Normal_approx.k_of_confidence 0.99 in
+  let k = Numerics.Normal_dist.ppf 0.99 in
   let rows =
     List.map
       (fun channels ->

@@ -57,7 +57,7 @@ let run ~seed =
       rows
   in
   (* What the estimated pmax upper bound buys through eq. (12). *)
-  let k = Core.Normal_approx.k_of_confidence 0.99 in
+  let k = Numerics.Normal_dist.ppf 0.99 in
   let single = Core.Normal_approx.single_bound truth ~k in
   let claims =
     Report.Table.of_rows

@@ -10,7 +10,7 @@ let run ~seed =
       (Numerics.Rng.split rng ~index:0)
       ~n:20 ~p_lo:0.05 ~p_hi:0.4 ~q_exponent:(-1.3) ~total_q:0.5
   in
-  let k = Core.Normal_approx.k_of_confidence 0.99 in
+  let k = Numerics.Normal_dist.ppf 0.99 in
   let traj =
     Extensions.Testing_process.trajectory u ~k
       ~demand_counts:[| 0; 10; 30; 100; 300; 1_000; 3_000; 10_000 |]

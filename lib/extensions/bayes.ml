@@ -36,7 +36,7 @@ let observe t ~demands ~failures =
           +.
           if demands = failures then 0.0
           else if theta >= 1.0 then neg_infinity
-          else float_of_int (demands - failures) *. Special.log1p (-.theta)
+          else float_of_int (demands - failures) *. Float.log1p (-.theta)
         in
         lw +. log_like)
       t.log_weights

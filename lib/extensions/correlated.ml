@@ -120,7 +120,7 @@ let p_n1_zero t =
          let none probs =
            exp
              (Kahan.sum_over (Array.length c.faults) (fun i ->
-                  Special.log1p (-.probs i)))
+                  Float.log1p (-.probs i)))
          in
          let none_hi = none (fun i -> let hi, _, _ = c.faults.(i) in hi) in
          let none_lo = none (fun i -> let _, lo, _ = c.faults.(i) in lo) in
@@ -141,7 +141,7 @@ let p_n2_zero t =
          let none_given sa sb =
            exp
              (Kahan.sum_over (Array.length c.faults) (fun i ->
-                  Special.log1p (-.(prob_of_state sa i *. prob_of_state sb i))))
+                  Float.log1p (-.(prob_of_state sa i *. prob_of_state sb i))))
          in
          let states = [ (true, w); (false, 1.0 -. w) ] in
          let total = Kahan.create () in

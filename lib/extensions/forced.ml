@@ -41,7 +41,7 @@ let var_pair t =
 let p_no_common_fault t =
   exp
     (Kahan.sum_over (size t) (fun i ->
-         Special.log1p (-.(t.pa.(i) *. t.pb.(i)))))
+         Float.log1p (-.(t.pa.(i) *. t.pb.(i)))))
 
 let risk_ratio_vs_a t =
   (* P(pair shares a fault) / P(channel-A version has a fault). *)

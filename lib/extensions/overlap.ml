@@ -61,7 +61,7 @@ let merged_universe space =
                (Kahan.sum_list
                   (List.map
                      (fun i ->
-                       Special.log1p
+                       Float.log1p
                          (-.Demandspace.Space.introduction_prob space i))
                      members))
         in

@@ -1,5 +1,3 @@
-open Numerics
-
 let operational_testing u ~demands =
   (* Each test demand falls in fault i's failure region with probability
      q_i; a hit reveals the fault, which is then fixed. A fault survives a
@@ -14,7 +12,7 @@ let operational_testing u ~demands =
   Core.Universe.map_faults
     (fun f ->
       incr i;
-      let survive = exp (t *. Special.log1p (-.Core.Fault.q f)) in
+      let survive = exp (t *. Float.log1p (-.Core.Fault.q f)) in
       Core.Fault.with_p f (Core.Fault.p f *. survive))
     u
 
@@ -35,7 +33,7 @@ let directed_testing u ~detection ~cycles =
   Core.Universe.map_faults
     (fun f ->
       incr i;
-      let survive = exp (c *. Special.log1p (-.detection.(!i))) in
+      let survive = exp (c *. Float.log1p (-.detection.(!i))) in
       Core.Fault.with_p f (Core.Fault.p f *. survive))
     u
 

@@ -47,7 +47,7 @@ let regularized ~a ~b x =
   else
     let front =
       exp
-        ((a *. log x) +. (b *. Special.log1p (-.x)) -. log_beta a b)
+        ((a *. log x) +. (b *. Float.log1p (-.x)) -. log_beta a b)
     in
     (* use the symmetry relation to keep the continued fraction in its
        rapidly convergent region *)
@@ -57,7 +57,8 @@ let regularized ~a ~b x =
 let beta_cdf ~a ~b x = regularized ~a ~b (max 0.0 (min 1.0 x))
 
 let beta_ppf ~a ~b p =
-  if p < 0.0 || p > 1.0 then invalid_arg "Betainc.beta_ppf: p outside [0, 1]";
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg "Betainc.beta_ppf: p outside [0, 1]";
   if p = 0.0 then 0.0 (* divlint: allow float-eq *)
   else if p = 1.0 then 1.0 (* divlint: allow float-eq *)
   else Rootfind.bisect ~tol:1e-14 (fun x -> regularized ~a ~b x -. p) ~lo:0.0 ~hi:1.0
@@ -66,7 +67,8 @@ let beta_mean ~a ~b = a /. (a +. b)
 
 let binomial_cdf ~n ~p k =
   if n < 0 then invalid_arg "Betainc.binomial_cdf: negative n";
-  if p < 0.0 || p > 1.0 then invalid_arg "Betainc.binomial_cdf: p outside [0, 1]";
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg "Betainc.binomial_cdf: p outside [0, 1]";
   if k < 0 then 0.0
   else if k >= n then 1.0
   else if p = 0.0 then 1.0 (* divlint: allow float-eq *)
@@ -92,4 +94,4 @@ let binomial_tail_direct ~n ~p k =
         exp
           (Special.log_choose n j
           +. (float_of_int j *. log p)
-          +. (float_of_int (n - j) *. Special.log1p (-.p))))
+          +. (float_of_int (n - j) *. Float.log1p (-.p))))

@@ -17,13 +17,15 @@ val beta_cdf : a:float -> b:float -> float -> float
 (** CDF of the Beta(a, b) distribution (argument clamped to [0, 1]). *)
 
 val beta_ppf : a:float -> b:float -> float -> float
-(** Quantile of Beta(a, b) by safeguarded bisection. *)
+(** Quantile of Beta(a, b) by safeguarded bisection. Raises
+    [Invalid_argument] when [p] is outside [0, 1] or NaN. *)
 
 val beta_mean : a:float -> b:float -> float
 
 val binomial_cdf : n:int -> p:float -> int -> float
 (** P(Bin(n, p) <= k) through the incomplete beta identity — no summation
-    error even for large n. *)
+    error even for large n. Raises [Invalid_argument] when [n < 0] or
+    [p] is outside [0, 1] or NaN. *)
 
 val binomial_sf : n:int -> p:float -> int -> float
 (** P(Bin(n, p) > k). *)

@@ -62,10 +62,6 @@ let ppf ?(mu = 0.0) ?(sigma = 1.0) p =
   let z = x -. (u /. (1.0 +. (x *. u /. 2.0))) in
   mu +. (sigma *. z)
 
-let k_of_confidence alpha = ppf alpha
-
-let confidence_of_k k = cdf k
-
 let sample rng ?(mu = 0.0) ?(sigma = 1.0) () =
   (* Marsaglia polar method. *)
   let rec loop () =

@@ -19,16 +19,10 @@ val sf : ?mu:float -> ?sigma:float -> float -> float
 val ppf : ?mu:float -> ?sigma:float -> float -> float
 (** Quantile (inverse CDF): Acklam's approximation plus one Halley
     refinement step; full double precision. Raises [Invalid_argument]
-    unless 0 < p < 1. *)
-
-val k_of_confidence : float -> float
-(** [k_of_confidence alpha] is the k with P(Z <= k) = alpha for standard
-    normal Z — the paper's "factor k chosen according to the required
-    confidence" (Section 5.1). *)
-
-val confidence_of_k : float -> float
-(** Inverse of {!k_of_confidence}: e.g. [confidence_of_k 3.0] =
-    0.99865003... as quoted in the paper. *)
+    unless 0 < p < 1. On the standard normal, [ppf alpha] is the paper's
+    "factor k chosen according to the required confidence" alpha
+    (Section 5.1), and [cdf k] goes back: [cdf 3.0] = 0.99865003... as
+    quoted in the paper. *)
 
 val sample : Rng.t -> ?mu:float -> ?sigma:float -> unit -> float
 (** Draw a normal variate (Marsaglia polar method). *)

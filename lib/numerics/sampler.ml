@@ -4,7 +4,8 @@ let exponential rng ~rate =
 
 let binomial rng ~n ~p =
   if n < 0 then invalid_arg "Sampler.binomial: negative n";
-  if p < 0.0 || p > 1.0 then invalid_arg "Sampler.binomial: p outside [0, 1]";
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg "Sampler.binomial: p outside [0, 1]";
   (* Direct Bernoulli summation: n is small everywhere we use this. *)
   let count = ref 0 in
   for _ = 1 to n do

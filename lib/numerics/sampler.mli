@@ -10,7 +10,8 @@
 val exponential : Rng.t -> rate:float -> float
 
 val binomial : Rng.t -> n:int -> p:float -> int
-(** Number of successes in [n] Bernoulli(p) trials. *)
+(** Number of successes in [n] Bernoulli(p) trials. Raises
+    [Invalid_argument] when [n < 0] or [p] is outside [0, 1] or NaN. *)
 
 val gamma : Rng.t -> shape:float -> float
 (** Gamma(shape, 1) via Marsaglia–Tsang. *)

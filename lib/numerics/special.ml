@@ -93,9 +93,6 @@ let log_choose n k =
   if k < 0 || k > n then neg_infinity
   else log_factorial n -. log_factorial k -. log_factorial (n - k)
 
-let log1p = Float.log1p
-let expm1 = Float.expm1
-
 let logsumexp a =
   let m = Array.fold_left max neg_infinity a in
   if m = neg_infinity then neg_infinity

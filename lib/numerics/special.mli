@@ -26,11 +26,5 @@ val log_factorial : int -> float
 val log_choose : int -> int -> float
 (** Log binomial coefficient; [neg_infinity] outside the valid range. *)
 
-val log1p : float -> float
-(** log(1+x) without cancellation for small x. *)
-
-val expm1 : float -> float
-(** exp(x)-1 without cancellation for small x. *)
-
 val logsumexp : float array -> float
 (** Numerically stable log of a sum of exponentials. *)

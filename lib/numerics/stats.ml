@@ -23,14 +23,14 @@ let mean a =
   if n = 0 then invalid_arg "Stats.mean: empty array";
   Kahan.sum_array a /. float_of_int n
 
-let variance ?(bessel = true) a =
+let variance a =
   let n = Array.length a in
   if n < 2 then invalid_arg "Stats.variance: need at least two observations";
   let m = mean a in
   let ss = Kahan.sum_over n (fun i -> (a.(i) -. m) ** 2.0) in
-  ss /. float_of_int (if bessel then n - 1 else n)
+  ss /. float_of_int (n - 1)
 
-let std ?bessel a = sqrt (variance ?bessel a)
+let std a = sqrt (variance a)
 
 let summarize a =
   let n = Array.length a in
@@ -56,7 +56,8 @@ let correlation a b =
 let quantile_sorted sorted p =
   let n = Array.length sorted in
   if n = 0 then invalid_arg "Stats.quantile_sorted: empty array";
-  if p < 0.0 || p > 1.0 then invalid_arg "Stats.quantile_sorted: p outside [0, 1]";
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg "Stats.quantile_sorted: p outside [0, 1]";
   (* Type-7 (linear interpolation) quantile, the R/NumPy default. *)
   let h = p *. float_of_int (n - 1) in
   let lo = int_of_float (floor h) in

@@ -33,11 +33,11 @@ val is_zero : ?eps:float -> float -> bool
 val mean : float array -> float
 (** Compensated mean. Raises [Invalid_argument] on empty input. *)
 
-val variance : ?bessel:bool -> float array -> float
-(** Two-pass compensated variance; [bessel] (default true) selects the
-    unbiased estimator. Requires at least two observations. *)
+val variance : float array -> float
+(** Two-pass compensated sample variance (the unbiased, n - 1 estimator).
+    Requires at least two observations. *)
 
-val std : ?bessel:bool -> float array -> float
+val std : float array -> float
 (** Standard deviation. *)
 
 val summarize : float array -> summary
@@ -50,7 +50,9 @@ val correlation : float array -> float array -> float
 (** Pearson correlation; 0 by convention when either input is constant. *)
 
 val quantile : float array -> float -> float
-(** Type-7 (linear interpolation) quantile of an unsorted sample. *)
+(** Type-7 (linear interpolation) quantile of an unsorted sample. Raises
+    [Invalid_argument] on an empty sample or when [p] is outside [0, 1]
+    or NaN. *)
 
 val quantile_sorted : float array -> float -> float
 (** As {!quantile} but assumes the input is already sorted ascending. *)

@@ -23,7 +23,6 @@ type gauge = { g_name : string; mutable g_value : float; mutable g_set : bool }
 type histogram = {
   h_name : string;
   lo : float;  (* lower edge of the first log bucket *)
-  per_decade : int;
   n_buckets : int;  (* log buckets, excluding underflow/overflow *)
   counts : int array;  (* [0] underflow, [1..n] log buckets, [n+1] overflow *)
   mutable total : int;
@@ -84,16 +83,16 @@ let gauge_value g = if g.g_set then Some g.g_value else None
    1e-9 up to 1.0, [per_decade] buckets per decade. Values below [lo]
    (including 0, a common PFD) land in the underflow bucket; values at or
    above the top edge land in the overflow bucket. *)
-let histogram ?(lo = 1e-9) ?(decades = 9) ?(per_decade = 4) name =
+let per_decade = 4
+
+let histogram ?(lo = 1e-9) ?(decades = 9) name =
   if not (lo > 0.0) then invalid_arg "Metrics.histogram: lo must be positive";
-  if decades <= 0 || per_decade <= 0 then
-    invalid_arg "Metrics.histogram: decades and per_decade must be positive";
+  if decades <= 0 then invalid_arg "Metrics.histogram: decades must be positive";
   let n_buckets = decades * per_decade in
   let h =
     {
       h_name = name;
       lo;
-      per_decade;
       n_buckets;
       counts = Array.make (n_buckets + 2) 0;
       total = 0;
@@ -114,7 +113,7 @@ let log_index h x =
   else
     let i =
       int_of_float
-        (Float.floor ((Float.log10 (x /. h.lo) *. float_of_int h.per_decade) +. 1e-9))
+        (Float.floor ((Float.log10 (x /. h.lo) *. float_of_int per_decade) +. 1e-9))
     in
     if i < 0 then -1 else if i > h.n_buckets then h.n_buckets else i
 
@@ -131,7 +130,7 @@ let observe h x =
 
 let bucket_edge h i =
   (* Lower edge of log bucket [i]; [i = n_buckets] gives the top edge. *)
-  h.lo *. (10.0 ** (float_of_int i /. float_of_int h.per_decade))
+  h.lo *. (10.0 ** (float_of_int i /. float_of_int per_decade))
 
 let buckets h =
   Array.init
@@ -150,7 +149,8 @@ let quantile h q =
   (* Bucket-resolution estimate: the geometric midpoint of the bucket in
      which the cumulative count crosses [q]; the underflow/overflow
      buckets report their finite edge. *)
-  if q < 0.0 || q > 1.0 then invalid_arg "Metrics.quantile: q outside [0, 1]";
+  if not (q >= 0.0 && q <= 1.0) then
+    invalid_arg "Metrics.quantile: q outside [0, 1]";
   if h.total = 0 then None
   else begin
     let target =

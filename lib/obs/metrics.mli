@@ -40,15 +40,14 @@ val gauge_value : gauge -> float option
 (** {1 Log-bucketed histograms}
 
     Buckets are log-spaced, sized for PFD magnitudes: by default 9 decades
-    from [1e-9] to [1.0] with 4 buckets per decade, plus an underflow
+    from [1e-9] to [1.0], always with 4 buckets per decade, plus an underflow
     bucket (holding everything below [lo], including 0) and an overflow
     bucket. *)
 
 type histogram
 
-val histogram : ?lo:float -> ?decades:int -> ?per_decade:int -> string -> histogram
-(** Raises [Invalid_argument] unless [lo > 0], [decades > 0] and
-    [per_decade > 0]. *)
+val histogram : ?lo:float -> ?decades:int -> string -> histogram
+(** Raises [Invalid_argument] unless [lo > 0] and [decades > 0]. *)
 
 val observe : histogram -> float -> unit
 
@@ -64,7 +63,7 @@ val histogram_max : histogram -> float option
 val quantile : histogram -> float -> float option
 (** Bucket-resolution quantile estimate (geometric midpoint of the bucket
     where the cumulative count crosses [q]); [None] on an empty histogram.
-    Raises [Invalid_argument] if [q] is outside [0, 1]. *)
+    Raises [Invalid_argument] if [q] is outside [0, 1] or NaN. *)
 
 (** {1 Registry} *)
 

@@ -11,20 +11,18 @@ let g_survival = Obs.Metrics.gauge "campaign.last_survival_fraction"
 
 let h_time_to_failure =
   (* Failure times are demand counts, not PFDs: buckets 1 .. 1e9. *)
-  Obs.Metrics.histogram ~lo:1.0 ~decades:9 ~per_decade:4
-    "campaign.time_to_first_failure"
+  Obs.Metrics.histogram ~lo:1.0 ~decades:9 "campaign.time_to_first_failure"
 
 type mission_outcome = Failed_at of int | Survived
 
 let time_to_first_failure rng ~system ~max_demands =
   if max_demands <= 0 then
     invalid_arg "Campaign.time_to_first_failure: max_demands must be positive";
-  let space = Protection.space system in
-  let plant = Plant.create ~profile:(Demandspace.Space.profile space) rng in
+  let profile = Demandspace.Space.profile (Protection.space system) in
   let rec step t =
     if t > max_demands then Survived
-    else if Protection.fails_on system (Plant.next_demand plant) then
-      Failed_at t
+    else if Protection.fails_on system (Demandspace.Profile.sample profile rng)
+    then Failed_at t
     else step (t + 1)
   in
   step 1
@@ -123,7 +121,7 @@ let mission_survival_probability ~pfd ~mission_demands =
     invalid_arg "Campaign.mission_survival_probability: pfd outside [0, 1]";
   if mission_demands < 0 then
     invalid_arg "Campaign.mission_survival_probability: negative mission length";
-  exp (float_of_int mission_demands *. Special.log1p (-.pfd))
+  exp (float_of_int mission_demands *. Float.log1p (-.pfd))
 
 let simulate_mission_survival ?pool ?shards rng ~system ~mission_demands
     ~missions =

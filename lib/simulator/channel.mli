@@ -2,12 +2,12 @@
     reads the sensed plant state (the demand) and either commands shutdown
     (correct, since a demand by definition requires intervention), fails to
     act, or — for self-checking channels — abstains when its runtime check
-    catches the failure and withholds the wrong output. *)
-
-type output = Shutdown | No_action | Abstain
-(** Channel output lattice. The paper's binary channels never produce
-    [Abstain]; self-checking channels (Boiten's "Diversity and
-    Adjudication") abstain on demands their check covers. *)
+    catches the failure and withholds the wrong output. Its output on a
+    demand is a {!Core.Voting.decision}; {!Protection.create} reads it off
+    the version's failure set and the self-check set for every demand at
+    once. The paper's binary channels never abstain; self-checking
+    channels (Boiten's "Diversity and Adjudication") abstain on demands
+    their check covers. *)
 
 type t
 
@@ -24,14 +24,5 @@ val version : t -> Demandspace.Version.t
 
 val self_check : t -> Numerics.Bitset.t option
 
-val respond : t -> Demandspace.Demand.t -> output
-(** [Shutdown] off the version's failure set; on it, [Abstain] when the
-    self-check covers the demand, [No_action] otherwise. *)
-
 val pfd : t -> float
-
-val equal : output -> output -> bool
-(** Equality of outputs. Prefer this over polymorphic [=]. *)
-
-val pp_output : Format.formatter -> output -> unit
 val pp : Format.formatter -> t -> unit

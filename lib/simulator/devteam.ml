@@ -108,10 +108,10 @@ let adjudicated_system_pfd ?(detection = 0.0) rng c ~channels ~adjudicator =
   for i = 0 to c.n - 1 do
     let f = carriers.(i) and ab = abstainers.(i) in
     match
-      Adjudicator.decide_counts adjudicator ~shutdowns:(channels - f)
+      Core.Voting.decide adjudicator ~shutdowns:(channels - f)
         ~no_actions:(f - ab) ~abstains:ab
     with
-    | Channel.Shutdown -> ()
-    | Channel.No_action | Channel.Abstain -> Kahan.add k c.qs.(i)
+    | Core.Voting.Shutdown -> ()
+    | Core.Voting.No_action | Core.Voting.Abstain -> Kahan.add k c.qs.(i)
   done;
   Kahan.total k

@@ -52,7 +52,7 @@ val adjudicated_system_pfd :
   Numerics.Rng.t ->
   compiled ->
   channels:int ->
-  adjudicator:Adjudicator.t ->
+  adjudicator:Core.Voting.policy ->
   float
 (** Sampled PFD of an N-channel system behind an arbitrary adjudicator
     term: [channels] abstract versions are drawn, carried faults are

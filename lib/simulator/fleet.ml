@@ -8,7 +8,7 @@ let h_plant_pfd = Obs.Metrics.histogram "fleet.plant_true_pfd"
 
 let h_plant_failures =
   (* Failure counts, not PFDs: buckets 1 .. 1e6 (0 lands in underflow). *)
-  Obs.Metrics.histogram ~lo:1.0 ~decades:6 ~per_decade:4 "fleet.plant_failures"
+  Obs.Metrics.histogram ~lo:1.0 ~decades:6 "fleet.plant_failures"
 
 type plant_record = {
   system_pfd : float;

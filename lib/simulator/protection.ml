@@ -3,14 +3,14 @@ open Numerics
 type t = {
   space : Demandspace.Space.t;
   channels : Channel.t list;
-  adjudicator : Adjudicator.t;
+  adjudicator : Core.Voting.policy;
   failure_set : Bitset.t;  (** the verdict is not [Shutdown] *)
   abstain_set : Bitset.t;  (** the verdict is [Abstain] *)
 }
 
 let space_of channel = Demandspace.Version.space (Channel.version channel)
 
-let create ?(adjudicator = Adjudicator.one_out_of_n) channels =
+let create ?(adjudicator = Core.Voting.vote ~required:1) channels =
   let space =
     match channels with
     | [] -> invalid_arg "Protection.create: no channels"
@@ -18,7 +18,7 @@ let create ?(adjudicator = Adjudicator.one_out_of_n) channels =
   in
   let size = Demandspace.Space.size space in
   let n = List.length channels in
-  if Adjudicator.min_channels adjudicator > n then
+  if Core.Voting.policy_min_channels adjudicator > n then
     invalid_arg "Protection.create: more votes required than channels";
   if List.exists (fun c -> Demandspace.Space.size (space_of c) <> size) channels
   then invalid_arg "Protection.create: channels over different demand spaces";
@@ -30,7 +30,7 @@ let create ?(adjudicator = Adjudicator.one_out_of_n) channels =
   let verdict =
     Array.init (n + 1) (fun f ->
         Array.init (f + 1) (fun ab ->
-            Adjudicator.decide_counts adjudicator ~shutdowns:(n - f)
+            Core.Voting.decide adjudicator ~shutdowns:(n - f)
               ~no_actions:(f - ab) ~abstains:ab))
   in
   let fails =
@@ -52,9 +52,9 @@ let create ?(adjudicator = Adjudicator.one_out_of_n) channels =
       end
     done;
     match verdict.(!failed).(!abstained) with
-    | Channel.Shutdown -> ()
-    | Channel.No_action -> Bitset.set failure_set d
-    | Channel.Abstain ->
+    | Core.Voting.Shutdown -> ()
+    | Core.Voting.No_action -> Bitset.set failure_set d
+    | Core.Voting.Abstain ->
         Bitset.set failure_set d;
         Bitset.set abstain_set d
   done;
@@ -63,7 +63,7 @@ let create ?(adjudicator = Adjudicator.one_out_of_n) channels =
 let one_out_of_two a b = create [ a; b ]
 
 let voted ~required channels =
-  create ~adjudicator:(Adjudicator.m_out_of_n ~required) channels
+  create ~adjudicator:(Core.Voting.vote ~required) channels
 
 let channels t = t.channels
 let adjudicator t = t.adjudicator
@@ -77,9 +77,9 @@ let fails_on t demand =
 
 let respond t demand =
   let d = Demandspace.Demand.to_int demand in
-  if not (Bitset.mem t.failure_set d) then Channel.Shutdown
-  else if Bitset.mem t.abstain_set d then Channel.Abstain
-  else Channel.No_action
+  if not (Bitset.mem t.failure_set d) then Core.Voting.Shutdown
+  else if Bitset.mem t.abstain_set d then Core.Voting.Abstain
+  else Core.Voting.No_action
 
 (* An unresolved [Abstain] verdict counts as a system failure: the plant
    misses the intervention either way. *)
@@ -89,6 +89,7 @@ let true_pfd t =
     t.failure_set
 
 let pp ppf t =
-  Fmt.pf ppf "@[<v>protection system: %a@,%a@]" Adjudicator.pp t.adjudicator
+  Fmt.pf ppf "@[<v>protection system: %a@,%a@]" Core.Voting.pp_policy
+    t.adjudicator
     (Fmt.list ~sep:Fmt.cut Channel.pp)
     t.channels

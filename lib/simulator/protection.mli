@@ -6,12 +6,14 @@
 
 type t
 
-val create : ?adjudicator:Adjudicator.t -> Channel.t list -> t
-(** Compiles the system in one pass over demands x channels. Raises
-    [Invalid_argument] on an empty channel list, when the adjudicator requires more votes
-    than there are channels, or when the channels' versions are over
-    demand spaces of different sizes. The default adjudicator is the
-    paper's OR. *)
+val create : ?adjudicator:Core.Voting.policy -> Channel.t list -> t
+(** Compiles the system in one pass over demands x channels: the
+    verdict on a demand is {!Core.Voting.decide} of its channels' output
+    counts. Raises [Invalid_argument] on an empty channel list, when the
+    adjudicator needs more channels than there are
+    ({!Core.Voting.policy_min_channels}), or when the channels' versions
+    are over demand spaces of different sizes. The default adjudicator
+    is the paper's OR, [Core.Voting.vote ~required:1]. *)
 
 val one_out_of_two : Channel.t -> Channel.t -> t
 (** The paper's dual-channel configuration. *)
@@ -21,7 +23,7 @@ val voted : required:int -> Channel.t list -> t
     shutdown. *)
 
 val channels : t -> Channel.t list
-val adjudicator : t -> Adjudicator.t
+val adjudicator : t -> Core.Voting.policy
 
 val failure_set : t -> Numerics.Bitset.t
 (** Demands on which {!fails_on} holds. Shared: do not mutate. *)
@@ -33,9 +35,9 @@ val space : t -> Demandspace.Space.t
 (** The demand space all channels operate over (taken from the first
     channel; [create] guarantees at least one). *)
 
-val respond : t -> Demandspace.Demand.t -> Channel.output
-(** System output on a demand: equal to {!Adjudicator.combine} over the
-    channels' {!Channel.respond} outputs. *)
+val respond : t -> Demandspace.Demand.t -> Core.Voting.decision
+(** System verdict on a demand: {!Core.Voting.decide} of the counts of
+    the channels' outputs on it. *)
 
 val fails_on : t -> Demandspace.Demand.t -> bool
 (** True when the adjudicated output is not [Shutdown] — a silent

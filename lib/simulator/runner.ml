@@ -49,7 +49,7 @@ let run rng ~system ~demand_count =
   let system_abstentions = ref 0 in
   let coincident = ref 0 in
   let space = Protection.space system in
-  let plant = Plant.create ~profile:(Demandspace.Space.profile space) rng in
+  let profile = Demandspace.Space.profile space in
   (* Per-demand-id counts for the run-log event's [demand_hist] field —
      the raw material of proven-in-use profile-drift detection
      (lib/evidence). Only accumulated while a run log is installed: the
@@ -63,7 +63,7 @@ let run rng ~system ~demand_count =
   let step = ref 0 in
   while !step < demand_count do
     let n = min (Array.length block) (demand_count - !step) in
-    Plant.sample_demands_into plant block ~n;
+    Demandspace.Profile.sample_many profile rng block ~n;
     for i = 0 to n - 1 do
       let id = Array.unsafe_get block i in
       if log_hist then hist.(id) <- hist.(id) + 1;

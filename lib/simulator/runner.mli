@@ -1,6 +1,12 @@
 (** Operational testing of a protection system: feed it a stream of demands
     from the plant and record failures.
 
+    The plant is a demand source. The paper's footnote 2: "Our analysis
+    refers to systems whose operation can be seen as a series of
+    demands, possibly separated by idle periods." Idle steps change no
+    per-demand quantity, so a run draws only the demands, from the
+    space's operational profile ({!Demandspace.Profile.sample_many}).
+
     This closes the loop the paper cannot close analytically: the empirical
     failure frequency of the executed system converges to the model PFD
     (the sum over common faults of q_i) — tested in the integration suite. *)

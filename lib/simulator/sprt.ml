@@ -1,5 +1,3 @@
-open Numerics
-
 (* Telemetry (all no-ops until enabled; see lib/obs): per-demand step
    counters, how many tests crossed each Wald boundary, and the current
    log likelihood ratio for convergence watching. *)
@@ -37,7 +35,7 @@ let create ~theta0 ~theta1 ~alpha ~beta =
     log_a = log ((1.0 -. beta) /. alpha);
     log_b = log (beta /. (1.0 -. alpha));
     log_lr_failure = log (theta1 /. theta0);
-    log_lr_success = Special.log1p (-.theta1) -. Special.log1p (-.theta0);
+    log_lr_success = Float.log1p (-.theta1) -. Float.log1p (-.theta0);
     log_lr = 0.0;
     demands = 0;
     failures = 0;
@@ -79,12 +77,13 @@ let run rng ~system ~theta0 ~theta1 ~alpha ~beta ~max_demands =
     invalid_arg "Sprt.run: max_demands must be positive";
   let span = Obs.Trace.enter "sprt.run" in
   let t = create ~theta0 ~theta1 ~alpha ~beta in
-  let space = Protection.space system in
-  let plant = Plant.create ~profile:(Demandspace.Space.profile space) rng in
+  let profile = Demandspace.Space.profile (Protection.space system) in
   let rec loop () =
     if t.demands >= max_demands then (Continue, t)
     else
-      let failed = Protection.fails_on system (Plant.next_demand plant) in
+      let failed =
+        Protection.fails_on system (Demandspace.Profile.sample profile rng)
+      in
       match record t ~failed with
       | Continue -> loop ()
       | (Accept | Reject) as d -> (d, t)
@@ -118,6 +117,6 @@ let expected_sample_size_h0 ~theta0 ~theta1 ~alpha ~beta =
   let log_b = log (beta /. (1.0 -. alpha)) in
   let per_demand =
     (theta0 *. log (theta1 /. theta0))
-    +. ((1.0 -. theta0) *. (Special.log1p (-.theta1) -. Special.log1p (-.theta0)))
+    +. ((1.0 -. theta0) *. (Float.log1p (-.theta1) -. Float.log1p (-.theta0)))
   in
   ((alpha *. log_a) +. ((1.0 -. alpha) *. log_b)) /. per_demand

@@ -311,14 +311,13 @@ let adjudicator ?(max_required = 4) () =
     invalid_arg "Prop.adjudicator: max_required must be >= 1";
   make
     ~shrink:(fun adj ->
-      shrink_int_toward 1 (Simulator.Adjudicator.min_channels adj)
-      |> Seq.map (fun required -> Simulator.Adjudicator.m_out_of_n ~required))
-    ~pp:Simulator.Adjudicator.pp
+      shrink_int_toward 1 (Core.Voting.policy_min_channels adj)
+      |> Seq.map (fun required -> Core.Voting.vote ~required))
+    ~pp:Core.Voting.pp_policy
     (fun rng ->
-      Simulator.Adjudicator.m_out_of_n
-        ~required:(1 + Numerics.Rng.int rng max_required))
+      Core.Voting.vote ~required:(1 + Numerics.Rng.int rng max_required))
 
-(* Adjudicator calculus terms: leaves are [unit] and quorum votes,
+(* Adjudicator calculus terms: leaves are [Unit] and quorum votes,
    internal nodes [compose]/[fallback], nested up to [max_depth].
    Greedy shrinking proposes the paper's OR vote first, then each
    immediate subterm, then single-step quorum reductions — so a failing
@@ -330,10 +329,8 @@ let adjudicator_term ?(max_depth = 3) ?(max_required = 4) () =
   if max_required < 1 then
     invalid_arg "Prop.adjudicator_term: max_required must be >= 1";
   let leaf rng =
-    if Numerics.Rng.int rng 4 = 0 then Simulator.Adjudicator.unit
-    else
-      Simulator.Adjudicator.vote
-        ~required:(1 + Numerics.Rng.int rng max_required)
+    if Numerics.Rng.int rng 4 = 0 then Core.Voting.Unit
+    else Core.Voting.vote ~required:(1 + Numerics.Rng.int rng max_required)
   in
   let rec gen_term rng depth =
     if depth <= 0 then leaf rng
@@ -341,31 +338,37 @@ let adjudicator_term ?(max_depth = 3) ?(max_required = 4) () =
       match Numerics.Rng.int rng 4 with
       | 0 | 1 -> leaf rng
       | 2 ->
-          Simulator.Adjudicator.compose
+          Core.Voting.compose
             (gen_term rng (depth - 1))
             (gen_term rng (depth - 1))
       | _ ->
-          Simulator.Adjudicator.fallback
+          Core.Voting.fallback
             (gen_term rng (depth - 1))
             (gen_term rng (depth - 1))
   in
   let shrink_term t =
-    match Simulator.Adjudicator.policy t with
+    match t with
     | Core.Voting.Vote 1 -> Seq.empty
     | Core.Voting.Vote r ->
         shrink_int_toward 1 r
-        |> Seq.map (fun required -> Simulator.Adjudicator.vote ~required)
-    | Core.Voting.Unit -> Seq.return Simulator.Adjudicator.one_out_of_n
+        |> Seq.map (fun required -> Core.Voting.vote ~required)
+    | Core.Voting.Unit -> Seq.return (Core.Voting.vote ~required:1)
     | Core.Voting.Compose (a, b) | Core.Voting.Fallback (a, b) ->
-        List.to_seq
-          [
-            Simulator.Adjudicator.one_out_of_n;
-            Simulator.Adjudicator.of_policy a;
-            Simulator.Adjudicator.of_policy b;
-          ]
+        List.to_seq [ Core.Voting.vote ~required:1; a; b ]
   in
-  make ~shrink:shrink_term ~pp:Simulator.Adjudicator.pp (fun rng ->
+  make ~shrink:shrink_term ~pp:Core.Voting.pp_policy (fun rng ->
       gen_term rng max_depth)
+
+(* A channel output or an adjudicated verdict, both
+   [Core.Voting.decision]s. *)
+let pp_decision ppf d =
+  Format.pp_print_string ppf
+    (match d with
+    | Core.Voting.Shutdown -> "shutdown"
+    | Core.Voting.No_action -> "no-action"
+    | Core.Voting.Abstain -> "abstain")
+
+let decision = Alcotest.testable pp_decision Core.Voting.equal_decision
 
 (* Channel output vectors, abstention-bearing by default. Shrinks by
    dropping the last output, then demoting the first Abstain to
@@ -375,9 +378,9 @@ let channel_outputs ?(max_channels = 6) ?(abstaining = true) () =
   if max_channels < 1 then
     invalid_arg "Prop.channel_outputs: max_channels must be >= 1";
   let demote = function
-    | Simulator.Channel.Abstain -> Some Simulator.Channel.No_action
-    | Simulator.Channel.No_action -> Some Simulator.Channel.Shutdown
-    | Simulator.Channel.Shutdown -> None
+    | Core.Voting.Abstain -> Some Core.Voting.No_action
+    | Core.Voting.No_action -> Some Core.Voting.Shutdown
+    | Core.Voting.Shutdown -> None
   in
   let rec demote_first = function
     | [] -> None
@@ -399,15 +402,15 @@ let channel_outputs ?(max_channels = 6) ?(abstaining = true) () =
       Format.fprintf ppf "[@[%a@]]"
         (Format.pp_print_list
            ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-           Simulator.Channel.pp_output)
+           pp_decision)
         outs)
     (fun rng ->
       let n = 1 + Numerics.Rng.int rng max_channels in
       List.init n (fun _ ->
           match Numerics.Rng.int rng (if abstaining then 3 else 2) with
-          | 0 -> Simulator.Channel.Shutdown
-          | 1 -> Simulator.Channel.No_action
-          | _ -> Simulator.Channel.Abstain))
+          | 0 -> Core.Voting.Shutdown
+          | 1 -> Core.Voting.No_action
+          | _ -> Core.Voting.Abstain))
 
 (* Paired universe/demand-space scenario for the differential oracle
    registry: regions disjoint by construction, so the universe

@@ -527,7 +527,7 @@ let test_bound_ratio_under_eq12 () =
   let rng = rng0 () in
   for _ = 1 to 50 do
     let u = random_universe rng in
-    let k = Core.Normal_approx.k_of_confidence 0.99 in
+    let k = Numerics.Normal_dist.ppf 0.99 in
     let ratio = Core.Normal_approx.bound_ratio u ~k in
     let guarantee = Core.Bounds.sigma_ratio_bound (Core.Universe.pmax u) in
     if ratio > guarantee +. 1e-12 then

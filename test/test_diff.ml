@@ -231,39 +231,32 @@ let test_scenario_validation () =
 (* ---- adjudicator degenerate configurations ---- *)
 
 let test_adjudicator_degenerate () =
-  let open Simulator in
+  let open Core.Voting in
+  let combine = Check.Reference.combine in
   Alcotest.check_raises "empty output list"
-    (Invalid_argument "Adjudicator.combine: no channel outputs") (fun () ->
-      ignore (Adjudicator.combine Adjudicator.one_out_of_n []));
+    (Invalid_argument "Reference.combine: no channel outputs") (fun () ->
+      ignore (combine (vote ~required:1) []));
   Alcotest.check_raises "zero required votes"
-    (Invalid_argument "Adjudicator.m_out_of_n: required must be >= 1")
-    (fun () -> ignore (Adjudicator.m_out_of_n ~required:0));
+    (Invalid_argument "Voting.vote: required must be >= 1")
+    (fun () -> ignore (vote ~required:0));
   (try
-     ignore
-       (Adjudicator.combine
-          (Adjudicator.m_out_of_n ~required:3)
-          [ Channel.Shutdown; Channel.Shutdown ]);
+     ignore (combine (vote ~required:3) [ Shutdown; Shutdown ]);
      Alcotest.fail "accepted more required votes than channels"
    with Invalid_argument _ -> ());
   (* single channel: the adjudicator is the identity *)
   List.iter
     (fun o ->
       check_bool "single channel passthrough" true
-        (Adjudicator.combine Adjudicator.one_out_of_n [ o ] = o))
-    [ Channel.Shutdown; Channel.No_action ];
+        (combine (vote ~required:1) [ o ] = o))
+    [ Shutdown; No_action ];
   (* all-channels-required: one abstaining channel defeats the shutdown *)
-  let unanimous = Adjudicator.m_out_of_n ~required:3 in
+  let unanimous = vote ~required:3 in
   check_bool "unanimous, all vote" true
-    (Adjudicator.combine unanimous
-       [ Channel.Shutdown; Channel.Shutdown; Channel.Shutdown ]
-    = Channel.Shutdown);
+    (combine unanimous [ Shutdown; Shutdown; Shutdown ] = Shutdown);
   check_bool "unanimous, one abstains" true
-    (Adjudicator.combine unanimous
-       [ Channel.Shutdown; Channel.No_action; Channel.Shutdown ]
-    = Channel.No_action);
+    (combine unanimous [ Shutdown; No_action; Shutdown ] = No_action);
   check_bool "system_fails tracks the combined output" true
-    (Adjudicator.system_fails unanimous
-       [ Channel.Shutdown; Channel.No_action; Channel.Shutdown ])
+    (Check.Reference.system_fails unanimous [ Shutdown; No_action; Shutdown ])
 
 let test_degenerate_universes () =
   (* the model refuses an empty fault universe outright *)

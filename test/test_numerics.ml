@@ -314,7 +314,6 @@ let test_stats_is_zero () =
 let test_stats_mean_variance () =
   let a = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
   Prop.check_close "mean" 5.0 (Stats.mean a);
-  Prop.check_close "population variance" 4.0 (Stats.variance ~bessel:false a);
   Prop.check_close ~eps:1e-12 "sample variance" (32.0 /. 7.0) (Stats.variance a)
 
 let test_stats_summary () =
@@ -330,7 +329,14 @@ let test_stats_quantiles () =
   Prop.check_close "q0" 1.0 (Stats.quantile a 0.0);
   Prop.check_close "q1" 4.0 (Stats.quantile a 1.0);
   Prop.check_close "median interpolates" 2.5 (Stats.median a);
-  Prop.check_close "q 1/3" 2.0 (Stats.quantile a (1.0 /. 3.0))
+  Prop.check_close "q 1/3" 2.0 (Stats.quantile a (1.0 /. 3.0));
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "p = %g rejected" p)
+        (Invalid_argument "Stats.quantile_sorted: p outside [0, 1]")
+        (fun () -> ignore (Stats.quantile a p)))
+    [ -0.1; 1.5; nan ]
 
 let test_stats_covariance_correlation () =
   let a = [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -538,7 +544,14 @@ let test_sampler_binomial () =
     Array.init 50_000 (fun _ -> float_of_int (Sampler.binomial rng ~n:20 ~p:0.3))
   in
   Prop.check_close ~eps:0.05 "binomial mean" 6.0 (Stats.mean samples);
-  Prop.check_close ~eps:0.1 "binomial variance" 4.2 (Stats.variance samples)
+  Prop.check_close ~eps:0.1 "binomial variance" 4.2 (Stats.variance samples);
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "p = %g rejected" p)
+        (Invalid_argument "Sampler.binomial: p outside [0, 1]")
+        (fun () -> ignore (Sampler.binomial rng ~n:10 ~p)))
+    [ 1.5; nan ]
 
 let test_sampler_beta () =
   let rng = rng0 () in

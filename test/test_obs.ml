@@ -159,13 +159,20 @@ let test_histogram_quantile () =
             true
             (q > 5e-5 && q < 5e-4)
       | None -> Alcotest.fail "median missing");
-      match Metrics.quantile h 0.99 with
+      (match Metrics.quantile h 0.99 with
       | Some q ->
           check_bool
             (Printf.sprintf "p99 ~ 0.5 scale (got %g)" q)
             true
             (q > 0.1 && q < 1.0)
-      | None -> Alcotest.fail "p99 missing")
+      | None -> Alcotest.fail "p99 missing");
+      List.iter
+        (fun q ->
+          Alcotest.check_raises
+            (Printf.sprintf "q = %g rejected" q)
+            (Invalid_argument "Metrics.quantile: q outside [0, 1]")
+            (fun () -> ignore (Metrics.quantile h q)))
+        [ 1.5; nan ])
 
 let test_quantile_summaries () =
   with_metrics (fun () ->

@@ -38,7 +38,7 @@ let pool4 = lazy (Exec.Pool.create ~domains:4 ())
 (* ---- reference implementations (the pre-change algorithms) ---- *)
 
 (* The pre-batching runner loop: one demand at a time through
-   [Plant.next_demand] and the full channel-output list machinery.
+   [Demandspace.Profile.sample] and the full channel-output list machinery.
    [Runner.run] must consume the identical RNG draw sequence and produce
    the identical counts. *)
 let reference_run rng ~system ~demand_count =
@@ -47,26 +47,24 @@ let reference_run rng ~system ~demand_count =
   let system_failures = ref 0 in
   let coincident = ref 0 in
   let space = Simulator.Protection.space system in
-  let plant =
-    Simulator.Plant.create ~profile:(Demandspace.Space.profile space) rng
-  in
+  let profile = Demandspace.Space.profile space in
   for _ = 1 to demand_count do
-    let demand = Simulator.Plant.next_demand plant in
+    let demand = Demandspace.Profile.sample profile rng in
     let outputs =
-      List.map (fun c -> Simulator.Channel.respond c demand) channels
+      List.map (fun c -> Check.Reference.respond c demand) channels
     in
     List.iteri
       (fun i o ->
-        if o = Simulator.Channel.No_action then
+        if o = Core.Voting.No_action then
           channel_failures.(i) <- channel_failures.(i) + 1)
       outputs;
     let n_failed =
       List.length
-        (List.filter (fun o -> o = Simulator.Channel.No_action) outputs)
+        (List.filter (fun o -> o = Core.Voting.No_action) outputs)
     in
     if n_failed >= 2 then incr coincident;
     if
-      Simulator.Adjudicator.system_fails
+      Check.Reference.system_fails
         (Simulator.Protection.adjudicator system)
         outputs
     then incr system_failures
@@ -588,10 +586,7 @@ let test_fleet_reproducible () =
 
 (* ---- adjudication algebra: goldens, laws, legacy identity ---- *)
 
-let output_t =
-  Alcotest.testable Simulator.Channel.pp_output Simulator.Channel.equal
-
-let check_output = Alcotest.check output_t
+let check_output = Alcotest.check Prop.decision
 
 (* Captured immediately before the adjudicator-calculus refactor
    (seed 42, the golden space, abstain-free channels): Runner, Campaign
@@ -730,9 +725,9 @@ let count_outputs outs =
   List.fold_left
     (fun (s, na, ab) o ->
       match o with
-      | Simulator.Channel.Shutdown -> (s + 1, na, ab)
-      | Simulator.Channel.No_action -> (s, na + 1, ab)
-      | Simulator.Channel.Abstain -> (s, na, ab + 1))
+      | Core.Voting.Shutdown -> (s + 1, na, ab)
+      | Core.Voting.No_action -> (s, na + 1, ab)
+      | Core.Voting.Abstain -> (s, na, ab + 1))
     (0, 0, 0) outs
 
 (* Protection.create compiles each system into verdict bitsets. On every
@@ -748,9 +743,9 @@ let reference_true_pfd system =
   for d = 0 to Demandspace.Space.size space - 1 do
     let demand = Demandspace.Demand.of_int d in
     if
-      Simulator.Adjudicator.system_fails
+      Check.Reference.system_fails
         (Simulator.Protection.adjudicator system)
-        (List.map (fun c -> Simulator.Channel.respond c demand) channels)
+        (List.map (fun c -> Check.Reference.respond c demand) channels)
     then Numerics.Kahan.add acc (Demandspace.Profile.probability profile demand)
   done;
   Numerics.Kahan.total acc
@@ -781,7 +776,7 @@ let test_prop_compiled_protection () =
       in
       let channels =
         List.init
-          (max n_channels (Simulator.Adjudicator.min_channels adj))
+          (max n_channels (Core.Voting.policy_min_channels adj))
           channel
       in
       let system = Simulator.Protection.create ~adjudicator:adj channels in
@@ -789,8 +784,8 @@ let test_prop_compiled_protection () =
         let demand = Demandspace.Demand.of_int d in
         check_output
           (Printf.sprintf "respond on demand %d" d)
-          (Simulator.Adjudicator.combine adj
-             (List.map (fun c -> Simulator.Channel.respond c demand) channels))
+          (Check.Reference.combine adj
+             (List.map (fun c -> Check.Reference.respond c demand) channels))
           (Simulator.Protection.respond system demand)
       done;
       Alcotest.(check int64) "true_pfd bits"
@@ -806,39 +801,35 @@ let test_prop_adjudication_laws () =
   in
   Prop.check ~cases:100 "adjudication laws + legacy identity" gen
     (fun (term, outs, salt) ->
-      let module A = Simulator.Adjudicator in
+      let module V = Core.Voting in
+      let module R = Check.Reference in
       let n = List.length outs in
       let shutdowns, no_actions, abstains = count_outputs outs in
-      let d t = A.decide_counts t ~shutdowns ~no_actions ~abstains in
+      let d t = V.decide t ~shutdowns ~no_actions ~abstains in
       (* unit is a two-sided identity for compose *)
-      check_output "compose unit t == t" (d term) (d (A.compose A.unit term));
-      check_output "compose t unit == t" (d term) (d (A.compose term A.unit));
+      check_output "compose unit t == t" (d term) (d (V.compose V.Unit term));
+      check_output "compose t unit == t" (d term) (d (V.compose term V.Unit));
       (* fallback is idempotent (the backup re-reads the same votes) *)
-      check_output "fallback t t == t" (d term) (d (A.fallback term term));
+      check_output "fallback t t == t" (d term) (d (V.fallback term term));
       (* adjudication is permutation-invariant on the list path *)
-      if A.min_channels term <= n then
-        check_output "combine permutation-invariant" (A.combine term outs)
-          (A.combine term
-             (Check.Reference.shuffle (Rng.create ~seed:salt) outs));
+      if V.policy_min_channels term <= n then
+        check_output "combine permutation-invariant" (R.combine term outs)
+          (R.combine term (R.shuffle (Rng.create ~seed:salt) outs));
       (* legacy-vs-combinator byte-identity on abstain-free inputs *)
       let free =
         List.map
-          (fun o ->
-            if Simulator.Channel.equal o Simulator.Channel.Abstain then
-              Simulator.Channel.No_action
-            else o)
+          (fun o -> if V.equal_decision o V.Abstain then V.No_action else o)
           outs
       in
       for required = 1 to n do
-        let adj = A.m_out_of_n ~required in
+        let adj = V.vote ~required in
         check_output
           (Printf.sprintf "%d-of-%d vote == legacy" required n)
-          (Check.Reference.legacy_combine ~required free)
-          (A.combine adj free);
+          (R.legacy_combine ~required free)
+          (R.combine adj free);
         check_bool "system_fails == legacy"
-          (Check.Reference.legacy_combine ~required free
-           = Simulator.Channel.No_action)
-          (A.system_fails adj free)
+          (R.legacy_combine ~required free = V.No_action)
+          (R.system_fails adj free)
       done)
 
 let () =

@@ -70,34 +70,28 @@ let test_channel_respond () =
   let space = make_space () in
   let v = Demandspace.Version.create space [ 0 ] in
   let c = Simulator.Channel.create ~name:"A" v in
-  Alcotest.(check bool) "fails inside its region" true
-    (Simulator.Channel.respond c (Demandspace.Demand.of_int 5)
-    = Simulator.Channel.No_action);
-  Alcotest.(check bool) "shuts down elsewhere" true
-    (Simulator.Channel.respond c (Demandspace.Demand.of_int 120)
-    = Simulator.Channel.Shutdown);
+  Alcotest.check Prop.decision "fails inside its region" Core.Voting.No_action
+    (Check.Reference.respond c (Demandspace.Demand.of_int 5));
+  Alcotest.check Prop.decision "shuts down elsewhere" Core.Voting.Shutdown
+    (Check.Reference.respond c (Demandspace.Demand.of_int 120));
   Prop.check_close ~eps:1e-12 "channel pfd" 0.1 (Simulator.Channel.pfd c)
 
 let test_adjudicator_truth_table () =
-  let open Simulator in
-  let adj = Adjudicator.one_out_of_n in
-  Alcotest.(check bool) "both good" true
-    (Adjudicator.combine adj [ Channel.Shutdown; Channel.Shutdown ]
-    = Channel.Shutdown);
-  Alcotest.(check bool) "first fails" true
-    (Adjudicator.combine adj [ Channel.No_action; Channel.Shutdown ]
-    = Channel.Shutdown);
-  Alcotest.(check bool) "second fails" true
-    (Adjudicator.combine adj [ Channel.Shutdown; Channel.No_action ]
-    = Channel.Shutdown);
-  Alcotest.(check bool) "both fail" true
-    (Adjudicator.combine adj [ Channel.No_action; Channel.No_action ]
-    = Channel.No_action);
+  let open Core.Voting in
+  let adj = vote ~required:1 and combine = Check.Reference.combine in
+  Alcotest.check Prop.decision "both good" Shutdown
+    (combine adj [ Shutdown; Shutdown ]);
+  Alcotest.check Prop.decision "first fails" Shutdown
+    (combine adj [ No_action; Shutdown ]);
+  Alcotest.check Prop.decision "second fails" Shutdown
+    (combine adj [ Shutdown; No_action ]);
+  Alcotest.check Prop.decision "both fail" No_action
+    (combine adj [ No_action; No_action ]);
   Alcotest.(check bool) "system fails only when all fail" true
-    (Adjudicator.system_fails adj [ Channel.No_action; Channel.No_action ]);
+    (Check.Reference.system_fails adj [ No_action; No_action ]);
   Alcotest.check_raises "empty outputs"
-    (Invalid_argument "Adjudicator.combine: no channel outputs") (fun () ->
-      ignore (Adjudicator.combine adj []))
+    (Invalid_argument "Reference.combine: no channel outputs") (fun () ->
+      ignore (combine adj []))
 
 let test_protection_pfd () =
   let space = make_space () in
@@ -156,28 +150,21 @@ let test_protection_space_mismatch () =
 (* Adjudication calculus                                               *)
 (* ------------------------------------------------------------------ *)
 
-let output_t =
-  Alcotest.testable Simulator.Channel.pp_output Simulator.Channel.equal
-
-let test_channel_equal_pp () =
-  let open Simulator.Channel in
-  let outputs = [ Shutdown; No_action; Abstain ] in
-  (* equal must agree with structural equality on the whole 3x3 table *)
+let test_decision_equal () =
+  let open Core.Voting in
+  let decisions = [ Shutdown; No_action; Abstain ] in
+  (* equal_decision must agree with structural equality on the whole
+     3x3 table *)
   List.iter
     (fun a ->
       List.iter
         (fun b ->
           Alcotest.(check bool)
-            (Format.asprintf "equal %a %a" pp_output a pp_output b)
-            (a = b) (equal a b))
-        outputs)
-    outputs;
-  Alcotest.(check string) "pp shutdown" "shutdown"
-    (Format.asprintf "%a" pp_output Shutdown);
-  Alcotest.(check string) "pp no-action" "no-action"
-    (Format.asprintf "%a" pp_output No_action);
-  Alcotest.(check string) "pp abstain" "abstain"
-    (Format.asprintf "%a" pp_output Abstain)
+            (Format.asprintf "equal %a %a" Prop.pp_decision a Prop.pp_decision
+               b)
+            (a = b) (equal_decision a b))
+        decisions)
+    decisions
 
 let test_channel_abstain () =
   let space = make_space () in
@@ -186,12 +173,12 @@ let test_channel_abstain () =
      an abstention *)
   let self_check = Demandspace.Version.failure_set v in
   let c = Simulator.Channel.create ~self_check ~name:"A" v in
-  Alcotest.check output_t "abstains on a detected fault"
-    Simulator.Channel.Abstain
-    (Simulator.Channel.respond c (Demandspace.Demand.of_int 5));
-  Alcotest.check output_t "shuts down on clean demands"
-    Simulator.Channel.Shutdown
-    (Simulator.Channel.respond c (Demandspace.Demand.of_int 120));
+  Alcotest.check Prop.decision "abstains on a detected fault"
+    Core.Voting.Abstain
+    (Check.Reference.respond c (Demandspace.Demand.of_int 5));
+  Alcotest.check Prop.decision "shuts down on clean demands"
+    Core.Voting.Shutdown
+    (Check.Reference.respond c (Demandspace.Demand.of_int 120));
   let abstains channel =
     Numerics.Bitset.mem
       (Simulator.Protection.abstain_set
@@ -202,9 +189,9 @@ let test_channel_abstain () =
     (abstains c);
   (* a plain channel on the same version never abstains *)
   let plain = Simulator.Channel.create ~name:"B" v in
-  Alcotest.check output_t "undetected failure is silent"
-    Simulator.Channel.No_action
-    (Simulator.Channel.respond plain (Demandspace.Demand.of_int 5));
+  Alcotest.check Prop.decision "undetected failure is silent"
+    Core.Voting.No_action
+    (Check.Reference.respond plain (Demandspace.Demand.of_int 5));
   Alcotest.(check bool) "plain abstain set is empty" false (abstains plain);
   Alcotest.check_raises "mis-sized self-check"
     (Invalid_argument "Channel.create: self-check set sized to a different space")
@@ -215,39 +202,39 @@ let test_channel_abstain () =
            ~name:"C" v))
 
 let test_calculus_truth_tables () =
-  let open Simulator in
-  let sd = Channel.Shutdown and na = Channel.No_action and ab = Channel.Abstain in
+  let open Core.Voting in
+  let combine = Check.Reference.combine in
+  let sd = Shutdown and na = No_action and ab = Abstain in
   (* unit passes the verdict lattice through (any shutdown wins) *)
-  Alcotest.check output_t "unit keeps shutdown" sd
-    (Adjudicator.(combine unit) [ sd; na ]);
-  Alcotest.check output_t "unit keeps abstain" ab (Adjudicator.(combine unit) [ ab ]);
+  Alcotest.check Prop.decision "unit keeps shutdown" sd (combine Unit [ sd; na ]);
+  Alcotest.check Prop.decision "unit keeps abstain" ab (combine Unit [ ab ]);
   (* vote thresholds over mixed vectors: quorum met, lost, and broken *)
-  let v2 = Adjudicator.vote ~required:2 in
-  Alcotest.check output_t "2oo3 quorum met" sd (Adjudicator.combine v2 [ sd; sd; na ]);
-  Alcotest.check output_t "2oo3 outvoted" na (Adjudicator.combine v2 [ sd; na; na ]);
-  Alcotest.check output_t "2oo3 quorum broken by abstention" ab
-    (Adjudicator.combine v2 [ sd; ab; ab ]);
+  let v2 = vote ~required:2 in
+  Alcotest.check Prop.decision "2oo3 quorum met" sd (combine v2 [ sd; sd; na ]);
+  Alcotest.check Prop.decision "2oo3 outvoted" na (combine v2 [ sd; na; na ]);
+  Alcotest.check Prop.decision "2oo3 quorum broken by abstention" ab
+    (combine v2 [ sd; ab; ab ]);
   (* the graceful-degradation cascade: a fallback OR rescues the vote *)
-  let cascade = Adjudicator.(fallback v2 one_out_of_n) in
-  Alcotest.check output_t "fallback rescues the broken quorum" sd
-    (Adjudicator.combine cascade [ sd; ab; ab ]);
-  Alcotest.check output_t "fallback does not fire on a definite verdict" na
-    (Adjudicator.combine cascade [ sd; na; na ]);
+  let cascade = fallback v2 (vote ~required:1) in
+  Alcotest.check Prop.decision "fallback rescues the broken quorum" sd
+    (combine cascade [ sd; ab; ab ]);
+  Alcotest.check Prop.decision "fallback does not fire on a definite verdict" na
+    (combine cascade [ sd; na; na ]);
   (* compose cascades the survivors of the first stage *)
-  let two_stage = Adjudicator.(compose v2 one_out_of_n) in
-  Alcotest.check output_t "compose collapses the vote's verdict" sd
-    (Adjudicator.combine two_stage [ sd; sd; na ]);
-  Alcotest.(check int) "min_channels of a vote" 2 (Adjudicator.min_channels v2);
+  let two_stage = compose v2 (vote ~required:1) in
+  Alcotest.check Prop.decision "compose collapses the vote's verdict" sd
+    (combine two_stage [ sd; sd; na ]);
+  Alcotest.(check int) "min_channels of a vote" 2 (policy_min_channels v2);
   Alcotest.(check int) "min_channels of the cascade" 1
-    (Adjudicator.min_channels cascade);
+    (policy_min_channels cascade);
   Alcotest.(check bool) "terms compare structurally" true
-    (Adjudicator.equal cascade Adjudicator.(fallback (vote ~required:2) (vote ~required:1)));
+    (equal_policy cascade (fallback (vote ~required:2) (vote ~required:1)));
   Alcotest.check_raises "vote threshold must be positive"
-    (Invalid_argument "Adjudicator.m_out_of_n: required must be >= 1")
-    (fun () -> ignore (Adjudicator.vote ~required:0));
+    (Invalid_argument "Voting.vote: required must be >= 1")
+    (fun () -> ignore (vote ~required:0));
   Alcotest.check_raises "arity check"
-    (Invalid_argument "Adjudicator.combine: more votes required than channels")
-    (fun () -> ignore (Adjudicator.combine v2 [ sd ]))
+    (Invalid_argument "Reference.combine: more votes required than channels")
+    (fun () -> ignore (combine v2 [ sd ]))
 
 let test_cascade_protection () =
   let space = make_space () in
@@ -261,19 +248,19 @@ let test_cascade_protection () =
   let b = Simulator.Channel.create ~name:"B" vb in
   (* a demand in A's fault region: A abstains, B shuts down *)
   let d = Demandspace.Demand.of_int 5 in
-  let strict = Simulator.Protection.create ~adjudicator:(Simulator.Adjudicator.vote ~required:2) [ a; b ] in
-  Alcotest.check output_t "2oo2 loses its quorum" Simulator.Channel.Abstain
+  let strict = Simulator.Protection.create ~adjudicator:(Core.Voting.vote ~required:2) [ a; b ] in
+  Alcotest.check Prop.decision "2oo2 loses its quorum" Core.Voting.Abstain
     (Simulator.Protection.respond strict d);
   Alcotest.(check bool) "2oo2 counts it as a system failure" true
     (Simulator.Protection.fails_on strict d);
   let graceful =
     Simulator.Protection.create
       ~adjudicator:
-        Simulator.Adjudicator.(fallback (vote ~required:2) (vote ~required:1))
+        Core.Voting.(fallback (vote ~required:2) (vote ~required:1))
       [ a; b ]
   in
-  Alcotest.check output_t "the cascade degrades to the surviving channel"
-    Simulator.Channel.Shutdown
+  Alcotest.check Prop.decision "the cascade degrades to the surviving channel"
+    Core.Voting.Shutdown
     (Simulator.Protection.respond graceful d);
   Alcotest.(check bool) "and handles the demand" false
     (Simulator.Protection.fails_on graceful d)
@@ -311,7 +298,7 @@ let test_runner_abstentions () =
     stats'.Simulator.Runner.system_abstentions
 
 (* ------------------------------------------------------------------ *)
-(* Plant / Runner                                                      *)
+(* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_runner_empirical_pfd () =
@@ -439,7 +426,7 @@ let () =
         ] );
       ( "adjudication-calculus",
         [
-          Alcotest.test_case "channel equal and pp" `Quick test_channel_equal_pp;
+          Alcotest.test_case "decision equality" `Quick test_decision_equal;
           Alcotest.test_case "self-checking channel" `Quick test_channel_abstain;
           Alcotest.test_case "combinator truth tables" `Quick
             test_calculus_truth_tables;

@@ -53,7 +53,18 @@ let test_betainc_validation () =
       ignore (Numerics.Betainc.regularized ~a:0.0 ~b:1.0 0.5));
   Alcotest.check_raises "bad x"
     (Invalid_argument "Betainc.regularized: x outside [0, 1]") (fun () ->
-      ignore (Numerics.Betainc.regularized ~a:1.0 ~b:1.0 1.5))
+      ignore (Numerics.Betainc.regularized ~a:1.0 ~b:1.0 1.5));
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "beta_ppf p = %g" p)
+        (Invalid_argument "Betainc.beta_ppf: p outside [0, 1]")
+        (fun () -> ignore (Numerics.Betainc.beta_ppf ~a:2.0 ~b:3.0 p));
+      Alcotest.check_raises
+        (Printf.sprintf "binomial_cdf p = %g" p)
+        (Invalid_argument "Betainc.binomial_cdf: p outside [0, 1]")
+        (fun () -> ignore (Numerics.Betainc.binomial_cdf ~n:10 ~p 3)))
+    [ 1.5; nan ]
 
 (* ------------------------------------------------------------------ *)
 (* Voting                                                              *)
@@ -106,7 +117,18 @@ let test_voting_dist_consistency () =
 let test_voting_validation () =
   Alcotest.check_raises "required > channels"
     (Invalid_argument "Voting.create: required must lie in [1, channels]")
-    (fun () -> ignore (Core.Voting.create ~channels:2 ~required:3))
+    (fun () -> ignore (Core.Voting.create ~channels:2 ~required:3));
+  List.iter
+    (fun (shutdowns, no_actions, abstains) ->
+      Alcotest.check_raises
+        (Printf.sprintf "decide counts (%d, %d, %d)" shutdowns no_actions
+           abstains)
+        (Invalid_argument "Voting.decide: negative vote count")
+        (fun () ->
+          ignore
+            (Core.Voting.decide Core.Voting.Unit ~shutdowns ~no_actions
+               ~abstains)))
+    [ (-1, 0, 0); (0, -1, 2); (1, 1, -1) ]
 
 let test_voting_simulator_agreement () =
   (* The analytic voted model vs the executable adjudicator on a concrete
@@ -131,19 +153,16 @@ let test_voting_simulator_agreement () =
     (Numerics.Welford.mean acc)
 
 let test_adjudicator_m_out_of_n () =
-  let open Simulator in
-  let adj = Adjudicator.m_out_of_n ~required:2 in
+  let open Core.Voting in
+  let adj = vote ~required:2 in
   Alcotest.(check bool) "2 votes suffice" true
-    (Adjudicator.combine adj
-       Channel.[ Shutdown; Shutdown; No_action ]
-    = Channel.Shutdown);
+    (Check.Reference.combine adj [ Shutdown; Shutdown; No_action ] = Shutdown);
   Alcotest.(check bool) "1 vote fails" true
-    (Adjudicator.combine adj
-       Channel.[ Shutdown; No_action; No_action ]
-    = Channel.No_action);
+    (Check.Reference.combine adj [ Shutdown; No_action; No_action ]
+    = No_action);
   Alcotest.check_raises "too few channels"
-    (Invalid_argument "Adjudicator.combine: more votes required than channels")
-    (fun () -> ignore (Adjudicator.combine adj [ Channel.Shutdown ]))
+    (Invalid_argument "Reference.combine: more votes required than channels")
+    (fun () -> ignore (Check.Reference.combine adj [ Shutdown ]))
 
 (* ------------------------------------------------------------------ *)
 (* Estimator                                                           *)
@@ -293,7 +312,7 @@ let test_beta_prior_demands_for_confidence () =
   | Some d ->
       (* closed form: smallest t with 1-(1-x)^(t+1) >= 0.95 *)
       let expected =
-        int_of_float (Float.ceil (log 0.05 /. Numerics.Special.log1p (-0.01))) - 1
+        int_of_float (Float.ceil (log 0.05 /. Float.log1p (-0.01))) - 1
       in
       Alcotest.(check int) "matches closed form" expected d
 
