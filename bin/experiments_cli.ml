@@ -341,14 +341,13 @@ let evidence_cmd =
                 if n > 0 then begin
                   if window > 0 && not json then begin
                     let v = Evidence.Verdict.of_assessor assessor in
-                    let fleet = v.Evidence.Verdict.fleet in
                     Printf.printf
                       "interim @ %7d line(s): %-21s fleet %d/%d \
                        failures/demands, P(pfd<=%g)=%.4f\n"
                       (Evidence.Source.lines_read src)
                       (Evidence.Verdict.overall_string v.Evidence.Verdict.overall)
-                      fleet.Evidence.Assessor.f_failures
-                      fleet.Evidence.Assessor.f_demands
+                      v.Evidence.Verdict.fleet_failures
+                      v.Evidence.Verdict.fleet_demands
                       config.Evidence.Assessor.bound
                       v.Evidence.Verdict.fleet_posterior
                         .Evidence.Assessor.confidence_in_bound

@@ -12,7 +12,7 @@ let q t = t.q
 
 let scale_p t factor =
   let p = t.p *. factor in
-  if p < 0.0 || p > 1.0 then
+  if not (0.0 <= p && p <= 1.0) then
     invalid_arg "Fault.scale_p: scaled probability leaves [0, 1]";
   { t with p }
 

@@ -183,9 +183,9 @@ let binom_pmf ~n ~p k =
 let policy_defeat_prob policy ~channels ?(detection = 0.0) ~p () =
   if channels < 1 then
     invalid_arg "Voting.policy_defeat_prob: channels must be >= 1";
-  if p < 0.0 || p > 1.0 then
+  if not (0.0 <= p && p <= 1.0) then
     invalid_arg "Voting.policy_defeat_prob: p outside [0, 1]";
-  if detection < 0.0 || detection > 1.0 then
+  if not (0.0 <= detection && detection <= 1.0) then
     invalid_arg "Voting.policy_defeat_prob: detection outside [0, 1]";
   let acc = Kahan.create () in
   for f = 0 to channels do

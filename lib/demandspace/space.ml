@@ -19,7 +19,7 @@ let create ~profile ~faults =
     regions;
   Array.iter
     (fun p ->
-      if p < 0.0 || p > 1.0 then
+      if not (0.0 <= p && p <= 1.0) then
         invalid_arg "Space.create: introduction probability outside [0, 1]")
     introduction_probs;
   { size; profile; regions; introduction_probs }

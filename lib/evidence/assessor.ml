@@ -58,24 +58,34 @@ let default_config =
   }
 
 let validate_config c =
+  let in_unit x = 0.0 < x && x < 1.0 in
   if not (0.0 < c.theta0 && c.theta0 < c.theta1 && c.theta1 < 1.0) then
     invalid_arg "Evidence.Assessor: need 0 < theta0 < theta1 < 1";
-  if c.alpha <= 0.0 || c.alpha >= 1.0 || c.beta <= 0.0 || c.beta >= 1.0 then
+  if not (in_unit c.alpha && in_unit c.beta) then
     invalid_arg "Evidence.Assessor: error rates must lie strictly in (0, 1)";
-  if c.prior_a <= 0.0 || c.prior_b <= 0.0 then
+  if not (0.0 < c.prior_a && 0.0 < c.prior_b) then
     invalid_arg "Evidence.Assessor: prior parameters must be positive";
-  if c.bound <= 0.0 || c.bound >= 1.0 then
+  if not (in_unit c.bound) then
     invalid_arg "Evidence.Assessor: bound must lie strictly in (0, 1)";
-  if c.confidence <= 0.0 || c.confidence >= 1.0 then
+  if not (in_unit c.confidence) then
     invalid_arg "Evidence.Assessor: confidence must lie strictly in (0, 1)";
-  if c.drift_alpha <= 0.0 || c.drift_alpha >= 1.0 then
+  if not (in_unit c.drift_alpha) then
     invalid_arg "Evidence.Assessor: drift_alpha must lie strictly in (0, 1)"
 
-type plant_state = { mutable p_demands : int; mutable p_failures : int }
-
-type t = {
-  config : config;
-  plants : (int, plant_state) Hashtbl.t;
+(* Every scalar counter, declared once: ingest assigns these fields, and
+   a verdict reads a copy of them (see [counts] below). *)
+type counts = {
+  mutable accepted : int;
+  mutable skipped_total : int;
+  mutable malformed : int;
+  mutable run_starts : int;
+  mutable run_ends : int;
+  mutable declared_seed : int option;
+  mutable declared_shards : int option;
+  mutable declared_target : string option;
+  mutable fleet_observes : int;
+  mutable declared_plants : int;
+  mutable declared_fleet_failures : int;
   mutable runner_runs : int;
   mutable runner_demands : int;
   mutable runner_failures : int;
@@ -86,50 +96,50 @@ type t = {
   mutable sprt_undecided : int;
   mutable sprt_demands : int;
   mutable sprt_failures : int;
-  mutable run_starts : int;
-  mutable run_ends : int;
-  mutable declared_seed : int option;
-  mutable declared_shards : int option;
-  mutable declared_target : string option;
-  mutable fleet_observes : int;
-  mutable declared_plants : int;
-  mutable declared_fleet_failures : int;
+}
+
+type plant_state = { mutable p_demands : int; mutable p_failures : int }
+
+type t = {
+  config : config;
+  c : counts;
+  plants : (int, plant_state) Hashtbl.t;
+  skipped : (string, int) Hashtbl.t;
   (* Empirical demand histogram (by id), grown on demand. *)
   mutable demand_counts : int array;
-  mutable accepted : int;
-  mutable malformed : int;
-  skipped : (string, int) Hashtbl.t;
-  mutable skipped_total : int;
 }
 
 let create config =
   validate_config config;
   {
     config;
+    c =
+      {
+        accepted = 0;
+        skipped_total = 0;
+        malformed = 0;
+        run_starts = 0;
+        run_ends = 0;
+        declared_seed = None;
+        declared_shards = None;
+        declared_target = None;
+        fleet_observes = 0;
+        declared_plants = 0;
+        declared_fleet_failures = 0;
+        runner_runs = 0;
+        runner_demands = 0;
+        runner_failures = 0;
+        runner_coincident = 0;
+        runner_rng_draws = 0;
+        sprt_accepts = 0;
+        sprt_rejects = 0;
+        sprt_undecided = 0;
+        sprt_demands = 0;
+        sprt_failures = 0;
+      };
     plants = Hashtbl.create 64;
-    runner_runs = 0;
-    runner_demands = 0;
-    runner_failures = 0;
-    runner_coincident = 0;
-    runner_rng_draws = 0;
-    sprt_accepts = 0;
-    sprt_rejects = 0;
-    sprt_undecided = 0;
-    sprt_demands = 0;
-    sprt_failures = 0;
-    run_starts = 0;
-    run_ends = 0;
-    declared_seed = None;
-    declared_shards = None;
-    declared_target = None;
-    fleet_observes = 0;
-    declared_plants = 0;
-    declared_fleet_failures = 0;
-    demand_counts = [||];
-    accepted = 0;
-    malformed = 0;
     skipped = Hashtbl.create 8;
-    skipped_total = 0;
+    demand_counts = [||];
   }
 
 let config t = t.config
@@ -156,49 +166,50 @@ let bump_demand t id count =
   t.demand_counts.(id) <- t.demand_counts.(id) + count
 
 let ingest_event t (event : Schema.event) =
-  t.accepted <- t.accepted + 1;
+  let c = t.c in
+  c.accepted <- c.accepted + 1;
   Obs.Metrics.incr m_events;
   match event with
   | Schema.Run_start { target; seed; shards } ->
-      t.run_starts <- t.run_starts + 1;
-      if t.declared_seed = None then t.declared_seed <- Some seed;
-      if t.declared_shards = None then t.declared_shards <- Some shards;
-      if t.declared_target = None then t.declared_target <- Some target
-  | Schema.Run_end { rng_draws = _; _ } -> t.run_ends <- t.run_ends + 1
+      c.run_starts <- c.run_starts + 1;
+      if c.declared_seed = None then c.declared_seed <- Some seed;
+      if c.declared_shards = None then c.declared_shards <- Some shards;
+      if c.declared_target = None then c.declared_target <- Some target
+  | Schema.Run_end { rng_draws = _; _ } -> c.run_ends <- c.run_ends + 1
   | Schema.Runner_run
       { demands; system_failures; coincident_failures; rng_draws; demand_hist }
     ->
-      t.runner_runs <- t.runner_runs + 1;
-      t.runner_demands <- t.runner_demands + demands;
-      t.runner_failures <- t.runner_failures + system_failures;
-      t.runner_coincident <- t.runner_coincident + coincident_failures;
-      t.runner_rng_draws <- t.runner_rng_draws + rng_draws;
+      c.runner_runs <- c.runner_runs + 1;
+      c.runner_demands <- c.runner_demands + demands;
+      c.runner_failures <- c.runner_failures + system_failures;
+      c.runner_coincident <- c.runner_coincident + coincident_failures;
+      c.runner_rng_draws <- c.runner_rng_draws + rng_draws;
       List.iter (fun (id, count) -> bump_demand t id count) demand_hist
   | Schema.Fleet_plant { plant; demands; failures; true_pfd = _ } ->
       let s = plant_state t plant in
       s.p_demands <- s.p_demands + demands;
       s.p_failures <- s.p_failures + failures
   | Schema.Fleet_observe { plants; demands_per_plant = _; failures } ->
-      t.fleet_observes <- t.fleet_observes + 1;
-      t.declared_plants <- max t.declared_plants plants;
-      t.declared_fleet_failures <- t.declared_fleet_failures + failures
+      c.fleet_observes <- c.fleet_observes + 1;
+      c.declared_plants <- max c.declared_plants plants;
+      c.declared_fleet_failures <- c.declared_fleet_failures + failures
   | Schema.Sprt_decision { decision; demands; failures; log_lr = _ } ->
       (match decision with
-      | Schema.Accept -> t.sprt_accepts <- t.sprt_accepts + 1
-      | Schema.Reject -> t.sprt_rejects <- t.sprt_rejects + 1
-      | Schema.Undecided -> t.sprt_undecided <- t.sprt_undecided + 1);
-      t.sprt_demands <- t.sprt_demands + demands;
-      t.sprt_failures <- t.sprt_failures + failures
+      | Schema.Accept -> c.sprt_accepts <- c.sprt_accepts + 1
+      | Schema.Reject -> c.sprt_rejects <- c.sprt_rejects + 1
+      | Schema.Undecided -> c.sprt_undecided <- c.sprt_undecided + 1);
+      c.sprt_demands <- c.sprt_demands + demands;
+      c.sprt_failures <- c.sprt_failures + failures
 
 let ingest_parsed t = function
   | Schema.Event e -> ingest_event t e
   | Schema.Skipped kind ->
-      t.skipped_total <- t.skipped_total + 1;
+      t.c.skipped_total <- t.c.skipped_total + 1;
       Obs.Metrics.incr m_skipped;
       Hashtbl.replace t.skipped kind
         (1 + Option.value ~default:0 (Hashtbl.find_opt t.skipped kind))
   | Schema.Malformed _ ->
-      t.malformed <- t.malformed + 1;
+      t.c.malformed <- t.c.malformed + 1;
       Obs.Metrics.incr m_malformed
 
 let ingest_line t line = ingest_parsed t (Schema.parse_line line)
@@ -287,6 +298,10 @@ let record_drift_alarm () = Obs.Metrics.incr m_drift_alarms
 (* Accessors for verdict construction                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The verdict keeps a copy: it is a snapshot, and later ingest must not
+   move it. *)
+let counts t = { t.c with accepted = t.c.accepted }
+
 type plant_counts = { plant : int; demands : int; failures : int }
 
 let plant_counts t =
@@ -296,97 +311,8 @@ let plant_counts t =
     t.plants []
   |> List.sort (fun a b -> compare a.plant b.plant)
 
-type fleet_counts = {
-  f_plants : int;
-  f_demands : int;
-  f_failures : int;
-  f_declared_plants : int;
-  f_declared_failures : int;
-  f_observes : int;
-}
-
-let fleet_counts t =
-  let demands = ref 0 and failures = ref 0 in
-  Hashtbl.iter
-    (fun _ s ->
-      demands := !demands + s.p_demands;
-      failures := !failures + s.p_failures)
-    t.plants;
-  {
-    f_plants = Hashtbl.length t.plants;
-    f_demands = !demands;
-    f_failures = !failures;
-    f_declared_plants = t.declared_plants;
-    f_declared_failures = t.declared_fleet_failures;
-    f_observes = t.fleet_observes;
-  }
-
-type runner_counts = {
-  r_runs : int;
-  r_demands : int;
-  r_failures : int;
-  r_coincident : int;
-  r_rng_draws : int;
-}
-
-let runner_counts t =
-  {
-    r_runs = t.runner_runs;
-    r_demands = t.runner_demands;
-    r_failures = t.runner_failures;
-    r_coincident = t.runner_coincident;
-    r_rng_draws = t.runner_rng_draws;
-  }
-
-type sprt_counts = {
-  s_accepts : int;
-  s_rejects : int;
-  s_undecided : int;
-  s_demands : int;
-  s_failures : int;
-}
-
-let sprt_counts t =
-  {
-    s_accepts = t.sprt_accepts;
-    s_rejects = t.sprt_rejects;
-    s_undecided = t.sprt_undecided;
-    s_demands = t.sprt_demands;
-    s_failures = t.sprt_failures;
-  }
-
-type event_counts = {
-  e_accepted : int;
-  e_skipped : (string * int) list;  (** sorted by kind *)
-  e_skipped_total : int;
-  e_malformed : int;
-}
-
-let event_counts t =
-  {
-    e_accepted = t.accepted;
-    e_skipped =
-      Hashtbl.fold (fun kind n acc -> (kind, n) :: acc) t.skipped []
-      |> List.sort compare;
-    e_skipped_total = t.skipped_total;
-    e_malformed = t.malformed;
-  }
-
-type run_meta = {
-  starts : int;
-  ends : int;
-  seed : int option;
-  shards : int option;
-  target : string option;
-}
-
-let run_meta t =
-  {
-    starts = t.run_starts;
-    ends = t.run_ends;
-    seed = t.declared_seed;
-    shards = t.declared_shards;
-    target = t.declared_target;
-  }
+let skipped_kinds t =
+  Hashtbl.fold (fun kind n acc -> (kind, n) :: acc) t.skipped []
+  |> List.sort compare
 
 let demand_counts t = Array.copy t.demand_counts

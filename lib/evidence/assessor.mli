@@ -1,7 +1,9 @@
 (** Streaming proven-in-use assessor over the JSONL run log.
 
     Ingests run-log events from a file read incrementally, in one pass,
-    maintaining per-plant and per-fleet counters only; every judgement —
+    maintaining counters only: per-plant demands and failures, a demand
+    histogram, skipped kinds, and the scalar counters of one {!counts}
+    record, which {!Verdict} reads as a copy. Every judgement —
     Bayesian posterior PFD bounds (conjugate Beta,
     {!Extensions.Beta_prior}), the Wald
     ("SPRT-style") accept/reject boundary re-evaluated on the aggregate
@@ -94,60 +96,43 @@ val record_drift_alarm : unit -> unit
 
 (** {1 Accessors for verdict construction} *)
 
+type counts = private {
+  mutable accepted : int;  (** schema-valid events consumed *)
+  mutable skipped_total : int;  (** well-formed events of other kinds *)
+  mutable malformed : int;
+  mutable run_starts : int;
+  mutable run_ends : int;
+  mutable declared_seed : int option;  (** first run.start seed seen *)
+  mutable declared_shards : int option;
+  mutable declared_target : string option;
+  mutable fleet_observes : int;  (** fleet.observe events seen *)
+  mutable declared_plants : int;  (** max [plants] over fleet.observe *)
+  mutable declared_fleet_failures : int;
+      (** sum of fleet.observe failure totals *)
+  mutable runner_runs : int;
+  mutable runner_demands : int;
+  mutable runner_failures : int;
+  mutable runner_coincident : int;
+  mutable runner_rng_draws : int;
+  mutable sprt_accepts : int;
+  mutable sprt_rejects : int;
+  mutable sprt_undecided : int;
+  mutable sprt_demands : int;
+  mutable sprt_failures : int;
+}
+(** The assessor's scalar counters. Only the assessor assigns them;
+    callers read. *)
+
+val counts : t -> counts
+(** A copy of the counters: later ingest does not move it. *)
+
 type plant_counts = { plant : int; demands : int; failures : int }
 
 val plant_counts : t -> plant_counts list
 (** Sorted by plant id. *)
 
-type fleet_counts = {
-  f_plants : int;
-  f_demands : int;
-  f_failures : int;
-  f_declared_plants : int;  (** max [plants] over fleet.observe events *)
-  f_declared_failures : int;  (** sum of fleet.observe failure totals *)
-  f_observes : int;  (** fleet.observe events seen *)
-}
-
-val fleet_counts : t -> fleet_counts
-
-type runner_counts = {
-  r_runs : int;
-  r_demands : int;
-  r_failures : int;
-  r_coincident : int;
-  r_rng_draws : int;
-}
-
-val runner_counts : t -> runner_counts
-
-type sprt_counts = {
-  s_accepts : int;
-  s_rejects : int;
-  s_undecided : int;
-  s_demands : int;
-  s_failures : int;
-}
-
-val sprt_counts : t -> sprt_counts
-
-type event_counts = {
-  e_accepted : int;
-  e_skipped : (string * int) list;
-  e_skipped_total : int;
-  e_malformed : int;
-}
-
-val event_counts : t -> event_counts
-
-type run_meta = {
-  starts : int;
-  ends : int;
-  seed : int option;  (** first run.start seed seen *)
-  shards : int option;
-  target : string option;
-}
-
-val run_meta : t -> run_meta
+val skipped_kinds : t -> (string * int) list
+(** Skipped events tallied by kind, sorted by kind. *)
 
 val demand_counts : t -> int array
 (** Copy of the accumulated empirical demand histogram (by id). *)

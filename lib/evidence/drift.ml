@@ -43,7 +43,7 @@ let chi_square_p_value ~dof x =
     1.0 -. Numerics.Normal_dist.cdf z
 
 let assess ~expected ~counts ~alpha =
-  if alpha <= 0.0 || alpha >= 1.0 then
+  if not (0.0 < alpha && alpha < 1.0) then
     invalid_arg "Drift.assess: alpha must lie strictly in (0, 1)";
   let n_expected = Array.length expected in
   if n_expected = 0 then invalid_arg "Drift.assess: expected profile is empty";

@@ -4,9 +4,10 @@
    evidence ingested so far: operating demands and failures (per plant
    and pooled), posterior PFD bounds, the aggregate Wald boundary state,
    profile drift, and the bookkeeping an auditor needs (how many lines
-   were consumed, skipped, damaged). Constructing a verdict reads the
+   were consumed, skipped, damaged). Constructing a verdict copies the
    assessor's counters and derives everything else, so it never perturbs
-   the assessor — interim verdicts in windowed mode are free.
+   the assessor — interim verdicts in windowed mode are free — and later
+   ingest never moves it.
 
    Rendering is deliberately timestamp-free: the JSON form contains no
    wall-clock or rate data (those live in the Obs.Metrics snapshot), so
@@ -25,14 +26,13 @@ type plant = {
 
 type t = {
   config : Assessor.config;
-  meta : Assessor.run_meta;
-  events : Assessor.event_counts;
+  counts : Assessor.counts;
+  skipped_kinds : (string * int) list;
   plants : plant list;
-  fleet : Assessor.fleet_counts;
+  fleet_demands : int;
+  fleet_failures : int;
   fleet_posterior : Assessor.posterior;
   fleet_wald : Assessor.wald;
-  runner : Assessor.runner_counts;
-  sprt : Assessor.sprt_counts;
   drift : Drift.result option;
   overall : overall;
   reconciled : bool;
@@ -54,31 +54,23 @@ let judge ~fleet_wald ~fleet_posterior ~(drift : Drift.result option)
 
 let of_assessor a =
   let config = Assessor.config a in
-  let fleet = Assessor.fleet_counts a in
+  let counts = Assessor.counts a in
   let plants =
     List.map
-      (fun (c : Assessor.plant_counts) ->
+      (fun ({ plant; demands; failures } : Assessor.plant_counts) ->
         {
-          plant = c.Assessor.plant;
-          demands = c.Assessor.demands;
-          failures = c.Assessor.failures;
-          posterior =
-            Assessor.posterior_of_counts config ~demands:c.Assessor.demands
-              ~failures:c.Assessor.failures;
-          wald =
-            Assessor.wald_of_counts config ~demands:c.Assessor.demands
-              ~failures:c.Assessor.failures;
+          plant;
+          demands;
+          failures;
+          posterior = Assessor.posterior_of_counts config ~demands ~failures;
+          wald = Assessor.wald_of_counts config ~demands ~failures;
         })
       (Assessor.plant_counts a)
   in
-  let fleet_posterior =
-    Assessor.posterior_of_counts config ~demands:fleet.Assessor.f_demands
-      ~failures:fleet.Assessor.f_failures
-  in
-  let fleet_wald =
-    Assessor.wald_of_counts config ~demands:fleet.Assessor.f_demands
-      ~failures:fleet.Assessor.f_failures
-  in
+  let demands = List.fold_left (fun n p -> n + p.demands) 0 plants in
+  let failures = List.fold_left (fun n p -> n + p.failures) 0 plants in
+  let fleet_posterior = Assessor.posterior_of_counts config ~demands ~failures in
+  let fleet_wald = Assessor.wald_of_counts config ~demands ~failures in
   let drift = Assessor.drift a in
   (match drift with
   | Some d when d.Drift.alarm -> Assessor.record_drift_alarm ()
@@ -87,24 +79,21 @@ let of_assessor a =
     (* The fleet.observe summary events agree with the plant events they
        bracket: plant count and pooled failures match what the simulator
        declared. Vacuously true without summary events. *)
-    fleet.Assessor.f_observes = 0
-    || fleet.Assessor.f_declared_plants = fleet.Assessor.f_plants
-       && fleet.Assessor.f_declared_failures = fleet.Assessor.f_failures
+    counts.fleet_observes = 0
+    || counts.declared_plants = List.length plants
+       && counts.declared_fleet_failures = failures
   in
   {
     config;
-    meta = Assessor.run_meta a;
-    events = Assessor.event_counts a;
+    counts;
+    skipped_kinds = Assessor.skipped_kinds a;
     plants;
-    fleet;
+    fleet_demands = demands;
+    fleet_failures = failures;
     fleet_posterior;
     fleet_wald;
-    runner = Assessor.runner_counts a;
-    sprt = Assessor.sprt_counts a;
     drift;
-    overall =
-      judge ~fleet_wald ~fleet_posterior ~drift ~config
-        ~demands:fleet.Assessor.f_demands;
+    overall = judge ~fleet_wald ~fleet_posterior ~drift ~config ~demands;
     reconciled;
   }
 
@@ -145,7 +134,7 @@ let json_opt_int = function
   | None -> Obs.Json.Null
 
 let to_json v =
-  let config = v.config in
+  let config = v.config and c = v.counts in
   let plant p =
     Obs.Json.Obj
       [
@@ -196,33 +185,33 @@ let to_json v =
       ( "run",
         Obs.Json.Obj
           [
-            ("starts", Obs.Json.Int v.meta.Assessor.starts);
-            ("ends", Obs.Json.Int v.meta.Assessor.ends);
-            ("seed", json_opt_int v.meta.Assessor.seed);
-            ("shards", json_opt_int v.meta.Assessor.shards);
+            ("starts", Obs.Json.Int c.run_starts);
+            ("ends", Obs.Json.Int c.run_ends);
+            ("seed", json_opt_int c.declared_seed);
+            ("shards", json_opt_int c.declared_shards);
             ( "target",
-              match v.meta.Assessor.target with
+              match c.declared_target with
               | Some s -> Obs.Json.String s
               | None -> Obs.Json.Null );
           ] );
       ( "events",
         Obs.Json.Obj
           [
-            ("accepted", Obs.Json.Int v.events.Assessor.e_accepted);
-            ("skipped", Obs.Json.Int v.events.Assessor.e_skipped_total);
-            ("malformed", Obs.Json.Int v.events.Assessor.e_malformed);
+            ("accepted", Obs.Json.Int c.accepted);
+            ("skipped", Obs.Json.Int c.skipped_total);
+            ("malformed", Obs.Json.Int c.malformed);
             ( "skipped_kinds",
               Obs.Json.Obj
                 (List.map
                    (fun (kind, n) -> (kind, Obs.Json.Int n))
-                   v.events.Assessor.e_skipped) );
+                   v.skipped_kinds) );
           ] );
       ( "fleet",
         Obs.Json.Obj
           [
-            ("plants", Obs.Json.Int v.fleet.Assessor.f_plants);
-            ("demands", Obs.Json.Int v.fleet.Assessor.f_demands);
-            ("failures", Obs.Json.Int v.fleet.Assessor.f_failures);
+            ("plants", Obs.Json.Int (List.length v.plants));
+            ("demands", Obs.Json.Int v.fleet_demands);
+            ("failures", Obs.Json.Int v.fleet_failures);
             ("reconciled", Obs.Json.Bool v.reconciled);
             ("posterior", json_posterior v.fleet_posterior);
             ("wald", json_wald v.fleet_wald);
@@ -231,20 +220,20 @@ let to_json v =
       ( "runner",
         Obs.Json.Obj
           [
-            ("runs", Obs.Json.Int v.runner.Assessor.r_runs);
-            ("demands", Obs.Json.Int v.runner.Assessor.r_demands);
-            ("failures", Obs.Json.Int v.runner.Assessor.r_failures);
-            ("coincident", Obs.Json.Int v.runner.Assessor.r_coincident);
-            ("rng_draws", Obs.Json.Int v.runner.Assessor.r_rng_draws);
+            ("runs", Obs.Json.Int c.runner_runs);
+            ("demands", Obs.Json.Int c.runner_demands);
+            ("failures", Obs.Json.Int c.runner_failures);
+            ("coincident", Obs.Json.Int c.runner_coincident);
+            ("rng_draws", Obs.Json.Int c.runner_rng_draws);
           ] );
       ( "sprt",
         Obs.Json.Obj
           [
-            ("accepts", Obs.Json.Int v.sprt.Assessor.s_accepts);
-            ("rejects", Obs.Json.Int v.sprt.Assessor.s_rejects);
-            ("undecided", Obs.Json.Int v.sprt.Assessor.s_undecided);
-            ("demands", Obs.Json.Int v.sprt.Assessor.s_demands);
-            ("failures", Obs.Json.Int v.sprt.Assessor.s_failures);
+            ("accepts", Obs.Json.Int c.sprt_accepts);
+            ("rejects", Obs.Json.Int c.sprt_rejects);
+            ("undecided", Obs.Json.Int c.sprt_undecided);
+            ("demands", Obs.Json.Int c.sprt_demands);
+            ("failures", Obs.Json.Int c.sprt_failures);
           ] );
       ("drift", drift);
     ]
@@ -270,25 +259,24 @@ let render_text v =
     config.Assessor.prior_a config.Assessor.prior_b
     (100.0 *. config.Assessor.confidence)
     config.Assessor.bound;
-  (match v.meta.Assessor.seed with
+  let c = v.counts in
+  (match c.declared_seed with
   | Some seed ->
       pf "  source run: target=%s seed=%d shards=%s (%d start / %d end)\n"
-        (Option.value ~default:"?" v.meta.Assessor.target)
+        (Option.value ~default:"?" c.declared_target)
         seed
-        (match v.meta.Assessor.shards with
+        (match c.declared_shards with
         | Some s -> string_of_int s
         | None -> "?")
-        v.meta.Assessor.starts v.meta.Assessor.ends
+        c.run_starts c.run_ends
   | None -> ());
-  pf "  events: %d consumed, %d skipped, %d malformed\n"
-    v.events.Assessor.e_accepted v.events.Assessor.e_skipped_total
-    v.events.Assessor.e_malformed;
+  pf "  events: %d consumed, %d skipped, %d malformed\n" c.accepted
+    c.skipped_total c.malformed;
   List.iter
     (fun (kind, n) -> pf "    skipped kind %-20s %d\n" kind n)
-    v.events.Assessor.e_skipped;
-  pf "  fleet: %d plants, %d demands, %d failures%s\n"
-    v.fleet.Assessor.f_plants v.fleet.Assessor.f_demands
-    v.fleet.Assessor.f_failures
+    v.skipped_kinds;
+  pf "  fleet: %d plants, %d demands, %d failures%s\n" (List.length v.plants)
+    v.fleet_demands v.fleet_failures
     (if v.reconciled then "" else "  [NOT RECONCILED with fleet.observe]");
   pf "    posterior PFD: mean %.3g, %g%% interval [%.3g, %.3g], P(<=%g) = %.4f\n"
     v.fleet_posterior.Assessor.post_mean
@@ -309,19 +297,13 @@ let render_text v =
         (if d.Drift.alarm then "ALARM" else "stable")
         d.Drift.chi_square d.Drift.dof d.Drift.p_value d.Drift.kl_divergence
         d.Drift.impossible d.Drift.total);
-  if v.runner.Assessor.r_runs > 0 then
+  if c.runner_runs > 0 then
     pf "  runner: %d runs, %d demands, %d failures (%d coincident), %d draws\n"
-      v.runner.Assessor.r_runs v.runner.Assessor.r_demands
-      v.runner.Assessor.r_failures v.runner.Assessor.r_coincident
-      v.runner.Assessor.r_rng_draws;
-  if
-    v.sprt.Assessor.s_accepts + v.sprt.Assessor.s_rejects
-    + v.sprt.Assessor.s_undecided
-    > 0
-  then
+      c.runner_runs c.runner_demands c.runner_failures c.runner_coincident
+      c.runner_rng_draws;
+  if c.sprt_accepts + c.sprt_rejects + c.sprt_undecided > 0 then
     pf "  sprt decisions: %d accept, %d reject, %d undecided (%d demands)\n"
-      v.sprt.Assessor.s_accepts v.sprt.Assessor.s_rejects
-      v.sprt.Assessor.s_undecided v.sprt.Assessor.s_demands;
+      c.sprt_accepts c.sprt_rejects c.sprt_undecided c.sprt_demands;
   let n_plants = List.length v.plants in
   let shown = min plant_limit n_plants in
   if n_plants > 0 then begin

@@ -1,8 +1,10 @@
 (** Proven-in-use verdict reports.
 
     A verdict snapshots everything the assessor can claim from the
-    evidence ingested so far. Construction is read-only on the assessor,
-    so interim (windowed) verdicts are free, and rendering contains no
+    evidence ingested so far. Construction is read-only on the assessor
+    and copies its counters, so interim (windowed) verdicts are free and
+    do not move as more lines are ingested; pooled fleet totals and the
+    sorted skipped kinds are computed once, here. Rendering contains no
     timestamps or rates: the verdict for a given multiset of events is
     byte-identical however the stream was windowed. *)
 
@@ -24,14 +26,13 @@ type plant = {
 
 type t = {
   config : Assessor.config;
-  meta : Assessor.run_meta;
-  events : Assessor.event_counts;
+  counts : Assessor.counts;  (** a copy, taken when the verdict was built *)
+  skipped_kinds : (string * int) list;  (** sorted by kind *)
   plants : plant list;  (** sorted by plant id *)
-  fleet : Assessor.fleet_counts;
+  fleet_demands : int;  (** pooled over [plants] *)
+  fleet_failures : int;  (** pooled over [plants] *)
   fleet_posterior : Assessor.posterior;
   fleet_wald : Assessor.wald;
-  runner : Assessor.runner_counts;
-  sprt : Assessor.sprt_counts;
   drift : Drift.result option;
   overall : overall;
   reconciled : bool;

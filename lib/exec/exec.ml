@@ -30,22 +30,19 @@ let shard_bounds ~range ~shards =
       let len = base + if k < extra then 1 else 0 in
       (lo, len))
 
-let map_shards ?pool ~shards ~f () =
-  if shards < 1 then invalid_arg "Exec.map_shards: shards must be >= 1";
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  Pool.run pool ~n:shards (fun k -> Obs.Trace.with_shard k (fun () -> f k))
-
 (* The parent is split in the caller, in index order, so its draws do not
    depend on the pool; only the seeds cross domains. Each generator is
    built on the worker that drives it, so no two shards' generator states
-   are allocated side by side by the caller. *)
+   are allocated side by side by the caller. Each shard runs under
+   [Obs.Trace.with_shard k], so trace spans from parallel regions stay
+   well-nested per shard. *)
 let map_shards_rng ?pool rng ~shards ~range ~f =
   let bounds = shard_bounds ~range ~shards in
   let seeds =
     Array.init shards (fun k -> Numerics.Rng.split_seed rng ~index:k)
   in
-  map_shards ?pool ~shards
-    ~f:(fun k ->
-      let lo, len = bounds.(k) in
-      f ~lo ~len (Numerics.Rng.create ~seed:seeds.(k)))
-    ()
+  let pool = match pool with Some p -> p | None -> Pool.default () in
+  Pool.run pool ~n:shards (fun k ->
+      Obs.Trace.with_shard k (fun () ->
+          let lo, len = bounds.(k) in
+          f ~lo ~len (Numerics.Rng.create ~seed:seeds.(k))))

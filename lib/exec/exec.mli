@@ -13,9 +13,7 @@
     simulator's sharded entry points, all taking [?pool]/[?shards]:
     [Montecarlo.estimate], [Campaign.estimate_mttf],
     [Campaign.simulate_mission_survival], [Fleet.deploy_pairs],
-    [Fleet.deploy_singles] and [Fleet.observe] run on it;
-    [Montecarlo.version_population] draws nothing in parallel and uses
-    {!map_shards} over {!shard_bounds}. *)
+    [Fleet.deploy_singles] and [Fleet.observe] run on it. *)
 
 module Pool = Pool
 
@@ -32,13 +30,6 @@ val shard_bounds : range:int -> shards:int -> (int * int) array
     lengths differ by at most one (the first [range mod shards] shards
     take the extra element). Shards beyond [range] get [len = 0]. *)
 
-val map_shards :
-  ?pool:Pool.t -> shards:int -> f:(int -> 'a) -> unit -> 'a array
-(** Run [f 0 .. f (shards-1)] on the pool (default: {!Pool.default}),
-    returning results in shard order. Each shard runs under
-    [Obs.Trace.with_shard k] so trace spans from parallel regions stay
-    well-nested per shard. *)
-
 val map_shards_rng :
   ?pool:Pool.t ->
   Numerics.Rng.t ->
@@ -47,8 +38,10 @@ val map_shards_rng :
   f:(lo:int -> len:int -> Numerics.Rng.t -> 'a) ->
   'a array
 (** [map_shards_rng rng ~shards ~range ~f] runs shard [k] as
-    [f ~lo ~len rng_k] on the pool and returns the results in shard
-    order. [(lo, len)] is shard [k]'s entry of
+    [f ~lo ~len rng_k] on the pool (default: {!Pool.default}) and
+    returns the results in shard order. Each shard runs under
+    [Obs.Trace.with_shard k] so trace spans from parallel regions stay
+    well-nested per shard. [(lo, len)] is shard [k]'s entry of
     [shard_bounds ~range ~shards]; [rng_k] is the stream
     [Rng.split rng ~index:k]. The split happens in the caller, in index
     order 0..shards-1, and advances [rng] by exactly [shards] draws; the

@@ -24,7 +24,6 @@ let create_streaming oc = { lock = Mutex.create (); oc; count = 0 }
 let global : t option ref = ref None
 
 let set_sink s = global := s
-let sink () = !global
 let active () = match !global with Some _ -> true | None -> false
 
 (* Must be called with [t.lock] held. *)
@@ -57,5 +56,3 @@ let record_all ~kind batch =
       Mutex.unlock t.lock
 
 let size t = t.count
-
-let input_line_opt ic = try Some (input_line ic) with End_of_file -> None

@@ -14,7 +14,9 @@
     Every event carries its kind, a per-log sequence number ([seq]) and a
     monotonic nanosecond timestamp ([t_ns]). A log appends each event to
     its channel as it is recorded and retains nothing, so long
-    operational histories serialise in O(1) memory. *)
+    operational histories serialise in O(1) memory. This module only
+    writes; [Evidence.Source] reads a log back line by line with the
+    stdlib's [In_channel.input_line]. *)
 
 type t
 
@@ -28,7 +30,6 @@ val set_sink : t option -> unit
 (** Install (or remove, with [None]) the global sink that {!record}
     appends to. *)
 
-val sink : unit -> t option
 val active : unit -> bool
 
 val record : kind:string -> (string * Json.t) list -> unit
@@ -43,8 +44,3 @@ val record_all : kind:string -> (string * Json.t) list list -> unit
     [t_ns]. No-op without a sink. *)
 
 val size : t -> int
-
-val input_line_opt : in_channel -> string option
-(** Next line of a JSONL stream, [None] at end of file — the reader half
-    of the streaming pair, used by [lib/evidence] to consume run logs
-    incrementally without loading the file. *)

@@ -6,7 +6,7 @@
     spans can be left permanently in hot loops. Spans are recorded in
     start order with their nesting depth taken from the currently open
     spans {e of the same shard}: each shard (see {!with_shard}, applied
-    by [Exec.map_shards] to every worker task) keeps its own open-span
+    by [Exec.map_shards_rng] to every worker task) keeps its own open-span
     stack, so traces from parallel runs remain well-nested per shard.
     While enabled, recording is protected by a mutex and safe to use
     from multiple domains. *)

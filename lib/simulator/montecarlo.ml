@@ -108,38 +108,20 @@ type population = {
   pair_summary : Stats.summary;
 }
 
-let version_population ?pool ?shards rng space ~count =
+let version_population rng space ~count =
   if count < 2 then
     invalid_arg "Montecarlo.version_population: need at least two versions";
-  let shards = Option.value shards ~default:(Exec.default_shards ()) in
   let span = Obs.Trace.enter "montecarlo.version_population" in
-  (* Development consumes the RNG and stays sequential; evaluating the
-     count*(count-1)/2 unordered pairs is pure, so it shards over a
-     flattened (i, j) index table into a preallocated result array. *)
   let versions = Devteam.develop_many rng space ~count in
   let version_pfds = Array.map Demandspace.Version.pfd versions in
-  let n_pairs = count * (count - 1) / 2 in
-  let pair_i = Array.make n_pairs 0 and pair_j = Array.make n_pairs 0 in
+  let pair_pfds = Array.make (count * (count - 1) / 2) 0.0 in
   let idx = ref 0 in
   for i = 0 to count - 1 do
     for j = i + 1 to count - 1 do
-      pair_i.(!idx) <- i;
-      pair_j.(!idx) <- j;
+      pair_pfds.(!idx) <- Demandspace.Version.pair_pfd versions.(i) versions.(j);
       incr idx
     done
   done;
-  let pair_pfds = Array.make n_pairs 0.0 in
-  let bounds = Exec.shard_bounds ~range:n_pairs ~shards in
-  ignore
-    (Exec.map_shards ?pool ~shards
-       ~f:(fun k ->
-         let lo, len = bounds.(k) in
-         for r = lo to lo + len - 1 do
-           pair_pfds.(r) <-
-             Demandspace.Version.pair_pfd versions.(pair_i.(r))
-               versions.(pair_j.(r))
-         done)
-       ());
   let pop =
     {
       version_pfds;

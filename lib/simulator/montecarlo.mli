@@ -41,16 +41,10 @@ type population = {
 }
 
 val version_population :
-  ?pool:Exec.Pool.t ->
-  ?shards:int ->
-  Numerics.Rng.t ->
-  Demandspace.Space.t ->
-  count:int ->
-  population
+  Numerics.Rng.t -> Demandspace.Space.t -> count:int -> population
 (** Develop [count] concrete versions over a demand space and evaluate every
     unordered pair as a 1-out-of-2 system (true set-intersection PFDs, no
-    non-overlap assumption). Development is sequential on [rng]; the pure
-    pairwise evaluation shards over a flattened pair-index table. *)
+    non-overlap assumption), pairs (i, j) with i < j in row order. *)
 
 val knight_leveson_shape : population -> float * float
 (** [(mean_ratio, std_ratio)] of pair vs version PFD; the paper's

@@ -38,9 +38,13 @@ let test_fault_contributions () =
 let test_fault_scale () =
   let f = Core.Fault.make ~p:0.4 ~q:0.1 in
   Prop.check_close "scaled" 0.2 (Core.Fault.p (Core.Fault.scale_p f 0.5));
-  Alcotest.check_raises "scale out of range"
-    (Invalid_argument "Fault.scale_p: scaled probability leaves [0, 1]")
-    (fun () -> ignore (Core.Fault.scale_p f 3.0))
+  List.iter
+    (fun factor ->
+      Alcotest.check_raises
+        (Printf.sprintf "scale by %g" factor)
+        (Invalid_argument "Fault.scale_p: scaled probability leaves [0, 1]")
+        (fun () -> ignore (Core.Fault.scale_p f factor)))
+    [ 3.0; nan ]
 
 (* ------------------------------------------------------------------ *)
 (* Universe                                                            *)

@@ -141,6 +141,18 @@ let test_space_basic () =
   Prop.check_close "q2" 0.05 q.(1);
   Prop.check_close "q3" 0.03 q.(2)
 
+let test_space_rejects_probabilities () =
+  let profile = Profile.uniform ~size:10 in
+  let r = Region.interval ~space_size:10 ~lo:0 ~hi:3 in
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "introduction probability %g" p)
+        (Invalid_argument
+           "Space.create: introduction probability outside [0, 1]")
+        (fun () -> ignore (Space.create ~profile ~faults:[| (r, p) |])))
+    [ 1.5; -0.1; nan ]
+
 let test_space_to_universe () =
   let s = make_space () in
   let u = Space.to_universe s in
@@ -323,6 +335,8 @@ let () =
       ( "space",
         [
           Alcotest.test_case "basic" `Quick test_space_basic;
+          Alcotest.test_case "rejects probabilities" `Quick
+            test_space_rejects_probabilities;
           Alcotest.test_case "to universe" `Quick test_space_to_universe;
           Alcotest.test_case "overlap detection" `Quick test_space_overlap_detection;
         ] );

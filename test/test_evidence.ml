@@ -155,6 +155,60 @@ let test_random_split_points () =
       if v <> batch then
         Alcotest.failf "splits (%d, %d) diverge from the batch verdict" lo hi)
 
+(* A verdict is a snapshot: ingesting more lines after it was taken
+   moves the assessor, not the verdict. *)
+let test_verdict_is_a_snapshot () =
+  let lines, _fleet = fleet_log ~seed:14 ~plants:5 ~demands_per_plant:200 in
+  let half = List.length lines / 2 in
+  let a = Assessor.create (config_with_profile ()) in
+  List.iteri (fun i l -> if i < half then Assessor.ingest_line a l) lines;
+  let v = Verdict.of_assessor a in
+  let json = Verdict.render_json v and text = Verdict.render_text v in
+  List.iteri (fun i l -> if i >= half then Assessor.ingest_line a l) lines;
+  check_string "JSON unchanged by later ingest" json (Verdict.render_json v);
+  check_string "text unchanged by later ingest" text (Verdict.render_text v);
+  check_bool "the assessor itself moved on" true
+    (Verdict.render_json (Verdict.of_assessor a) <> json)
+
+(* A sharded campaign records its runner.run and fleet.plant events in
+   whatever order its domains finish; the verdict must not notice. *)
+let test_reordered_lines () =
+  let lines, _fleet = fleet_log ~seed:26 ~plants:8 ~demands_per_plant:200 in
+  let config = config_with_profile () in
+  let in_order = verdict_of_lines config lines in
+  let lines = Array.of_list lines in
+  let movable =
+    List.init (Array.length lines) Fun.id
+    |> List.filter (fun i ->
+           match Schema.parse_line lines.(i) with
+           | Schema.Event (Schema.Runner_run _ | Schema.Fleet_plant _) -> true
+           | _ -> false)
+    |> Array.of_list
+  in
+  check_bool "the log has runner.run and fleet.plant lines to move" true
+    (Array.length movable > 8);
+  let permutation =
+    Prop.make
+      ~pp:(fun ppf p ->
+        Format.fprintf ppf "[%s]"
+          (String.concat "; " (Array.to_list (Array.map string_of_int p))))
+      (fun rng ->
+        let p = Array.copy movable in
+        for i = Array.length p - 1 downto 1 do
+          let j = Numerics.Rng.int rng (i + 1) in
+          let x = p.(i) in
+          p.(i) <- p.(j);
+          p.(j) <- x
+        done;
+        p)
+  in
+  Prop.check ~cases:30 "reordered runner.run/fleet.plant lines == in order"
+    permutation (fun p ->
+      let shuffled = Array.copy lines in
+      Array.iteri (fun k src -> shuffled.(movable.(k)) <- lines.(src)) p;
+      if verdict_of_lines config (Array.to_list shuffled) <> in_order then
+        Alcotest.fail "the reordered log renders a different verdict")
+
 (* ------------------------------------------------------------------ *)
 (* Reconciliation with Fleet.observe                                  *)
 (* ------------------------------------------------------------------ *)
@@ -164,12 +218,12 @@ let test_reconciles_with_fleet_observe () =
   let lines, fleet = fleet_log ~seed:42 ~plants ~demands_per_plant in
   let a = Assessor.create (config_with_profile ()) in
   List.iter (Assessor.ingest_line a) lines;
-  let fc = Assessor.fleet_counts a in
-  check_int "plants" plants fc.Assessor.f_plants;
-  check_int "fleet demands" (plants * demands_per_plant) fc.Assessor.f_demands;
+  let v = Verdict.of_assessor a in
+  check_int "plants" plants (List.length v.Verdict.plants);
+  check_int "fleet demands" (plants * demands_per_plant) v.Verdict.fleet_demands;
   check_int "fleet failures"
     (Simulator.Fleet.total_failures fleet)
-    fc.Assessor.f_failures;
+    v.Verdict.fleet_failures;
   let records = Simulator.Fleet.records fleet in
   let per_plant = Assessor.plant_counts a in
   check_int "one entry per plant" plants (List.length per_plant);
@@ -184,17 +238,16 @@ let test_reconciles_with_fleet_observe () =
         records.(i).Simulator.Fleet.failures c.Assessor.failures)
     per_plant;
   (* runner.run events cover the same campaign: totals agree *)
-  let rc = Assessor.runner_counts a in
-  check_int "runner demands" fc.Assessor.f_demands rc.Assessor.r_demands;
-  check_int "runner failures" fc.Assessor.f_failures rc.Assessor.r_failures;
+  let c = v.Verdict.counts in
+  check_int "runner demands" v.Verdict.fleet_demands c.Assessor.runner_demands;
+  check_int "runner failures" v.Verdict.fleet_failures c.Assessor.runner_failures;
   (* the demand histogram accounts for every demand *)
   let hist_total = Array.fold_left ( + ) 0 (Assessor.demand_counts a) in
-  check_int "demand histogram total" fc.Assessor.f_demands hist_total;
-  let v = Verdict.of_assessor a in
+  check_int "demand histogram total" v.Verdict.fleet_demands hist_total;
   check_bool "verdict reconciled against fleet.observe" true
     v.Verdict.reconciled;
-  check_int "no skipped events" 0 v.Verdict.events.Assessor.e_skipped_total;
-  check_int "no malformed lines" 0 v.Verdict.events.Assessor.e_malformed
+  check_int "no skipped events" 0 c.Assessor.skipped_total;
+  check_int "no malformed lines" 0 c.Assessor.malformed
 
 (* ------------------------------------------------------------------ *)
 (* Drift detection                                                    *)
@@ -287,14 +340,14 @@ let test_malformed_and_skipped () =
     "{\"event\":\"fleet.plant\",\"plant\":0,\"demands\":10,\"failures\":11,\"true_pfd\":0.1}";
   Assessor.ingest_line a
     "{\"event\":\"fleet.plant\",\"plant\":1,\"demands\":10,\"failures\":2,\"true_pfd\":0.1}";
-  let e = Assessor.event_counts a in
-  check_int "one event consumed" 1 e.Assessor.e_accepted;
-  check_int "unknown kinds counted, not fatal" 2 e.Assessor.e_skipped_total;
+  let v = Verdict.of_assessor a in
+  let c = v.Verdict.counts in
+  check_int "one event consumed" 1 c.Assessor.accepted;
+  check_int "unknown kinds counted, not fatal" 2 c.Assessor.skipped_total;
   check_bool "skipped kinds tallied by name" true
-    (List.assoc_opt "mystery.kind" e.Assessor.e_skipped = Some 2);
-  check_int "malformed lines counted" 3 e.Assessor.e_malformed;
-  let fc = Assessor.fleet_counts a in
-  check_int "only the valid plant landed" 10 fc.Assessor.f_demands
+    (List.assoc_opt "mystery.kind" v.Verdict.skipped_kinds = Some 2);
+  check_int "malformed lines counted" 3 c.Assessor.malformed;
+  check_int "only the valid plant landed" 10 v.Verdict.fleet_demands
 
 let test_schema_parse () =
   (match
@@ -378,14 +431,14 @@ let test_demand_id_bound () =
   Assessor.ingest_line a (runner Schema.max_demand_id);
   Assessor.ingest_line a (runner (Schema.max_demand_id + 1));
   Assessor.ingest_line a (runner 4611686018427387000);
-  let e = Assessor.event_counts a in
-  check_int "the largest admissible id is ingested" 1 e.Assessor.e_accepted;
-  check_int "ids past the bound are malformed" 2 e.Assessor.e_malformed;
+  let c = Assessor.counts a in
+  check_int "the largest admissible id is ingested" 1 c.Assessor.accepted;
+  check_int "ids past the bound are malformed" 2 c.Assessor.malformed;
   check_int "histogram sized by the admissible id" (Schema.max_demand_id + 1)
     (Array.length (Assessor.demand_counts a))
 
 (* ------------------------------------------------------------------ *)
-(* File sources: streaming writer, cursor, resume                     *)
+(* File sources: streaming writer, cursor                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_streaming_writer () =
@@ -401,18 +454,7 @@ let test_streaming_writer () =
           Runlog.record ~kind:"gamma" [ ("y", Obs.Json.Float 0.5) ]);
       close_out oc;
       check_int "streaming log counts events" 3 (Runlog.size log);
-      let ic = open_in path in
-      let lines = ref [] in
-      let rec read () =
-        match Runlog.input_line_opt ic with
-        | Some l ->
-            lines := l :: !lines;
-            read ()
-        | None -> ()
-      in
-      read ();
-      close_in ic;
-      let lines = List.rev !lines in
+      let lines = In_channel.with_open_text path In_channel.input_lines in
       check_int "one line per event" 3 (List.length lines);
       List.iter
         (fun line ->
@@ -431,32 +473,47 @@ let test_file_matches_memory () =
       check_string "file ingest == in-memory ingest" from_memory
         (Verdict.render_json (Verdict.of_assessor a)))
 
-let test_source_resume () =
-  with_temp_file (fun path ->
-      let oc = open_out path in
-      for i = 1 to 5 do
-        Printf.fprintf oc "{\"event\":\"line\",\"i\":%d}\n" i
-      done;
-      close_out oc;
-      let src = Source.open_file path in
-      let line1 = Source.next_line src in
-      let _line2 = Source.next_line src in
-      let offset = Source.offset src in
-      let rest cursor =
-        let out = ref [] in
-        Source.iter_lines cursor ~f:(fun l -> out := l :: !out);
-        List.rev !out
-      in
-      let tail_first = rest src in
-      check_int "read the tail" 3 (List.length tail_first);
-      Source.close src;
-      (* a fresh cursor resumed at the saved offset sees the same tail *)
-      let src2 = Source.open_file path in
-      Source.resume src2 ~offset;
-      let tail_resumed = rest src2 in
-      Source.close src2;
-      check_bool "first line read" true (line1 <> None);
-      check_bool "resumed tail identical" true (tail_first = tail_resumed))
+(* ------------------------------------------------------------------ *)
+(* Configuration                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every numeric field is checked with a guard NaN cannot pass: one
+   out-of-range row and one NaN row per field. *)
+let test_config_validation () =
+  let d = Assessor.default_config in
+  let rates = "Evidence.Assessor: error rates must lie strictly in (0, 1)"
+  and prior = "Evidence.Assessor: prior parameters must be positive"
+  and bound = "Evidence.Assessor: bound must lie strictly in (0, 1)"
+  and confidence = "Evidence.Assessor: confidence must lie strictly in (0, 1)"
+  and drift = "Evidence.Assessor: drift_alpha must lie strictly in (0, 1)" in
+  List.iter
+    (fun (name, config, msg) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (Assessor.create config)))
+    [
+      ("alpha 1", { d with alpha = 1.0 }, rates);
+      ("alpha nan", { d with alpha = nan }, rates);
+      ("beta 0", { d with beta = 0.0 }, rates);
+      ("beta nan", { d with beta = nan }, rates);
+      ("prior_a 0", { d with prior_a = 0.0 }, prior);
+      ("prior_a nan", { d with prior_a = nan }, prior);
+      ("prior_b -1", { d with prior_b = -1.0 }, prior);
+      ("prior_b nan", { d with prior_b = nan }, prior);
+      ("bound 1", { d with bound = 1.0 }, bound);
+      ("bound nan", { d with bound = nan }, bound);
+      ("confidence 0", { d with confidence = 0.0 }, confidence);
+      ("confidence nan", { d with confidence = nan }, confidence);
+      ("drift_alpha 1", { d with drift_alpha = 1.0 }, drift);
+      ("drift_alpha nan", { d with drift_alpha = nan }, drift);
+    ];
+  List.iter
+    (fun alpha ->
+      Alcotest.check_raises
+        (Printf.sprintf "Drift.assess alpha %g" alpha)
+        (Invalid_argument "Drift.assess: alpha must lie strictly in (0, 1)")
+        (fun () ->
+          ignore (Drift.assess ~expected:[| 1.0 |] ~counts:[| 1 |] ~alpha)))
+    [ 0.0; nan ]
 
 (* ------------------------------------------------------------------ *)
 (* Wald boundary and posterior sanity                                 *)
@@ -647,6 +704,10 @@ let () =
             test_windowed_equals_batch;
           Alcotest.test_case "random split points == batch (property)" `Quick
             test_random_split_points;
+          Alcotest.test_case "verdict is a snapshot" `Quick
+            test_verdict_is_a_snapshot;
+          Alcotest.test_case "reordered lines == in order (property)" `Quick
+            test_reordered_lines;
         ] );
       ( "reconciliation",
         [
@@ -679,9 +740,9 @@ let () =
             test_streaming_writer;
           Alcotest.test_case "file ingest == in-memory ingest" `Quick
             test_file_matches_memory;
-          Alcotest.test_case "cursor offset and resume" `Quick
-            test_source_resume;
         ] );
+      ( "config",
+        [ Alcotest.test_case "validation" `Quick test_config_validation ] );
       ( "judgements",
         [
           Alcotest.test_case "wald boundary" `Quick test_wald_of_counts;

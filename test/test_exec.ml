@@ -214,20 +214,6 @@ let test_survival_identical () =
   check_float_bits "survival probability" (run (Lazy.force pool1))
     (run (Lazy.force pool4))
 
-(* ---- version population ---- *)
-
-let test_population_identical () =
-  let run pool =
-    let rng = Numerics.Rng.create ~seed:17 in
-    Simulator.Montecarlo.version_population ~pool ~shards:4 rng (space 17)
-      ~count:12
-  in
-  let a = run (Lazy.force pool1) and b = run (Lazy.force pool4) in
-  check_int "12 choose 2 pairs" 66
-    (Array.length a.Simulator.Montecarlo.pair_pfds);
-  check_bits "version pfds" a.version_pfds b.version_pfds;
-  check_bits "pair pfds" a.pair_pfds b.pair_pfds
-
 (* ---- literal pins ---- *)
 
 (* Values computed before the shard primitive existed. The identity
@@ -332,7 +318,6 @@ let () =
             test_estimate_shards_matter;
           Alcotest.test_case "campaign mttf" `Quick test_campaign_identical;
           Alcotest.test_case "mission survival" `Quick test_survival_identical;
-          Alcotest.test_case "version population" `Quick test_population_identical;
           Alcotest.test_case "montecarlo estimate pinned" `Quick
             test_estimate_pinned;
           Alcotest.test_case "campaign mttf pinned" `Quick test_mttf_pinned;

@@ -128,7 +128,23 @@ let test_voting_validation () =
           ignore
             (Core.Voting.decide Core.Voting.Unit ~shutdowns ~no_actions
                ~abstains)))
-    [ (-1, 0, 0); (0, -1, 2); (1, 1, -1) ]
+    [ (-1, 0, 0); (0, -1, 2); (1, 1, -1) ];
+  List.iter
+    (fun (name, p, detection) ->
+      Alcotest.check_raises
+        (Printf.sprintf "policy_defeat_prob p=%g detection=%g" p detection)
+        (Invalid_argument
+           (Printf.sprintf "Voting.policy_defeat_prob: %s outside [0, 1]" name))
+        (fun () ->
+          ignore
+            (Core.Voting.policy_defeat_prob (Core.Voting.Vote 1) ~channels:2
+               ~detection ~p ())))
+    [
+      ("p", 1.5, 0.0);
+      ("p", nan, 0.0);
+      ("detection", 0.3, -0.1);
+      ("detection", 0.3, nan);
+    ]
 
 let test_voting_simulator_agreement () =
   (* The analytic voted model vs the executable adjudicator on a concrete
