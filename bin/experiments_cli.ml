@@ -340,16 +340,15 @@ let evidence_cmd =
                 in
                 if n > 0 then begin
                   if window > 0 && not json then begin
-                    let v = Evidence.Verdict.of_assessor assessor in
+                    let f = Evidence.Verdict.fleet assessor in
                     Printf.printf
                       "interim @ %7d line(s): %-21s fleet %d/%d \
                        failures/demands, P(pfd<=%g)=%.4f\n"
                       (Evidence.Source.lines_read src)
-                      (Evidence.Verdict.overall_string v.Evidence.Verdict.overall)
-                      v.Evidence.Verdict.fleet_failures
-                      v.Evidence.Verdict.fleet_demands
+                      (Evidence.Verdict.overall_string f.Evidence.Verdict.overall)
+                      f.Evidence.Verdict.failures f.Evidence.Verdict.demands
                       config.Evidence.Assessor.bound
-                      v.Evidence.Verdict.fleet_posterior
+                      f.Evidence.Verdict.posterior
                         .Evidence.Assessor.confidence_in_bound
                   end;
                   if n = chunk then drain ()

@@ -9,7 +9,7 @@ type comparison = {
 }
 
 let compare_at u ~improvement_factor ~k =
-  if improvement_factor < 0.0 || improvement_factor > 1.0 then
+  if not (improvement_factor >= 0.0 && improvement_factor <= 1.0) then
     invalid_arg "Hatton.compare_at: improvement factor must lie in [0, 1]";
   let improved = Core.Universe.scale_all_p u improvement_factor in
   let single_improved_mu = Core.Moments.mu1 improved in

@@ -14,7 +14,7 @@ let create space ~probs_a ~probs_b =
   let check name v =
     Array.iter
       (fun p ->
-        if p < 0.0 || p > 1.0 then
+        if not (p >= 0.0 && p <= 1.0) then
           invalid_arg ("Littlewood_miller.create: " ^ name ^ " outside [0, 1]"))
       v
   in

@@ -88,7 +88,7 @@ let adjudicated rng universe ~channels ~detection ~adjudicator ~replications =
   if replications < 1 then
     invalid_arg "Sim.adjudicated: replications must be >= 1";
   if channels < 1 then invalid_arg "Sim.adjudicated: channels must be >= 1";
-  if detection < 0.0 || detection > 1.0 then
+  if not (detection >= 0.0 && detection <= 1.0) then
     invalid_arg "Sim.adjudicated: detection outside [0, 1]";
   let n = Core.Universe.size universe in
   let ps = Core.Universe.ps universe in

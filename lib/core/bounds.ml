@@ -3,7 +3,7 @@ let golden_threshold = (sqrt 5.0 -. 1.0) /. 2.0
 let variance_term_shrinks p = p *. p *. (1.0 -. (p *. p)) <= p *. (1.0 -. p)
 
 let sigma_ratio_bound pmax =
-  if pmax < 0.0 || pmax > 1.0 then
+  if not (pmax >= 0.0 && pmax <= 1.0) then
     invalid_arg "Bounds.sigma_ratio_bound: pmax outside [0, 1]";
   sqrt (pmax *. (1.0 +. pmax))
 

@@ -105,7 +105,7 @@ let cdf t x =
 let sf t x = 1.0 -. cdf t x
 
 let quantile t alpha =
-  if alpha < 0.0 || alpha > 1.0 then
+  if not (alpha >= 0.0 && alpha <= 1.0) then
     invalid_arg "Pfd_dist.quantile: alpha outside [0, 1]";
   (* smallest x with CDF(x) >= alpha *)
   let n = size t in

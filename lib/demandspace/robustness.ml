@@ -27,7 +27,7 @@ let worst_case_mu2 space ~epsilon =
      the PAIR's mean PFD pushes it into the regions with the largest
      common-fault probability p_i^2. Greedy allocation over regions,
      bounded by each region's headroom (its complement mass). *)
-  if epsilon < 0.0 || epsilon > 1.0 then
+  if not (epsilon >= 0.0 && epsilon <= 1.0) then
     invalid_arg "Robustness.worst_case_mu2: epsilon outside [0, 1]";
   let qs = Space.region_measures space in
   let n = Space.fault_count space in

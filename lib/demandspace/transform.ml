@@ -30,7 +30,7 @@ let random rng n =
 
 let partial rng n ~fraction =
   if n <= 0 then invalid_arg "Transform.partial: size must be positive";
-  if fraction < 0.0 || fraction > 1.0 then
+  if not (fraction >= 0.0 && fraction <= 1.0) then
     invalid_arg "Transform.partial: fraction outside [0, 1]";
   (* Permute a random subset of about [fraction]*n ids among themselves;
      the rest map identically. fraction 0 = identity, 1 = full shuffle. *)

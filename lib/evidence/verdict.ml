@@ -6,8 +6,11 @@
    profile drift, and the bookkeeping an auditor needs (how many lines
    were consumed, skipped, damaged). Constructing a verdict copies the
    assessor's counters and derives everything else, so it never perturbs
-   the assessor — interim verdicts in windowed mode are free — and later
-   ingest never moves it.
+   the assessor, and later ingest never moves it. An interim report in
+   windowed mode needs only the fleet-level part ([fleet]): one
+   posterior over the pooled counters, none per plant, and no metric,
+   so interim reports are cheap and the [evidence.*] counters do not
+   depend on the window size.
 
    Rendering is deliberately timestamp-free: the JSON form contains no
    wall-clock or rate data (those live in the Obs.Metrics snapshot), so
@@ -24,37 +27,64 @@ type plant = {
   wald : Assessor.wald;
 }
 
+type fleet = {
+  overall : overall;
+  demands : int;
+  failures : int;
+  posterior : Assessor.posterior;
+  wald : Assessor.wald;
+  drift : Drift.result option;
+}
+
 type t = {
   config : Assessor.config;
   counts : Assessor.counts;
   skipped_kinds : (string * int) list;
   plants : plant list;
-  fleet_demands : int;
-  fleet_failures : int;
-  fleet_posterior : Assessor.posterior;
-  fleet_wald : Assessor.wald;
-  drift : Drift.result option;
-  overall : overall;
+  fleet : fleet;
   reconciled : bool;
 }
 
-let judge ~fleet_wald ~fleet_posterior ~(drift : Drift.result option)
-    ~(config : Assessor.config) ~demands =
+let judge ~(wald : Assessor.wald) ~(posterior : Assessor.posterior)
+    ~(drift : Drift.result option) ~(config : Assessor.config) ~demands =
   let drift_alarm = match drift with Some d -> d.Drift.alarm | None -> false in
   if demands = 0 then Insufficient
   else if drift_alarm then Rejected
   else
-    match fleet_wald.Assessor.w_decision with
+    match wald.w_decision with
     | Schema.Reject -> Rejected
-    | Schema.Accept
-      when fleet_posterior.Assessor.confidence_in_bound >= config.confidence
-      ->
+    | Schema.Accept when posterior.confidence_in_bound >= config.confidence ->
         Accepted
     | Schema.Accept | Schema.Undecided -> Insufficient
+
+(* The fleet-level judgement over the plants' pooled counters: one
+   posterior, none per plant, and no metric recorded. *)
+let fleet_of_counts a (pcs : Assessor.plant_counts list) =
+  let config = Assessor.config a in
+  let demands =
+    List.fold_left (fun n (p : Assessor.plant_counts) -> n + p.demands) 0 pcs
+  in
+  let failures =
+    List.fold_left (fun n (p : Assessor.plant_counts) -> n + p.failures) 0 pcs
+  in
+  let posterior = Assessor.posterior_of_counts config ~demands ~failures in
+  let wald = Assessor.wald_of_counts config ~demands ~failures in
+  let drift = Assessor.drift a in
+  {
+    overall = judge ~wald ~posterior ~drift ~config ~demands;
+    demands;
+    failures;
+    posterior;
+    wald;
+    drift;
+  }
+
+let fleet a = fleet_of_counts a (Assessor.plant_counts a)
 
 let of_assessor a =
   let config = Assessor.config a in
   let counts = Assessor.counts a in
+  let pcs = Assessor.plant_counts a in
   let plants =
     List.map
       (fun ({ plant; demands; failures } : Assessor.plant_counts) ->
@@ -65,14 +95,10 @@ let of_assessor a =
           posterior = Assessor.posterior_of_counts config ~demands ~failures;
           wald = Assessor.wald_of_counts config ~demands ~failures;
         })
-      (Assessor.plant_counts a)
+      pcs
   in
-  let demands = List.fold_left (fun n p -> n + p.demands) 0 plants in
-  let failures = List.fold_left (fun n p -> n + p.failures) 0 plants in
-  let fleet_posterior = Assessor.posterior_of_counts config ~demands ~failures in
-  let fleet_wald = Assessor.wald_of_counts config ~demands ~failures in
-  let drift = Assessor.drift a in
-  (match drift with
+  let fleet = fleet_of_counts a pcs in
+  (match fleet.drift with
   | Some d when d.Drift.alarm -> Assessor.record_drift_alarm ()
   | _ -> ());
   let reconciled =
@@ -81,19 +107,14 @@ let of_assessor a =
        declared. Vacuously true without summary events. *)
     counts.fleet_observes = 0
     || counts.declared_plants = List.length plants
-       && counts.declared_fleet_failures = failures
+       && counts.declared_fleet_failures = fleet.failures
   in
   {
     config;
     counts;
     skipped_kinds = Assessor.skipped_kinds a;
     plants;
-    fleet_demands = demands;
-    fleet_failures = failures;
-    fleet_posterior;
-    fleet_wald;
-    drift;
-    overall = judge ~fleet_wald ~fleet_posterior ~drift ~config ~demands;
+    fleet;
     reconciled;
   }
 
@@ -146,7 +167,7 @@ let to_json v =
       ]
   in
   let drift =
-    match v.drift with
+    match v.fleet.drift with
     | None -> Obs.Json.Null
     | Some d ->
         Obs.Json.Obj
@@ -163,7 +184,7 @@ let to_json v =
   Obs.Json.Obj
     [
       ("schema", Obs.Json.String "divrel-evidence/1");
-      ("verdict", Obs.Json.String (overall_string v.overall));
+      ("verdict", Obs.Json.String (overall_string v.fleet.overall));
       ( "config",
         Obs.Json.Obj
           [
@@ -210,11 +231,11 @@ let to_json v =
         Obs.Json.Obj
           [
             ("plants", Obs.Json.Int (List.length v.plants));
-            ("demands", Obs.Json.Int v.fleet_demands);
-            ("failures", Obs.Json.Int v.fleet_failures);
+            ("demands", Obs.Json.Int v.fleet.demands);
+            ("failures", Obs.Json.Int v.fleet.failures);
             ("reconciled", Obs.Json.Bool v.reconciled);
-            ("posterior", json_posterior v.fleet_posterior);
-            ("wald", json_wald v.fleet_wald);
+            ("posterior", json_posterior v.fleet.posterior);
+            ("wald", json_wald v.fleet.wald);
           ] );
       ("plants", Obs.Json.List (List.map plant v.plants));
       ( "runner",
@@ -251,7 +272,7 @@ let render_text v =
   let b = Buffer.create 2048 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let config = v.config in
-  pf "proven-in-use verdict: %s\n" (overall_string v.overall);
+  pf "proven-in-use verdict: %s\n" (overall_string v.fleet.overall);
   pf "  hypotheses: accept PFD <= %g, reject PFD >= %g (alpha=%g, beta=%g)\n"
     config.Assessor.theta0 config.Assessor.theta1 config.Assessor.alpha
     config.Assessor.beta;
@@ -276,19 +297,19 @@ let render_text v =
     (fun (kind, n) -> pf "    skipped kind %-20s %d\n" kind n)
     v.skipped_kinds;
   pf "  fleet: %d plants, %d demands, %d failures%s\n" (List.length v.plants)
-    v.fleet_demands v.fleet_failures
+    v.fleet.demands v.fleet.failures
     (if v.reconciled then "" else "  [NOT RECONCILED with fleet.observe]");
   pf "    posterior PFD: mean %.3g, %g%% interval [%.3g, %.3g], P(<=%g) = %.4f\n"
-    v.fleet_posterior.Assessor.post_mean
+    v.fleet.posterior.Assessor.post_mean
     (100.0 *. config.Assessor.confidence)
-    v.fleet_posterior.Assessor.post_lo v.fleet_posterior.Assessor.post_hi
+    v.fleet.posterior.Assessor.post_lo v.fleet.posterior.Assessor.post_hi
     config.Assessor.bound
-    v.fleet_posterior.Assessor.confidence_in_bound;
+    v.fleet.posterior.Assessor.confidence_in_bound;
   pf "    wald boundary: %s (log LR %.3f; accept <= %.3f, reject >= %.3f)\n"
-    (decision_string v.fleet_wald.Assessor.w_decision)
-    v.fleet_wald.Assessor.w_log_lr v.fleet_wald.Assessor.w_log_b
-    v.fleet_wald.Assessor.w_log_a;
-  (match v.drift with
+    (decision_string v.fleet.wald.Assessor.w_decision)
+    v.fleet.wald.Assessor.w_log_lr v.fleet.wald.Assessor.w_log_b
+    v.fleet.wald.Assessor.w_log_a;
+  (match v.fleet.drift with
   | None -> pf "  drift: no declared profile (detection disabled)\n"
   | Some d ->
       pf

@@ -2,9 +2,12 @@
 
     A verdict snapshots everything the assessor can claim from the
     evidence ingested so far. Construction is read-only on the assessor
-    and copies its counters, so interim (windowed) verdicts are free and
-    do not move as more lines are ingested; pooled fleet totals and the
-    sorted skipped kinds are computed once, here. Rendering contains no
+    and copies its counters, so a verdict does not move as more lines
+    are ingested; pooled fleet totals and the sorted skipped kinds are
+    computed once, here. An interim (windowed) report needs only
+    {!fleet}, which skips the per-plant posteriors and records no
+    metric: interim reports are cheap and leave the [evidence.*]
+    counters as they would be without them. Rendering contains no
     timestamps or rates: the verdict for a given multiset of events is
     byte-identical however the stream was windowed. *)
 
@@ -24,21 +27,31 @@ type plant = {
   wald : Assessor.wald;
 }
 
+type fleet = {
+  overall : overall;
+  demands : int;  (** pooled over the plants *)
+  failures : int;  (** pooled over the plants *)
+  posterior : Assessor.posterior;
+  wald : Assessor.wald;
+  drift : Drift.result option;
+}
+(** The fleet-level judgement over the pooled plant counters. *)
+
 type t = {
   config : Assessor.config;
   counts : Assessor.counts;  (** a copy, taken when the verdict was built *)
   skipped_kinds : (string * int) list;  (** sorted by kind *)
   plants : plant list;  (** sorted by plant id *)
-  fleet_demands : int;  (** pooled over [plants] *)
-  fleet_failures : int;  (** pooled over [plants] *)
-  fleet_posterior : Assessor.posterior;
-  fleet_wald : Assessor.wald;
-  drift : Drift.result option;
-  overall : overall;
+  fleet : fleet;
   reconciled : bool;
       (** fleet.observe summaries agree with the pooled fleet.plant
           counters (vacuously true when no summary events were seen) *)
 }
+
+val fleet : Assessor.t -> fleet
+(** The fleet-level judgement from the assessor's current counters, as
+    {!of_assessor} computes it, but with no per-plant posteriors and no
+    metric recorded. *)
 
 val of_assessor : Assessor.t -> t
 (** Derive a verdict from the assessor's current counters. Bumps the

@@ -64,7 +64,7 @@ let complementary rng u ~strength =
      pa and a random permutation of pa — at strength 1 the two processes
      have the same distribution of fault probabilities but assign them to
      different faults, the idealised forced diversity. *)
-  if strength < 0.0 || strength > 1.0 then
+  if not (strength >= 0.0 && strength <= 1.0) then
     invalid_arg "Forced.complementary: strength outside [0, 1]";
   let pa = Core.Universe.ps u in
   let permuted = Array.copy pa in

@@ -25,7 +25,7 @@ let directed_testing u ~detection ~cycles =
     invalid_arg "Testing_process.directed_testing: detection vector length mismatch";
   Array.iter
     (fun d ->
-      if d < 0.0 || d > 1.0 then
+      if not (d >= 0.0 && d <= 1.0) then
         invalid_arg "Testing_process.directed_testing: detection outside [0, 1]")
     detection;
   let c = float_of_int cycles in

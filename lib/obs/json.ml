@@ -42,7 +42,7 @@ let float_repr f =
       let s = Printf.sprintf "%.17g" f in
       (* Prefer a shorter representation when it round-trips. *)
       let short = Printf.sprintf "%g" f in
-      if float_of_string short = f then short else s
+      if Decimal.to_float short 0 (String.length short) = f then short else s
 
 let rec render_into buf = function
   | Null -> Buffer.add_string buf "null"
@@ -84,12 +84,13 @@ let render v =
 
 (* One pass over a cursor, no per-byte allocation on the common path:
    bytes are compared in place (no [option] per peek), a string without
-   escapes is a single [String.sub], and an integer of up to 18 digits
-   is accumulated where it stands. Anything rarer — escapes, floats,
-   long or odd numeric tokens — falls back to the general rule for that
-   token, so the tree and every error message (text and offset) are
-   those of the original byte-at-a-time parser, which the test suite
-   keeps as a differential oracle. *)
+   escapes is a single [String.sub], an integer of up to 18 digits is
+   accumulated where it stands, and a float is read where it stands by
+   [Decimal.to_float], bit-identical to [float_of_string]. Anything
+   rarer — escapes, long or odd numeric tokens — falls back to the
+   general rule for that token, so the tree and every error message
+   (text and offset) are those of the original byte-at-a-time parser,
+   which the test suite keeps as a differential oracle. *)
 
 exception Parse_failure of string
 
@@ -209,7 +210,9 @@ let[@inline] is_num_char = function
    '-' and 1..18 digits ending the token is an [Int] computed in place
    (18 digits cannot overflow); any other token is read by the general
    rule: with '.', 'e' or 'E' it must be a float, otherwise an int,
-   falling back to a float when it overflows [int]. *)
+   falling back to a float when it overflows [int]. Floats are read in
+   place by [Decimal.to_float]; the token is copied out only to name it
+   in an error, or to try [int_of_string] on an overlong integer. *)
 let parse_number c =
   let s = c.s and len = c.len and start = c.pos in
   let neg = String.unsafe_get s start = '-' in
@@ -231,27 +234,31 @@ let parse_number c =
     Int (if neg then - !acc else !acc)
   end
   else begin
-    (* The digits and sign scanned so far cannot make a float. *)
-    let looks_float = ref false in
+    (* A '.', 'e' or 'E' after the leading digits makes a float; any
+       other token is tried as an int first ([int_of_string] reads no
+       token with '.', 'e' or 'E', so the order only saves work). *)
+    let looks_float =
+      !p < len
+      && match String.unsafe_get s !p with '.' | 'e' | 'E' -> true | _ -> false
+    in
     while !p < len && is_num_char (String.unsafe_get s !p) do
-      (match String.unsafe_get s !p with
-      | '.' | 'e' | 'E' -> looks_float := true
-      | _ -> ());
       incr p
     done;
     c.pos <- !p;
-    let tok = String.sub s start (!p - start) in
-    if !looks_float then
-      match float_of_string_opt tok with
-      | Some f -> Float f
-      | None -> fail c (Printf.sprintf "invalid number %S" tok)
-    else
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> (
-          match float_of_string_opt tok with
-          | Some f -> Float f
-          | None -> fail c (Printf.sprintf "invalid number %S" tok))
+    let int_value =
+      if looks_float then None
+      else int_of_string_opt (String.sub s start (!p - start))
+    in
+    match int_value with
+    | Some i -> Int i
+    | None ->
+        (* No token of [is_num_char] bytes reads as NaN: [nan] is
+           [Decimal]'s "not a number". *)
+        let f = Decimal.to_float s start !p in
+        if Float.is_nan f then
+          fail c
+            (Printf.sprintf "invalid number %S" (String.sub s start (!p - start)))
+        else Float f
   end
 
 let rec parse_value c =

@@ -32,7 +32,9 @@ val parse : string -> (t, string) result
       [max_int]). Any other token is a {!Float} if [float_of_string]
       reads it. So [01] is [Int 1], [1.] is [Float 1.], [-.5] is
       [Float (-0.5)], and [1e400] is [Float infinity]. Tokens such as
-      [-], [1e], [1-2] and [1..2] are errors.
+      [-], [1e], [1-2] and [1..2] are errors. Floats are read in place
+      by {!Decimal.to_float}, which gives [float_of_string]'s double bit
+      for bit.
     - {b Escapes.} A [\uXXXX] escape is UTF-8 encoded as the single code
       point it names. Surrogate halves are not paired. Bytes >= 0x80 pass
       through unchecked. Raw control characters (< 0x20) in strings are

@@ -140,9 +140,9 @@ let universe_of json =
   let* qs = float_array "q" json in
   if Array.length ps <> Array.length qs then
     Error "fields \"p\" and \"q\" have different lengths"
-  else if Array.exists (fun p -> p < 0.0 || p > 1.0) ps then
+  else if Array.exists (fun p -> not (p >= 0.0 && p <= 1.0)) ps then
     Error "field \"p\": probability outside [0, 1]"
-  else if Array.exists (fun q -> q < 0.0 || q > 1.0) qs then
+  else if Array.exists (fun q -> not (q >= 0.0 && q <= 1.0)) qs then
     Error "field \"q\": region measure outside [0, 1]"
   else Ok { ps; qs }
 

@@ -74,7 +74,27 @@ val render_admin : id:string -> admin -> string
 val parse_line : string -> (line, string) result
 (** Parse and validate one inbound line. [parse_line (render_request r)]
     yields [Ok (Work r')] with [equal_request r r'] for every request
-    within the protocol limits — the codec round-trip property. *)
+    within the protocol limits — the codec round-trip property.
+
+    {b Numeric boundary policy} of the ["p"] and ["q"] entries. Tokens
+    follow {!Obs.Json.parse}'s number grammar, and each decodes to the
+    double [float_of_string] gives, bit for bit:
+    - an entry that overflows ([1e999], [-1e999]) is rejected with
+      [field "p": non-finite entry] (["q"] likewise); JSON has no NaN
+      token, and a NaN rendered by {!render_request} is [null], which is
+      rejected the same way;
+    - underflow passes through: [1e-400] decodes to [0.0], [-0.0] to
+      [-0.0], and both are accepted, as is every subnormal
+      ([4.9406564584124654e-324] decodes to the smallest, bit-exact);
+    - a mantissa of any length decodes as [float_of_string] reads it
+      (past 18 digits the decoder hands the token to it);
+    - entries outside \[0, 1\] are then rejected with
+      [field "p": probability outside [0, 1]] or
+      [field "q": region measure outside [0, 1]];
+    - lax tokens keep the parser's reading: [1.] and [01] are [1.0],
+      and [.5] is a malformed-JSON error.
+
+    test/test_serve.ml pins each case. *)
 
 val equal_request : request -> request -> bool
 (** Structural equality ([Float.equal] per vector entry, so NaN-safe

@@ -117,7 +117,7 @@ let theoretical_mttf ~pfd =
   if pfd <= 0.0 then infinity else 1.0 /. pfd
 
 let mission_survival_probability ~pfd ~mission_demands =
-  if pfd < 0.0 || pfd > 1.0 then
+  if not (pfd >= 0.0 && pfd <= 1.0) then
     invalid_arg "Campaign.mission_survival_probability: pfd outside [0, 1]";
   if mission_demands < 0 then
     invalid_arg "Campaign.mission_survival_probability: negative mission length";

@@ -91,7 +91,7 @@ let pair_pfd rng c =
 let adjudicated_system_pfd ?(detection = 0.0) rng c ~channels ~adjudicator =
   if channels < 1 then
     invalid_arg "Devteam.adjudicated_system_pfd: channels must be >= 1";
-  if detection < 0.0 || detection > 1.0 then
+  if not (detection >= 0.0 && detection <= 1.0) then
     invalid_arg "Devteam.adjudicated_system_pfd: detection outside [0, 1]";
   let carriers = Array.make c.n 0 in
   let abstainers = Array.make c.n 0 in

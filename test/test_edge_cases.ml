@@ -185,6 +185,103 @@ let test_pfd_dist_rejects_out_of_range () =
         (Core.Pfd_dist.cdf d 0.1))
     entry_points
 
+(* Every [0, 1] range guard rejects NaN. A guard written
+   [x < 0.0 || x > 1.0] is false for NaN and let it through; each is
+   written [not (x >= 0.0 && x <= 1.0)]. The wire rows reach Proto's
+   guard as far as a NaN can: it renders as null, which the decoder
+   refuses before the range check. *)
+let test_range_guards_reject_nan () =
+  let u = Core.Universe.of_pairs [ (0.5, 0.1); (0.2, 0.3) ] in
+  let space () =
+    let profile = Demandspace.Profile.uniform ~size:100 in
+    let r = Demandspace.Region.interval ~space_size:100 ~lo:0 ~hi:9 in
+    Demandspace.Space.create ~profile ~faults:[| (r, 0.4) |]
+  in
+  let vote = Core.Voting.vote ~required:1 in
+  let invalid msg f =
+    ( msg,
+      fun () ->
+        match f () with
+        | () -> Error "accepted"
+        | exception Invalid_argument m -> if m = msg then Ok () else Error m )
+  in
+  let wire field ps qs =
+    let line =
+      Serve.Proto.render_request
+        { Serve.Proto.id = "nan"; u = { ps; qs }; verb = Serve.Proto.Moments }
+    in
+    let msg = Printf.sprintf "field %S: non-finite entry" field in
+    ( msg,
+      fun () ->
+        match Serve.Proto.parse_line line with
+        | Error m when m = msg -> Ok ()
+        | Error m -> Error m
+        | Ok _ -> Error "accepted" )
+  in
+  let rows =
+    [
+      ( "Littlewood_miller.create",
+        invalid "Littlewood_miller.create: probs_a outside [0, 1]" (fun () ->
+            ignore
+              (Baselines.Littlewood_miller.create (space ()) ~probs_a:[| nan |]
+                 ~probs_b:[| 0.5 |])) );
+      ( "Transform.partial",
+        invalid "Transform.partial: fraction outside [0, 1]" (fun () ->
+            ignore (Demandspace.Transform.partial (rng0 ()) 8 ~fraction:nan)) );
+      ( "Robustness.worst_case_mu2",
+        invalid "Robustness.worst_case_mu2: epsilon outside [0, 1]" (fun () ->
+            ignore (Demandspace.Robustness.worst_case_mu2 (space ()) ~epsilon:nan)) );
+      ( "Devteam.adjudicated_system_pfd",
+        invalid "Devteam.adjudicated_system_pfd: detection outside [0, 1]"
+          (fun () ->
+            ignore
+              (Simulator.Devteam.adjudicated_system_pfd ~detection:nan (rng0 ())
+                 (Simulator.Devteam.compile u) ~channels:2 ~adjudicator:vote)) );
+      ( "Campaign.mission_survival_probability",
+        invalid "Campaign.mission_survival_probability: pfd outside [0, 1]"
+          (fun () ->
+            ignore
+              (Simulator.Campaign.mission_survival_probability ~pfd:nan
+                 ~mission_demands:10)) );
+      ( "Hatton.compare_at",
+        invalid "Hatton.compare_at: improvement factor must lie in [0, 1]"
+          (fun () ->
+            ignore (Baselines.Hatton.compare_at u ~improvement_factor:nan ~k:2.0)) );
+      ( "Forced.complementary",
+        invalid "Forced.complementary: strength outside [0, 1]" (fun () ->
+            ignore (Extensions.Forced.complementary (rng0 ()) u ~strength:nan)) );
+      ( "Testing_process.directed_testing",
+        invalid "Testing_process.directed_testing: detection outside [0, 1]"
+          (fun () ->
+            ignore
+              (Extensions.Testing_process.directed_testing u
+                 ~detection:[| 0.5; nan |] ~cycles:1)) );
+      ( "Sim.adjudicated",
+        invalid "Sim.adjudicated: detection outside [0, 1]" (fun () ->
+            ignore
+              (Check.Sim.adjudicated (rng0 ()) u ~channels:2 ~detection:nan
+                 ~adjudicator:vote ~replications:1)) );
+      ( "Bounds.sigma_ratio_bound",
+        invalid "Bounds.sigma_ratio_bound: pmax outside [0, 1]" (fun () ->
+            ignore (Core.Bounds.sigma_ratio_bound nan)) );
+      ( "Pfd_dist.quantile",
+        invalid "Pfd_dist.quantile: alpha outside [0, 1]" (fun () ->
+            let d = Core.Pfd_dist.exact_of_vectors ~probs:[| 0.5 |] ~values:[| 0.1 |] () in
+            ignore (Core.Pfd_dist.quantile d nan)) );
+      ("Proto p", wire "p" [| 0.5; nan |] [| 0.1; 0.2 |]);
+      ("Proto q", wire "q" [| 0.5; 0.2 |] [| nan; 0.2 |]);
+    ]
+  in
+  let failures =
+    List.filter_map
+      (fun (site, (msg, f)) ->
+        match f () with
+        | Ok () -> None
+        | Error got -> Some (Printf.sprintf "%s with NaN: want %S, got %S" site msg got))
+      rows
+  in
+  if failures <> [] then Alcotest.fail (String.concat "\n" failures)
+
 let test_sigma_ratio_extremes () =
   Prop.check_close "pmax 0" 0.0 (Core.Bounds.sigma_ratio_bound 0.0);
   Prop.check_close ~eps:1e-12 "pmax 1" (sqrt 2.0) (Core.Bounds.sigma_ratio_bound 1.0)
@@ -325,6 +422,8 @@ let () =
             test_grid_dist_with_null_region;
           Alcotest.test_case "pfd_dist input policy" `Quick
             test_pfd_dist_rejects_out_of_range;
+          Alcotest.test_case "range guards reject NaN" `Quick
+            test_range_guards_reject_nan;
           Alcotest.test_case "sigma ratio extremes" `Quick test_sigma_ratio_extremes;
           Alcotest.test_case "degenerate normal bound" `Quick
             test_degenerate_normal_bound;

@@ -220,10 +220,10 @@ let test_reconciles_with_fleet_observe () =
   List.iter (Assessor.ingest_line a) lines;
   let v = Verdict.of_assessor a in
   check_int "plants" plants (List.length v.Verdict.plants);
-  check_int "fleet demands" (plants * demands_per_plant) v.Verdict.fleet_demands;
+  check_int "fleet demands" (plants * demands_per_plant) v.Verdict.fleet.demands;
   check_int "fleet failures"
     (Simulator.Fleet.total_failures fleet)
-    v.Verdict.fleet_failures;
+    v.Verdict.fleet.failures;
   let records = Simulator.Fleet.records fleet in
   let per_plant = Assessor.plant_counts a in
   check_int "one entry per plant" plants (List.length per_plant);
@@ -239,11 +239,11 @@ let test_reconciles_with_fleet_observe () =
     per_plant;
   (* runner.run events cover the same campaign: totals agree *)
   let c = v.Verdict.counts in
-  check_int "runner demands" v.Verdict.fleet_demands c.Assessor.runner_demands;
-  check_int "runner failures" v.Verdict.fleet_failures c.Assessor.runner_failures;
+  check_int "runner demands" v.Verdict.fleet.demands c.Assessor.runner_demands;
+  check_int "runner failures" v.Verdict.fleet.failures c.Assessor.runner_failures;
   (* the demand histogram accounts for every demand *)
   let hist_total = Array.fold_left ( + ) 0 (Assessor.demand_counts a) in
-  check_int "demand histogram total" v.Verdict.fleet_demands hist_total;
+  check_int "demand histogram total" v.Verdict.fleet.demands hist_total;
   check_bool "verdict reconciled against fleet.observe" true
     v.Verdict.reconciled;
   check_int "no skipped events" 0 c.Assessor.skipped_total;
@@ -319,11 +319,11 @@ let test_drift_alarm_rejects_verdict () =
   let a = Assessor.create config in
   List.iter (Assessor.ingest_line a) lines;
   let v = Verdict.of_assessor a in
-  (match v.Verdict.drift with
+  (match v.Verdict.fleet.drift with
   | Some d -> check_bool "drift alarm raised" true d.Drift.alarm
   | None -> Alcotest.fail "drift detection should be enabled");
   check_string "verdict rejected" "rejected"
-    (Verdict.overall_string v.Verdict.overall)
+    (Verdict.overall_string v.Verdict.fleet.overall)
 
 (* ------------------------------------------------------------------ *)
 (* Schema robustness                                                  *)
@@ -347,7 +347,7 @@ let test_malformed_and_skipped () =
   check_bool "skipped kinds tallied by name" true
     (List.assoc_opt "mystery.kind" v.Verdict.skipped_kinds = Some 2);
   check_int "malformed lines counted" 3 c.Assessor.malformed;
-  check_int "only the valid plant landed" 10 v.Verdict.fleet_demands
+  check_int "only the valid plant landed" 10 v.Verdict.fleet.demands
 
 let test_schema_parse () =
   (match
@@ -622,6 +622,54 @@ let test_cli_window_byte_identity () =
           check_bool "final text report rendered" true
             (contains text "proven-in-use verdict:")))
 
+(* Interim reports record no metric: the [evidence.*] counters of a
+   --metrics snapshot are the same at every window size. The declared
+   profile is far from the log's uniform demands, so the drift detector
+   alarms in every window and the final verdict counts one alarm. *)
+let test_cli_window_metrics () =
+  let lines, _fleet = fleet_log ~seed:42 ~plants:5 ~demands_per_plant:300 in
+  with_temp_file (fun log_path ->
+      let oc = open_out log_path in
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+      close_out oc;
+      let counters window =
+        with_temp_file (fun metrics_path ->
+            let status =
+              Sys.command
+                (Filename.quote_command cli_exe
+                   [ "evidence"; log_path; "--profile"; "peaked:64:0:0.9";
+                     "--window"; string_of_int window; "--metrics"; metrics_path ]
+                   ~stdout:Filename.null)
+            in
+            check_int (Printf.sprintf "--window %d exits 0" window) 0 status;
+            let snapshot =
+              match Obs.Json.parse (read_file metrics_path) with
+              | Ok j -> j
+              | Error e -> Alcotest.failf "metrics snapshot: %s" e
+            in
+            Option.bind (Obs.Json.member "counters" snapshot) Obs.Json.to_list
+            |> Option.value ~default:[]
+            |> List.filter_map (fun c ->
+                   match
+                     ( Option.bind (Obs.Json.member "name" c) Obs.Json.to_string,
+                       Option.bind (Obs.Json.member "value" c) Obs.Json.to_int )
+                   with
+                   | Some name, Some v
+                     when String.length name > 9 && String.sub name 0 9 = "evidence."
+                     ->
+                       Some (Printf.sprintf "%s=%d" name v)
+                   | _ -> None)
+            |> String.concat " ")
+      in
+      let whole = counters 0 in
+      check_bool "the final verdict alarms once" true
+        (let needle = "evidence.drift_alarms=1" in
+         let n = String.length whole and m = String.length needle in
+         let rec at i = i + m <= n && (String.sub whole i m = needle || at (i + 1)) in
+         at 0);
+      check_string "--window 1 counters" whole (counters 1);
+      check_string "--window 400 counters" whole (counters 400))
+
 (* One damaged line with a huge demand id, between two good ones: the
    CLI counts it as malformed and exits 0, in batch and windowed mode. *)
 let test_cli_huge_demand_id () =
@@ -754,6 +802,8 @@ let () =
         [
           Alcotest.test_case "--window byte-identity" `Quick
             test_cli_window_byte_identity;
+          Alcotest.test_case "--window leaves evidence counters alone" `Quick
+            test_cli_window_metrics;
           Alcotest.test_case "huge demand id is malformed, exit 0" `Quick
             test_cli_huge_demand_id;
           Alcotest.test_case "--profile SIZE capped at the demand-id bound" `Quick

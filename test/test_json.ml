@@ -9,7 +9,13 @@
    and escapes, and 100k seeded byte mutations of all of those drawn
    through Prop (shrinking, PROP_SEED replay):
 
-     PROP_SEED=1234 dune exec test/test_json.exe *)
+     PROP_SEED=1234 dune exec test/test_json.exe
+
+   The float reader behind the parser, Obs.Decimal, has its own group:
+   bit identity with [float_of_string] on edge values, a million random
+   bit patterns, halfway and near-overflow tokens; its 5^q table
+   re-derived row by row with a small bignum; and two mutants (a flipped
+   table bit, a skipped round-to-even step) that those checks catch. *)
 
 let check_string = Alcotest.(check string)
 
@@ -199,6 +205,274 @@ let test_fuzz () =
     (Prop.mutant corpus)
     (fun m -> agree (Prop.mutant_line corpus m))
 
+(* ------------------------------------------------------------------ *)
+(* The float reader                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [to_float] gives [float_of_string]'s double, bit for bit, and NaN
+   where [float_of_string] fails. *)
+let reads_like_float_of_string tok =
+  let got = Obs.Decimal.to_float tok 0 (String.length tok) in
+  let same =
+    match float_of_string_opt tok with
+    | Some f -> Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float f)
+    | None -> Float.is_nan got
+  in
+  if not same then
+    failwith
+      (Printf.sprintf "%S: Decimal.to_float gives %h, float_of_string %s" tok got
+         (match float_of_string_opt tok with
+         | Some f -> Printf.sprintf "%h" f
+         | None -> "fails"))
+
+(* The renderings the repository's artefacts use, wider ones, and hex
+   (which only [float_of_string] reads). *)
+let renderings x =
+  List.map
+    (fun fmt -> Printf.sprintf fmt x)
+    [ "%.17g"; "%.16g"; "%.15g"; "%g"; "%.6g"; "%.25e"; "%.40g"; "%h" ]
+
+let test_float_edges () =
+  List.iter
+    (fun (_, a, b, _) ->
+      List.iter
+        (fun x -> List.iter reads_like_float_of_string (renderings x @ renderings (-.x)))
+        [ a; b ])
+    Prop.float_edges;
+  List.iter reads_like_float_of_string
+    [
+      "0"; "-0"; "0.0"; "-0.0"; "0e999999999999"; "1e-400"; "-1e-400"; "1e400";
+      "4.9406564584124654e-324"; "2.4703282292062327e-324";
+      "2.4703282292062328e-324"; "2.2250738585072014e-308";
+      "2.2250738585072011e-308"; "1.7976931348623157e308";
+      "1.7976931348623158e308"; "1.7976931348623159e308";
+      (* just below the midpoint of max_float and 2^1024 *)
+      "179769313486231580793728971405303415079934132710037826936173778980444968292764750946649017977587207096330286416692887910946555547851940402630657488671505820681908902000708383676273854845817711531764475730270069855571366959622842914819860834936475292719074168444365510704342711559699508093042880177904174497791.9999999999999999999999999999999999999999999999999999999999999999999999";
+      "9007199254740993"; "9007199254740993.0"; "9007199254740995e0";
+      "4503599627370496.5"; "2251799813685248.25"; "1e23"; "8.98846567431158e307";
+      "123456789012345678"; "1234567890123456789"; "0.000000000000000000001234";
+      "1."; ".5"; "-.5"; "01"; "1e"; "1e+"; "-"; "--1"; "1-2"; "1..2"; "1e5e5"; "";
+      "nan"; "inf"; "-inf"; "0x1p3"; "1_000.5";
+      (* a long fraction offsets a long exponent *)
+      "0." ^ String.make 200_000 '0' ^ "1e200005";
+      "1" ^ String.make 200_000 '0' ^ "e-200003";
+    ]
+
+(* A case is [patterns_per_case] random doubles, so a million draws take
+   a thousand Prop cases. *)
+let patterns_per_case = 1000
+
+let bit_patterns =
+  Prop.make
+    ~pp:(fun ppf a -> Format.fprintf ppf "%d patterns from %h" (Array.length a) a.(0))
+    (fun rng -> Array.init patterns_per_case (fun _ -> Int64.float_of_bits (Numerics.Rng.next_int64 rng)))
+
+let test_random_bit_patterns () =
+  Prop.check ~cases:1000 "to_float == float_of_string on %.17g and %g of 10^6 doubles"
+    bit_patterns
+    (Array.iter (fun x ->
+         reads_like_float_of_string (Printf.sprintf "%.17g" x);
+         reads_like_float_of_string (Printf.sprintf "%g" x)))
+
+(* Tokens exactly halfway between two adjacent doubles, with at most 18
+   significant digits, so Eisel-Lemire itself must round them to even.
+   Each is an odd 54-bit integer m times 2^u: written [m * 2^u] when
+   that is an integer below 10^18, as [(m / 2)] + ".5" or [(m / 4)] +
+   ".25"/".75" for u = -1, -2, and as [r * 2^u] + "e" + t when m = r *
+   5^t. The pair is (w, q) with the token w * 10^q. *)
+let halfway =
+  Prop.make
+    ~pp:(fun ppf (w, q) -> Format.fprintf ppf "%de%d" w q)
+    (fun rng ->
+      let odd54 () = (1 lsl 53) lor (Numerics.Rng.int rng (1 lsl 52) lsl 1) lor 1 in
+      match Numerics.Rng.int rng 4 with
+      | 0 -> (odd54 () lsl Numerics.Rng.int rng 6, 0)
+      | 1 -> (odd54 () * 5, -1)
+      | 2 -> (odd54 () * 25, -2)
+      | _ ->
+          (* r * 5^t must be an odd 54-bit integer *)
+          let t = 1 + Numerics.Rng.int rng 23 in
+          let p5 = int_of_float (5.0 ** float_of_int t) in
+          let lo = ((1 lsl 53) + p5 - 1) / p5 and hi = ((1 lsl 54) - 1) / p5 in
+          let r = lo + Numerics.Rng.int rng (hi - lo + 1) in
+          let r = if r land 1 = 0 then (if r + 1 <= hi then r + 1 else r - 1) else r in
+          (r lsl Numerics.Rng.int rng 3, t))
+
+let halfway_rounds_to_even eisel_lemire (w, q) =
+  let tok = Printf.sprintf "%de%d" w q in
+  let want = float_of_string tok in
+  let got = eisel_lemire w q in
+  if not (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)) then
+    failwith (Printf.sprintf "%s: Eisel-Lemire gives %h, float_of_string %h" tok got want);
+  reads_like_float_of_string tok
+
+let production = Obs.Decimal.eisel_lemire ~pow5:Obs.Decimal.pow5_128 ~even:true
+
+let test_halfway () =
+  Prop.check ~cases:20_000 "halfway tokens round to even" halfway
+    (halfway_rounds_to_even production)
+
+(* Within a few ulps of the largest double and of the smallest normal
+   one: 17 random significant digits at the exponents where the result
+   crosses to infinity or to a subnormal. *)
+let near_limits =
+  Prop.make ~pp:Format.pp_print_string (fun rng ->
+      let digits = Printf.sprintf "%017d" (Numerics.Rng.int rng 100_000_000_000_000_000) in
+      let exp =
+        match Numerics.Rng.int rng 2 with
+        | 0 -> 306 + Numerics.Rng.int rng 4
+        | _ -> -309 - Numerics.Rng.int rng 17
+      in
+      Printf.sprintf "%c.%se%d" (Char.chr (49 + Numerics.Rng.int rng 9)) digits exp)
+
+let test_near_limits () =
+  Prop.check ~cases:20_000 "near-overflow and near-underflow tokens" near_limits
+    reads_like_float_of_string
+
+(* Little-endian limbs of 24 bits, no high zero limbs; enough bignum to
+   re-derive the 5^q table. *)
+module Big = struct
+  let bits = 24
+  let mask = (1 lsl bits) - 1
+
+  let trim a =
+    let n = ref (Array.length a) in
+    while !n > 0 && a.(!n - 1) = 0 do decr n done;
+    Array.sub a 0 !n
+
+  let one = [| 1 |]
+
+  let mul_small a k =
+    let r = Array.make (Array.length a + 1) 0 and carry = ref 0 in
+    Array.iteri
+      (fun i d ->
+        let v = (d * k) + !carry in
+        r.(i) <- v land mask;
+        carry := v lsr bits)
+      a;
+    r.(Array.length a) <- !carry;
+    trim r
+
+  let add_one a =
+    let r = Array.append a [| 0 |] in
+    let i = ref 0 in
+    while r.(!i) = mask do r.(!i) <- 0; incr i done;
+    r.(!i) <- r.(!i) + 1;
+    trim r
+
+  let compare a b =
+    let la = Array.length a and lb = Array.length b in
+    if la <> lb then compare la lb
+    else
+      let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then compare a.(i) b.(i) else go (i - 1) in
+      go (la - 1)
+
+  (* a - b for a >= b *)
+  let sub a b =
+    let r = Array.copy a and borrow = ref 0 in
+    Array.iteri
+      (fun i d ->
+        let v = d - (if i < Array.length b then b.(i) else 0) - !borrow in
+        if v < 0 then (r.(i) <- v + (1 lsl bits); borrow := 1)
+        else (r.(i) <- v; borrow := 0))
+      a;
+    trim r
+
+  let bit a i = i / bits < Array.length a && (a.(i / bits) lsr (i mod bits)) land 1 = 1
+
+  let bit_length a =
+    match Array.length a with
+    | 0 -> 0
+    | n ->
+        let top = ref a.(n - 1) and k = ref 0 in
+        while !top > 0 do top := !top lsr 1; incr k done;
+        ((n - 1) * bits) + !k
+
+  (* Bit by bit: a * 2^k for k >= 0, floor(a / 2^-k) for k < 0. *)
+  let shift a k =
+    let n = bit_length a + k in
+    if n <= 0 then [||]
+    else begin
+      let r = Array.make ((n + bits - 1) / bits) 0 in
+      for i = max 0 k to n - 1 do
+        if bit a (i - k) then r.(i / bits) <- r.(i / bits) lor (1 lsl (i mod bits))
+      done;
+      trim r
+    end
+
+  let double a = mul_small a 2
+
+  (* floor(2^b / p), by binary long division. *)
+  let div_pow2 b p =
+    let q = Array.make ((b / bits) + 1) 0 and r = ref [||] in
+    for i = b downto 0 do
+      r := if i = b then one else double !r;
+      if compare !r p >= 0 then begin
+        r := sub !r p;
+        q.(i / bits) <- q.(i / bits) lor (1 lsl (i mod bits))
+      end
+    done;
+    trim q
+
+  (* Bits [from, from + 64) as an int64. *)
+  let word a from =
+    let w = ref 0L in
+    for i = 63 downto 0 do
+      w := Int64.logor (Int64.shift_left !w 1) (if bit a (from + i) then 1L else 0L)
+    done;
+    !w
+end
+
+(* fast_float's generation rule for the row of 5^q, as (high, low). *)
+let derive_row q =
+  let p = ref Big.one in
+  for _ = 1 to abs q do p := Big.mul_small !p 5 done;
+  let p = !p in
+  let row =
+    if q >= 0 then Big.shift p (128 - Big.bit_length p)
+    else
+      let z = Big.bit_length p in
+      let b = if q >= -27 then z + 127 else (2 * z) + 128 in
+      let c = Big.add_one (Big.div_pow2 b p) in
+      Big.shift c (min 0 (128 - Big.bit_length c))
+  in
+  (Big.word row 64, Big.word row 0)
+
+let table_rows = 651
+let derived_rows = lazy (Array.init table_rows (fun k -> derive_row (k - 342)))
+
+(* The q of every row of [table] that is not the derived one. *)
+let table_mismatches table =
+  let rows = Lazy.force derived_rows in
+  List.filter_map
+    (fun k ->
+      let hi, lo = rows.(k) in
+      if
+        Int64.equal hi (String.get_int64_be table (16 * k))
+        && Int64.equal lo (String.get_int64_be table ((16 * k) + 8))
+      then None
+      else Some (k - 342))
+    (List.init table_rows Fun.id)
+
+let test_table_derived () =
+  Alcotest.(check int) "651 rows of 16 bytes" (16 * table_rows)
+    (String.length Obs.Decimal.pow5_128);
+  Alcotest.(check (list int)) "rows that differ from the derivation" []
+    (table_mismatches Obs.Decimal.pow5_128)
+
+(* The checks above catch a damaged table and a reader that skips the
+   round-to-even step. *)
+let test_mutants_caught () =
+  Prop.check ~cases:50 "any flipped table bit is caught" (Prop.int_range 0 ((16 * table_rows * 8) - 1))
+    (fun i ->
+      let t = Bytes.of_string Obs.Decimal.pow5_128 in
+      Bytes.set t (i / 8) (Char.chr (Char.code (Bytes.get t (i / 8)) lxor (1 lsl (i mod 8))));
+      if table_mismatches (Bytes.to_string t) = [] then failwith "flipped bit not caught");
+  let skipped = Obs.Decimal.eisel_lemire ~pow5:Obs.Decimal.pow5_128 ~even:false in
+  match Prop.find_counterexample ~cases:20_000 halfway (halfway_rounds_to_even skipped) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "a reader without round-to-even passes the halfway check"
+
 let () =
   Alcotest.run "json"
     [
@@ -215,5 +489,14 @@ let () =
       ( "fuzz",
         [
           Alcotest.test_case "mutations vs reference (100k cases)" `Quick test_fuzz;
+        ] );
+      ( "decimal",
+        [
+          Alcotest.test_case "edge values and tokens" `Quick test_float_edges;
+          Alcotest.test_case "10^6 random bit patterns" `Quick test_random_bit_patterns;
+          Alcotest.test_case "halfway tokens" `Quick test_halfway;
+          Alcotest.test_case "near-overflow tokens" `Quick test_near_limits;
+          Alcotest.test_case "5^q table re-derived" `Quick test_table_derived;
+          Alcotest.test_case "mutants caught" `Quick test_mutants_caught;
         ] );
     ]

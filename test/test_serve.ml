@@ -116,6 +116,42 @@ let test_malformed_rejected () =
       | Ok _ -> Alcotest.failf "malformed line accepted: %s" line)
     malformed_lines
 
+(* The numeric boundary policy of the "p"/"q" entries, as proto.mli
+   declares it. Each row puts one token first in "p" or last in "q" and
+   pins the decoded entry's bits (%h keeps the sign of zero) or the
+   error text. *)
+let test_numeric_boundary_policy () =
+  let line field tok =
+    if field = "p" then
+      Printf.sprintf {|{"id":"b","verb":"moments","p":[%s,0.5],"q":[0.1,0.2]}|} tok
+    else Printf.sprintf {|{"id":"b","verb":"moments","p":[0.5,0.5],"q":[0.1,%s]}|} tok
+  in
+  let decode field tok =
+    match Proto.parse_line (line field tok) with
+    | Ok (Proto.Work r) ->
+        Printf.sprintf "Ok %h" (if field = "p" then r.Proto.u.ps.(0) else r.Proto.u.qs.(1))
+    | Ok (Proto.Admin _) -> "Ok admin"
+    | Error e -> "Error " ^ e
+  in
+  let long = "0.12345678901234567890123" in
+  List.iter
+    (fun (tok, want_p, want_q) ->
+      check_string (Printf.sprintf "p entry %s" tok) want_p (decode "p" tok);
+      check_string (Printf.sprintf "q entry %s" tok) want_q (decode "q" tok))
+    [
+      ("1e999", {|Error field "p": non-finite entry|}, {|Error field "q": non-finite entry|});
+      ("-1e999", {|Error field "p": non-finite entry|}, {|Error field "q": non-finite entry|});
+      ("1e-400", "Ok 0x0p+0", "Ok 0x0p+0");
+      ("-0.0", "Ok -0x0p+0", "Ok -0x0p+0");
+      ("4.9406564584124654e-324", "Ok 0x0.0000000000001p-1022", "Ok 0x0.0000000000001p-1022");
+      (long, Printf.sprintf "Ok %h" (float_of_string long), Printf.sprintf "Ok %h" (float_of_string long));
+      ("1.", "Ok 0x1p+0", "Ok 0x1p+0");
+      ( ".5",
+        "Error malformed JSON: unexpected character '.' at offset 32",
+        "Error malformed JSON: unexpected character '.' at offset 50" );
+      ("01", "Ok 0x1p+0", "Ok 0x1p+0");
+    ]
+
 let test_retry_after_policy () =
   check_int "floor is 1 ms" 1 (Proto.retry_after_ms ~queue_depth:0 ~capacity:64);
   check_int "linear in overload" 65
@@ -679,6 +715,8 @@ let () =
           Alcotest.test_case "admin round-trip" `Quick test_admin_roundtrip;
           Alcotest.test_case "malformed lines rejected" `Quick
             test_malformed_rejected;
+          Alcotest.test_case "numeric boundary policy" `Quick
+            test_numeric_boundary_policy;
           Alcotest.test_case "retry-after policy" `Quick test_retry_after_policy;
         ] );
       ( "admission",
