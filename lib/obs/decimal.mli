@@ -15,17 +15,16 @@ val to_float : string -> int -> int -> float
 
 (** {1 Internals, exposed for the tests}
 
-    The test suite re-derives every table row and runs the algorithm on
-    a damaged table or without its round-to-even step to show that its
-    checks catch both. *)
+    The test suite re-derives every table row, and checks that the
+    algorithm itself rounds ties to even rather than leaving them to
+    [float_of_string]. *)
 
 val pow5_128 : string
 (** 5{^q} for q in \[-342, 308\]: one 16-byte row per q, high then low
     64-bit word, big-endian, built by fast_float's generation rule. *)
 
-val eisel_lemire : pow5:string -> even:bool -> int -> int -> float
-(** [eisel_lemire ~pow5 ~even w q] is w·10{^q} rounded to the nearest
-    double, for 0 < w < 10{^18} and q in \[-342, 308\], computed from the
-    table [pow5]; [nan] when 128 bits cannot decide, or the result is
-    subnormal, zero or infinite. [to_float] uses [~pow5:pow5_128
-    ~even:true]; [~even:false] skips the round-half-to-even step. *)
+val eisel_lemire : int -> int -> float
+(** [eisel_lemire w q] is w·10{^q} rounded to the nearest double, ties
+    to even, for 0 < w < 10{^18} and q in \[-342, 308\], computed from
+    {!pow5_128}; [nan] when 128 bits cannot decide, or the result is
+    subnormal, zero or infinite. *)
