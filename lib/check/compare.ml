@@ -54,16 +54,6 @@ let lower_bound bound v =
       (* the same ulp slack the interval comparators give an endpoint *)
       (v >= bound -. 1e-12, "lower-bound", Printf.sprintf "%.6g >= %g" v bound))
 
-let law holds =
-  let violations =
-    Array.fold_left (fun n ok -> if ok then n else n + 1) 0 holds
-  in
-  verdict ~analytic:0.0 ~simulated:(float_of_int violations)
-    ( violations = 0,
-      "exact",
-      Printf.sprintf "%d/%d randomized cases violate the law" violations
-        (Array.length holds) )
-
 let wilson ~expected ~successes ~trials () =
   if trials <= 0 then invalid_arg "Compare.wilson: trials must be positive";
   if successes < 0 || successes > trials then

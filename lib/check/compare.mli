@@ -13,8 +13,8 @@
       deterministic and a fresh seed has a ~2e-9 per-check false-alarm
       probability, so the differential suites are seed-stable and never
       flaky by construction;
-    - {!lower_bound} / {!law} — exact checks on what is not a float
-      pair: a one-sided inequality, a randomized law with no violation.
+    - {!lower_bound} — an exact check on what is not a float pair: a
+      one-sided inequality.
 
     Every verdict records the two values its comparator tested, so an
     oracle returns verdicts and never restates what it compared. *)
@@ -44,11 +44,6 @@ val approx : ?rel:float -> ?abs:float -> float -> float -> verdict
 val lower_bound : float -> float -> verdict
 (** [lower_bound bound v]: does [v >= bound] hold (up to 1e-12 slack)?
     Records [bound] as the analytic side and [v] as the simulated one. *)
-
-val law : bool array -> verdict
-(** One entry per randomized case, [true] where the law held. Passes iff
-    no case violates it; records [0] as the analytic side and the
-    violation count as the simulated one. *)
 
 val wilson : expected:float -> successes:int -> trials:int -> unit -> verdict
 (** Does the analytic probability lie in the Wilson score interval of

@@ -1,6 +1,6 @@
 (* Reference evaluators and agreement helpers shared by the registry
-   oracles and the property suite (test/test_prop.ml), so both harnesses
-   judge a rewrite against the same reference. *)
+   oracles and the test suites, so every harness judges a rewrite
+   against the same reference. *)
 
 open Core.Voting
 
@@ -44,20 +44,6 @@ let system_fails policy outputs =
 let legacy_combine ~required outputs =
   let shutdowns = List.length (List.filter (fun o -> o = Shutdown) outputs) in
   if shutdowns >= required then Shutdown else No_action
-
-(* Independent evaluator of the graceful-degradation scenario — a 2-of-3
-   vote falling back to an OR when abstentions break the quorum —
-   written directly over the output list, with no reference to the
-   counts algebra. *)
-let reference_cascade outs =
-  let count p = List.length (List.filter p outs) in
-  let shut = count (fun o -> equal_decision o Shutdown) in
-  let active = count (fun o -> not (equal_decision o Abstain)) in
-  if shut >= 2 then Shutdown
-  else if active >= 2 then No_action
-  else if shut >= 1 then Shutdown
-  else if active >= 1 then No_action
-  else Abstain
 
 let shuffle rng l =
   let a = Array.of_list l in

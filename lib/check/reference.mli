@@ -1,5 +1,5 @@
 (** Reference evaluators and agreement helpers, one copy each, shared by
-    the registry oracles ({!Registry}) and the property suite. *)
+    the registry oracles ({!Registry}) and the test suites. *)
 
 (** {1 Per-demand adjudication}
 
@@ -28,10 +28,6 @@ val legacy_combine :
   required:int -> Core.Voting.decision list -> Core.Voting.decision
 (** The seed's M-out-of-N adjudicator, reimplemented verbatim: shut down
     iff at least [required] channels demand it. *)
-
-val reference_cascade : Core.Voting.decision list -> Core.Voting.decision
-(** [fallback (vote 2) (vote 1)] evaluated directly over the output list,
-    with no reference to the counts algebra. *)
 
 val shuffle : Numerics.Rng.t -> 'a list -> 'a list
 (** A uniformly random permutation, drawn by

@@ -418,142 +418,13 @@ let fleet_vs_moments =
             ~trials:(plants * demands_per_plant) () );
       ])
 
-(* ---- the adjudication calculus: law oracles (DESIGN.md
-   "Adjudication algebra") ---- *)
-
-(* Deterministic random calculus terms and output vectors, drawn from
-   the oracle's salted stream — the same term family test/prop.ml's
-   generators explore, so a law failure found by either harness replays
-   in the other. *)
-let rec random_term rng ~depth =
-  let leaf () =
-    if Rng.int rng 4 = 0 then Core.Voting.Unit
-    else Core.Voting.vote ~required:(1 + Rng.int rng 4)
-  in
-  if depth <= 0 then leaf ()
-  else
-    match Rng.int rng 4 with
-    | 0 | 1 -> leaf ()
-    | 2 ->
-        Core.Voting.compose
-          (random_term rng ~depth:(depth - 1))
-          (random_term rng ~depth:(depth - 1))
-    | _ ->
-        Core.Voting.fallback
-          (random_term rng ~depth:(depth - 1))
-          (random_term rng ~depth:(depth - 1))
-
-let random_outputs rng ~n ~abstaining =
-  List.init n (fun _ ->
-      match Rng.int rng (if abstaining then 3 else 2) with
-      | 0 -> Core.Voting.Shutdown
-      | 1 -> Core.Voting.No_action
-      | _ -> Core.Voting.Abstain)
-
-(* A vector long enough for every sub-term the law rewrites [term] into:
-   combine raises below [policy_min_channels], and the laws quantify over
-   vectors both sides accept. *)
-let random_vector_for rng term ~abstaining =
-  let n = Core.Voting.policy_min_channels term + Rng.int rng 5 in
-  random_outputs rng ~n ~abstaining
-
-(* The law oracles draw their cases with [Array.init], which evaluates
-   in index order, so each case consumes the salted stream in turn. *)
-
-let adjudication_unit_identity =
-  Oracle.make ~id:"adjudication-unit-identity"
-    ~description:
-      "compose unit t, compose t unit and t decide identically on every \
-       output vector (unit is a two-sided identity of compose)"
-    (fun s ->
-      let rng = Oracle.rng s ~salt:14 in
-      let holds =
-        Array.init 200 (fun _ ->
-            let t = random_term rng ~depth:3 in
-            let outs = random_vector_for rng t ~abstaining:true in
-            let decides t' =
-              Core.Voting.equal_decision
-                (Reference.combine t' outs)
-                (Reference.combine t outs)
-            in
-            Core.Voting.(decides (compose Unit t), decides (compose t Unit)))
-      in
-      [
-        ("compose unit t ≡ t", Compare.law (Array.map fst holds));
-        ("compose t unit ≡ t", Compare.law (Array.map snd holds));
-      ])
-
-let adjudication_vote_permutation =
-  Oracle.make ~id:"adjudication-vote-permutation"
-    ~description:
-      "every calculus term adjudicates counts, so combine is invariant \
-       under permutation of the channel output vector"
-    (fun s ->
-      let rng = Oracle.rng s ~salt:15 in
-      let holds =
-        Array.init 200 (fun _ ->
-            let t = random_term rng ~depth:3 in
-            let outs = random_vector_for rng t ~abstaining:true in
-            let a = Reference.combine t outs in
-            Core.Voting.equal_decision a
-              (Reference.combine t (Reference.shuffle rng outs)))
-      in
-      [ ("combine t (perm v) ≡ combine t v", Compare.law holds) ])
-
-let adjudication_fallback_idempotent =
-  Oracle.make ~id:"adjudication-fallback-idempotent"
-    ~description:
-      "fallback t t decides as t on abstain-free vectors (the backup \
-       can only be reached when the primary abstains)"
-    (fun s ->
-      let rng = Oracle.rng s ~salt:16 in
-      let holds =
-        Array.init 200 (fun _ ->
-            let t = random_term rng ~depth:3 in
-            let outs = random_vector_for rng t ~abstaining:false in
-            Core.Voting.equal_decision
-              (Reference.combine (Core.Voting.fallback t t) outs)
-              (Reference.combine t outs))
-      in
-      [ ("fallback t t ≡ t (abstain-free)", Compare.law holds) ])
-
-let adjudication_vote_vs_legacy =
-  Oracle.make ~id:"adjudication-vote-vs-legacy"
-    ~description:
-      "vote ~required bit-matches the retained legacy M-out-of-N \
-       adjudicator (and its system_fails predicate) on abstain-free \
-       vectors, across every threshold the vector admits"
-    (fun s ->
-      let rng = Oracle.rng s ~salt:17 in
-      (* one case per (vector, threshold) pair *)
-      let holds =
-        Array.concat
-          (Array.to_list
-             (Array.init 200 (fun _ ->
-                  let n = 1 + Rng.int rng 7 in
-                  let outs = random_outputs rng ~n ~abstaining:false in
-                  Array.init n (fun i ->
-                      let required = i + 1 in
-                      let t = Core.Voting.vote ~required in
-                      let legacy = Reference.legacy_combine ~required outs in
-                      ( Core.Voting.equal_decision
-                          (Reference.combine t outs)
-                          legacy,
-                        Reference.system_fails t outs
-                        = not
-                            (Core.Voting.equal_decision legacy
-                               Core.Voting.Shutdown) )))))
-      in
-      [
-        ("combine ≡ legacy decision", Compare.law (Array.map fst holds));
-        ("system_fails ≡ legacy predicate", Compare.law (Array.map snd holds));
-      ])
+(* ---- the adjudication calculus: closed forms vs simulation (its laws
+   are checked exhaustively in test/test_simulator.ml) ---- *)
 
 let adjudication_graceful_degradation =
   Oracle.make ~id:"adjudication-graceful-degradation"
     ~description:
-      "fallback (vote 2) (vote 1) over 3 self-checking channels: exact \
-       agreement with an independent list evaluator, and the \
+      "fallback (vote 2) (vote 1) over 3 self-checking channels: the \
        policy_defeat_prob closed form vs both the list-path and \
        counts-path samplers"
     (fun s ->
@@ -562,13 +433,6 @@ let adjudication_graceful_degradation =
         Core.Voting.(fallback (vote ~required:2) (vote ~required:1))
       in
       let channels = 3 and detection = 0.35 in
-      let holds =
-        Array.init 300 (fun _ ->
-            let outs = random_outputs rng ~n:channels ~abstaining:true in
-            Core.Voting.equal_decision
-              (Reference.combine cascade outs)
-              (Reference.reference_cascade outs))
-      in
       let u = Scenario.universe s in
       let mu = Core.Voting.policy_mu cascade ~channels ~detection u in
       let sigma = Core.Voting.policy_sigma cascade ~channels ~detection u in
@@ -589,7 +453,6 @@ let adjudication_graceful_degradation =
           ~mean:(Stats.mean samples) ()
       in
       [
-        ("combine ≡ independent evaluator", Compare.law holds);
         ("policy_mu vs list-path sampler", sampler list_samples);
         ("policy_mu vs counts-path sampler", sampler counts_samples);
       ])
@@ -710,10 +573,6 @@ let all =
     gradient_incremental_vs_naive;
     pfd_fast_vs_legacy;
     fleet_vs_moments;
-    adjudication_unit_identity;
-    adjudication_vote_permutation;
-    adjudication_fallback_idempotent;
-    adjudication_vote_vs_legacy;
     adjudication_graceful_degradation;
     adjudication_policy_vs_binomial;
     serve_vs_cli;

@@ -38,7 +38,7 @@ type verdict = {
 let assess u ~required_bound ~confidence =
   if required_bound <= 0.0 then
     invalid_arg "Assessment.assess: required bound must be positive";
-  if confidence <= 0.0 || confidence >= 1.0 then
+  if not (0.0 < confidence && confidence < 1.0) then
     invalid_arg "Assessment.assess: confidence must lie strictly in (0, 1)";
   let k = Numerics.Normal_dist.ppf confidence in
   let single_bound = Normal_approx.single_bound u ~k in

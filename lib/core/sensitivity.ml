@@ -79,7 +79,7 @@ let risk_ratio_k_derivative ~b ~k =
   Kahan.sum_over (Array.length b) (fun i -> b.(i) *. partial i)
 
 let stationary_p1 ~p2 =
-  if p2 <= 0.0 || p2 >= 1.0 then
+  if not (0.0 < p2 && p2 < 1.0) then
     invalid_arg "Sensitivity.stationary_p1: p2 must lie strictly in (0, 1)";
   (* For n = 2 the ratio is R(p1) = (p1^2 + p2^2 - p1^2 p2^2) /
      (p1 + p2 - p1 p2); setting dR/dp1 = 0 gives the quadratic

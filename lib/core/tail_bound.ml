@@ -57,7 +57,7 @@ let guaranteed_bound_single u ~confidence =
   (* Smallest x with Chernoff P(Theta1 > x) <= 1 - confidence: a RIGOROUS
      counterpart of the Section 5 mu + k sigma bound (which relies on the
      unproven normal approximation). Bisection on x over [mu, total_q]. *)
-  if confidence <= 0.0 || confidence >= 1.0 then
+  if not (0.0 < confidence && confidence < 1.0) then
     invalid_arg "Tail_bound.guaranteed_bound_single: confidence outside (0, 1)";
   let target = 1.0 -. confidence in
   let mu = Moments.mu1 u in
@@ -69,7 +69,7 @@ let guaranteed_bound_single u ~confidence =
       ~lo:mu ~hi
 
 let guaranteed_bound_pair u ~confidence =
-  if confidence <= 0.0 || confidence >= 1.0 then
+  if not (0.0 < confidence && confidence < 1.0) then
     invalid_arg "Tail_bound.guaranteed_bound_pair: confidence outside (0, 1)";
   let target = 1.0 -. confidence in
   let mu = Moments.mu2 u in

@@ -62,7 +62,7 @@ let homogeneous ~n ~p ~q = of_faults (Array.init n (fun _ -> Fault.make ~p ~q))
 let uniform_random rng ~n ~p_lo ~p_hi ~total_q =
   if not (0.0 <= p_lo && p_lo <= p_hi && p_hi <= 1.0) then
     invalid_arg "Universe.uniform_random: need 0 <= p_lo <= p_hi <= 1";
-  if total_q <= 0.0 || total_q > 1.0 then
+  if not (0.0 < total_q && total_q <= 1.0) then
     invalid_arg "Universe.uniform_random: total_q must lie in (0, 1]";
   let p = Array.init n (fun _ -> Numerics.Rng.uniform rng ~lo:p_lo ~hi:p_hi) in
   let raw = Array.init n (fun _ -> Numerics.Rng.float rng +. 1e-9) in
@@ -71,7 +71,7 @@ let uniform_random rng ~n ~p_lo ~p_hi ~total_q =
   of_arrays ~p ~q
 
 let power_law_random rng ~n ~p_lo ~p_hi ~q_exponent ~total_q =
-  if total_q <= 0.0 || total_q > 1.0 then
+  if not (0.0 < total_q && total_q <= 1.0) then
     invalid_arg "Universe.power_law_random: total_q must lie in (0, 1]";
   let p = Array.init n (fun _ -> Numerics.Rng.uniform rng ~lo:p_lo ~hi:p_hi) in
   let raw =
@@ -83,7 +83,7 @@ let power_law_random rng ~n ~p_lo ~p_hi ~q_exponent ~total_q =
   of_arrays ~p ~q
 
 let dirichlet_random rng ~n ~p_lo ~p_hi ~alpha ~total_q =
-  if total_q <= 0.0 || total_q > 1.0 then
+  if not (0.0 < total_q && total_q <= 1.0) then
     invalid_arg "Universe.dirichlet_random: total_q must lie in (0, 1]";
   let p = Array.init n (fun _ -> Numerics.Rng.uniform rng ~lo:p_lo ~hi:p_hi) in
   let weights =

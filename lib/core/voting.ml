@@ -97,19 +97,11 @@ let equal_decision a b =
   | Shutdown, Shutdown | No_action, No_action | Abstain, Abstain -> true
   | (Shutdown | No_action | Abstain), _ -> false
 
-let rec equal_policy a b =
-  match (a, b) with
-  | Unit, Unit -> true
-  | Vote r, Vote r' -> r = r'
-  | Compose (a1, b1), Compose (a2, b2) | Fallback (a1, b1), Fallback (a2, b2)
-    -> equal_policy a1 a2 && equal_policy b1 b2
-  | (Unit | Vote _ | Compose _ | Fallback _), _ -> false
-
-(* Fewest channels on which the policy can reach a definite verdict:
-   the first stage of a cascade sees the raw channel vector, so only it
-   constrains the arity; a fallback is usable whenever either branch
-   is. Mirrors the legacy "more votes required than channels" check for
-   the plain M-out-of-N instance. *)
+(* A lower bound on the channels the policy needs for a definite
+   verdict: the first stage of a cascade sees the raw channel vector, so
+   only it constrains the arity; a fallback is usable whenever either
+   branch is. Mirrors the legacy "more votes required than channels"
+   check for the plain M-out-of-N instance. *)
 let rec policy_min_channels = function
   | Unit -> 1
   | Vote r -> max 1 r

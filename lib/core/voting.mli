@@ -64,7 +64,10 @@ val pp : Format.formatter -> t -> unit
     evaluations of the same composed adjudicator are directly
     cross-checkable (see the [lib/check] adjudication oracles).
 
-    Laws, by construction:
+    Laws, checked for every term of at most three [Compose]/[Fallback]
+    nodes over [Unit]/[Vote 1..4] on every vector of up to five channel
+    outputs (the "exhaustive small scope" test of
+    test/test_simulator.ml):
     - [compose Unit a], [compose a Unit] and [a] decide identically;
     - every policy is permutation-invariant in the channel outputs
       (the semantics only see vote counts);
@@ -109,12 +112,15 @@ val decide :
     counts enter. *)
 
 val policy_min_channels : policy -> int
-(** Fewest channel outputs on which the policy can reach a definite
-    verdict — the arity floor enforced by [Simulator.Protection.create]
-    ([Vote r] needs [r] channels; a fallback needs only its cheaper
-    branch). *)
-
-val equal_policy : policy -> policy -> bool
+(** A lower bound on the channel outputs the policy needs for a
+    definite verdict: on fewer, a term whose votes have [r >= 1] (as
+    {!vote} builds them) always abstains. It is the arity
+    floor enforced by [Simulator.Protection.create] ([Vote r] needs [r]
+    channels; a cascade only its first stage's; a fallback only its
+    cheaper branch's). The bound is tight for [Unit], [Vote r] and
+    [fallback (vote a) (vote b)], but not in general:
+    [compose (vote 1) (vote 2)] has floor 1 and never decides, as its
+    second stage sees one survivor. *)
 
 val pp_policy : Format.formatter -> policy -> unit
 (** Prints [Vote] nodes in the legacy adjudicator's notation

@@ -20,7 +20,7 @@ let random rng ~size ~alpha =
 let peaked ~size ~peak ~mass =
   if size <= 0 then invalid_arg "Profile.peaked: size must be positive";
   if peak < 0 || peak >= size then invalid_arg "Profile.peaked: peak out of range";
-  if mass <= 0.0 || mass >= 1.0 then
+  if not (0.0 < mass && mass < 1.0) then
     invalid_arg "Profile.peaked: mass must lie strictly in (0, 1)";
   let rest = (1.0 -. mass) /. float_of_int (max 1 (size - 1)) in
   of_weights (Array.init size (fun i -> if i = peak then mass else rest))

@@ -61,7 +61,7 @@ let posterior_trajectory t ~bound ~demand_counts =
     demand_counts
 
 let demands_for_confidence t ~bound ~confidence ~max_demands =
-  if confidence <= 0.0 || confidence >= 1.0 then
+  if not (0.0 < confidence && confidence < 1.0) then
     invalid_arg "Bayes.demands_for_confidence: confidence outside (0, 1)";
   (* P(theta <= bound | T failure-free demands) is non-decreasing in T;
      binary-search the smallest sufficient T. *)

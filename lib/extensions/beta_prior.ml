@@ -3,7 +3,7 @@ open Numerics
 type t = { a : float; b : float }
 
 let create ~a ~b =
-  if a <= 0.0 || b <= 0.0 then
+  if not (a > 0.0 && b > 0.0) then
     invalid_arg "Beta_prior.create: shapes must be positive";
   { a; b }
 
@@ -16,7 +16,7 @@ let moment_matched dist =
      the model's first two moments. *)
   let m = Core.Pfd_dist.mean dist in
   let v = Core.Pfd_dist.variance dist in
-  if m <= 0.0 || m >= 1.0 || v <= 0.0 then
+  if not (0.0 < m && m < 1.0 && v > 0.0) then
     invalid_arg "Beta_prior.moment_matched: degenerate distribution";
   let nu = (m *. (1.0 -. m) /. v) -. 1.0 in
   if nu <= 0.0 then
@@ -42,7 +42,7 @@ let prob_at_most t bound = Betainc.beta_cdf ~a:t.a ~b:t.b bound
 let quantile t p = Betainc.beta_ppf ~a:t.a ~b:t.b p
 
 let demands_for_confidence t ~bound ~confidence ~max_demands =
-  if confidence <= 0.0 || confidence >= 1.0 then
+  if not (0.0 < confidence && confidence < 1.0) then
     invalid_arg "Beta_prior.demands_for_confidence: confidence outside (0, 1)";
   if prob_at_most t bound >= confidence then Some 0
   else if

@@ -38,7 +38,7 @@ let betacf a b x =
   !h
 
 let regularized ~a ~b x =
-  if a <= 0.0 || b <= 0.0 then
+  if not (a > 0.0 && b > 0.0) then
     invalid_arg "Betainc.regularized: shapes must be positive";
   if Float.is_nan x || x < 0.0 || x > 1.0 then
     invalid_arg "Betainc.regularized: x outside [0, 1]";

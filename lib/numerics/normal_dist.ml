@@ -52,7 +52,7 @@ let ppf_raw p =
 
 let ppf ?(mu = 0.0) ?(sigma = 1.0) p =
   if sigma <= 0.0 then invalid_arg "Normal_dist.ppf: sigma must be positive";
-  if p <= 0.0 || p >= 1.0 then
+  if not (0.0 < p && p < 1.0) then
     invalid_arg "Normal_dist.ppf: p must lie strictly inside (0, 1)";
   let x = ppf_raw p in
   (* Halley refinement: e = Phi(x) - p, u = e/phi(x),

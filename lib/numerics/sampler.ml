@@ -39,7 +39,7 @@ let rec gamma rng ~shape =
   end
 
 let beta rng ~a ~b =
-  if a <= 0.0 || b <= 0.0 then
+  if not (a > 0.0 && b > 0.0) then
     invalid_arg "Sampler.beta: shapes must be positive";
   let x = gamma rng ~shape:a in
   let y = gamma rng ~shape:b in

@@ -24,7 +24,7 @@ type t = {
 let create ~theta0 ~theta1 ~alpha ~beta =
   if not (0.0 < theta0 && theta0 < theta1 && theta1 < 1.0) then
     invalid_arg "Sprt.create: need 0 < theta0 < theta1 < 1";
-  if alpha <= 0.0 || alpha >= 1.0 || beta <= 0.0 || beta >= 1.0 then
+  if not (0.0 < alpha && alpha < 1.0 && 0.0 < beta && beta < 1.0) then
     invalid_arg "Sprt.create: error rates must lie strictly in (0, 1)";
   {
     theta0;

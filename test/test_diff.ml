@@ -192,8 +192,6 @@ let test_verdict_records_values () =
         ("lower_bound holds", lower_bound 1.0 1.5, 1.0, 1.5, true);
         ("lower_bound slack", lower_bound 1.0 (1.0 -. 1e-13), 1.0, 1.0 -. 1e-13, true);
         ("lower_bound violated", lower_bound 1.0 0.5, 1.0, 0.5, false);
-        ("law holds", law [| true; true |], 0.0, 0.0, true);
-        ("law violated", law [| true; false; true; false |], 0.0, 2.0, false);
         ("same_bytes identical", same_bytes "a" "a", 1.0, 1.0, true);
         ("same_bytes different", same_bytes "a" "b", 1.0, 0.0, false);
       ]

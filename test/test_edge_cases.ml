@@ -268,6 +268,84 @@ let test_range_guards_reject_nan () =
         invalid "Pfd_dist.quantile: alpha outside [0, 1]" (fun () ->
             let d = Core.Pfd_dist.exact_of_vectors ~probs:[| 0.5 |] ~values:[| 0.1 |] () in
             ignore (Core.Pfd_dist.quantile d nan)) );
+      ( "Bayes.demands_for_confidence",
+        invalid "Bayes.demands_for_confidence: confidence outside (0, 1)"
+          (fun () ->
+            ignore
+              (Extensions.Bayes.demands_for_confidence
+                 (Extensions.Bayes.of_mass [ (0.01, 1.0) ])
+                 ~bound:0.01 ~confidence:nan ~max_demands:10)) );
+      ( "Beta_prior.create",
+        invalid "Beta_prior.create: shapes must be positive" (fun () ->
+            ignore (Extensions.Beta_prior.create ~a:nan ~b:1.0)) );
+      ( "Beta_prior.moment_matched",
+        invalid "Beta_prior.moment_matched: degenerate distribution" (fun () ->
+            (* -inf and +inf with equal mass: a NaN mean *)
+            ignore
+              (Extensions.Beta_prior.moment_matched
+                 (Core.Pfd_dist.of_mass
+                    [ (neg_infinity, 0.5); (infinity, 0.5) ]))) );
+      ( "Beta_prior.demands_for_confidence",
+        invalid "Beta_prior.demands_for_confidence: confidence outside (0, 1)"
+          (fun () ->
+            ignore
+              (Extensions.Beta_prior.demands_for_confidence
+                 Extensions.Beta_prior.uniform ~bound:0.01 ~confidence:nan
+                 ~max_demands:10)) );
+      ( "Profile.peaked",
+        invalid "Profile.peaked: mass must lie strictly in (0, 1)" (fun () ->
+            ignore (Demandspace.Profile.peaked ~size:4 ~peak:0 ~mass:nan)) );
+      ( "Sprt.create",
+        invalid "Sprt.create: error rates must lie strictly in (0, 1)"
+          (fun () ->
+            ignore
+              (Simulator.Sprt.create ~theta0:0.01 ~theta1:0.1 ~alpha:nan
+                 ~beta:0.05)) );
+      ( "Normal_dist.ppf",
+        invalid "Normal_dist.ppf: p must lie strictly inside (0, 1)" (fun () ->
+            ignore (Numerics.Normal_dist.ppf nan)) );
+      ( "Betainc.regularized",
+        invalid "Betainc.regularized: shapes must be positive" (fun () ->
+            ignore (Numerics.Betainc.regularized ~a:nan ~b:1.0 0.5)) );
+      ( "Sampler.beta",
+        invalid "Sampler.beta: shapes must be positive" (fun () ->
+            ignore (Numerics.Sampler.beta (rng0 ()) ~a:1.0 ~b:nan)) );
+      ( "Tail_bound.guaranteed_bound_single",
+        invalid "Tail_bound.guaranteed_bound_single: confidence outside (0, 1)"
+          (fun () ->
+            ignore (Core.Tail_bound.guaranteed_bound_single u ~confidence:nan))
+      );
+      ( "Tail_bound.guaranteed_bound_pair",
+        invalid "Tail_bound.guaranteed_bound_pair: confidence outside (0, 1)"
+          (fun () ->
+            ignore (Core.Tail_bound.guaranteed_bound_pair u ~confidence:nan)) );
+      ( "Universe.uniform_random",
+        invalid "Universe.uniform_random: total_q must lie in (0, 1]"
+          (fun () ->
+            ignore
+              (Core.Universe.uniform_random (rng0 ()) ~n:3 ~p_lo:0.1 ~p_hi:0.2
+                 ~total_q:nan)) );
+      ( "Universe.power_law_random",
+        invalid "Universe.power_law_random: total_q must lie in (0, 1]"
+          (fun () ->
+            ignore
+              (Core.Universe.power_law_random (rng0 ()) ~n:3 ~p_lo:0.1
+                 ~p_hi:0.2 ~q_exponent:(-1.0) ~total_q:nan)) );
+      ( "Universe.dirichlet_random",
+        invalid "Universe.dirichlet_random: total_q must lie in (0, 1]"
+          (fun () ->
+            ignore
+              (Core.Universe.dirichlet_random (rng0 ()) ~n:3 ~p_lo:0.1
+                 ~p_hi:0.2 ~alpha:1.0 ~total_q:nan)) );
+      ( "Assessment.assess",
+        invalid "Assessment.assess: confidence must lie strictly in (0, 1)"
+          (fun () ->
+            ignore
+              (Core.Assessment.assess u ~required_bound:0.01 ~confidence:nan))
+      );
+      ( "Sensitivity.stationary_p1",
+        invalid "Sensitivity.stationary_p1: p2 must lie strictly in (0, 1)"
+          (fun () -> ignore (Core.Sensitivity.stationary_p1 ~p2:nan)) );
       ("Proto p", wire "p" [| 0.5; nan |] [| 0.1; 0.2 |]);
       ("Proto q", wire "q" [| 0.5; 0.2 |] [| nan; 0.2 |]);
     ]

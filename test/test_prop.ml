@@ -792,12 +792,15 @@ let test_prop_compiled_protection () =
         (Int64.bits_of_float (reference_true_pfd system))
         (Int64.bits_of_float (Simulator.Protection.true_pfd system)))
 
-(* Every law the lib/check adjudication oracles assert, re-checked here
-   over generated calculus terms and abstention-bearing vectors, plus
-   the legacy-vs-combinator byte-identity on abstain-free inputs. *)
+(* The calculus laws beyond the exhaustive scope of test_simulator's
+   "exhaustive small scope" test (at most three nodes, five channels):
+   generated terms of depth up to 3 on abstention-bearing vectors of up
+   to 8 channels, plus the legacy-vs-combinator byte-identity on
+   abstain-free inputs. *)
 let test_prop_adjudication_laws () =
   let gen =
-    Prop.(triple (adjudicator_term ()) (channel_outputs ()) seed)
+    Prop.(
+      triple (adjudicator_term ()) (channel_outputs ~max_channels:8 ()) seed)
   in
   Prop.check ~cases:100 "adjudication laws + legacy identity" gen
     (fun (term, outs, salt) ->

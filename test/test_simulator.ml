@@ -228,7 +228,7 @@ let test_calculus_truth_tables () =
   Alcotest.(check int) "min_channels of the cascade" 1
     (policy_min_channels cascade);
   Alcotest.(check bool) "terms compare structurally" true
-    (equal_policy cascade (fallback (vote ~required:2) (vote ~required:1)));
+    (cascade = fallback (vote ~required:2) (vote ~required:1));
   Alcotest.check_raises "vote threshold must be positive"
     (Invalid_argument "Voting.vote: required must be >= 1")
     (fun () -> ignore (vote ~required:0));
@@ -296,6 +296,257 @@ let test_runner_abstentions () =
     stats.Simulator.Runner.system_failures;
   Alcotest.(check int) "silent system never abstains" 0
     stats'.Simulator.Runner.system_abstentions
+
+(* The calculus checked exhaustively over a small scope instead of by
+   sampling: every term with leaves [Unit]/[Vote 1..4] and at most three
+   [Compose]/[Fallback] nodes (5 + 50 + 1,000 + 25,000 = 26,055 terms),
+   on every vector of 0-5 channel outputs — the 56 count vectors and
+   the 364 ordered ones. *)
+
+(* [by_nodes.(k)]: every term with exactly [k] internal nodes. *)
+let terms_by_nodes max_nodes =
+  let open Core.Voting in
+  let by_nodes =
+    Array.make (max_nodes + 1) [ Unit; Vote 1; Vote 2; Vote 3; Vote 4 ]
+  in
+  for k = 1 to max_nodes do
+    by_nodes.(k) <-
+      List.concat_map
+        (fun left_nodes ->
+          List.concat_map
+            (fun a ->
+              List.concat_map
+                (fun b -> [ Compose (a, b); Fallback (a, b) ])
+                by_nodes.(k - 1 - left_nodes))
+            by_nodes.(left_nodes))
+        (List.init k Fun.id)
+  done;
+  by_nodes
+
+let rec ordered_vectors n =
+  if n = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun v -> Core.Voting.[ Shutdown :: v; No_action :: v; Abstain :: v ])
+      (ordered_vectors (n - 1))
+
+(* The documented semantics read directly off an ordered output list,
+   with no reference to the counts algebra: [Unit] passes the list
+   through, [Vote r] collapses it to one verdict, [Compose] hands the
+   survivors on, [Fallback] re-reads the original list when the
+   primary's verdict collapses to Abstain. *)
+let rec survivors policy outs =
+  let open Core.Voting in
+  match policy with
+  | Unit -> outs
+  | Vote r ->
+      (* shutdown votes and channels still voting, in one pass *)
+      let rec tally shut voting = function
+        | [] ->
+            if shut >= r then [ Shutdown ]
+            else if voting < r then [ Abstain ]
+            else [ No_action ]
+        | Shutdown :: rest -> tally (shut + 1) (voting + 1) rest
+        | No_action :: rest -> tally shut (voting + 1) rest
+        | Abstain :: rest -> tally shut voting rest
+      in
+      tally 0 0 outs
+  | Compose (a, b) -> survivors b (survivors a outs)
+  | Fallback (a, b) -> (
+      let first = survivors a outs in
+      match verdict first with Abstain -> survivors b outs | _ -> first)
+
+(* Any surviving shutdown vote carries, then any silent failure. *)
+and verdict outs =
+  let open Core.Voting in
+  let rec scan silent = function
+    | [] -> if silent then No_action else Abstain
+    | Shutdown :: _ -> Shutdown
+    | No_action :: rest -> scan true rest
+    | Abstain :: rest -> scan silent rest
+  in
+  scan false outs
+
+let test_calculus_exhaustive () =
+  let open Core.Voting in
+  let max_channels = 5 in
+  let by_nodes = terms_by_nodes 3 in
+  (* a count vector's slot in a per-term verdict table *)
+  let base = max_channels + 1 in
+  let key s na ab = (((s * base) + na) * base) + ab in
+  let upto n = List.init (n + 1) Fun.id in
+  let count_vectors =
+    List.concat_map
+      (fun s ->
+        List.concat_map
+          (fun na ->
+            List.map (fun ab -> (s, na, ab)) (upto (max_channels - s - na)))
+          (upto (max_channels - s)))
+      (upto max_channels)
+  in
+  let vectors =
+    Array.of_list
+      (List.concat_map
+         (fun n ->
+           List.map
+             (fun outs ->
+               let s, na, ab =
+                 List.fold_left
+                   (fun (s, na, ab) -> function
+                     | Shutdown -> (s + 1, na, ab)
+                     | No_action -> (s, na + 1, ab)
+                     | Abstain -> (s, na, ab + 1))
+                   (0, 0, 0) outs
+               in
+               (outs, key s na ab, n))
+             (ordered_vectors n))
+         (upto max_channels))
+  in
+  (* law -> (violation count, first counterexample) *)
+  let violations = Hashtbl.create 8 in
+  let violated law example =
+    match Hashtbl.find_opt violations law with
+    | Some (n, first) -> Hashtbl.replace violations law (n + 1, first)
+    | None -> Hashtbl.replace violations law (1, example ())
+  in
+  let on_counts t (s, na, ab) () =
+    Fmt.str "%a on (%d shutdown, %d no-action, %d abstain)" pp_policy t s na
+      ab
+  in
+  let on_list t outs () =
+    Fmt.str "%a on [%a]" pp_policy t
+      Fmt.(list ~sep:semi Prop.pp_decision)
+      outs
+  in
+  (* Per-channel states for [policy_defeat_prob]: a Shutdown entry is a
+     clean channel (1 - p), No_action an undetected carrier p (1 - d),
+     Abstain a detected carrier p d. *)
+  let grid =
+    List.concat_map
+      (fun p -> List.map (fun d -> (p, d)) [ 0.0; 0.35; 0.5; 1.0 ])
+      [ 0.0; 5e-324; 1e-3; 0.3; 0.5; 0.99; 1.0 ]
+  in
+  let state_probs =
+    List.map
+      (fun (p, d) ->
+        Array.map
+          (fun (outs, _, _) ->
+            List.fold_left
+              (fun acc o ->
+                acc
+                *.
+                match o with
+                | Shutdown -> 1.0 -. p
+                | No_action -> p *. (1.0 -. d)
+                | Abstain -> p *. d)
+              1.0 outs)
+          vectors)
+      grid
+  in
+  let check_defeat_prob t table =
+    List.iter2
+      (fun (p, detection) probs ->
+        (* enumerated.(n): the mass of the failing n-channel states *)
+        let enumerated = Array.make (max_channels + 1) 0.0 in
+        Array.iteri
+          (fun i (_, k, n) ->
+            if not (equal_decision table.(k) Shutdown) then
+              enumerated.(n) <- enumerated.(n) +. probs.(i))
+          vectors;
+        for channels = 1 to max_channels do
+          let closed = policy_defeat_prob t ~channels ~detection ~p () in
+          if not (Float.abs (closed -. enumerated.(channels)) <= 1e-12) then
+            violated "policy_defeat_prob = per-channel enumeration" (fun () ->
+                Fmt.str "%a, %d channels, p %h, detection %g: %.17g vs %.17g"
+                  pp_policy t channels p detection closed
+                  enumerated.(channels))
+        done)
+      grid state_probs
+  in
+  Array.iteri
+    (fun nodes terms ->
+      List.iter
+        (fun t ->
+          let floor = policy_min_channels t in
+          let table = Array.make (base * base * base) Abstain in
+          List.iter
+            (fun ((s, na, ab) as c) ->
+              let d p = decide p ~shutdowns:s ~no_actions:na ~abstains:ab in
+              let dt = d t in
+              table.(key s na ab) <- dt;
+              if not (equal_decision (d (compose Unit t)) dt) then
+                violated "compose unit t = t" (on_counts t c);
+              if not (equal_decision (d (compose t Unit)) dt) then
+                violated "compose t unit = t" (on_counts t c);
+              if ab = 0 && not (equal_decision (d (fallback t t)) dt) then
+                violated "fallback t t = t (abstain-free)" (on_counts t c);
+              if s + na + ab < floor && not (equal_decision dt Abstain) then
+                violated "no verdict below policy_min_channels" (on_counts t c))
+            count_vectors;
+          Array.iter
+            (fun (outs, k, n) ->
+              if not (equal_decision (verdict (survivors t outs)) table.(k))
+              then violated "decide = list interpreter" (on_list t outs);
+              (* every ordering of a count vector: permutation invariance
+                 of the list path. combine only counts before [decide],
+                 so terms of up to two nodes cover it. *)
+              if
+                nodes <= 2 && n >= floor
+                && not
+                     (equal_decision (Check.Reference.combine t outs) table.(k))
+              then
+                violated "combine = decide on every ordering" (on_list t outs))
+            vectors;
+          if nodes <= 2 then check_defeat_prob t table)
+        terms)
+    by_nodes;
+  Array.iter
+    (fun (outs, _, n) ->
+      if not (List.exists (equal_decision Abstain) outs) then
+        for required = 1 to n do
+          let legacy = Check.Reference.legacy_combine ~required outs in
+          let t = vote ~required in
+          if not (equal_decision (Check.Reference.combine t outs) legacy) then
+            violated "vote r = legacy decision" (on_list t outs);
+          if
+            Check.Reference.system_fails t outs
+            <> not (equal_decision legacy Shutdown)
+          then violated "system_fails = legacy predicate" (on_list t outs)
+        done)
+    vectors;
+  (* The floor is tight on the leaves and on two-vote fallbacks: some
+     vector of exactly that many outputs gets a definite verdict. *)
+  let two_vote_fallbacks =
+    List.concat_map
+      (fun a -> List.map (fun b -> fallback (Vote a) (Vote b)) [ 1; 2; 3; 4 ])
+      [ 1; 2; 3; 4 ]
+  in
+  List.iter
+    (fun t ->
+      let floor = policy_min_channels t in
+      if
+        not
+          (List.exists
+             (fun (s, na, ab) ->
+               s + na + ab = floor
+               && not
+                    (equal_decision
+                       (decide t ~shutdowns:s ~no_actions:na ~abstains:ab)
+                       Abstain))
+             count_vectors)
+      then
+        violated "policy_min_channels tight" (fun () ->
+            Fmt.str "%a at %d channels" pp_policy t floor))
+    (by_nodes.(0) @ two_vote_fallbacks);
+  Alcotest.(check int) "terms in scope" 26_055
+    (Array.fold_left (fun n ts -> n + List.length ts) 0 by_nodes);
+  Alcotest.(check (list string))
+    "no law violated in scope" []
+    (List.sort compare
+       (Hashtbl.fold
+          (fun law (n, first) acc ->
+            Printf.sprintf "%s: %d violations, first %s" law n first :: acc)
+          violations []))
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                              *)
@@ -432,6 +683,8 @@ let () =
             test_calculus_truth_tables;
           Alcotest.test_case "cascade protection" `Quick test_cascade_protection;
           Alcotest.test_case "runner abstentions" `Quick test_runner_abstentions;
+          Alcotest.test_case "exhaustive small scope" `Quick
+            test_calculus_exhaustive;
         ] );
       ( "plant-runner",
         [
