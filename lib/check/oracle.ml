@@ -31,7 +31,19 @@ let run t scenario =
     let analytic = verdict.analytic and simulated = verdict.simulated in
     { oracle = t.id; quantity; analytic; simulated; verdict }
   in
-  let outcomes = List.map outcome (t.run scenario) in
+  (* A body that raises is one failing outcome naming the exception, so a
+     sweep reports the case and its replay seed instead of aborting. *)
+  let verdicts =
+    try t.run scenario
+    with exn ->
+      let detail = Printexc.to_string exn in
+      [
+        ( "raised " ^ detail,
+          { Compare.pass = false; comparator = "no exception"; detail;
+            analytic = nan; simulated = nan } );
+      ]
+  in
+  let outcomes = List.map outcome verdicts in
   if Obs.Runlog.active () then
     List.iter
       (fun o ->

@@ -31,9 +31,11 @@ val description : t -> string
 
 val run : t -> Scenario.t -> outcome list
 (** Evaluate both sides and compare; each outcome carries the oracle id
-    and the verdict's recorded [analytic]/[simulated] pair. When a run
-    log is active (lib/obs), every outcome is recorded as a
-    [check.oracle] event. *)
+    and the verdict's recorded [analytic]/[simulated] pair. A body that
+    raises gives one failing outcome whose quantity names the exception
+    (comparator ["no exception"], NaN on both sides). When a run log is
+    active (lib/obs), every outcome is recorded as a [check.oracle]
+    event. *)
 
 val passed : outcome -> bool
 

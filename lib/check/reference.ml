@@ -45,11 +45,6 @@ let legacy_combine ~required outputs =
   let shutdowns = List.length (List.filter (fun o -> o = Shutdown) outputs) in
   if shutdowns >= required then Shutdown else No_action
 
-let shuffle rng l =
-  let a = Array.of_list l in
-  Numerics.Rng.shuffle_in_place rng a;
-  Array.to_list a
-
 (* Tolerance for the incremental-vs-naive gradient agreement: the two
    paths evaluate the same closed form but associate the compensated
    log-sums differently (per-index Kahan sums vs shared prefix/suffix

@@ -29,10 +29,6 @@ val legacy_combine :
 (** The seed's M-out-of-N adjudicator, reimplemented verbatim: shut down
     iff at least [required] channels demand it. *)
 
-val shuffle : Numerics.Rng.t -> 'a list -> 'a list
-(** A uniformly random permutation, drawn by
-    {!Numerics.Rng.shuffle_in_place}. *)
-
 val gradient_tol : float array -> float
 (** [gradient_tol naive] is [1e-9 * (1 + ||naive||_inf)], NaN coordinates
     skipped: the incremental-vs-naive gradient agreement bound. *)

@@ -36,7 +36,7 @@ type verdict = {
 }
 
 let assess u ~required_bound ~confidence =
-  if required_bound <= 0.0 then
+  if not (required_bound > 0.0) then
     invalid_arg "Assessment.assess: required bound must be positive";
   if not (0.0 < confidence && confidence < 1.0) then
     invalid_arg "Assessment.assess: confidence must lie strictly in (0, 1)";
@@ -77,7 +77,10 @@ let required_pmax_for_bound ~single_bound ~required_bound =
      sqrt(pmax(1+pmax)) brings the single bound under the requirement.
      Returns None when even pmax -> 0 cannot (required_bound <= 0) or when
      no shrinkage is needed. *)
-  if single_bound <= 0.0 then invalid_arg "Assessment.required_pmax_for_bound";
+  if not (single_bound > 0.0) then
+    invalid_arg "Assessment.required_pmax_for_bound: single_bound must be positive";
+  if Float.is_nan required_bound then
+    invalid_arg "Assessment.required_pmax_for_bound: required_bound is NaN";
   if required_bound >= single_bound then Some 1.0
   else
     let target = required_bound /. single_bound in

@@ -33,7 +33,9 @@ type verdict = {
 
 val assess : Universe.t -> required_bound:float -> confidence:float -> verdict
 (** Evaluate a requirement "PFD <= bound with the given confidence" for a
-    single version and for a 1-out-of-2 pair from the same process. *)
+    single version and for a 1-out-of-2 pair from the same process.
+    Raises [Invalid_argument] unless [required_bound] is positive (NaN
+    included) and [confidence] lies strictly in (0, 1). *)
 
 val diversity_gain_summary : Universe.t -> confidence:float -> float * float * float * float
 (** [(k, mean_gain, bound_gain, risk_gain)]: the k factor used, mu1/mu2,
@@ -44,6 +46,7 @@ val required_pmax_for_bound :
 (** Invert eq. (12): the weakest demonstrated bound on the probability of
     the most likely fault that lets the assessor claim the required pair
     bound. [Some 1.0] when no diversity credit is needed; [None] when no
-    pmax can achieve it. *)
+    pmax can achieve it. Raises [Invalid_argument] unless [single_bound]
+    is positive, or when [required_bound] is NaN. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -94,7 +94,7 @@ let dirichlet_random rng ~n ~p_lo ~p_hi ~alpha ~total_q =
 
 let high_quality rng ~n ~expected_faults ~total_q =
   (* The Section 4 regime: all p_i small, E[number of faults] given. *)
-  if expected_faults <= 0.0 then
+  if not (expected_faults > 0.0) then
     invalid_arg "Universe.high_quality: expected_faults must be positive";
   let raw = Array.init n (fun _ -> Numerics.Rng.float rng +. 1e-9) in
   let s = Numerics.Kahan.sum_array raw in

@@ -13,7 +13,12 @@
     simulator's sharded entry points, all taking [?pool]/[?shards]:
     [Montecarlo.estimate], [Campaign.estimate_mttf],
     [Campaign.simulate_mission_survival], [Fleet.deploy_pairs],
-    [Fleet.deploy_singles] and [Fleet.observe] run on it. *)
+    [Fleet.deploy_singles] and [Fleet.observe] run on it.
+
+    Telemetry follows the same rule without any help from the shard
+    functions: {!Pool.run} replays each shard's gauge, histogram and
+    run-log effects in shard order at join, so a shard may set, observe
+    and record as sequential code does. *)
 
 module Pool = Pool
 

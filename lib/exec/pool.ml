@@ -96,22 +96,30 @@ let run t ~n f =
   if n = 0 then [||]
   else if t.size = 1 || n = 1 then Array.init n f
   else begin
-    (* Results land by index; completion and the first exception are
-       tracked under the pool lock, which also publishes the result
-       array writes to the joining caller. *)
-    let results = Array.make n None in
-    let remaining = ref n in
-    let first_exn = ref None in
+    (* Task [i]'s outcome lands in slot [i] under the pool lock, which
+       also publishes it to the caller. With telemetry on, each task runs
+       under its own capture, replayed by the caller in index order once
+       every earlier task has finished: the instruments and the run log
+       see a 1-domain run's effects in its order, and the batch holds
+       only the effects of tasks that finished ahead of an earlier one. *)
+    let outcomes = Array.make n None in
+    let captures =
+      if Obs.Metrics.is_enabled () || Obs.Runlog.active () then
+        Some (Array.init n (fun _ -> Obs.Capture.create ()))
+      else None
+    in
     let task i () =
-      (match f i with
-      | v -> results.(i) <- Some v
-      | exception exn ->
-          Mutex.lock t.lock;
-          if !first_exn = None then first_exn := Some exn;
-          Mutex.unlock t.lock);
+      let outcome =
+        try
+          Ok
+            (match captures with
+            | Some cs -> Obs.Capture.within cs.(i) (fun () -> f i)
+            | None -> f i)
+        with exn -> Error exn
+      in
       Mutex.lock t.lock;
-      decr remaining;
-      if !remaining = 0 then Condition.broadcast t.work_done;
+      outcomes.(i) <- Some outcome;
+      Condition.broadcast t.work_done;
       Mutex.unlock t.lock
     in
     Mutex.lock t.lock;
@@ -120,29 +128,33 @@ let run t ~n f =
     done;
     Condition.broadcast t.work_available;
     Mutex.unlock t.lock;
-    (* The caller drains the queue alongside the workers... *)
-    let rec help () =
+    (* The caller drains the queue alongside the workers, replays each
+       newly finished prefix of tasks, and waits for a task to finish
+       when it has neither. *)
+    let rec drive replayed =
       Mutex.lock t.lock;
-      match Queue.take_opt t.queue with
-      | Some task ->
-          Mutex.unlock t.lock;
-          task ();
-          help ()
-      | None -> Mutex.unlock t.lock
+      let ready = ref replayed in
+      while !ready < n && Option.is_some outcomes.(!ready) do
+        incr ready
+      done;
+      let next = if !ready < n then Queue.take_opt t.queue else None in
+      if Option.is_none next && !ready = replayed then
+        Condition.wait t.work_done t.lock;
+      Mutex.unlock t.lock;
+      Option.iter
+        (fun cs ->
+          for i = replayed to !ready - 1 do
+            Obs.Capture.replay cs.(i)
+          done)
+        captures;
+      Option.iter (fun task -> task ()) next;
+      if !ready < n then drive !ready
     in
-    help ();
-    (* ...then waits for in-flight tasks still running on workers. *)
-    Mutex.lock t.lock;
-    while !remaining > 0 do
-      Condition.wait t.work_done t.lock
-    done;
-    Mutex.unlock t.lock;
-    (match !first_exn with Some exn -> raise exn | None -> ());
+    drive 0;
+    (* The failed task of lowest index raises, as in a 1-domain run. *)
     Array.map
-      (function
-        | Some v -> v
-        | None -> invalid_arg "Pool.run: task produced no result")
-      results
+      (function Some (Ok v) -> v | Some (Error exn) -> raise exn | None -> assert false)
+      outcomes
   end
 
 (* ------------------------------------------------------------------ *)

@@ -24,12 +24,19 @@ val size : t -> int
 val run : t -> n:int -> (int -> 'a) -> 'a array
 (** [run t ~n f] evaluates [f 0 .. f (n-1)], possibly concurrently, and
     returns the results in index order. Tasks must depend only on their
-    index, never on placement or completion order. If any task raises,
-    one of the raised exceptions is re-raised after all tasks finish.
-    Blocks until the whole batch is done. Each task is reported done
-    under the pool lock, so everything a task wrote (its results, its
-    domain's RNG draw count) is visible to the caller once [run]
-    returns. *)
+    index, never on placement or completion order. If tasks raise, the
+    exception of the lowest such index is re-raised after all tasks
+    finish. Blocks until the whole batch is done. Each task is reported
+    done under the pool lock, so everything a task wrote (its results,
+    its domain's RNG draw count) is visible to the caller once [run]
+    returns.
+
+    Telemetry: while metrics or a run log are on, a multi-domain batch
+    runs each task under its own {!Obs.Capture}, and the calling domain
+    replays the tasks' gauge, histogram and run-log effects in index
+    order (a task's prefix as soon as every earlier task has finished),
+    those of a task that raised included. So telemetry is the same at
+    any domain count, and tasks may record freely. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent. Running batches must

@@ -9,7 +9,7 @@ let logspace ~lo ~hi ~n =
   Array.map exp (linspace ~lo:llo ~hi:lhi ~n)
 
 let arange ~lo ~hi ~step =
-  if step <= 0.0 then invalid_arg "Grid.arange: step must be positive";
+  if not (step > 0.0) then invalid_arg "Grid.arange: step must be positive";
   let n = int_of_float (ceil ((hi -. lo) /. step)) in
   Array.init (max 0 n) (fun i -> lo +. (step *. float_of_int i))
 

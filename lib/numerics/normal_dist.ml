@@ -1,15 +1,15 @@
 let pdf ?(mu = 0.0) ?(sigma = 1.0) x =
-  if sigma <= 0.0 then invalid_arg "Normal_dist.pdf: sigma must be positive";
+  if not (sigma > 0.0) then invalid_arg "Normal_dist.pdf: sigma must be positive";
   let z = (x -. mu) /. sigma in
   exp (-0.5 *. z *. z) /. (sigma *. sqrt (2.0 *. Float.pi))
 
 let cdf ?(mu = 0.0) ?(sigma = 1.0) x =
-  if sigma <= 0.0 then invalid_arg "Normal_dist.cdf: sigma must be positive";
+  if not (sigma > 0.0) then invalid_arg "Normal_dist.cdf: sigma must be positive";
   let z = (x -. mu) /. sigma in
   0.5 *. Special.erfc (-.z /. Special.sqrt2)
 
 let sf ?(mu = 0.0) ?(sigma = 1.0) x =
-  if sigma <= 0.0 then invalid_arg "Normal_dist.sf: sigma must be positive";
+  if not (sigma > 0.0) then invalid_arg "Normal_dist.sf: sigma must be positive";
   let z = (x -. mu) /. sigma in
   0.5 *. Special.erfc (z /. Special.sqrt2)
 
@@ -51,7 +51,7 @@ let ppf_raw p =
        /. ((((d.(0) *. q +. d.(1)) *. q +. d.(2)) *. q +. d.(3)) *. q +. 1.0))
 
 let ppf ?(mu = 0.0) ?(sigma = 1.0) p =
-  if sigma <= 0.0 then invalid_arg "Normal_dist.ppf: sigma must be positive";
+  if not (sigma > 0.0) then invalid_arg "Normal_dist.ppf: sigma must be positive";
   if not (0.0 < p && p < 1.0) then
     invalid_arg "Normal_dist.ppf: p must lie strictly inside (0, 1)";
   let x = ppf_raw p in

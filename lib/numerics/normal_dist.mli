@@ -4,7 +4,8 @@
     unreliability, under the normal approximation"): confidence statements
     of the form "P(PFD <= mu + k*sigma) = alpha" need the CDF to go from [k]
     to [alpha] and the quantile function to go from [alpha] to [k]
-    (e.g. alpha = 0.99 gives k = 2.3263). *)
+    (e.g. alpha = 0.99 gives k = 2.3263). {!pdf}, {!cdf}, {!sf} and {!ppf}
+    raise [Invalid_argument] unless [sigma > 0] (NaN rejected). *)
 
 val pdf : ?mu:float -> ?sigma:float -> float -> float
 (** Density. Defaults: standard normal. *)

@@ -1,5 +1,5 @@
 let exponential rng ~rate =
-  if rate <= 0.0 then invalid_arg "Sampler.exponential: rate must be positive";
+  if not (rate > 0.0) then invalid_arg "Sampler.exponential: rate must be positive";
   -.log (1.0 -. Rng.float rng) /. rate
 
 let binomial rng ~n ~p =
@@ -14,7 +14,7 @@ let binomial rng ~n ~p =
   !count
 
 let rec gamma rng ~shape =
-  if shape <= 0.0 then invalid_arg "Sampler.gamma: shape must be positive";
+  if not (shape > 0.0) then invalid_arg "Sampler.gamma: shape must be positive";
   if shape < 1.0 then
     (* Boost to shape+1 then correct (Marsaglia–Tsang trick). *)
     let g = gamma rng ~shape:(shape +. 1.0) in
@@ -63,7 +63,8 @@ let power_law rng ~exponent ~lo ~hi =
     (((hi ** e) -. (lo ** e)) *. u +. (lo ** e)) ** (1.0 /. e)
 
 let poisson rng ~lambda =
-  if lambda < 0.0 then invalid_arg "Sampler.poisson: negative rate";
+  if not (lambda >= 0.0 && lambda < infinity) then
+    invalid_arg "Sampler.poisson: rate must be finite and non-negative";
   if lambda < 30.0 then begin
     (* Knuth's product method. *)
     let threshold = exp (-.lambda) in

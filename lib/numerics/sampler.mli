@@ -26,6 +26,7 @@ val power_law : Rng.t -> exponent:float -> lo:float -> hi:float -> float
     (0 < lo < hi). Exponent -1 is handled as the log-uniform limit. *)
 
 val poisson : Rng.t -> lambda:float -> int
+(** Raises [Invalid_argument] unless [lambda] is finite and non-negative. *)
 
 val truncated : Rng.t -> lo:float -> hi:float -> (Rng.t -> float) -> float
 (** Rejection-sample [draw] until the value lands in [lo, hi]. Raises

@@ -16,10 +16,3 @@ let timed f =
   let t0 = now_ns () in
   let result = f () in
   (result, elapsed_ns ~since:t0)
-
-let pp_duration_ns ppf ns =
-  let ns_f = Int64.to_float ns in
-  if ns_f < 1e3 then Fmt.pf ppf "%Ldns" ns
-  else if ns_f < 1e6 then Fmt.pf ppf "%.1fus" (ns_to_us ns)
-  else if ns_f < 1e9 then Fmt.pf ppf "%.2fms" (ns_to_ms ns)
-  else Fmt.pf ppf "%.3fs" (ns_to_s ns)

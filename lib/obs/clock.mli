@@ -18,6 +18,3 @@ val ns_to_s : int64 -> float
 val timed : (unit -> 'a) -> 'a * int64
 (** [timed f] runs [f] and returns its result with the elapsed
     nanoseconds. *)
-
-val pp_duration_ns : Format.formatter -> int64 -> unit
-(** Human-readable duration with an auto-selected unit (ns/us/ms/s). *)

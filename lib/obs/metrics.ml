@@ -8,10 +8,11 @@
    observes every registered instrument.
 
    Domain safety: counters are atomic, so concurrent increments from
-   pool workers are never lost. Gauges and histograms stay single-writer
-   structures — parallel code paths accumulate per shard and merge into
-   them at join on the calling domain (see lib/exec), which is both
-   cheaper than per-observation synchronisation and deterministic. *)
+   pool workers are never lost. Gauges and histograms are single-writer
+   structures: inside a pool task (a [Capture]) [set] and [observe]
+   defer their write, and the pool's calling domain replays the writes
+   in task-index order (see capture.mli), which is both race-free and
+   independent of the domain count. *)
 
 let enabled = ref false
 let set_enabled b = enabled := b
@@ -38,7 +39,6 @@ type instrument =
 
 let registry : instrument list ref = ref []
 let register i = registry := i :: !registry
-let registered () = List.rev !registry
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                           *)
@@ -68,10 +68,10 @@ let gauge name =
   g
 
 let set g v =
-  if !enabled then begin
-    g.g_value <- v;
-    g.g_set <- true
-  end
+  if !enabled then
+    Capture.apply (fun () ->
+        g.g_value <- v;
+        g.g_set <- true)
 
 let gauge_value g = if g.g_set then Some g.g_value else None
 
@@ -118,15 +118,17 @@ let log_index h x =
     if i < 0 then -1 else if i > h.n_buckets then h.n_buckets else i
 
 let observe h x =
-  if !enabled then begin
-    h.total <- h.total + 1;
-    h.sum <- h.sum +. x;
-    if x < h.min_seen then h.min_seen <- x;
-    if x > h.max_seen then h.max_seen <- x;
-    let i = log_index h x in
-    let slot = if i < 0 then 0 else if i >= h.n_buckets then h.n_buckets + 1 else i + 1 in
-    h.counts.(slot) <- h.counts.(slot) + 1
-  end
+  if !enabled then
+    Capture.apply (fun () ->
+        h.total <- h.total + 1;
+        h.sum <- h.sum +. x;
+        if x < h.min_seen then h.min_seen <- x;
+        if x > h.max_seen then h.max_seen <- x;
+        let i = log_index h x in
+        let slot =
+          if i < 0 then 0 else if i >= h.n_buckets then h.n_buckets + 1 else i + 1
+        in
+        h.counts.(slot) <- h.counts.(slot) + 1)
 
 let bucket_edge h i =
   (* Lower edge of log bucket [i]; [i = n_buckets] gives the top edge. *)
@@ -193,46 +195,10 @@ let reset_values () =
           h.max_seen <- neg_infinity)
     !registry
 
-(* The quantiles every histogram summarises with, in text and JSON
-   rendering alike: median plus the two tail percentiles operators
-   actually alert on. Bucket-resolution estimates (see {!quantile}). *)
+(* The quantiles every histogram snapshot summarises with: median plus
+   the two tail percentiles operators actually alert on. Bucket-resolution
+   estimates (see {!quantile}). *)
 let summary_quantiles = [ ("p50", 0.5); ("p95", 0.95); ("p99", 0.99) ]
-
-let quantile_summary_text h =
-  if h.total = 0 then ""
-  else
-    String.concat ""
-      (List.map
-         (fun (label, q) ->
-           match quantile h q with
-           | Some v -> Printf.sprintf " %s=%.3g" label v
-           | None -> "")
-         summary_quantiles)
-
-let render_text () =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (function
-      | Counter c ->
-          Buffer.add_string buf
-            (Printf.sprintf "counter %s %d\n" c.c_name (counter_value c))
-      | Gauge g ->
-          Buffer.add_string buf
-            (match gauge_value g with
-            | Some v -> Printf.sprintf "gauge %s %.6g\n" g.g_name v
-            | None -> Printf.sprintf "gauge %s unset\n" g.g_name)
-      | Histogram h ->
-          Buffer.add_string buf
-            (Printf.sprintf "histogram %s count=%d sum=%.6g%s\n" h.h_name
-               h.total h.sum (quantile_summary_text h));
-          Array.iter
-            (fun (lo, hi, n) ->
-              if n > 0 then
-                Buffer.add_string buf
-                  (Printf.sprintf "  [%.3g, %.3g) %d\n" lo hi n))
-            (buckets h))
-    (registered ());
-  Buffer.contents buf
 
 let snapshot () =
   let counters, gauges, histograms =

@@ -4,14 +4,16 @@
     disabled, every mutation ({!incr}, {!add}, {!set}, {!observe}) costs a
     single load-and-branch and allocates nothing, so instrumentation can
     live in the simulator hot loops. Creating an instrument registers it
-    in creation order for {!render_text} / {!render_json} regardless of
-    the flag.
+    in creation order for {!snapshot} regardless of the flag.
 
     Domain safety: counters are atomic (concurrent {!incr}/{!add} from
     pool workers are never lost). Gauges and histograms are
-    single-writer: parallel code accumulates per shard and merges at
-    join on the calling domain (the lib/exec convention), so {!set} and
-    {!observe} must not race. Create instruments from the main domain. *)
+    single-writer: inside an [Exec.Pool.run] task, {!set} and {!observe}
+    defer their write to the task's {!Capture}, and the pool's calling
+    domain replays the writes in task-index order. So any code,
+    parallel or not, may call them, and the values (a histogram's float
+    [sum] included) do not depend on the domain count. Create
+    instruments from the main domain. *)
 
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
@@ -70,12 +72,6 @@ val quantile : histogram -> float -> float option
 val reset_values : unit -> unit
 (** Zero every registered instrument (counts, gauge values, buckets). The
     instruments themselves stay registered. *)
-
-val render_text : unit -> string
-(** One line per counter/gauge plus per-histogram bucket lines, in
-    registration order. Non-empty histogram lines carry a
-    [p50=... p95=... p99=...] quantile summary (bucket-resolution
-    estimates from {!quantile}). *)
 
 val snapshot : unit -> Json.t
 (** The full registry as JSON: [{"counters": [...], "gauges": [...],

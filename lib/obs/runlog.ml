@@ -13,9 +13,10 @@
 
    Domain safety: appends are serialised by a per-log mutex (taken only
    when a sink is installed, so the disabled path stays lock-free).
-   Deterministic event *order* under parallelism is the caller's job:
-   lib/exec call sites collect per-shard outcomes and record them in
-   shard order at join rather than logging from worker domains. *)
+   Inside a pool task (a [Capture]) an event is rendered at once but
+   written later: the pool's calling domain replays the task's events in
+   task-index order, and the event gets its [seq] and [t_ns] then. So the line order does not depend on the domain count, and the
+   task holds rendered text, not a JSON tree, until the replay. *)
 
 type t = { lock : Mutex.t; oc : out_channel; mutable count : int }
 
@@ -26,33 +27,24 @@ let global : t option ref = ref None
 let set_sink s = global := s
 let active () = match !global with Some _ -> true | None -> false
 
-(* Must be called with [t.lock] held. *)
-let append_locked t ~kind fields =
+(* [body] is the rendered object of the event's own fields; it is
+   spliced after the standard fields, so the line is the rendering of one
+   object. *)
+let write t ~kind body =
+  Mutex.lock t.lock;
   t.count <- t.count + 1;
-  let event =
-    Json.Obj
-      (("event", Json.String kind)
-      :: ("seq", Json.Int t.count)
-      :: ("t_ns", Json.Int (Int64.to_int (Clock.now_ns ())))
-      :: fields)
-  in
-  output_string t.oc (Json.render event);
-  output_char t.oc '\n'
+  Printf.fprintf t.oc "{\"event\":%s,\"seq\":%d,\"t_ns\":%Ld"
+    (Json.render (Json.String kind)) t.count (Clock.now_ns ());
+  if String.length body > 2 then output_char t.oc ',';
+  output_substring t.oc body 1 (String.length body - 1);
+  output_char t.oc '\n';
+  Mutex.unlock t.lock
 
 let record ~kind fields =
   match !global with
   | None -> ()
   | Some t ->
-      Mutex.lock t.lock;
-      append_locked t ~kind fields;
-      Mutex.unlock t.lock
-
-let record_all ~kind batch =
-  match !global with
-  | None -> ()
-  | Some t ->
-      Mutex.lock t.lock;
-      List.iter (fun fields -> append_locked t ~kind fields) batch;
-      Mutex.unlock t.lock
+      let body = Json.render (Json.Obj fields) in
+      Capture.apply (fun () -> write t ~kind body)
 
 let size t = t.count

@@ -34,13 +34,14 @@ val active : unit -> bool
 
 val record : kind:string -> (string * Json.t) list -> unit
 (** Append an event to the installed sink; no-op without one. The given
-    fields follow the standard [event]/[seq]/[t_ns] fields. *)
+    fields follow the standard [event]/[seq]/[t_ns] fields.
 
-val record_all : kind:string -> (string * Json.t) list list -> unit
-(** Append one event of the same [kind] per field list, in list order,
-    under a single lock acquisition — for join-time replay loops (e.g. a
-    fleet recording one event per plant) that would otherwise take the
-    log mutex once per event. Each event still gets its own [seq] and
-    [t_ns]. No-op without a sink. *)
+    Domain safety: any code may record, parallel or not. Appends are
+    serialised by the log's mutex. Inside an [Exec.Pool.run] task the
+    event is rendered at once and deferred to the task's {!Capture}; the
+    pool's calling domain writes the tasks' events in task-index order,
+    assigning [seq] and [t_ns] then. A log therefore has the same lines
+    in the same order at any domain count, once [t_ns] (and any timing
+    field) is set aside. *)
 
 val size : t -> int

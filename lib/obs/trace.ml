@@ -1,9 +1,9 @@
 (* Nested spans over the monotonic clock.
 
    Spans record (name, shard, depth, start, duration) into a growable
-   global array in start order, which serves both renderings: the text
-   tree indents by depth, and the Chrome trace-event JSON emits one
-   complete ("ph":"X") event per span with the shard as its "tid", so
+   global array in start order, which the Chrome trace-event JSON
+   renders as one complete ("ph":"X") event per span with the shard as
+   its "tid", so
    traces from parallel runs stay well-nested per shard lane. With
    tracing disabled (the default), [enter] returns the null handle after
    a single branch and [leave] is a no-op, so hot loops can carry spans
@@ -140,18 +140,6 @@ let spans () =
   all
 
 let span_count () = !count
-
-let to_text () =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf (String.make (2 * s.depth) ' ');
-      Buffer.add_string buf s.name;
-      if s.shard <> 0 then Buffer.add_string buf (Fmt.str " [shard %d]" s.shard);
-      if s.dur_ns < 0L then Buffer.add_string buf " (open)\n"
-      else Buffer.add_string buf (Fmt.str " %a\n" Clock.pp_duration_ns s.dur_ns))
-    (spans ());
-  Buffer.contents buf
 
 let to_chrome_json () =
   (* Chrome trace-event format ("ph":"X" complete events), timestamps in

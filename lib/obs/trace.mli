@@ -1,5 +1,5 @@
-(** Nested spans over the monotonic {!Clock}, exported as a text tree or
-    Chrome trace-event JSON.
+(** Nested spans over the monotonic {!Clock}, exported as Chrome
+    trace-event JSON.
 
     Tracing is globally disabled by default: {!enter} then costs one
     branch and returns the null handle, and {!leave} on it is a no-op, so
@@ -52,9 +52,6 @@ val spans : unit -> span list
 (** All recorded spans in start order. *)
 
 val span_count : unit -> int
-
-val to_text : unit -> string
-(** Indented tree, one line per span with a human-readable duration. *)
 
 val render_chrome_json : unit -> string
 (** Chrome trace-event JSON (["ph":"X"] complete events, microsecond

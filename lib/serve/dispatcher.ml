@@ -6,12 +6,10 @@
    hosts it, so batch composition and worker count are invisible in the
    response bytes.
 
-   The global metrics flag is forced off for the duration of the pool
-   batch: instruments inside the evaluated kernels would otherwise be
-   mutated concurrently from several worker domains, violating the
-   single-writer rule gauges and histograms rely on (lib/obs). The
-   server observes its own instruments between batches, when every
-   worker is parked. *)
+   Telemetry stays on: the kernels' gauge, histogram and run-log writes
+   inside a pool task are replayed by the pool in request order at join
+   (lib/obs Capture), so they neither race nor depend on the worker
+   count. The server observes its own instruments between batches. *)
 
 type t = { pool : Exec.Pool.t; seed : int }
 
@@ -23,13 +21,8 @@ let seed t = t.seed
 let workers t = Exec.Pool.size t.pool
 
 let run_batch t (requests : Proto.request array) =
-  let was_enabled = Obs.Metrics.is_enabled () in
-  Obs.Metrics.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled)
-    (fun () ->
-      Exec.Pool.run t.pool ~n:(Array.length requests) (fun i ->
-          let line, elapsed_ns =
-            Obs.Clock.timed (fun () -> Engine.eval ~seed:t.seed requests.(i))
-          in
-          { line; elapsed_ns }))
+  Exec.Pool.run t.pool ~n:(Array.length requests) (fun i ->
+      let line, elapsed_ns =
+        Obs.Clock.timed (fun () -> Engine.eval ~seed:t.seed requests.(i))
+      in
+      { line; elapsed_ns })

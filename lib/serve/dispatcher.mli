@@ -5,11 +5,13 @@
     {!Engine.eval}, a pure function of (seed, request), so the response
     bytes are identical for any pool size and any batch composition.
 
-    The global {!Obs.Metrics} flag is forced off while the pool batch
-    runs (and restored after): kernel-level instruments would otherwise
-    be written concurrently from several worker domains, violating the
-    single-writer rule. Server-side instruments are observed between
-    batches, when the workers are parked. *)
+    Telemetry stays on while the batch runs: {!Exec.Pool.run} replays
+    each request's gauge, histogram and run-log writes in request order
+    at join, so the kernels' instruments fill up (the [runner.*] and
+    [fleet.*] ones of fleet-mission requests, say) exactly as a
+    1-domain run fills them, and the response bytes and [draws] fields
+    do not change. Server-side instruments are observed between
+    batches. *)
 
 type t
 

@@ -3,11 +3,11 @@
    protocol of [Proto].
 
    Concurrency model: the event loop owns every socket, buffer, the
-   admission queue and all instruments; parallelism lives exclusively
-   inside [Dispatcher.run_batch] (an [Exec.Pool] batch that blocks the
-   loop until joined). So there is exactly one thread of control
-   touching mutable state, every instrument observation happens while
-   the pool workers are parked (the single-writer rule of lib/obs),
+   admission queue and the server's instruments; parallelism lives
+   exclusively inside [Dispatcher.run_batch] (an [Exec.Pool] batch that
+   blocks the loop until joined). So there is exactly one thread of
+   control touching mutable state, the kernels' telemetry inside a
+   batch is replayed in request order at its join (lib/obs Capture),
    and the response bytes are those of [Engine.eval] — a pure function
    of (seed, request) — regardless of worker count, batching or
    arrival interleaving.

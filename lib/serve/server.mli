@@ -1,14 +1,15 @@
 (** The assessment daemon: JSONL over a Unix-domain or loopback TCP
     socket, single-threaded {!Unix.select} event loop.
 
-    The loop owns every socket, buffer, the admission queue and all
-    instruments; parallelism lives exclusively inside
+    The loop owns every socket, buffer, the admission queue and the
+    server's instruments; parallelism lives exclusively inside
     {!Dispatcher.run_batch}, which blocks the loop until the pool
-    joins. Hence one thread of control over mutable state, instrument
-    observations only while workers are parked (the lib/obs
-    single-writer rule), and response bytes that are exactly
-    {!Engine.eval}'s — pure in (seed, request) — for any worker count,
-    batch composition or arrival interleaving.
+    joins. Hence one thread of control over mutable state, and response
+    bytes that are exactly {!Engine.eval}'s — pure in (seed, request) —
+    for any worker count, batch composition or arrival interleaving.
+    Telemetry stays on under the pool: the kernels' gauge, histogram
+    and run-log writes inside a batch are replayed in request order at
+    its join (see {!Exec.Pool.run}).
 
     Protocol invariant: every complete line received is answered with
     exactly one line — a result envelope, a busy rejection carrying

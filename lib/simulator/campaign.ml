@@ -1,8 +1,8 @@
 open Numerics
 
 (* Telemetry (all no-ops until enabled; see lib/obs): per-mission
-   counters, a running failure-rate gauge to watch MTTF convergence, and
-   a histogram of observed failure times. *)
+   counters, the failure rate of the latest MTTF estimate, and a
+   histogram of observed failure times. *)
 let m_missions = Obs.Metrics.counter "campaign.missions"
 let m_failures = Obs.Metrics.counter "campaign.failures"
 let m_censored = Obs.Metrics.counter "campaign.censored"
@@ -46,71 +46,57 @@ let estimate_mttf ?pool ?shards rng ~system ~missions ~max_demands =
   let shards = Option.value shards ~default:(Exec.default_shards ()) in
   let span = Obs.Trace.enter "campaign.estimate_mttf" in
   (* Missions are independent: each shard drives its contiguous slice on
-     its own substream, writing into the shared outcome array (disjoint
-     slices). Per-mission spans open on the worker and are attributed to
-     the owning shard's trace lane. *)
-  let outcomes = Array.make missions Survived in
-  let shard_draws =
+     its own substream and returns its failure count and summed failure
+     time, folded in shard order. Per-mission spans open on the worker
+     and are attributed to the owning shard's trace lane. *)
+  let per_shard =
     Exec.map_shards_rng ?pool rng ~shards ~range:missions
       ~f:(fun ~lo ~len rng_k ->
+        let failures = ref 0 and failure_time = ref 0 in
         for m = lo to lo + len - 1 do
           let mission_span = Obs.Trace.enter "campaign.mission" in
-          outcomes.(m) <- time_to_first_failure rng_k ~system ~max_demands;
-          Obs.Trace.leave mission_span
+          let outcome = time_to_first_failure rng_k ~system ~max_demands in
+          Obs.Trace.leave mission_span;
+          (match outcome with
+          | Failed_at t ->
+              incr failures;
+              failure_time := !failure_time + t;
+              Obs.Metrics.incr m_failures;
+              Obs.Metrics.observe h_time_to_failure (float_of_int t)
+          | Survived -> Obs.Metrics.incr m_censored);
+          Obs.Metrics.incr m_missions;
+          if Obs.Runlog.active () then
+            Obs.Runlog.record ~kind:"campaign.mission"
+              (("mission", Obs.Json.Int (m + 1))
+              ::
+              (match outcome with
+              | Failed_at t ->
+                  [ ("outcome", Obs.Json.String "failed"); ("failed_at", Obs.Json.Int t) ]
+              | Survived ->
+                  [
+                    ("outcome", Obs.Json.String "survived");
+                    ("max_demands", Obs.Json.Int max_demands);
+                  ]))
         done;
-        Rng.draws rng_k)
+        (!failures, !failure_time, Rng.draws rng_k))
   in
-  (* Join: replay the outcomes in mission order, so tallies, metrics, the
-     running gauge and the run log are identical to a sequential pass
-     over the same outcome sequence regardless of the pool size. *)
-  let failures = ref 0 in
-  let censored = ref 0 in
-  let total_time = ref 0 in
-  let failure_time = ref 0 in
-  Array.iteri
-    (fun m outcome ->
-      let mission = m + 1 in
-      (match outcome with
-      | Failed_at t ->
-          incr failures;
-          failure_time := !failure_time + t;
-          total_time := !total_time + t;
-          Obs.Metrics.incr m_failures;
-          Obs.Metrics.observe h_time_to_failure (float_of_int t);
-          if Obs.Runlog.active () then
-            Obs.Runlog.record ~kind:"campaign.mission"
-              [
-                ("mission", Obs.Json.Int mission);
-                ("outcome", Obs.Json.String "failed");
-                ("failed_at", Obs.Json.Int t);
-              ]
-      | Survived ->
-          incr censored;
-          total_time := !total_time + max_demands;
-          Obs.Metrics.incr m_censored;
-          if Obs.Runlog.active () then
-            Obs.Runlog.record ~kind:"campaign.mission"
-              [
-                ("mission", Obs.Json.Int mission);
-                ("outcome", Obs.Json.String "survived");
-                ("max_demands", Obs.Json.Int max_demands);
-              ]);
-      Obs.Metrics.incr m_missions;
-      if Obs.Metrics.is_enabled () then
-        Obs.Metrics.set g_failure_rate
-          (float_of_int !failures /. float_of_int !total_time))
-    outcomes;
+  let failures = Array.fold_left (fun acc (f, _, _) -> acc + f) 0 per_shard in
+  let failure_time = Array.fold_left (fun acc (_, t, _) -> acc + t) 0 per_shard in
+  let censored = missions - failures in
+  let total_time = failure_time + (censored * max_demands) in
+  let failure_rate = float_of_int failures /. float_of_int total_time in
+  Obs.Metrics.set g_failure_rate failure_rate;
   Obs.Trace.leave span;
   {
     missions;
-    failures = !failures;
-    censored = !censored;
+    failures;
+    censored;
     mean_time_to_failure =
-      (if !failures = 0 then nan
-       else float_of_int !failure_time /. float_of_int !failures);
-    failure_rate = float_of_int !failures /. float_of_int !total_time;
+      (if failures = 0 then nan
+       else float_of_int failure_time /. float_of_int failures);
+    failure_rate;
     shards;
-    shard_draws;
+    shard_draws = Array.map (fun (_, _, draws) -> draws) per_shard;
   }
 
 let theoretical_mttf ~pfd =

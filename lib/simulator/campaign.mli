@@ -37,9 +37,10 @@ val estimate_mttf :
   mttf_estimate
 (** Replicated missions against a fixed system. Missions shard
     deterministically (default {!Exec.default_shards} shards, each on its
-    own [Rng.split] substream); outcomes are replayed in mission order at
-    join, so the estimate, metrics and run log depend only on
-    (seed, shards), never on the pool size. *)
+    own [Rng.split] substream); each mission records its telemetry as it
+    ends, which {!Exec.Pool.run} replays in mission order, so the
+    estimate, metrics and run log depend only on (seed, shards), never
+    on the pool size. *)
 
 val theoretical_mttf : pfd:float -> float
 (** 1/PFD (demands), infinite for a perfect system. *)

@@ -54,46 +54,42 @@ let observe ?pool ?shards rng systems ~demands_per_plant =
     invalid_arg "Fleet.observe: demands_per_plant must be positive";
   let shards = Option.value shards ~default:(Exec.default_shards ()) in
   let span = Obs.Trace.enter "fleet.observe" in
-  let run_plant rng system =
+  let run_plant rng plant =
+    let system = systems.(plant) in
     let stats = Runner.run rng ~system ~demand_count:demands_per_plant in
-    {
-      system_pfd = Protection.true_pfd system;
-      demands = demands_per_plant;
-      failures = stats.Runner.system_failures;
-    }
+    let record =
+      {
+        system_pfd = Protection.true_pfd system;
+        demands = demands_per_plant;
+        failures = stats.Runner.system_failures;
+      }
+    in
+    Obs.Metrics.incr m_plants;
+    Obs.Metrics.observe h_plant_pfd record.system_pfd;
+    Obs.Metrics.observe h_plant_failures (float_of_int record.failures);
+    if Obs.Runlog.active () then
+      Obs.Runlog.record ~kind:"fleet.plant"
+        [
+          ("plant", Obs.Json.Int plant);
+          ("demands", Obs.Json.Int record.demands);
+          ("failures", Obs.Json.Int record.failures);
+          ("true_pfd", Obs.Json.Float record.system_pfd);
+        ];
+    record
   in
   let records =
-    if shards = 1 then Array.map (fun system -> run_plant rng system) systems
+    if shards = 1 then
+      Array.init (Array.length systems) (fun plant -> run_plant rng plant)
     else
       Exec.map_shards_rng ?pool rng ~shards ~range:(Array.length systems)
-        ~f:(fun ~lo ~len rng_k ->
-          Array.init len (fun i -> run_plant rng_k systems.(lo + i)))
+        ~f:(fun ~lo ~len rng_k -> Array.init len (fun i -> run_plant rng_k (lo + i)))
       |> Array.to_list |> Array.concat
   in
-  (* Join: replay the per-plant records into the instruments in plant
-     order, so metrics and the run log are independent of the domain
-     count (single-writer, calling domain only). *)
-  Array.iter
-    (fun record ->
-      Obs.Metrics.incr m_plants;
-      Obs.Metrics.observe h_plant_pfd record.system_pfd;
-      Obs.Metrics.observe h_plant_failures (float_of_int record.failures))
-    records;
-  if Obs.Runlog.active () then begin
-    Obs.Runlog.record_all ~kind:"fleet.plant"
-      (List.mapi
-         (fun plant record ->
-           [
-             ("plant", Obs.Json.Int plant);
-             ("demands", Obs.Json.Int record.demands);
-             ("failures", Obs.Json.Int record.failures);
-             ("true_pfd", Obs.Json.Float record.system_pfd);
-           ])
-         (Array.to_list records));
-    (* Observation summary, recorded after the per-plant events: the
-       declared fleet size lets an offline assessor (lib/evidence)
-       reconcile the plant events it actually saw against what the
-       simulator claims to have observed. *)
+  (* Observation summary, recorded after the per-plant events: the
+     declared fleet size lets an offline assessor (lib/evidence)
+     reconcile the plant events it actually saw against what the
+     simulator claims to have observed. *)
+  if Obs.Runlog.active () then
     Obs.Runlog.record ~kind:"fleet.observe"
       [
         ("plants", Obs.Json.Int (Array.length records));
@@ -101,8 +97,7 @@ let observe ?pool ?shards rng systems ~demands_per_plant =
         ("failures", Obs.Json.Int
            (Array.fold_left (fun acc r -> acc + r.failures) 0 records));
         ("shards", Obs.Json.Int shards);
-      ]
-  end;
+      ];
   Obs.Trace.leave span;
   { records }
 

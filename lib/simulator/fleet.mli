@@ -58,9 +58,11 @@ val observe :
 (** Run every plant through its own operational campaign. Same sharding
     contract as {!deploy_pairs}: shard [k] runs its plant slice on its
     own substream (each plant's demands drawn in blocks — see
-    {!Runner.run}) and records merge in plant order; telemetry is
-    replayed at join in plant order on the calling domain, so metrics
-    and the run log are independent of the domain count. *)
+    {!Runner.run}) and records merge in plant order. Each plant records
+    its [runner.run] and [fleet.plant] events and instruments in its
+    shard, replayed in plant order by {!Exec.Pool.run}; the
+    [fleet.observe] summary follows at join. Metrics and the run log are
+    independent of the domain count. *)
 
 val size : t -> int
 val records : t -> plant_record array

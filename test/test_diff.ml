@@ -94,6 +94,25 @@ let test_sweep_summary () =
   check_bool "render mentions the tally" true
     (contains ~sub:"3 scenarios" rendered)
 
+(* An oracle body that raises is one failing outcome naming the oracle
+   and the exception, so the sweep lists the case with its replay seed
+   instead of aborting the whole run. *)
+let test_raising_oracle () =
+  let oracle =
+    Check.Oracle.make ~id:"raises" ~description:"a body that raises"
+      (fun _ -> failwith "boom")
+  in
+  let scenario = Check.Scenario.generate (Numerics.Rng.create ~seed:1) in
+  match Check.Oracle.run oracle scenario with
+  | [ o ] ->
+      check_bool "fails" false (Check.Oracle.passed o);
+      Alcotest.(check string) "names the oracle" "raises" o.Check.Oracle.oracle;
+      let text = Fmt.str "%a" Check.Oracle.pp_outcome o in
+      check_bool ("names the exception: " ^ text) true
+        (contains ~sub:"Failure(\"boom\")" text)
+  | outcomes ->
+      Alcotest.failf "want one outcome, got %d" (List.length outcomes)
+
 (* ---- comparator unit behaviour ---- *)
 
 let test_comparators () =
@@ -422,6 +441,7 @@ let () =
           Alcotest.test_case "randomized sweep" `Slow test_differential_sweep;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "sweep summary" `Quick test_sweep_summary;
+          Alcotest.test_case "raising oracle fails" `Quick test_raising_oracle;
         ] );
       ( "comparators",
         [

@@ -346,6 +346,61 @@ let test_range_guards_reject_nan () =
       ( "Sensitivity.stationary_p1",
         invalid "Sensitivity.stationary_p1: p2 must lie strictly in (0, 1)"
           (fun () -> ignore (Core.Sensitivity.stationary_p1 ~p2:nan)) );
+      (* One-sided "must be positive" guards, written [not (x > 0.0)]. *)
+      ( "Normal_dist.pdf ~sigma",
+        invalid "Normal_dist.pdf: sigma must be positive" (fun () ->
+            ignore (Numerics.Normal_dist.pdf ~sigma:nan 0.0)) );
+      ( "Normal_dist.cdf ~sigma",
+        invalid "Normal_dist.cdf: sigma must be positive" (fun () ->
+            ignore (Numerics.Normal_dist.cdf ~sigma:nan 0.0)) );
+      ( "Normal_dist.sf ~sigma",
+        invalid "Normal_dist.sf: sigma must be positive" (fun () ->
+            ignore (Numerics.Normal_dist.sf ~sigma:nan 0.0)) );
+      ( "Normal_dist.ppf ~sigma",
+        invalid "Normal_dist.ppf: sigma must be positive" (fun () ->
+            ignore (Numerics.Normal_dist.ppf ~sigma:nan 0.5)) );
+      ( "Sampler.exponential",
+        invalid "Sampler.exponential: rate must be positive" (fun () ->
+            ignore (Numerics.Sampler.exponential (rng0 ()) ~rate:nan)) );
+      ( "Sampler.gamma",
+        invalid "Sampler.gamma: shape must be positive" (fun () ->
+            ignore (Numerics.Sampler.gamma (rng0 ()) ~shape:nan)) );
+      (* Knuth's product never meets a NaN threshold, and halving an
+         infinite rate never ends: both used to recurse without end. *)
+      ( "Sampler.poisson",
+        invalid "Sampler.poisson: rate must be finite and non-negative"
+          (fun () -> ignore (Numerics.Sampler.poisson (rng0 ()) ~lambda:nan)) );
+      ( "Sampler.poisson infinite",
+        invalid "Sampler.poisson: rate must be finite and non-negative"
+          (fun () ->
+            ignore (Numerics.Sampler.poisson (rng0 ()) ~lambda:infinity)) );
+      ( "Grid.arange",
+        invalid "Grid.arange: step must be positive" (fun () ->
+            ignore (Numerics.Grid.arange ~lo:0.0 ~hi:1.0 ~step:nan)) );
+      ( "Assessment.assess ~required_bound",
+        invalid "Assessment.assess: required bound must be positive"
+          (fun () ->
+            ignore
+              (Core.Assessment.assess u ~required_bound:nan ~confidence:0.9)) );
+      ( "Assessment.required_pmax_for_bound ~single_bound",
+        invalid
+          "Assessment.required_pmax_for_bound: single_bound must be positive"
+          (fun () ->
+            ignore
+              (Core.Assessment.required_pmax_for_bound ~single_bound:nan
+                 ~required_bound:0.01)) );
+      ( "Assessment.required_pmax_for_bound ~required_bound",
+        invalid "Assessment.required_pmax_for_bound: required_bound is NaN"
+          (fun () ->
+            ignore
+              (Core.Assessment.required_pmax_for_bound ~single_bound:0.1
+                 ~required_bound:nan)) );
+      ( "Universe.high_quality",
+        invalid "Universe.high_quality: expected_faults must be positive"
+          (fun () ->
+            ignore
+              (Core.Universe.high_quality (rng0 ()) ~n:3 ~expected_faults:nan
+                 ~total_q:0.5)) );
       ("Proto p", wire "p" [| 0.5; nan |] [| 0.1; 0.2 |]);
       ("Proto q", wire "q" [| 0.5; 0.2 |] [| nan; 0.2 |]);
     ]

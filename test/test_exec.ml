@@ -151,6 +151,127 @@ let test_pool_exception () =
   Alcotest.(check (array int)) "pool reusable after failure"
     (Array.init 8 (fun i -> i + 1)) r
 
+(* ---- telemetry replay at join ---- *)
+
+let g_task = Obs.Metrics.gauge "test.pool.last_task"
+let h_task = Obs.Metrics.histogram "test.pool.value"
+
+(* The value task [i] observes: thirds of tenths, so the histogram's
+   float sum depends on the order the values are added in. *)
+let task_value i = float_of_int (i + 1) *. 0.1 /. 3.0
+
+(* Run [n] telemetry-writing tasks on [pool] with metrics on and a run
+   log installed; returns the metrics snapshot, the tasks of the logged
+   events in log order, their [seq]s, and how the batch ended. Task 0
+   waits until every other task has finished (or 2 s pass), so on a
+   multi-domain pool the tasks finish out of index order. *)
+let telemetry_batch ?(raising = []) pool ~n =
+  let path = Filename.temp_file "pool_replay" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      let oc = open_out path in
+      Obs.Metrics.set_enabled true;
+      Obs.Runlog.set_sink (Some (Obs.Runlog.create_streaming oc));
+      let others_done = Atomic.make 0 in
+      let outcome =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Runlog.set_sink None;
+            close_out oc)
+          (fun () ->
+            match
+              Exec.Pool.run pool ~n (fun i ->
+                  if i = 0 && Exec.Pool.size pool > 1 then begin
+                    let t0 = Unix.gettimeofday () in
+                    while
+                      Atomic.get others_done < n - 1
+                      && Unix.gettimeofday () -. t0 < 2.0
+                    do
+                      Domain.cpu_relax ()
+                    done
+                  end;
+                  Obs.Metrics.set g_task (float_of_int i);
+                  Obs.Metrics.observe h_task (task_value i);
+                  Obs.Runlog.record ~kind:"test.task" [ ("task", Obs.Json.Int i) ];
+                  if i > 0 then Atomic.incr others_done;
+                  if List.mem i raising then raise (Boom i);
+                  i)
+            with
+            | _ -> Ok ()
+            | exception Boom i -> Error i)
+      in
+      let snapshot = Obs.Metrics.render_json () in
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset_values ();
+      let events =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.map (fun l ->
+               match Obs.Json.parse l with
+               | Ok doc ->
+                   let int k =
+                     Option.get (Option.bind (Obs.Json.member k doc) Obs.Json.to_int)
+                   in
+                   (int "task", int "seq")
+               | Error e -> Alcotest.fail e)
+      in
+      (snapshot, List.map fst events, List.map snd events, outcome))
+
+let pool2 = lazy (Exec.Pool.create ~domains:2 ())
+
+let test_pool_telemetry_replay () =
+  let n = 24 in
+  let snapshot1, tasks1, _, _ = telemetry_batch (Lazy.force pool1) ~n in
+  let snapshot2, tasks2, seqs2, outcome = telemetry_batch (Lazy.force pool2) ~n in
+  check_bool "batch succeeded" true (outcome = Ok ());
+  let index_order = List.init n Fun.id in
+  Alcotest.(check (list int)) "1 domain: log in index order" index_order tasks1;
+  Alcotest.(check (list int)) "2 domains: log in index order" index_order tasks2;
+  Alcotest.(check (list int)) "seq follows the index order"
+    (List.init n (fun i -> i + 1)) seqs2;
+  (* The metrics snapshot carries the gauge and the histogram's sum as
+     exact doubles: equal bytes mean equal bits. *)
+  Alcotest.(check string) "snapshot identical to a 1-domain run" snapshot1 snapshot2;
+  let member_of name section =
+    match Obs.Json.parse snapshot2 with
+    | Ok doc ->
+        List.find
+          (fun item -> Obs.Json.member "name" item = Some (Obs.Json.String name))
+          (Option.get (Option.bind (Obs.Json.member section doc) Obs.Json.to_list))
+    | Error e -> Alcotest.fail e
+  in
+  let float_member field item =
+    Option.get (Option.bind (Obs.Json.member field item) Obs.Json.to_float)
+  in
+  check_float_bits "gauge holds the last index" (float_of_int (n - 1))
+    (float_member "value" (member_of "test.pool.last_task" "gauges"));
+  let in_order = List.fold_left (fun acc i -> acc +. task_value i) 0.0 index_order in
+  let reversed =
+    List.fold_left (fun acc i -> acc +. task_value i) 0.0 (List.rev index_order)
+  in
+  check_bool "the sum's bits depend on the order (the check has teeth)" true
+    (Int64.bits_of_float in_order <> Int64.bits_of_float reversed);
+  check_float_bits "histogram sum is the index-order sum" in_order
+    (float_member "sum" (member_of "test.pool.value" "histograms"))
+
+(* When tasks raise, the effects every task made (a raising task's up to
+   its raise) are still replayed in index order, and the exception of
+   the lowest raising index is the one re-raised. *)
+let test_pool_telemetry_raise () =
+  let n = 12 in
+  let snapshot1, tasks1, _, outcome1 =
+    telemetry_batch ~raising:[ 11 ] (Lazy.force pool1) ~n
+  in
+  let snapshot2, tasks2, _, outcome2 =
+    telemetry_batch ~raising:[ 5; 11 ] (Lazy.force pool2) ~n
+  in
+  check_bool "1 domain raises the raising task's exception" true (outcome1 = Error 11);
+  check_bool "2 domains raise the lowest index" true (outcome2 = Error 5);
+  Alcotest.(check (list int)) "every task's effects replayed, in index order"
+    (List.init n Fun.id) tasks2;
+  Alcotest.(check (list int)) "as a 1-domain run that raises last" tasks1 tasks2;
+  Alcotest.(check string) "same metrics as that 1-domain run" snapshot1 snapshot2
+
 (* ---- Montecarlo.estimate: byte identity across domain counts ---- *)
 
 let estimate ~pool ~shards ~seed =
@@ -308,6 +429,10 @@ let () =
           Alcotest.test_case "map_shards_rng" `Quick test_map_shards_rng;
           Alcotest.test_case "pool run" `Quick test_pool_run;
           Alcotest.test_case "pool exceptions" `Quick test_pool_exception;
+          Alcotest.test_case "pool replays telemetry in index order" `Quick
+            test_pool_telemetry_replay;
+          Alcotest.test_case "pool replays telemetry of a failed batch" `Quick
+            test_pool_telemetry_raise;
         ] );
       ( "determinism",
         [

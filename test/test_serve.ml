@@ -301,6 +301,78 @@ let test_dispatcher_byte_identity () =
             results))
     [ 1; 4 ]
 
+(* Telemetry stays on under the dispatcher's pool: with metrics and a
+   run log on, a batch on a 2-domain pool answers with the same bytes
+   (the [draws] fields included) as with both off, and the kernels'
+   instruments fill up. *)
+let test_dispatcher_telemetry_on () =
+  let batch =
+    [ 3; 0; 3; 1; 2; 3 ]
+    |> List.mapi (fun i k ->
+           let r = List.nth work_requests k in
+           { r with Proto.id = Printf.sprintf "m%d-%s" i r.Proto.id })
+    |> Array.of_list
+  in
+  let pool = Exec.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Exec.Pool.shutdown pool)
+    (fun () ->
+      let d = Dispatcher.create ~pool ~seed:42 in
+      let lines () =
+        Array.map (fun (r : Dispatcher.result) -> r.Dispatcher.line)
+          (Dispatcher.run_batch d batch)
+      in
+      let off = lines () in
+      let path = Filename.temp_file "dispatcher_runlog" ".jsonl" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+          let oc = open_out path in
+          Obs.Metrics.set_enabled true;
+          Obs.Runlog.set_sink (Some (Obs.Runlog.create_streaming oc));
+          let on, snapshot =
+            Fun.protect
+              ~finally:(fun () ->
+                Obs.Runlog.set_sink None;
+                close_out oc;
+                Obs.Metrics.set_enabled false;
+                Obs.Metrics.reset_values ())
+              (fun () ->
+                let on = lines () in
+                (on, Obs.Metrics.snapshot ()))
+          in
+          Array.iteri
+            (fun i line ->
+              check_string (Printf.sprintf "slot %d identical with telemetry on" i)
+                line on.(i))
+            off;
+          let count section field name =
+            match Option.bind (Obs.Json.member section snapshot) Obs.Json.to_list with
+            | Some items -> (
+                match
+                  List.find_opt
+                    (fun item ->
+                      Obs.Json.member "name" item = Some (Obs.Json.String name))
+                    items
+                with
+                | Some item ->
+                    Option.value ~default:0
+                      (Option.bind (Obs.Json.member field item) Obs.Json.to_int)
+                | None -> Alcotest.failf "%s missing from the snapshot" name)
+            | None -> Alcotest.failf "snapshot lacks %s" section
+          in
+          (* three fleet-mission requests of four plants each *)
+          check_int "runner.runs" 12 (count "counters" "value" "runner.runs");
+          check_int "runner.estimated_pfd observations" 12
+            (count "histograms" "count" "runner.estimated_pfd");
+          check_int "fleet.plant_true_pfd observations" 12
+            (count "histograms" "count" "fleet.plant_true_pfd");
+          let events =
+            In_channel.with_open_bin path In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun l -> l <> "")
+          in
+          check_bool "the run log holds the fleet events" true
+            (List.length events >= 3 * (1 + (2 * 4)))))
+
 (* ------------------------------------------------------------------ *)
 (* Daemon subprocess harness                                          *)
 (* ------------------------------------------------------------------ *)
@@ -732,6 +804,8 @@ let () =
         [
           Alcotest.test_case "byte-identity across pool sizes" `Quick
             test_dispatcher_byte_identity;
+          Alcotest.test_case "telemetry on under a 2-domain pool" `Quick
+            test_dispatcher_telemetry_on;
         ] );
       ( "daemon",
         [
